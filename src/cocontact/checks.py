@@ -25,6 +25,7 @@ from .pontryagin import (
     AlgorithmOptions,
     assemble_Z,
     constraint_values,
+    lagrangian_part,
     run_constraint_algorithm,
 )
 from .systems import SystemPreset, preset_by_name
@@ -189,12 +190,10 @@ def check_equivalence(
     n = pre.n
     w0 = ladder.probe
     traj_z = integrate(unified_field(pre.system, ladder, opts), w0, cfg)
-    x0 = np.concatenate((w0[: 1 + 2 * n], w0[-1:]))
-    traj_x = integrate(lagrangian_field(pre.system, ladder, opts), x0, cfg)
+    traj_x = integrate(lagrangian_field(pre.system, ladder, opts), lagrangian_part(w0, n), cfg)
     dev = 0.0
     for wz, xx in zip(traj_z.lifted, traj_x.states):
-        proj = np.concatenate((wz[: 1 + 2 * n], wz[-1:]))
-        dev = max(dev, float(np.max(np.abs(proj - xx))))
+        dev = max(dev, float(np.max(np.abs(lagrangian_part(wz, n) - xx))))
     return CheckResult(name, dev <= tol, dev, tol,
                        "momentum description undefined (singular fibre map); "
                        f"mixed-vs-velocity only, T={t_end}")

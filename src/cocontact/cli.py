@@ -4,7 +4,7 @@ Subcommands:
   constraints  run the constraint algorithm, print the ladder report
   simulate     integrate a trajectory, write CSV/JSON, print residuals
   verify       run the named identity checks, print a pass/fail table
-  sweep        fan a parameter sweep across worker threads
+  sweep        integrate one preset at each parameter value in turn
 
 Configuration is a JSON document (--config), or --preset NAME for a
 built-in system with its default initial data:
@@ -26,7 +26,7 @@ the constraint set.  Relative output paths resolve inside $COCONTACT_OUT_DIR
 
 Exit codes: 0 success; 1 configuration error or failed verification;
 2 incompatible constraint ladder; 3 constraint algorithm hit its
-generation cap; 4 integrator failure.
+generation cap; 4 integrator failure.  Errors print one line (EXIT_CODES).
 """
 
 from __future__ import annotations
@@ -35,29 +35,27 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import dsl
 from .dynamics import (
+    FIELDS,
     IntegratorConfig,
     LadderLost,
     NonInvertibleLegendre,
     StepFailure,
-    hamiltonian_field,
     integrate,
-    lagrangian_field,
     residual_report,
     trajectory_to_csv,
     trajectory_to_json,
-    unified_field,
 )
 from .checks import run_all_checks
 from .jets import JetDomainError
 from .mechanics import LagrangianSystem
-from .pontryagin import AlgorithmOptions, InfeasiblePoint, run_constraint_algorithm
+from .pontryagin import (AlgorithmOptions, InfeasiblePoint, NumericalBreakdown,
+                         run_constraint_algorithm)
 from .systems import PRESET_NAMES, preset_by_name
 
 EXIT_OK = 0
@@ -71,6 +69,19 @@ CHANNELS = ("holonomy", "sdot", "herglotz", "constraint")
 
 class ConfigError(ValueError):
     pass
+
+
+# first match wins: ConfigError and InfeasiblePoint are ValueErrors
+EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG),
+    (InfeasiblePoint, EXIT_INTEGRATOR),
+    (ValueError, EXIT_CONFIG),
+    (StepFailure, EXIT_INTEGRATOR),
+    (LadderLost, EXIT_INTEGRATOR),
+    (NonInvertibleLegendre, EXIT_INTEGRATOR),
+    (JetDomainError, EXIT_INTEGRATOR),
+    (NumericalBreakdown, EXIT_INTEGRATOR),
+)
 
 
 def _load_config(args) -> dict:
@@ -172,11 +183,7 @@ def cmd_constraints(args) -> int:
     config = _load_config(args)
     L, pre = _build_system(config)
     w0 = _initial_state(config, L, pre)
-    try:
-        ladder, _ = run_constraint_algorithm(L, w0, AlgorithmOptions())
-    except InfeasiblePoint as exc:
-        print(f"error: initial point cannot be projected: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
+    ladder, _ = run_constraint_algorithm(L, w0, AlgorithmOptions())
     report = ladder.report()
     report["system"] = L.label
     text = json.dumps(report, indent=1)
@@ -185,22 +192,6 @@ def cmd_constraints(args) -> int:
     else:
         print(text)
     return _ladder_exit(ladder.status)
-
-
-def _make_field(space: str, L, ladder, opts):
-    if space == "unified":
-        return unified_field(L, ladder, opts)
-    if space == "lagrangian":
-        return lagrangian_field(L, ladder, opts)
-    return hamiltonian_field(L, ladder, opts)
-
-
-def _space_state(space: str, w0: np.ndarray, n: int) -> np.ndarray:
-    if space == "unified":
-        return w0
-    if space == "lagrangian":
-        return np.concatenate((w0[: 1 + 2 * n], w0[-1:]))
-    return np.concatenate((w0[: 1 + n], w0[1 + 2 * n : 1 + 3 * n], w0[-1:]))
 
 
 def cmd_simulate(args) -> int:
@@ -215,23 +206,13 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"unknown residual channels: {sorted(bad)}")
 
     opts = AlgorithmOptions()
-    try:
-        ladder, _ = run_constraint_algorithm(L, w0, opts)
-    except InfeasiblePoint as exc:
-        print(f"error: initial point cannot be projected: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
+    ladder, _ = run_constraint_algorithm(L, w0, opts)
     if ladder.status != "Closed":
         print(f"error: constraint algorithm ended {ladder.status}", file=sys.stderr)
         return _ladder_exit(ladder.status)
 
-    field = _make_field(args.space, L, ladder, opts)
-    x0 = _space_state(args.space, ladder.probe, L.n)
-    try:
-        traj = integrate(field, x0, cfg)
-    except (StepFailure, LadderLost, NonInvertibleLegendre, InfeasiblePoint,
-            JetDomainError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
+    field = FIELDS[args.space](L, ladder, opts)
+    traj = integrate(field, field.drop(ladder.probe), cfg)
 
     csv_path = args.out or outputs.get("csv") or f"{L.label}_{args.space}.csv"
     csv_path = _resolve(csv_path)
@@ -259,9 +240,7 @@ def cmd_verify(args) -> int:
     config = _load_config(args)
     L, pre = _build_system(config)
     if pre is None:
-        print("error: verify needs a preset system (its closed forms are the oracle)",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("verify needs a preset system (its closed forms are the oracle)")
     results = run_all_checks(pre, seed=args.seed, tol=args.tol)
     for r in results:
         print(r.line())
@@ -270,63 +249,52 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_CONFIG
 
 
-def _sweep_one(config: dict, name: str, param: str, value: float, space: str,
-               cfg: IntegratorConfig):
-    pre = preset_by_name(name, {**config.get("params", {}), param: value})
-    L = pre.system
-    ic = pre.initial
-    w0 = np.concatenate(([ic.t], ic.q, ic.v, np.zeros(L.n), [ic.s]))
-    opts = AlgorithmOptions()
-    ladder, _ = run_constraint_algorithm(L, w0, opts)
-    if ladder.status != "Closed":
-        raise RuntimeError(f"{param}={value}: ladder {ladder.status}")
-    traj = integrate(_make_field(space, L, ladder, opts),
-                     _space_state(space, ladder.probe, L.n), cfg)
-    path = _resolve(f"{L.label}_{param}_{value:g}.csv")
-    trajectory_to_csv(traj, path)
-    rep = residual_report(L, traj)
-    return {
-        "value": value,
-        "file": str(path),
-        "t_final": traj.times[-1],
-        "final_state": traj.states[-1].tolist(),
-        "residual_max": {k: rep[k]["max"] for k in CHANNELS},
-    }
-
-
 def cmd_sweep(args) -> int:
     config = _load_config(args)
-    spec = config.get("system")
-    if not isinstance(spec, str):
-        print("error: sweep needs a preset system", file=sys.stderr)
-        return EXIT_CONFIG
+    name = config.get("system")
+    if not isinstance(name, str):
+        raise ConfigError("sweep needs a preset system")
     block = dict(config.get("sweep", {}))
     param = args.param or block.get("param")
     values = args.values or block.get("values")
-    if isinstance(values, str):
-        values = [float(x) for x in values.split(",")]
     if not param or not values:
-        print("error: sweep needs a parameter name and a value list", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("sweep needs a parameter name and a value list")
+    try:
+        values = [float(x) for x in (values.split(",") if isinstance(values, str) else values)]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sweep values: {exc}") from exc
+    # one output file per value, named by the value's %g form
+    tags = [f"{v:g}" for v in values]
+    clashes = sorted({t for t in tags if tags.count(t) > 1})
+    if clashes:
+        raise ConfigError(f"sweep values share output file names: {', '.join(clashes)}")
     cfg = _integrator_config(config, args)
 
-    # each worker builds its own system, ladder, and field: no shared state
-    with ThreadPoolExecutor(max_workers=min(4, len(values))) as pool:
-        futures = [
-            pool.submit(_sweep_one, config, spec, param, float(v), args.space, cfg)
-            for v in values
-        ]
-        rows = []
-        for fut in futures:
-            try:
-                rows.append(fut.result())
-            except (KeyError, ConfigError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-            except (StepFailure, LadderLost, NonInvertibleLegendre, InfeasiblePoint,
-                    RuntimeError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INTEGRATOR
+    opts = AlgorithmOptions()
+    rows = []
+    for value, tag in zip(values, tags):
+        try:
+            pre = preset_by_name(name, {**config.get("params", {}), param: value})
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from exc
+        L = pre.system
+        ladder, _ = run_constraint_algorithm(L, _initial_state({}, L, pre), opts)
+        if ladder.status != "Closed":
+            print(f"error: {param}={tag}: constraint algorithm ended {ladder.status}",
+                  file=sys.stderr)
+            return _ladder_exit(ladder.status)
+        field = FIELDS[args.space](L, ladder, opts)
+        traj = integrate(field, field.drop(ladder.probe), cfg)
+        path = _resolve(f"{L.label}_{param}_{tag}.csv")
+        trajectory_to_csv(traj, path)
+        rep = residual_report(L, traj)
+        rows.append({
+            "value": value,
+            "file": str(path),
+            "t_final": traj.times[-1],
+            "final_state": traj.states[-1].tolist(),
+            "residual_max": {k: rep[k]["max"] for k in CHANNELS},
+        })
     print(json.dumps({"param": param, "runs": rows}, indent=1))
     return EXIT_OK
 
@@ -346,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (resolved in $COCONTACT_OUT_DIR)")
         p.add_argument("--seed", type=int, default=42, help="random probe seed")
         if integrator:
-            p.add_argument("--space", choices=("unified", "lagrangian", "hamiltonian"),
+            p.add_argument("--space", choices=tuple(FIELDS),
                            default="unified", help="description to integrate")
             p.add_argument("--step", type=float, help="integrator step override")
             p.add_argument("--t-end", dest="t_end", type=float, help="end time override")
@@ -377,9 +345,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception as exc:
+        for kind, code in EXIT_CODES:
+            if isinstance(exc, kind):
+                print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

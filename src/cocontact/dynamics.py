@@ -4,10 +4,11 @@ One dynamical field on the mixed phase space drives three pictures of the
 same motion:
 
   unified      state (t, q, v, p, s), field coefficients (1, B, C, D, E)
-  lagrangian   state (t, q, v, s): drop the momentum block; momenta are
-               recovered from the fibre derivative p = dL/dv
-  hamiltonian  state (t, q, p, s): drop the velocity block; velocities are
-               recovered by inverting the fibre derivative (regular case)
+  lagrangian   state (t, q, v, s): drop the momentum block; the lift
+               recovers momenta from the fibre derivative p = dL/dv
+  hamiltonian  state (t, q, p, s): drop the velocity block; the lift
+               recovers velocities by inverting the fibre derivative
+               (regular case)
 
 Every trajectory, whichever description produced it, is stored together
 with its lift to the mixed space, so all four residual channels are
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .mechanics import HamiltonianPoint, LagrangianPoint, LagrangianSystem, herglotz_residual
+from .mechanics import HamiltonianPoint, LagrangianSystem, herglotz_residual
 from .pontryagin import (
     AlgorithmOptions,
     ConstraintLadder,
@@ -43,6 +44,8 @@ from .pontryagin import (
     ZCoefficients,
     assemble_Z,
     constraint_values,
+    hamiltonian_part,
+    lagrangian_part,
     primary_constraints,
     project_onto,
     run_constraint_algorithm,
@@ -56,8 +59,6 @@ __all__ = [
     "LadderLost",
     "legendre_invert",
     "hamiltonian_from_lagrangian",
-    "project_to_lagrangian",
-    "project_to_hamiltonian",
     "unified_field",
     "lagrangian_field",
     "hamiltonian_field",
@@ -133,22 +134,22 @@ def legendre_invert(
     yvec = y.as_vector() if isinstance(y, HamiltonianPoint) else np.asarray(y, dtype=float)
     if yvec.shape != (2 * n + 2,):
         raise ValueError(f"expected a momentum-space point of length {2 * n + 2}")
-    p = yvec[1 + n : 1 + 2 * n]
-    v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
-    lag = np.concatenate((yvec[: 1 + n], v, yvec[-1:]))
+    v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
+    w = np.concatenate((yvec[: 1 + n], v, yvec[1 + n :]))
     vs = slice(1 + n, 1 + 2 * n)
+    p = w[1 + 2 * n : 1 + 3 * n]
     for _ in range(max_iter):
-        jet = L.jet(lag, 2)
+        jet = L.jet(lagrangian_part(w, n), 2)
         F = jet.grad[vs] - p
         if np.max(np.abs(F)) <= tol:
-            return lag[vs].copy()
+            return w[vs].copy()
         W = jet.hess[vs, vs]
         sigma = np.linalg.svd(W, compute_uv=False)
         if sigma[-1] <= 1e-12 * max(sigma[0], 1.0):
             raise NonInvertibleLegendre(
                 f"velocity Hessian is singular (sigma_min = {sigma[-1]:.2e})"
             )
-        lag[vs] -= np.linalg.solve(W, F)
+        w[vs] -= np.linalg.solve(W, F)
     raise NonInvertibleLegendre(
         f"velocity recovery did not converge within {max_iter} iterations"
     )
@@ -206,136 +207,87 @@ def hamiltonian_from_lagrangian(L: LagrangianSystem) -> _EnvelopeHamiltonian:
     return _EnvelopeHamiltonian(L)
 
 
-# -- pointwise projections of field coefficients ------------------------
-
-
-def project_to_lagrangian(Z: ZCoefficients, w=None) -> np.ndarray:
-    """Velocity-side tangent coefficients (1, B, C, E): drop the momentum
-    block of the field."""
-    return np.concatenate(([Z.A], Z.B, Z.C, [Z.E]))
-
-
-def project_to_hamiltonian(Z: ZCoefficients, w=None) -> np.ndarray:
-    """Momentum-side tangent coefficients (1, B, D, E): drop the velocity
-    block of the field."""
-    return np.concatenate(([Z.A], Z.B, Z.D, [Z.E]))
-
-
 # -- evaluable fields in the three descriptions -------------------------
 
 
-class _FieldBase:
-    """Protocol shared by the three descriptions.
+@dataclass
+class UnifiedField:
+    """The dynamical field on the mixed space, states (t, q, v, p, s).
+
+    Each description is a pair of maps between its own states and the
+    mixed space, lift(state) -> w and drop(w) -> state; here both are the
+    identity.  prepare, reproject and drift are written once in terms of
+    them, so the other two descriptions supply only lift, drop and eval.
 
     eval(state) -> (derivative, coefficient vector on the mixed space,
     lifted mixed-space state).  One instance drives one trajectory at a
-    time: the momentum-side wrapper keeps a velocity warm start.
+    time: the momentum-side lift keeps a velocity warm start.
     """
 
-    kind: str
+    L: LagrangianSystem
+    ladder: ConstraintLadder
+    opts: AlgorithmOptions = field(default_factory=AlgorithmOptions)
+    kind = "unified"
+
+    def lift(self, state: np.ndarray) -> np.ndarray:
+        return state
+
+    def drop(self, w: np.ndarray) -> np.ndarray:
+        return w
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
         return self.eval(state)[0]
 
     def eval(self, state):
-        raise NotImplementedError
-
-    def prepare(self, x0) -> np.ndarray:
-        raise NotImplementedError
-
-    def reproject(self, state: np.ndarray) -> np.ndarray:
-        return state
-
-    def drift(self, state: np.ndarray) -> float:
-        raise NotImplementedError
-
-
-@dataclass
-class UnifiedField(_FieldBase):
-    L: LagrangianSystem
-    ladder: ConstraintLadder
-    opts: AlgorithmOptions
-    gauge: Callable | None = None
-    kind: str = field(default="unified", init=False)
-
-    @property
-    def dim(self) -> int:
-        return 3 * self.L.n + 2
-
-    def eval(self, state):
-        Z = assemble_Z(self.L, state, self.ladder, self.opts, gauge=self.gauge)
-        vec = Z.as_vector()
+        vec = assemble_Z(self.L, state, self.ladder, self.opts).as_vector()
         return vec, vec, state
 
     def prepare(self, x0) -> np.ndarray:
-        x0 = x0.as_vector() if isinstance(x0, PontryaginPoint) else np.asarray(x0, dtype=float)
-        return project_onto(self.L, x0, self.ladder.active(), self.opts)
+        """Project an initial state onto the constraint set."""
+        return self.reproject(x0.as_vector() if hasattr(x0, "as_vector")
+                              else np.asarray(x0, dtype=float))
 
-    def reproject(self, state):
-        return project_onto(self.L, state, self.ladder.active(), self.opts)
+    def reproject(self, state: np.ndarray) -> np.ndarray:
+        w = project_onto(self.L, self.lift(state), self.ladder.active(), self.opts)
+        return self.drop(w)
 
-    def drift(self, state) -> float:
-        vals = constraint_values(self.L, state, self.ladder.active())
+    def drift(self, state: np.ndarray) -> float:
+        vals = constraint_values(self.L, self.lift(state), self.ladder.active())
         return float(np.max(np.abs(vals))) if len(vals) else 0.0
 
 
-@dataclass
-class LagrangianField(_FieldBase):
-    """Velocity-side field: states (t, q, v, s), momenta implied by the
-    fibre derivative."""
+class LagrangianField(UnifiedField):
+    """Velocity-side description: states (t, q, v, s); the lift fills in
+    the momenta from the fibre derivative p = dL/dv."""
 
-    L: LagrangianSystem
-    ladder: ConstraintLadder
-    opts: AlgorithmOptions
-    kind: str = field(default="lagrangian", init=False)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.L.n + 2
+    kind = "lagrangian"
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         n = self.L.n
         p = self.L.jet(x, 1).grad[1 + n : 1 + 2 * n]
         return np.concatenate((x[: 1 + 2 * n], p, x[-1:]))
 
+    def drop(self, w: np.ndarray) -> np.ndarray:
+        return lagrangian_part(w, self.L.n)
+
     def eval(self, state):
-        n = self.L.n
         w = self.lift(state)
-        Z = assemble_Z(self.L, w, self.ladder, self.opts)
-        deriv = np.concatenate(([1.0], state[1 + n : 1 + 2 * n], Z.C, [Z.E]))
-        return deriv, Z.as_vector(), w
+        coeffs = assemble_Z(self.L, w, self.ladder, self.opts).as_vector()
+        # exact: assemble_Z sets A = 1.0 and B = v
+        return self.drop(coeffs), coeffs, w
 
-    def prepare(self, x0) -> np.ndarray:
-        x0 = x0.as_vector() if isinstance(x0, LagrangianPoint) else np.asarray(x0, dtype=float)
-        n = self.L.n
-        w = np.concatenate((x0[: 1 + 2 * n], np.zeros(n), x0[-1:]))
-        w = project_onto(self.L, w, self.ladder.active(), self.opts)
-        return np.concatenate((w[: 1 + 2 * n], w[-1:]))
-
-    def reproject(self, state):
-        w = project_onto(self.L, self.lift(state), self.ladder.active(), self.opts)
-        n = self.L.n
-        return np.concatenate((w[: 1 + 2 * n], w[-1:]))
-
-    def drift(self, state) -> float:
-        vals = constraint_values(self.L, self.lift(state), self.ladder.active())
-        return float(np.max(np.abs(vals))) if len(vals) else 0.0
+    # an entry of its own: bench/tracer.py wraps drift per class __dict__
+    drift = UnifiedField.drift
 
 
 @dataclass
-class HamiltonianField(_FieldBase):
-    """Momentum-side field: states (t, q, p, s), velocities recovered by
-    inverting the fibre derivative (regular Lagrangians only)."""
+class HamiltonianField(UnifiedField):
+    """Momentum-side description: states (t, q, p, s); the lift recovers
+    the velocities by inverting the fibre derivative (regular Lagrangians
+    only), warm-started from the previous lift."""
 
-    L: LagrangianSystem
-    ladder: ConstraintLadder
-    opts: AlgorithmOptions
-    kind: str = field(default="hamiltonian", init=False)
+    kind = "hamiltonian"
     _last_v: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.L.n + 2
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         n = self.L.n
@@ -343,17 +295,18 @@ class HamiltonianField(_FieldBase):
         self._last_v = v
         return np.concatenate((y[: 1 + n], v, y[1 + n : 1 + 2 * n], y[-1:]))
 
+    def drop(self, w: np.ndarray) -> np.ndarray:
+        return hamiltonian_part(w, self.L.n)
+
     def eval(self, state):
         n = self.L.n
         w = self.lift(state)
-        lag = np.concatenate((w[: 1 + 2 * n], w[-1:]))
-        jet = self.L.jet(lag, 2)
+        jet = self.L.jet(lagrangian_part(w, n), 2)
         v = w[1 + n : 1 + 2 * n]
         p = w[1 + 2 * n : 1 + 3 * n]
         qs, vs = slice(1, 1 + n), slice(1 + n, 1 + 2 * n)
         D = jet.grad[qs] + p * jet.grad[-1]
         E = jet.value
-        deriv = np.concatenate(([1.0], v, D, [E]))
         # velocity rate along the lifted curve, from implicit
         # differentiation of dL/dv = p
         rhs = D - (jet.hess[0, vs] + v @ jet.hess[qs, vs] + E * jet.hess[-1, vs])
@@ -362,44 +315,18 @@ class HamiltonianField(_FieldBase):
         except np.linalg.LinAlgError as exc:
             raise NonInvertibleLegendre("velocity Hessian is singular") from exc
         coeffs = np.concatenate(([1.0], v, C, D, [E]))
-        return deriv, coeffs, w
+        return self.drop(coeffs), coeffs, w
 
-    def prepare(self, y0) -> np.ndarray:
-        y0 = y0.as_vector() if isinstance(y0, HamiltonianPoint) else np.asarray(y0, dtype=float)
-        w = self.lift(y0)
-        w = project_onto(self.L, w, self.ladder.active(), self.opts)
-        n = self.L.n
-        return np.concatenate((w[: 1 + n], w[1 + 2 * n : 1 + 3 * n], w[-1:]))
-
-    def reproject(self, state):
-        w = project_onto(self.L, self.lift(state), self.ladder.active(), self.opts)
-        n = self.L.n
-        return np.concatenate((w[: 1 + n], w[1 + 2 * n : 1 + 3 * n], w[-1:]))
-
-    def drift(self, state) -> float:
-        vals = constraint_values(self.L, self.lift(state), self.ladder.active())
-        return float(np.max(np.abs(vals))) if len(vals) else 0.0
+    # an entry of its own: bench/tracer.py wraps drift per class __dict__
+    drift = UnifiedField.drift
 
 
-def unified_field(
-    L: LagrangianSystem,
-    ladder: ConstraintLadder,
-    opts: AlgorithmOptions | None = None,
-    gauge: Callable | None = None,
-) -> UnifiedField:
-    return UnifiedField(L, ladder, opts or AlgorithmOptions(), gauge)
+unified_field = UnifiedField
+lagrangian_field = LagrangianField
+hamiltonian_field = HamiltonianField
 
-
-def lagrangian_field(
-    L: LagrangianSystem, ladder: ConstraintLadder, opts: AlgorithmOptions | None = None
-) -> LagrangianField:
-    return LagrangianField(L, ladder, opts or AlgorithmOptions())
-
-
-def hamiltonian_field(
-    L: LagrangianSystem, ladder: ConstraintLadder, opts: AlgorithmOptions | None = None
-) -> HamiltonianField:
-    return HamiltonianField(L, ladder, opts or AlgorithmOptions())
+# description name -> field class, as in Trajectory.kind
+FIELDS = {cls.kind: cls for cls in (UnifiedField, LagrangianField, HamiltonianField)}
 
 
 # -- trajectories -------------------------------------------------------
@@ -523,7 +450,7 @@ def residual_channels(
         vdot = wgt @ window[:, vs]
         sdot = float(wgt @ window[:, -1])
         wk = lifted[k]
-        lag = np.concatenate((wk[: 1 + 2 * n], wk[-1:]))
+        lag = lagrangian_part(wk, n)
         holonomy[k] = float(np.max(np.abs(qdot - wk[vs])))
         sdot_ch[k] = abs(sdot - L.value(lag))
         vec, _ = herglotz_residual(L, lag, vdot, sdot)
@@ -573,7 +500,7 @@ def _rkf45_step(f: Callable, y: np.ndarray, h: float, k1: np.ndarray):
     return y5, np.abs(y5 - y4)
 
 
-def integrate(field: _FieldBase, x0, cfg: IntegratorConfig) -> Trajectory:
+def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
     """Integrate a field from an initial state.
 
     The initial state is projected onto the admissible set first.  For
@@ -706,14 +633,6 @@ class EquivalenceReport:
         return max(self.dev_lagrangian, self.dev_hamiltonian, self.dev_legendre)
 
 
-def _lag_of(w: np.ndarray, n: int) -> np.ndarray:
-    return np.concatenate((w[: 1 + 2 * n], w[-1:]))
-
-
-def _ham_of(w: np.ndarray, n: int) -> np.ndarray:
-    return np.concatenate((w[: 1 + n], w[1 + 2 * n : 1 + 3 * n], w[-1:]))
-
-
 def cross_check_equivalence(
     L: LagrangianSystem,
     x0,
@@ -734,9 +653,9 @@ def cross_check_equivalence(
     n = L.n
     w0 = ladder.probe
 
-    traj_z = integrate(unified_field(L, ladder, opts), w0, cfg)
-    traj_x = integrate(lagrangian_field(L, ladder, opts), _lag_of(w0, n), cfg)
-    traj_y = integrate(hamiltonian_field(L, ladder, opts), _ham_of(w0, n), cfg)
+    traj_z = integrate(UnifiedField(L, ladder, opts), w0, cfg)
+    traj_x = integrate(LagrangianField(L, ladder, opts), lagrangian_part(w0, n), cfg)
+    traj_y = integrate(HamiltonianField(L, ladder, opts), hamiltonian_part(w0, n), cfg)
 
     if not (len(traj_z) == len(traj_x) == len(traj_y)):
         raise RuntimeError("description runs produced different grids")
@@ -745,9 +664,9 @@ def cross_check_equivalence(
     dev_ham = 0.0
     dev_leg = 0.0
     for wz, xx, yy, wx in zip(traj_z.lifted, traj_x.states, traj_y.states, traj_x.lifted):
-        dev_lag = max(dev_lag, float(np.max(np.abs(_lag_of(wz, n) - xx))))
-        dev_ham = max(dev_ham, float(np.max(np.abs(_ham_of(wz, n) - yy))))
-        dev_leg = max(dev_leg, float(np.max(np.abs(_ham_of(wx, n) - yy))))
+        dev_lag = max(dev_lag, float(np.max(np.abs(lagrangian_part(wz, n) - xx))))
+        dev_ham = max(dev_ham, float(np.max(np.abs(hamiltonian_part(wz, n) - yy))))
+        dev_leg = max(dev_leg, float(np.max(np.abs(hamiltonian_part(wx, n) - yy))))
     return EquivalenceReport(dev_lag, dev_ham, dev_leg, traj_z, traj_x, traj_y)
 
 

@@ -51,7 +51,7 @@ ORDER_CAP = _BASE - 1
 # Total degree of every packed key ever created.  Shared across dimensions
 # (the packing does not depend on how many variables exist, only on which
 # digits are nonzero).  CPython dict writes are atomic, so concurrent reuse
-# from sweep worker threads is safe.
+# from several threads is safe.
 _DEG: dict[int, int] = {0: 0}
 
 _STRIDES: list[int] = [1]

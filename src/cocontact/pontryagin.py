@@ -49,6 +49,8 @@ from .mechanics import LagrangianSystem, regularity
 
 __all__ = [
     "PontryaginPoint",
+    "lagrangian_part",
+    "hamiltonian_part",
     "ZCoefficients",
     "ConstraintFn",
     "ConstraintLadder",
@@ -119,6 +121,16 @@ class PontryaginPoint:
         return PontryaginPoint(
             vec[0], vec[1 : 1 + n], vec[1 + n : 1 + 2 * n], vec[1 + 2 * n : 1 + 3 * n], vec[-1]
         )
+
+
+def lagrangian_part(w: np.ndarray, n: int) -> np.ndarray:
+    """Drop the momentum block: (t, q, v, s), or coefficients (A, B, C, E)."""
+    return np.concatenate((w[: 1 + 2 * n], w[-1:]))
+
+
+def hamiltonian_part(w: np.ndarray, n: int) -> np.ndarray:
+    """Drop the velocity block: (t, q, p, s), or coefficients (A, B, D, E)."""
+    return np.concatenate((w[: 1 + n], w[1 + 2 * n : 1 + 3 * n], w[-1:]))
 
 
 @dataclass(frozen=True)
@@ -400,7 +412,7 @@ def coupling(w) -> float:
 def hamiltonian(L: LagrangianSystem, w) -> float:
     """H = p . v - L on the mixed phase space."""
     wvec = _as_wvec(L.n, w)
-    return coupling(wvec) - L.value(np.concatenate((wvec[: 1 + 2 * L.n], wvec[-1:])))
+    return coupling(wvec) - L.value(lagrangian_part(wvec, L.n))
 
 
 def primary_constraints(L: LagrangianSystem, w) -> np.ndarray:
@@ -640,9 +652,7 @@ def tangency_solve(
 def _kernel_q_indices(L: LagrangianSystem, wvec: np.ndarray) -> list[int]:
     """Configuration coordinates paired with the kernel of d2L/dv dv;
     these act as multipliers and may be adjusted during projection."""
-    n = L.n
-    lag_vec = np.concatenate((wvec[: 1 + 2 * n], wvec[-1:]))
-    rep = regularity(L, lag_vec)
+    rep = regularity(L, lagrangian_part(wvec, L.n))
     out = []
     for k in range(rep.nullspace.shape[1]):
         u = np.abs(rep.nullspace[:, k])
@@ -672,8 +682,7 @@ def project_onto(
 
     # momenta first: the primary constraints are solved exactly by the
     # fibre derivative
-    lag_vec = np.concatenate((wvec[: 1 + 2 * n], wvec[-1:]))
-    Lj = L.jet(lag_vec, 1)
+    Lj = L.jet(lagrangian_part(wvec, n), 1)
     wvec[1 + 2 * n : 1 + 3 * n] = Lj.grad[1 + n : 1 + 2 * n]
 
     constraints = list(constraints)

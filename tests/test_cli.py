@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from cocontact import cli
+from cocontact.dynamics import LadderLost, NonInvertibleLegendre, StepFailure
+from cocontact.jets import JetDomainError
+from cocontact.pontryagin import InfeasiblePoint, NumericalBreakdown
 
 HEADER_1D = "t,q1,v1,p1,s,res_holonomy,res_sdot,res_herglotz,res_constraint"
 
@@ -350,6 +353,26 @@ def test_sweep_unknown_param_exit_one(capsys, tmp_path, monkeypatch):
     assert "nope" in err
 
 
+def test_sweep_rejects_unparsable_values(capsys):
+    rc, _, err = run(capsys, ["sweep", "--preset", "duffing", "--param", "alpha",
+                              "--values", "a,b"])
+    assert rc == 1
+    assert err.startswith("error: ConfigError: bad sweep values")
+
+
+def test_sweep_refuses_values_with_one_file_name(capsys, tmp_path, monkeypatch):
+    # both values print as 0.1 under %g, so both runs would write
+    # duffing_alpha_0.1.csv; nothing may run
+    monkeypatch.setenv("COCONTACT_OUT_DIR", str(tmp_path))
+    rc, out, err = run(capsys, ["sweep", "--preset", "duffing", "--param", "alpha",
+                                "--values", "0.1000001,0.1000002",
+                                "--step", "0.01", "--t-end", "0.1"])
+    assert rc == 1
+    assert out == ""
+    assert "share output file names: 0.1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_rejects_inline_systems(capsys, tmp_path):
     cfg = write_config(tmp_path, {
         "system": {"n": 1, "lagrangian": "v1^2/2"},
@@ -359,6 +382,60 @@ def test_sweep_rejects_inline_systems(capsys, tmp_path):
                               "--values", "1.0"])
     assert rc == 1
     assert "preset" in err
+
+
+# -- library errors -----------------------------------------------------
+
+
+SQRT_AT_ZERO = {
+    "system": {"n": 1, "lagrangian": "v1^2/2 - sqrt(q1)"},
+    "initial": {"q": [0.0], "v": [1.0]},
+}
+
+
+@pytest.mark.parametrize("command", ["constraints", "simulate"])
+def test_domain_error_in_lagrangian_exits_four(capsys, tmp_path, command):
+    cfg = write_config(tmp_path, SQRT_AT_ZERO)
+    rc, _, err = run(capsys, [command, "--config", cfg])
+    assert rc == 4
+    assert err.startswith("error: JetDomainError: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc, code", [
+    (cli.ConfigError("bad block"), 1),
+    (InfeasiblePoint("projection stalled"), 4),
+    (ValueError("t_end lies before t0"), 1),
+    (StepFailure("step size underflow"), 4),
+    (LadderLost("constraint drift"), 4),
+    (NonInvertibleLegendre("velocity Hessian is singular"), 4),
+    (JetDomainError("sqrt of a negative value"), 4),
+    (NumericalBreakdown("frozen pivot collapsed"), 4),
+])
+@pytest.mark.parametrize("argv", [
+    ["constraints", "--preset", "duffing"],
+    ["simulate", "--preset", "duffing"],
+    ["sweep", "--preset", "duffing", "--param", "alpha", "--values", "1.0"],
+])
+def test_library_errors_map_to_one_line_and_exit_code(capsys, monkeypatch, argv,
+                                                       exc, code):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_constraint_algorithm", fail)
+    rc, out, err = run(capsys, argv)
+    assert rc == code
+    assert out == ""
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def test_unmapped_errors_propagate(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ZeroDivisionError("a bug, not a user error")
+
+    monkeypatch.setattr(cli, "run_constraint_algorithm", fail)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["constraints", "--preset", "duffing"])
 
 
 # -- plumbing -----------------------------------------------------------

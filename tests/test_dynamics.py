@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from cocontact.mechanics import LagrangianSystem, cocontact_hamiltonian_field
-from cocontact.pontryagin import AlgorithmOptions, run_constraint_algorithm
+from cocontact.pontryagin import (
+    AlgorithmOptions,
+    assemble_Z,
+    hamiltonian_part,
+    lagrangian_part,
+    run_constraint_algorithm,
+)
 from cocontact.dynamics import (
     EquivalenceReport,
     IntegratorConfig,
@@ -26,8 +32,6 @@ from cocontact.dynamics import (
     integrate,
     lagrangian_field,
     legendre_invert,
-    project_to_hamiltonian,
-    project_to_lagrangian,
     residual_channels,
     residual_report,
     trajectory_to_csv,
@@ -48,14 +52,6 @@ def closed_ladder(L, w0):
     ladder, Z = run_constraint_algorithm(L, w0, OPTS)
     assert ladder.status == "Closed"
     return ladder
-
-
-def lag_state(w, n):
-    return np.concatenate((w[: 1 + 2 * n], w[-1:]))
-
-
-def ham_state(w, n):
-    return np.concatenate((w[: 1 + n], w[1 + 2 * n : 1 + 3 * n], w[-1:]))
 
 
 # -- config validation --------------------------------------------------
@@ -122,7 +118,7 @@ def test_duffing_velocity_run_vs_reference_ode():
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     ladder = closed_ladder(L, lift_initial(pre))
-    x0 = lag_state(ladder.probe, 1)
+    x0 = lagrangian_part(ladder.probe, 1)
     cfg = IntegratorConfig(method="rk4", step=1e-3, t_end=2.0)
     traj = integrate(lagrangian_field(L, ladder, OPTS), x0, cfg)
     y = x0.copy()
@@ -199,7 +195,7 @@ def test_momentum_description_unavailable_for_singular_system():
     pre = preset_by_name("charged")
     L = pre.system
     ladder = closed_ladder(L, lift_initial(pre))
-    y0 = ham_state(ladder.probe, 4)
+    y0 = hamiltonian_part(ladder.probe, 4)
     with pytest.raises(NonInvertibleLegendre):
         hamiltonian_field(L, ladder, OPTS).prepare(y0)
 
@@ -253,14 +249,31 @@ def test_projection_helpers_drop_the_right_block():
     pre = preset_by_name("duffing")
     L = pre.system
     ladder = closed_ladder(L, lift_initial(pre))
-    from cocontact.pontryagin import assemble_Z
-
-    w = ladder.probe
-    Z = assemble_Z(L, w, ladder, OPTS)
-    lag = project_to_lagrangian(Z, w)
-    ham = project_to_hamiltonian(Z, w)
+    Z = assemble_Z(L, ladder.probe, ladder, OPTS)
+    lag = lagrangian_part(Z.as_vector(), L.n)
+    ham = hamiltonian_part(Z.as_vector(), L.n)
     np.testing.assert_array_equal(lag, np.concatenate(([Z.A], Z.B, Z.C, [Z.E])))
     np.testing.assert_array_equal(ham, np.concatenate(([Z.A], Z.B, Z.D, [Z.E])))
+
+
+# the momentum description does not exist for the singular charged particle
+@pytest.mark.parametrize("name, make", [
+    (name, make)
+    for name in ("duffing", "variable_mass_drag", "charged_particle")
+    for make in (unified_field, lagrangian_field, hamiltonian_field)
+    if (name, make) != ("charged_particle", hamiltonian_field)
+])
+def test_description_field_is_drop_of_unified_field(name, make):
+    # at a point w of the constraint set, each description's field at
+    # drop(w) is the drop of the unified field at w
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder = closed_ladder(L, lift_initial(pre))
+    w = ladder.probe
+    fld = make(L, ladder, OPTS)
+    got = fld(fld.drop(w))
+    want = fld.drop(unified_field(L, ladder, OPTS)(w))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 # -- residual channels --------------------------------------------------
@@ -419,7 +432,7 @@ def test_json_export(tmp_path):
     L = pre.system
     ladder = closed_ladder(L, lift_initial(pre))
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.1)
-    traj = integrate(lagrangian_field(L, ladder, OPTS), lag_state(ladder.probe, 1), cfg)
+    traj = integrate(lagrangian_field(L, ladder, OPTS), lagrangian_part(ladder.probe, 1), cfg)
     path = tmp_path / "run.json"
     doc = trajectory_to_json(traj, path)
     loaded = json.loads(path.read_text())
