@@ -24,7 +24,6 @@ from .dynamics import (
 from .pontryagin import (
     AlgorithmOptions,
     assemble_Z,
-    constraint_values,
     lagrangian_part,
     run_constraint_algorithm,
 )
@@ -146,16 +145,14 @@ def check_ladder(
         )
 
     rng = np.random.default_rng(seed)
-    derived = [gen[0] for gen in ladder.generations[1:]]
-    active = ladder.active()
     worst = 0.0
     for _ in range(points):
         w = pre.sample_feasible(rng)
-        vals = constraint_values(pre.system, w, active)
+        Zw = assemble_Z(pre.system, w, ladder, opts)
+        vals = Zw.constraint_values
         worst = max(worst, float(np.max(np.abs(vals))))
         for got, want in zip(vals[pre.n :], pre.ladder_closures):
             worst = max(worst, abs(got - want(w)))
-        Zw = assemble_Z(pre.system, w, ladder, opts)
         if pre.expected_C is not None:
             worst = max(worst, float(np.max(np.abs(Zw.C - pre.expected_C(w)))))
         if pre.expected_D is not None:

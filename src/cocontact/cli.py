@@ -81,6 +81,7 @@ EXIT_CODES = (
     (NonInvertibleLegendre, EXIT_INTEGRATOR),
     (JetDomainError, EXIT_INTEGRATOR),
     (NumericalBreakdown, EXIT_INTEGRATOR),
+    (OverflowError, EXIT_INTEGRATOR),
 )
 
 
@@ -146,7 +147,10 @@ def _initial_state(config: dict, L, pre) -> np.ndarray:
         raise ConfigError(f"bad initial block: {exc}") from exc
     if q.shape != (L.n,) or v.shape != (L.n,):
         raise ConfigError(f"initial q and v must have length n = {L.n}")
-    return np.concatenate(([t0], q, v, np.zeros(L.n), [s0]))
+    w0 = np.concatenate(([t0], q, v, np.zeros(L.n), [s0]))
+    if not np.isfinite(w0).all():
+        raise ConfigError("initial t0, q, v and s must be finite")
+    return w0
 
 
 def _integrator_config(config: dict, args) -> IntegratorConfig:
@@ -278,7 +282,7 @@ def cmd_sweep(args) -> int:
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from exc
         L = pre.system
-        ladder, _ = run_constraint_algorithm(L, _initial_state({}, L, pre), opts)
+        ladder, _ = run_constraint_algorithm(L, _initial_state(config, L, pre), opts)
         if ladder.status != "Closed":
             print(f"error: {param}={tag}: constraint algorithm ended {ladder.status}",
                   file=sys.stderr)

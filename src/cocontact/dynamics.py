@@ -80,8 +80,9 @@ class NonInvertibleLegendre(ArithmeticError):
 
 
 class StepFailure(RuntimeError):
-    """The adaptive integrator drove the step size below the resolvable
-    minimum without meeting its error target."""
+    """The integrator cannot go on: the adaptive step size fell below the
+    resolvable minimum without meeting its error target, or a step
+    produced a non-finite state."""
 
 
 class LadderLost(RuntimeError):
@@ -216,17 +217,24 @@ class UnifiedField:
 
     Each description is a pair of maps between its own states and the
     mixed space, lift(state) -> w and drop(w) -> state; here both are the
-    identity.  prepare, reproject and drift are written once in terms of
-    them, so the other two descriptions supply only lift, drop and eval.
+    identity.  prepare, reproject, eval and drift are written once in terms
+    of them, so the other two descriptions supply only lift, drop and
+    _evaluate.
 
     eval(state) -> (derivative, coefficient vector on the mixed space,
-    lifted mixed-space state).  One instance drives one trajectory at a
-    time: the momentum-side lift keeps a velocity warm start.
+    lifted mixed-space state, constraint values at the lift in
+    ladder.active() order).  The constraint values come out of the
+    evaluation itself, never from a second pass over the ladder.  The last
+    evaluation is kept, keyed by the state's bytes, and drift reads it
+    too: the drift check at an accepted state and the eval that follows
+    share one evaluation.  Callers must not modify the returned arrays in
+    place.  One instance drives one trajectory at a time.
     """
 
     L: LagrangianSystem
     ladder: ConstraintLadder
     opts: AlgorithmOptions = field(default_factory=AlgorithmOptions)
+    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     kind = "unified"
 
     def lift(self, state: np.ndarray) -> np.ndarray:
@@ -238,9 +246,20 @@ class UnifiedField:
     def __call__(self, state: np.ndarray) -> np.ndarray:
         return self.eval(state)[0]
 
+    def _evaluate(self, state: np.ndarray):
+        Z = assemble_Z(self.L, state, self.ladder, self.opts)
+        vec = Z.as_vector()
+        return vec, vec, state, Z.constraint_values
+
+    def _evaluation(self, state) -> tuple:
+        state = np.asarray(state, dtype=float)
+        key = state.tobytes()
+        if self._last[0] != key:
+            self._last = (key, self._evaluate(state))
+        return self._last[1]
+
     def eval(self, state):
-        vec = assemble_Z(self.L, state, self.ladder, self.opts).as_vector()
-        return vec, vec, state
+        return self._evaluation(state)
 
     def prepare(self, x0) -> np.ndarray:
         """Project an initial state onto the constraint set."""
@@ -252,7 +271,7 @@ class UnifiedField:
         return self.drop(w)
 
     def drift(self, state: np.ndarray) -> float:
-        vals = constraint_values(self.L, self.lift(state), self.ladder.active())
+        vals = self._evaluation(state)[3]
         return float(np.max(np.abs(vals))) if len(vals) else 0.0
 
 
@@ -270,13 +289,15 @@ class LagrangianField(UnifiedField):
     def drop(self, w: np.ndarray) -> np.ndarray:
         return lagrangian_part(w, self.L.n)
 
-    def eval(self, state):
+    def _evaluate(self, state):
         w = self.lift(state)
-        coeffs = assemble_Z(self.L, w, self.ladder, self.opts).as_vector()
+        Z = assemble_Z(self.L, w, self.ladder, self.opts)
+        coeffs = Z.as_vector()
         # exact: assemble_Z sets A = 1.0 and B = v
-        return self.drop(coeffs), coeffs, w
+        return self.drop(coeffs), coeffs, w, Z.constraint_values
 
-    # an entry of its own: bench/tracer.py wraps drift per class __dict__
+    # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
+    eval = UnifiedField.eval
     drift = UnifiedField.drift
 
 
@@ -284,7 +305,9 @@ class LagrangianField(UnifiedField):
 class HamiltonianField(UnifiedField):
     """Momentum-side description: states (t, q, p, s); the lift recovers
     the velocities by inverting the fibre derivative (regular Lagrangians
-    only), warm-started from the previous lift."""
+    only), warm-started from the previous lift.  A regular ladder is the
+    momentum constraints p - dL/dv alone, so their values come from the
+    order-2 jet the evaluation builds anyway."""
 
     kind = "hamiltonian"
     _last_v: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -298,7 +321,7 @@ class HamiltonianField(UnifiedField):
     def drop(self, w: np.ndarray) -> np.ndarray:
         return hamiltonian_part(w, self.L.n)
 
-    def eval(self, state):
+    def _evaluate(self, state):
         n = self.L.n
         w = self.lift(state)
         jet = self.L.jet(lagrangian_part(w, n), 2)
@@ -315,9 +338,10 @@ class HamiltonianField(UnifiedField):
         except np.linalg.LinAlgError as exc:
             raise NonInvertibleLegendre("velocity Hessian is singular") from exc
         coeffs = np.concatenate(([1.0], v, C, D, [E]))
-        return self.drop(coeffs), coeffs, w
+        return self.drop(coeffs), coeffs, w, p - jet.grad[vs]
 
-    # an entry of its own: bench/tracer.py wraps drift per class __dict__
+    # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
+    eval = UnifiedField.eval
     drift = UnifiedField.drift
 
 
@@ -415,11 +439,17 @@ def residual_channels(
     times: np.ndarray,
     lifted: np.ndarray,
     ladder: ConstraintLadder | None = None,
+    xi: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """The four per-sample residual channels of a (lifted) trajectory.
 
     Works on raw arrays so that deliberately perturbed data can be fed
-    through the same instrumentation as real runs.
+    through the same instrumentation as real runs.  xi, shape (N, R),
+    holds the constraint values at each sample as the field's evaluation
+    returned them; integrate passes it so the constraint channel reuses
+    that evaluation.  Without it the values are recomputed at each lifted
+    sample: the whole ladder's, or the momentum constraints' alone when
+    no ladder is given.
     """
     times = np.asarray(times, dtype=float)
     lifted = np.asarray(lifted, dtype=float)
@@ -433,8 +463,6 @@ def residual_channels(
     holonomy = np.empty(N)
     sdot_ch = np.empty(N)
     herglotz = np.empty(N)
-    constraint = np.empty(N)
-    active = ladder.active() if ladder is not None else None
 
     for k in range(N):
         # 5-node window, shifted one-sided at the ends so every sample
@@ -455,10 +483,11 @@ def residual_channels(
         sdot_ch[k] = abs(sdot - L.value(lag))
         vec, _ = herglotz_residual(L, lag, vdot, sdot)
         herglotz[k] = float(np.max(np.abs(vec)))
-        if active:
-            constraint[k] = float(np.max(np.abs(constraint_values(L, wk, active))))
-        else:
-            constraint[k] = float(np.max(np.abs(primary_constraints(L, wk))))
+    if xi is None:
+        active = ladder.active() if ladder is not None else None
+        xi = [constraint_values(L, wk, active) if active else primary_constraints(L, wk)
+              for wk in lifted]
+    constraint = np.max(np.abs(np.asarray(xi, dtype=float)), axis=1)
     return {
         "holonomy": holonomy,
         "sdot": sdot_ch,
@@ -507,7 +536,9 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
     fixed-step runs each sample time is assigned exactly as t0 + k * step.
     With cfg.reproject the state is pulled back onto the constraint set
     after every accepted step; otherwise drift is monitored and exceeding
-    10x the feasibility tolerance raises LadderLost.
+    10x the feasibility tolerance raises LadderLost.  A non-finite
+    accepted state raises StepFailure.  The constraint channel reads the
+    values each accepted state's evaluation returned.
     """
     y = field.prepare(x0)
     t0 = float(y[0])
@@ -517,15 +548,17 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
     drift_cap = 10.0 * field.opts.tol
     times = [t0]
     states = [y.copy()]
-    coeffs = []
-    lifts = []
+    samples = []  # (coeffs, lifted, constraint values) at each accepted state
 
     def accept(ynew, t_exact):
         ynew[0] = t_exact
+        if not np.isfinite(ynew).all():
+            raise StepFailure(f"non-finite state at t = {t_exact:.6g}")
         if cfg.reproject:
             ynew = field.reproject(ynew)
             ynew[0] = t_exact
         else:
+            # evaluates the field at ynew; the eval that follows reuses it
             d = field.drift(ynew)
             if d > drift_cap:
                 raise LadderLost(
@@ -536,24 +569,22 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
         states.append(ynew)
         return ynew
 
-    deriv, cvec, wlift = field.eval(y)
+    deriv, *sample = field.eval(y)
     if cfg.method == "rk4":
         h = cfg.step
         span = cfg.t_end - t0
         n_full = int(np.floor(span / h + 1e-12))
         rem = span - n_full * h
         for k in range(n_full):
-            coeffs.append(cvec)
-            lifts.append(wlift)
+            samples.append(sample)
             y = _rk4_step(field, y, h, deriv)
             y = accept(y, t0 + (k + 1) * h)
-            deriv, cvec, wlift = field.eval(y)
+            deriv, *sample = field.eval(y)
         if rem > 1e-12 * max(1.0, abs(cfg.t_end)):
-            coeffs.append(cvec)
-            lifts.append(wlift)
+            samples.append(sample)
             y = _rk4_step(field, y, rem, deriv)
             y = accept(y, cfg.t_end)
-            deriv, cvec, wlift = field.eval(y)
+            deriv, *sample = field.eval(y)
     else:
         h = cfg.step
         t = t0
@@ -565,25 +596,22 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
             ratio = float(np.max(err / scale))
             if ratio <= 1.0:
-                coeffs.append(cvec)
-                lifts.append(wlift)
+                samples.append(sample)
                 t = t + h
                 y = accept(y5, t)
-                deriv, cvec, wlift = field.eval(y)
+                deriv, *sample = field.eval(y)
                 growth = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.2)
                 h = h * max(0.2, growth)
             else:
                 h = h * max(0.2, 0.9 * ratio ** -0.2)
 
     # field data at the final accepted sample
-    coeffs.append(cvec)
-    lifts.append(wlift)
+    samples.append(sample)
 
     times_arr = np.array(times)
     states_arr = np.vstack(states)
-    lifted_arr = np.vstack(lifts)
-    coeffs_arr = np.vstack(coeffs)
-    residuals = residual_channels(field.L, times_arr, lifted_arr, field.ladder)
+    coeffs_arr, lifted_arr, xi_arr = (np.vstack(col) for col in zip(*samples))
+    residuals = residual_channels(field.L, times_arr, lifted_arr, field.ladder, xi_arr)
     return Trajectory(
         field.kind, field.L.n, times_arr, states_arr, lifted_arr, coeffs_arr, residuals
     )

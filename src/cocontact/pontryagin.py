@@ -39,7 +39,7 @@ satisfied anywhere nearby: the system is reported Incompatible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -139,7 +139,10 @@ class ZCoefficients:
 
     undetermined holds an orthonormal basis (columns) of the C-directions
     the tangency conditions leave free; C itself carries the minimum-norm
-    choice, i.e. zero component along those directions.
+    choice, i.e. zero component along those directions.  constraint_values
+    holds the value of every ladder constraint at the point, in
+    ladder.active() order: the assembly expands each one anyway, so
+    callers need not evaluate them again.
     """
 
     A: float
@@ -148,6 +151,7 @@ class ZCoefficients:
     D: np.ndarray
     E: float
     undetermined: np.ndarray  # shape (n, k), k >= 0
+    constraint_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(([self.A], self.B, self.C, self.D, [self.E]))
@@ -501,6 +505,7 @@ class _TangencyData:
     C: np.ndarray
     kernel: np.ndarray
     rank: int
+    values: np.ndarray  # the constraints at the point, in input order
     new_constraints: list[ConstraintFn]
     candidates: list[float]
     incompatible: "ConstraintFn | None"
@@ -525,6 +530,7 @@ def _tangency(
     R = len(constraints)
     M = np.empty((R, n))
     g = np.empty(R)
+    values = np.empty(R)
     grads = np.empty((R, dim))
     # expand L once at the deepest order any active constraint needs;
     # every later request is then served by truncation
@@ -533,6 +539,7 @@ def _tangency(
     D = Lj.grad[1 : 1 + n] + ws.w[1 + 2 * n : 1 + 3 * n] * Lj.grad[-1]
     for r, c in enumerate(constraints):
         xt = ws.xi_taylor(c, 1)
+        values[r] = xt.value
         grads[r] = xt.gradient(dim)
         M[r] = grads[r][1 + n : 1 + 2 * n]
         g[r] = (
@@ -601,7 +608,8 @@ def _tangency(
         )
     C, *_ = np.linalg.lstsq(M, b, rcond=opts.rank_tol)
     kernel = Vt[rank:].T.copy()
-    return _TangencyData(M, b, C, kernel, rank, new_constraints, candidates, incompatible)
+    return _TangencyData(M, b, C, kernel, rank, values, new_constraints, candidates,
+                         incompatible)
 
 
 def _pick_columns(A: np.ndarray) -> list[int]:
@@ -792,7 +800,8 @@ def run_constraint_algorithm(
         B = wvec[1 + n : 1 + 2 * n]
         Lj = jet_from_taylor(ws.L_taylor(1), ws.space.dim, 1)
         D = Lj.grad[1 : 1 + n] + wvec[1 + 2 * n : 1 + 3 * n] * Lj.grad[-1]
-        Z = ZCoefficients(1.0, B.copy(), last.C, D, float(Lj.value), last.kernel)
+        Z = ZCoefficients(1.0, B.copy(), last.C, D, float(Lj.value), last.kernel,
+                          last.values)
         return ladder, Z
     rank = last.rank if last is not None else 0
     kdim = last.kernel.shape[1] if last is not None else 0
@@ -828,4 +837,4 @@ def assemble_Z(
     B = wvec[1 + n : 1 + 2 * n]
     Lj = jet_from_taylor(ws.L_taylor(1), ws.space.dim, 1)
     D = Lj.grad[1 : 1 + n] + wvec[1 + 2 * n : 1 + 3 * n] * Lj.grad[-1]
-    return ZCoefficients(1.0, B.copy(), C, D, float(Lj.value), data.kernel)
+    return ZCoefficients(1.0, B.copy(), C, D, float(Lj.value), data.kernel, data.values)

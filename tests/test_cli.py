@@ -154,6 +154,25 @@ def test_bad_configs_exit_one(capsys, tmp_path, doc, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("initial", [
+    {"t0": float("nan"), "q": [0.3], "v": [0.0]},
+    {"q": [float("nan")], "v": [0.0]},
+    {"q": [0.3], "v": [float("inf")]},
+    {"q": [0.3], "v": [0.0], "s": float("-inf")},
+])
+def test_non_finite_initial_data_rejected_before_running(capsys, tmp_path, monkeypatch,
+                                                         initial):
+    # json.load accepts NaN and Infinity; nothing may run on them
+    monkeypatch.setenv("COCONTACT_OUT_DIR", str(tmp_path))
+    cfg = write_config(tmp_path, {"system": "duffing", "initial": initial})
+    rc, out, err = run(capsys, ["simulate", "--config", cfg,
+                                "--step", "0.1", "--t-end", "0.2"])
+    assert rc == 1
+    assert out == ""
+    assert err == "error: ConfigError: initial t0, q, v and s must be finite\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
 # -- simulate -----------------------------------------------------------
 
 
@@ -232,6 +251,19 @@ def test_simulate_custom_initial_state(capsys, tmp_path):
     assert table[0, 2] == -0.2
     assert table[0, 4] == 0.1
     assert json.loads(out)["t_final"] == pytest.approx(1.4)
+
+
+def test_simulate_overflowing_state_exits_four(capsys, tmp_path, monkeypatch):
+    # the first step leaves the floating-point range: a named error at the
+    # first non-finite state, not a traceback from the residual pass
+    monkeypatch.setenv("COCONTACT_OUT_DIR", str(tmp_path))
+    cfg = write_config(tmp_path, {"system": "duffing",
+                                  "initial": {"q": [1e308], "v": [1e308]}})
+    rc, out, err = run(capsys, ["simulate", "--config", cfg,
+                                "--step", "0.01", "--t-end", "0.1"])
+    assert rc == 4
+    assert out == ""
+    assert err == "error: StepFailure: non-finite state at t = 0.01\n"
 
 
 def test_simulate_incompatible_system_exit_two(capsys, tmp_path):
@@ -337,6 +369,22 @@ def test_sweep_config_block(capsys, tmp_path, monkeypatch):
     assert len(json.loads(out)["runs"]) == 2
 
 
+def test_sweep_honours_initial_block(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COCONTACT_OUT_DIR", str(tmp_path))
+    cfg = write_config(tmp_path, {
+        "system": "duffing",
+        "initial": {"t0": 0.5, "q": [0.3], "v": [-0.2], "s": 0.1},
+        "integrator": {"step": 0.05, "t_end": 0.7},
+        "sweep": {"param": "alpha", "values": [1.0, 2.0]},
+    })
+    rc, out, _ = run(capsys, ["sweep", "--config", cfg])
+    assert rc == 0
+    for row in json.loads(out)["runs"]:
+        table = np.loadtxt(row["file"], delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[0, [0, 1, 2, 4]], [0.5, 0.3, -0.2, 0.1])
+        assert row["t_final"] == pytest.approx(0.7)
+
+
 def test_sweep_missing_param_exit_one(capsys):
     rc, _, err = run(capsys, ["sweep", "--preset", "duffing",
                               "--values", "1.0"])
@@ -411,6 +459,7 @@ def test_domain_error_in_lagrangian_exits_four(capsys, tmp_path, command):
     (NonInvertibleLegendre("velocity Hessian is singular"), 4),
     (JetDomainError("sqrt of a negative value"), 4),
     (NumericalBreakdown("frozen pivot collapsed"), 4),
+    (OverflowError("math range error"), 4),
 ])
 @pytest.mark.parametrize("argv", [
     ["constraints", "--preset", "duffing"],

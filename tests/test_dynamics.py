@@ -15,6 +15,7 @@ from cocontact.mechanics import LagrangianSystem, cocontact_hamiltonian_field
 from cocontact.pontryagin import (
     AlgorithmOptions,
     assemble_Z,
+    constraint_values,
     hamiltonian_part,
     lagrangian_part,
     run_constraint_algorithm,
@@ -38,7 +39,7 @@ from cocontact.dynamics import (
     trajectory_to_json,
     unified_field,
 )
-from cocontact.systems import preset_by_name
+from cocontact.systems import PRESET_NAMES, preset_by_name
 
 OPTS = AlgorithmOptions()
 
@@ -147,7 +148,7 @@ def test_momentum_field_matches_generic_evolution_equations():
             rng.uniform(-1, 1), rng.uniform(-1.5, 1.5),
             rng.uniform(-2, 2), rng.uniform(-1, 1),
         ])
-        deriv, coeffs, lifted = fld.eval(y)
+        deriv, coeffs, lifted, xi = fld.eval(y)
         ref = cocontact_hamiltonian_field(H, y)
         worst = max(worst, float(np.max(np.abs(deriv - ref))))
     assert worst < 1e-10
@@ -257,12 +258,15 @@ def test_projection_helpers_drop_the_right_block():
 
 
 # the momentum description does not exist for the singular charged particle
-@pytest.mark.parametrize("name, make", [
+DESCRIPTIONS = [
     (name, make)
-    for name in ("duffing", "variable_mass_drag", "charged_particle")
+    for name in PRESET_NAMES
     for make in (unified_field, lagrangian_field, hamiltonian_field)
     if (name, make) != ("charged_particle", hamiltonian_field)
-])
+]
+
+
+@pytest.mark.parametrize("name, make", DESCRIPTIONS)
 def test_description_field_is_drop_of_unified_field(name, make):
     # at a point w of the constraint set, each description's field at
     # drop(w) is the drop of the unified field at w
@@ -274,6 +278,54 @@ def test_description_field_is_drop_of_unified_field(name, make):
     got = fld(fld.drop(w))
     want = fld.drop(unified_field(L, ladder, OPTS)(w))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+# -- one evaluation per accepted state ----------------------------------
+
+
+@pytest.mark.parametrize("name, make", DESCRIPTIONS)
+def test_drift_and_eval_share_one_evaluation(name, make, monkeypatch):
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder = closed_ladder(L, lift_initial(pre))
+    # a state away from the probe point, off the constraint set where the
+    # description allows it
+    y = make(L, ladder, OPTS).drop(ladder.probe)
+    y[1:] += 1e-3 * np.linspace(1.0, 2.0, len(y) - 1)
+    orders = []
+    expand = LagrangianSystem.taylor_on
+
+    def counting(self, space, x, order):
+        orders.append(order)
+        return expand(self, space, x, order)
+
+    monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
+    for first, second in (("eval", "drift"), ("drift", "eval")):
+        fld = make(L, ladder, OPTS)
+        getattr(fld, first)(y)
+        assert orders, first
+        orders.clear()
+        getattr(fld, second)(y)
+        assert orders == [], f"{second} after {first} expanded L at orders {orders}"
+    deriv, coeffs, lifted, xi = fld.eval(y)
+    monkeypatch.undo()
+    want = constraint_values(L, lifted, ladder.active())
+    np.testing.assert_allclose(xi, want, rtol=0, atol=1e-14)
+    assert abs(fld.drift(y) - float(np.max(np.abs(want)))) <= 1e-14
+
+
+@pytest.mark.parametrize("name, make", DESCRIPTIONS)
+def test_constraint_channel_reads_the_field_evaluations(name, make):
+    # integrate hands residual_channels the values its evaluations
+    # returned; they match the channel's own recomputation
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder = closed_ladder(L, lift_initial(pre))
+    fld = make(L, ladder, OPTS)
+    cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05)
+    traj = integrate(fld, fld.drop(ladder.probe), cfg)
+    want = residual_channels(L, traj.times, traj.lifted, ladder)["constraint"]
+    np.testing.assert_allclose(traj.residuals["constraint"], want, rtol=0, atol=1e-14)
 
 
 # -- residual channels --------------------------------------------------

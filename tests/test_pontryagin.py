@@ -20,6 +20,7 @@ from cocontact.pontryagin import (
     PontryaginPoint,
     ZCoefficients,
     assemble_Z,
+    constraint_values,
     coupling,
     hamiltonian,
     primary_constraints,
@@ -89,6 +90,7 @@ def test_z_coefficients_vector_layout():
     Z = ZCoefficients(1.0, np.array([2.0]), np.array([3.0]), np.array([4.0]), 5.0,
                       np.zeros((1, 0)))
     np.testing.assert_array_equal(Z.as_vector(), [1, 2, 3, 4, 5])
+    assert Z.constraint_values.shape == (0,)
 
 
 # -- regular systems: one-generation closure ----------------------------
@@ -236,6 +238,26 @@ def test_field_is_tangent_to_every_constraint():
         zvec = Z.as_vector()
         for c in ladder.active():
             assert abs(c.jet(w, 1).grad @ zvec) < 1e-9, c.label
+
+
+def test_assembled_field_carries_the_constraint_values():
+    # assemble_Z expands every constraint to order 1 anyway; the values it
+    # returns are those constraint_values computes, on and off the set
+    pre = charged_particle()
+    ladder, Z0 = run_constraint_algorithm(pre.system, lift_initial(pre))
+    active = ladder.active()
+    np.testing.assert_allclose(
+        Z0.constraint_values, constraint_values(pre.system, ladder.probe, active),
+        rtol=0, atol=1e-13)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        w = pre.sample_feasible(rng)
+        off = w + 1e-2 * rng.uniform(-1.0, 1.0, len(w))
+        for point in (w, off):
+            got = assemble_Z(pre.system, point, ladder).constraint_values
+            want = constraint_values(pre.system, point, active)
+            assert got.shape == (len(active),)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_ladder_report_serializes():
