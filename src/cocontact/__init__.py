@@ -17,8 +17,6 @@ from .jets import (  # noqa: F401
     ScalarField,
     Taylor,
     eval_jet,
-    hessian_vv,
-    lie_derivative,
 )
 from .dsl import (  # noqa: F401
     DslError,
@@ -31,11 +29,9 @@ from .dsl import (  # noqa: F401
 )
 from .mechanics import (  # noqa: F401
     HamiltonianPoint,
-    HamiltonianSystem,
     LagrangianPoint,
     LagrangianSystem,
     RegularityReport,
-    cocontact_hamiltonian_field,
     herglotz_residual,
     lagrangian_energy,
     legendre_map,
@@ -55,7 +51,6 @@ from .pontryagin import (  # noqa: F401
     primary_constraints,
     project_onto,
     run_constraint_algorithm,
-    tangency_solve,
 )
 from .dynamics import (  # noqa: F401
     EquivalenceReport,
@@ -66,7 +61,6 @@ from .dynamics import (  # noqa: F401
     Trajectory,
     cross_check_equivalence,
     hamiltonian_field,
-    hamiltonian_from_lagrangian,
     integrate,
     lagrangian_field,
     legendre_invert,

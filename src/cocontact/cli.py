@@ -118,14 +118,10 @@ def _build_system(config: dict):
             text = spec["lagrangian"]
         except KeyError as exc:
             raise ConfigError(f"inline system needs {exc} field") from exc
-        params = dict(spec.get("params", {}))
         try:
-            expr = dsl.parse(text, n)
-            field = dsl.as_field(expr, params)
+            L = LagrangianSystem.from_expr(dsl.parse(text, n), spec.get("params"), "inline")
         except (dsl.DslError, dsl.UnknownParameterError) as exc:
             raise ConfigError(f"bad inline Lagrangian: {exc}") from exc
-        L = LagrangianSystem(n, lambda t, q, v, s, P: field.fn([t, *q, *v, s]),
-                             params, label="inline")
         return L, None
     raise ConfigError("config needs a system: preset name or inline definition")
 

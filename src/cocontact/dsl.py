@@ -27,13 +27,12 @@ internal.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import jets
-from .jets import Jet, ScalarField, Taylor, jet_from_taylor
+from .jets import ScalarField, Taylor, jet_from_taylor
 
 __all__ = [
     "DslError",
@@ -64,12 +63,6 @@ class UnknownParameterError(ValueError):
 
 class ParamTable(dict):
     """Mapping of parameter names to float values."""
-
-    def merged(self, overrides: dict | None) -> "ParamTable":
-        out = ParamTable(self)
-        if overrides:
-            out.update(overrides)
-        return out
 
 
 # -- syntax tree --------------------------------------------------------
@@ -379,12 +372,17 @@ def evaluate(e: Expr, point: Sequence[float], params: dict | None = None, order:
     return jet_from_taylor(out, e.dim, order)
 
 
-def as_field(e: Expr, params: dict | None = None, label: str = "") -> ScalarField:
-    """Wrap an expression (with bound parameters) as a ScalarField."""
-    params = dict(params or {})
+def _require_params(e: Expr, params: dict) -> None:
+    """Raise UnknownParameterError unless params binds every parameter of e."""
     missing = e.parameters - set(params)
     if missing:
         raise UnknownParameterError(f"parameters with no value: {sorted(missing)}")
+
+
+def as_field(e: Expr, params: dict | None = None, label: str = "") -> ScalarField:
+    """Wrap an expression (with bound parameters) as a ScalarField."""
+    params = dict(params or {})
+    _require_params(e, params)
     return ScalarField(lambda seeds: _eval_node(e.node, seeds, params), e.dim, label)
 
 

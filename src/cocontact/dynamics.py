@@ -40,8 +40,6 @@ from .mechanics import HamiltonianPoint, LagrangianSystem, herglotz_residual
 from .pontryagin import (
     AlgorithmOptions,
     ConstraintLadder,
-    PontryaginPoint,
-    ZCoefficients,
     assemble_Z,
     constraint_values,
     hamiltonian_part,
@@ -58,7 +56,6 @@ __all__ = [
     "StepFailure",
     "LadderLost",
     "legendre_invert",
-    "hamiltonian_from_lagrangian",
     "unified_field",
     "lagrangian_field",
     "hamiltonian_field",
@@ -154,58 +151,6 @@ def legendre_invert(
     raise NonInvertibleLegendre(
         f"velocity recovery did not converge within {max_iter} iterations"
     )
-
-
-class _EnvelopeHamiltonian:
-    """H(t, q, p, s) = p . v* - L at the recovered velocity v*.
-
-    First derivatives come from the stationarity of p . v - L in v:
-    dH/dp = v*, and dH/d(t, q, s) = -dL/d(t, q, s) at v*.  Only value and
-    order-1 jets are supported; that is all the momentum-side evolution
-    equations need.
-    """
-
-    def __init__(self, L: LagrangianSystem):
-        self.L = L
-        self.n = L.n
-        self.label = f"legendre-dual({L.label})" if L.label else "legendre-dual"
-        self._last_v: np.ndarray | None = None
-
-    def _lift(self, yvec: np.ndarray) -> np.ndarray:
-        v = legendre_invert(self.L, yvec, v0=self._last_v)
-        self._last_v = v
-        n = self.n
-        return np.concatenate((yvec[: 1 + n], v, yvec[-1:]))
-
-    def value(self, y) -> float:
-        yvec = y.as_vector() if isinstance(y, HamiltonianPoint) else np.asarray(y, dtype=float)
-        lag = self._lift(yvec)
-        n = self.n
-        p = yvec[1 + n : 1 + 2 * n]
-        return float(p @ lag[1 + n : 1 + 2 * n] - self.L.value(lag))
-
-    def jet(self, y, order: int):
-        if order != 1:
-            raise ValueError("the dual Hamiltonian supports order-1 jets only")
-        yvec = y.as_vector() if isinstance(y, HamiltonianPoint) else np.asarray(y, dtype=float)
-        lag = self._lift(yvec)
-        n = self.n
-        v = lag[1 + n : 1 + 2 * n]
-        p = yvec[1 + n : 1 + 2 * n]
-        lj = self.L.jet(lag, 1)
-        grad = np.empty(2 * n + 2)
-        grad[0] = -lj.grad[0]
-        grad[1 : 1 + n] = -lj.grad[1 : 1 + n]
-        grad[1 + n : 1 + 2 * n] = v
-        grad[-1] = -lj.grad[-1]
-        from .jets import Jet
-
-        return Jet(1, float(p @ v - lj.value), grad, None, None)
-
-
-def hamiltonian_from_lagrangian(L: LagrangianSystem) -> _EnvelopeHamiltonian:
-    """Momentum-side description induced by a (regular) Lagrangian."""
-    return _EnvelopeHamiltonian(L)
 
 
 # -- evaluable fields in the three descriptions -------------------------
@@ -363,9 +308,7 @@ class Trajectory:
     states holds the native description ((t,q,v,p,s), (t,q,v,s) or
     (t,q,p,s) depending on kind); lifted always holds mixed-space vectors;
     coeffs holds the field coefficient vector (1, B, C, D, E) at each
-    sample.  residuals maps channel name to a per-sample array.
-
-    The samples view reconstructs (point, coefficients) pairs; the
+    sample.  residuals maps channel name to a per-sample array.  The
     undetermined-directions basis is not retained per sample (re-assemble
     the field at a sample if it is needed).
     """
@@ -386,19 +329,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def samples(self) -> list[tuple[PontryaginPoint, ZCoefficients]]:
-        n = self.n
-        out = []
-        for w, c in zip(self.lifted, self.coeffs):
-            point = PontryaginPoint.from_vector(n, w)
-            Z = ZCoefficients(
-                c[0], c[1 : 1 + n], c[1 + n : 1 + 2 * n], c[1 + 2 * n : 1 + 3 * n],
-                c[-1], np.zeros((n, 0)),
-            )
-            out.append((point, Z))
-        return out
 
     def channel_max(self, name: str) -> float:
         return float(np.max(self.residuals[name]))
@@ -537,8 +467,9 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
     With cfg.reproject the state is pulled back onto the constraint set
     after every accepted step; otherwise drift is monitored and exceeding
     10x the feasibility tolerance raises LadderLost.  A non-finite
-    accepted state raises StepFailure.  The constraint channel reads the
-    values each accepted state's evaluation returned.
+    accepted state raises StepFailure; numpy's floating-point warnings
+    from the steps that led there are silenced.  The constraint channel
+    reads the values each accepted state's evaluation returned.
     """
     y = field.prepare(x0)
     t0 = float(y[0])
@@ -569,41 +500,44 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
         states.append(ynew)
         return ynew
 
-    deriv, *sample = field.eval(y)
-    if cfg.method == "rk4":
-        h = cfg.step
-        span = cfg.t_end - t0
-        n_full = int(np.floor(span / h + 1e-12))
-        rem = span - n_full * h
-        for k in range(n_full):
-            samples.append(sample)
-            y = _rk4_step(field, y, h, deriv)
-            y = accept(y, t0 + (k + 1) * h)
-            deriv, *sample = field.eval(y)
-        if rem > 1e-12 * max(1.0, abs(cfg.t_end)):
-            samples.append(sample)
-            y = _rk4_step(field, y, rem, deriv)
-            y = accept(y, cfg.t_end)
-            deriv, *sample = field.eval(y)
-    else:
-        h = cfg.step
-        t = t0
-        while t < cfg.t_end - 1e-12 * max(1.0, abs(cfg.t_end)):
-            h = min(h, cfg.t_end - t)
-            if h < 1e-13 * max(1.0, abs(t)):
-                raise StepFailure(f"step size underflow at t = {t:.6g}")
-            y5, err = _rkf45_step(field, y, h, deriv)
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-            ratio = float(np.max(err / scale))
-            if ratio <= 1.0:
+    # an overflowing step fills its stage states with inf and nan; accept
+    # names the failure, so numpy's warnings on the way there are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        deriv, *sample = field.eval(y)
+        if cfg.method == "rk4":
+            h = cfg.step
+            span = cfg.t_end - t0
+            n_full = int(np.floor(span / h + 1e-12))
+            rem = span - n_full * h
+            for k in range(n_full):
                 samples.append(sample)
-                t = t + h
-                y = accept(y5, t)
+                y = _rk4_step(field, y, h, deriv)
+                y = accept(y, t0 + (k + 1) * h)
                 deriv, *sample = field.eval(y)
-                growth = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.2)
-                h = h * max(0.2, growth)
-            else:
-                h = h * max(0.2, 0.9 * ratio ** -0.2)
+            if rem > 1e-12 * max(1.0, abs(cfg.t_end)):
+                samples.append(sample)
+                y = _rk4_step(field, y, rem, deriv)
+                y = accept(y, cfg.t_end)
+                deriv, *sample = field.eval(y)
+        else:
+            h = cfg.step
+            t = t0
+            while t < cfg.t_end - 1e-12 * max(1.0, abs(cfg.t_end)):
+                h = min(h, cfg.t_end - t)
+                if h < 1e-13 * max(1.0, abs(t)):
+                    raise StepFailure(f"step size underflow at t = {t:.6g}")
+                y5, err = _rkf45_step(field, y, h, deriv)
+                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+                ratio = float(np.max(err / scale))
+                if ratio <= 1.0:
+                    samples.append(sample)
+                    t = t + h
+                    y = accept(y5, t)
+                    deriv, *sample = field.eval(y)
+                    growth = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.2)
+                    h = h * max(0.2, growth)
+                else:
+                    h = h * max(0.2, 0.9 * ratio ** -0.2)
 
     # field data at the final accepted sample
     samples.append(sample)
@@ -681,9 +615,11 @@ def cross_check_equivalence(
     n = L.n
     w0 = ladder.probe
 
+    # the momentum side first: a singular fibre map fails its lift before
+    # the other two runs are spent
+    traj_y = integrate(HamiltonianField(L, ladder, opts), hamiltonian_part(w0, n), cfg)
     traj_z = integrate(UnifiedField(L, ladder, opts), w0, cfg)
     traj_x = integrate(LagrangianField(L, ladder, opts), lagrangian_part(w0, n), cfg)
-    traj_y = integrate(HamiltonianField(L, ladder, opts), hamiltonian_part(w0, n), cfg)
 
     if not (len(traj_z) == len(traj_x) == len(traj_y)):
         raise RuntimeError("description runs produced different grids")

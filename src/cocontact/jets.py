@@ -32,8 +32,6 @@ __all__ = [
     "Taylor",
     "ScalarField",
     "eval_jet",
-    "hessian_vv",
-    "lie_derivative",
     "sin",
     "cos",
     "exp",
@@ -368,10 +366,9 @@ def powf(x, e):
 
 @dataclass(frozen=True)
 class CoordinateSpace:
-    """Named, ordered coordinates of one of the three phase spaces.
+    """Named, ordered coordinates of the velocity and the mixed phase space.
 
     lagrangian  (t, q1..qn, v1..vn, s)            dim 2n + 2
-    hamiltonian (t, q1..qn, p1..pn, s)            dim 2n + 2
     unified     (t, q1..qn, v1..vn, p1..pn, s)    dim 3n + 2
     """
 
@@ -383,11 +380,6 @@ class CoordinateSpace:
     def lagrangian(n: int) -> "CoordinateSpace":
         names = ("t", *(f"q{i+1}" for i in range(n)), *(f"v{i+1}" for i in range(n)), "s")
         return CoordinateSpace("lagrangian", n, names)
-
-    @staticmethod
-    def hamiltonian(n: int) -> "CoordinateSpace":
-        names = ("t", *(f"q{i+1}" for i in range(n)), *(f"p{i+1}" for i in range(n)), "s")
-        return CoordinateSpace("hamiltonian", n, names)
 
     @staticmethod
     def unified(n: int) -> "CoordinateSpace":
@@ -403,31 +395,6 @@ class CoordinateSpace:
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise DimensionMismatch(f"no coordinate {name!r} in {self.kind} space") from None
-
-    @property
-    def t_index(self) -> int:
-        return 0
-
-    def q_index(self, i: int) -> int:
-        return 1 + i
-
-    def v_index(self, i: int) -> int:
-        if self.kind == "hamiltonian":
-            raise DimensionMismatch("hamiltonian space has no v coordinates")
-        return 1 + self.n + i
-
-    def p_index(self, i: int) -> int:
-        if self.kind == "lagrangian":
-            raise DimensionMismatch("lagrangian space has no p coordinates")
-        if self.kind == "hamiltonian":
-            return 1 + self.n + i
-        return 1 + 2 * self.n + i
 
     @property
     def s_index(self) -> int:
@@ -551,38 +518,3 @@ def eval_jet(f, x: Sequence[float], order: int) -> Jet:
         out = Taylor.constant(order, out)
     return jet_from_taylor(out, dim, order)
 
-
-def hessian_vv(L, x: Sequence[float]) -> np.ndarray:
-    """Velocity-velocity Hessian block W_ij = d2L/dv_i dv_j.
-
-    `L` is any Lagrangian-system-like object exposing `n` and
-    `taylor(x, order)` over the (t, q, v, s) layout.
-    """
-    n = L.n
-    t = L.taylor(x, 2)
-    dim = 2 * n + 2
-    jet = jet_from_taylor(t, dim, 2)
-    sl = slice(1 + n, 1 + 2 * n)
-    W = np.array(jet.hess[sl, sl])
-    return W
-
-
-def lie_derivative(xi, Z: Sequence[float], w) -> float:
-    """Directional derivative of a scalar constraint along coefficient
-    vector Z at point w: grad(xi)(w) . Z.
-
-    `xi` is a constraint-like object with `jet(w, order)`, a ScalarField,
-    or a plain callable over seeds.  `Z` must have the dimension of w's
-    space.
-    """
-    wvec = np.asarray(w, dtype=float) if not hasattr(w, "as_vector") else w.as_vector()
-    if hasattr(xi, "jet"):
-        jet = xi.jet(w, 1) if not isinstance(xi, ScalarField) else xi.jet(wvec, 1)
-    else:
-        jet = eval_jet(xi, wvec, 1)
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape != jet.grad.shape:
-        raise DimensionMismatch(
-            f"coefficient vector has shape {Z.shape}, expected {jet.grad.shape}"
-        )
-    return float(jet.grad @ Z)

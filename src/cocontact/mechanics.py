@@ -1,16 +1,14 @@
-"""Single-system mechanics on the Lagrangian and Hamiltonian sides.
+"""Single-system mechanics, all derived from one Lagrangian.
 
 A Lagrangian here depends on time, position, velocity and the action-level
 coordinate s, so dissipative and explicitly time-dependent systems are
 first-class: L(t, q, v, s).  The equations of motion replace the classical
 Euler-Lagrange equations by
 
-    d/dt (dL/dv_i) - dL/dq_i = (dL/ds) (dL/dv_i),       sdot = L,
+    d/dt (dL/dv_i) - dL/dq_i = (dL/ds) (dL/dv_i),       sdot = L.
 
-and the Hamiltonian-side evolution of (t, q, p, s) is
-
-    tdot = 1,  qdot_i = dH/dp_i,  pdot_i = -(dH/dq_i + p_i dH/ds),
-    sdot = p . dH/dp - H.
+The momentum side (t, q, p, s) is not a second input: its points are the
+image of the fibre derivative p = dL/dv (legendre_map).
 """
 
 from __future__ import annotations
@@ -25,14 +23,12 @@ from .jets import CoordinateSpace, Jet, Taylor, jet_from_taylor
 
 __all__ = [
     "LagrangianSystem",
-    "HamiltonianSystem",
     "LagrangianPoint",
     "HamiltonianPoint",
     "RegularityReport",
     "lagrangian_energy",
     "legendre_map",
     "regularity",
-    "cocontact_hamiltonian_field",
     "herglotz_residual",
 ]
 
@@ -110,17 +106,7 @@ class HamiltonianPoint:
         return HamiltonianPoint(vec[0], vec[1 : 1 + n], vec[1 + n : 1 + 2 * n], vec[-1])
 
 
-class _SystemBase:
-    def __init__(self, n: int, fn: Callable, params: dict | None, label: str):
-        self.n = int(n)
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {n}")
-        self.fn = fn
-        self.params = _dsl.ParamTable(params or {})
-        self.label = label
-
-
-class LagrangianSystem(_SystemBase):
+class LagrangianSystem:
     """A Lagrangian L(t, q, v, s) with n degrees of freedom.
 
     `fn(t, q, v, s, params)` receives floats or Taylor seeds; q and v are
@@ -130,7 +116,12 @@ class LagrangianSystem(_SystemBase):
     """
 
     def __init__(self, n: int, fn: Callable, params: dict | None = None, label: str = ""):
-        super().__init__(n, fn, params, label)
+        self.n = int(n)
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        self.fn = fn
+        self.params = _dsl.ParamTable(params or {})
+        self.label = label
         self.space = CoordinateSpace.lagrangian(n)
 
     def taylor_on(self, space: CoordinateSpace, x: Sequence[float], order: int) -> Taylor:
@@ -164,13 +155,16 @@ class LagrangianSystem(_SystemBase):
     def from_expr(expr, params: dict | None = None, label: str = "") -> "LagrangianSystem":
         """Build a system from a parsed (t, q, v, s) expression.
 
-        Parameters stay late-bound: the system's own table is consulted at
-        every evaluation, so updates to `params` take effect immediately.
+        Every parameter of the expression needs a value in `params`
+        (UnknownParameterError otherwise).  Parameters stay late-bound: the
+        system's own table is consulted at every evaluation, so updates to
+        it take effect immediately.
         """
         if isinstance(expr, str):
             raise TypeError("pass a parsed expression; use dsl.parse first")
         if expr.allow_p:
             raise ValueError("a Lagrangian expression must not reference momenta")
+        _dsl._require_params(expr, params or {})
 
         def fn(t, q, v, s, par):
             return _dsl._eval_node(expr.node, [t, *q, *v, s], par)
@@ -178,42 +172,6 @@ class LagrangianSystem(_SystemBase):
         sys = LagrangianSystem(expr.n, fn, params, label)
         sys.expr = expr
         return sys
-
-
-class HamiltonianSystem(_SystemBase):
-    """A Hamiltonian H(t, q, p, s) with n degrees of freedom.
-
-    `fn(t, q, p, s, params)` follows the same seed-based evaluation
-    contract as LagrangianSystem.fn.
-    """
-
-    def __init__(self, n: int, fn: Callable, params: dict | None = None, label: str = ""):
-        super().__init__(n, fn, params, label)
-        self.space = CoordinateSpace.hamiltonian(n)
-
-    def taylor(self, x: Sequence[float], order: int) -> Taylor:
-        n = self.n
-        if len(x) != self.space.dim:
-            raise ValueError(f"point has length {len(x)}, expected {self.space.dim}")
-        seeds = [Taylor.variable(order, i, x[i]) for i in range(self.space.dim)]
-        out = self.fn(seeds[0], seeds[1 : 1 + n], seeds[1 + n : 1 + 2 * n], seeds[-1], self.params)
-        if not isinstance(out, Taylor):
-            out = Taylor.constant(order, out)
-        return out
-
-    def jet(self, x: Sequence[float], order: int) -> Jet:
-        return jet_from_taylor(self.taylor(x, order), self.space.dim, order)
-
-    def value(self, x: Sequence[float]) -> float:
-        n = self.n
-        out = self.fn(
-            float(x[0]),
-            [float(c) for c in x[1 : 1 + n]],
-            [float(c) for c in x[1 + n : 1 + 2 * n]],
-            float(x[-1]),
-            self.params,
-        )
-        return out.value if isinstance(out, Taylor) else float(out)
 
 
 @dataclass(frozen=True)
@@ -277,24 +235,6 @@ def regularity(L: LagrangianSystem, x, tol: float = DEFAULT_RANK_TOL) -> Regular
     nullspace = Vt[rank:].T.copy()
     verdict = "Regular" if rank == n else "Singular"
     return RegularityReport(verdict, rank, nullspace, tol, sigma)
-
-
-def cocontact_hamiltonian_field(H: HamiltonianSystem, y) -> np.ndarray:
-    """Evolution coefficients (tdot, qdot, pdot, sdot) at a momentum-space
-    point, laid out like the point itself."""
-    vec = y.as_vector() if isinstance(y, HamiltonianPoint) else np.asarray(y, dtype=float)
-    n = H.n
-    jet = H.jet(vec, 1)
-    p = vec[1 + n : 1 + 2 * n]
-    dH_dq = jet.grad[1 : 1 + n]
-    dH_dp = jet.grad[1 + n : 1 + 2 * n]
-    dH_ds = jet.grad[-1]
-    out = np.empty(2 * n + 2)
-    out[0] = 1.0
-    out[1 : 1 + n] = dH_dp
-    out[1 + n : 1 + 2 * n] = -(dH_dq + p * dH_ds)
-    out[-1] = p @ dH_dp - jet.value
-    return out
 
 
 def herglotz_residual(L: LagrangianSystem, x, accel, sdot: float) -> tuple[np.ndarray, float]:

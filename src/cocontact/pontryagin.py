@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import CoordinateSpace, Jet, Taylor, jet_from_taylor
+from .jets import ORDER_CAP, CoordinateSpace, Jet, Taylor, jet_from_taylor
 from .mechanics import LagrangianSystem, regularity
 
 __all__ = [
@@ -58,11 +58,8 @@ __all__ = [
     "InfeasiblePoint",
     "NumericalBreakdown",
     "LadderNotClosed",
-    "coupling",
-    "hamiltonian",
     "primary_constraints",
     "constraint_values",
-    "tangency_solve",
     "project_onto",
     "assemble_Z",
     "run_constraint_algorithm",
@@ -401,22 +398,7 @@ class _DerivedConstraint(ConstraintFn):
         return out
 
 
-# -- simple observables -------------------------------------------------
-
-
-def coupling(w) -> float:
-    """The pairing p . v at a mixed-space point."""
-    if isinstance(w, PontryaginPoint):
-        return float(w.p @ w.v)
-    w = np.asarray(w, dtype=float)
-    n = (len(w) - 2) // 3
-    return float(w[1 + n : 1 + 2 * n] @ w[1 + 2 * n : 1 + 3 * n])
-
-
-def hamiltonian(L: LagrangianSystem, w) -> float:
-    """H = p . v - L on the mixed phase space."""
-    wvec = _as_wvec(L.n, w)
-    return coupling(wvec) - L.value(lagrangian_part(wvec, L.n))
+# -- constraint values --------------------------------------------------
 
 
 def primary_constraints(L: LagrangianSystem, w) -> np.ndarray:
@@ -439,7 +421,9 @@ def constraint_values(L: LagrangianSystem, w, constraints: Sequence[ConstraintFn
 
 @dataclass(frozen=True)
 class AlgorithmOptions:
-    max_generations: int = 8
+    # pass k of the algorithm expands L to order k + 2, so no more than
+    # ORDER_CAP - 2 passes can run
+    max_generations: int = ORDER_CAP - 2
     tol: float = 1e-8  # feasibility and new-constraint value detection
     grad_tol: float = 1e-6  # transversality threshold, relative
     rank_tol: float = 1e-9  # relative rank threshold for rows and SVD
@@ -500,14 +484,11 @@ class ConstraintLadder:
 
 @dataclass(frozen=True)
 class _TangencyData:
-    M: np.ndarray
-    b: np.ndarray
     C: np.ndarray
     kernel: np.ndarray
     rank: int
     values: np.ndarray  # the constraints at the point, in input order
     new_constraints: list[ConstraintFn]
-    candidates: list[float]
     incompatible: "ConstraintFn | None"
 
 
@@ -553,7 +534,6 @@ def _tangency(
     thresh = opts.rank_tol * row_scale
 
     new_constraints: list[ConstraintFn] = []
-    candidates: list[float] = []
     incompatible: ConstraintFn | None = None
     if discover:
         basis_idx: list[int] = []
@@ -589,16 +569,12 @@ def _tangency(
             if abs(value) > opts.tol:
                 if gnorm <= opts.rank_tol * max(1.0, abs(value)):
                     incompatible = cand
-                    candidates.append(float(value))
                     break
                 new_constraints.append(cand)
-                candidates.append(float(value))
                 continue
             if _span_residual(cgrad, span) > opts.grad_tol * max(1.0, gnorm):
                 new_constraints.append(cand)
-                candidates.append(float(value))
 
-    b = -g
     U, sigma, Vt = np.linalg.svd(M, full_matrices=True)
     smax = sigma[0] if len(sigma) else 0.0
     rank = int(np.sum(sigma > opts.rank_tol * smax)) if smax > 0 else 0
@@ -606,10 +582,9 @@ def _tangency(
         raise NumericalBreakdown(
             f"tangency system condition {smax / sigma[rank - 1]:.2e} beyond cap"
         )
-    C, *_ = np.linalg.lstsq(M, b, rcond=opts.rank_tol)
+    C, *_ = np.linalg.lstsq(M, -g, rcond=opts.rank_tol)
     kernel = Vt[rank:].T.copy()
-    return _TangencyData(M, b, C, kernel, rank, values, new_constraints, candidates,
-                         incompatible)
+    return _TangencyData(C, kernel, rank, values, new_constraints, incompatible)
 
 
 def _pick_columns(A: np.ndarray) -> list[int]:
@@ -627,34 +602,6 @@ def _pick_columns(A: np.ndarray) -> list[int]:
                 best, best_sv = j, sv
         cols.append(best)
     return cols
-
-
-def tangency_solve(
-    L: LagrangianSystem, w, prior: Sequence[ConstraintFn], opts: AlgorithmOptions | None = None
-) -> tuple[np.ndarray, list[ConstraintFn], np.ndarray]:
-    """One tangency step at a feasible point.
-
-    Returns (C, new_constraints, undetermined): the minimum-norm C
-    coefficients, the obstruction constraints of the next generation, and
-    an orthonormal basis of the C-directions the system leaves free.  An
-    obstruction proving the system incompatible is included among the new
-    constraints; run_constraint_algorithm distinguishes the two cases.
-    """
-    opts = opts or AlgorithmOptions()
-    wvec = _as_wvec(L.n, w)
-    ws = _Workspace(L, wvec)
-    prior = list(prior)
-    vals = [abs(c.taylor(ws, 0).value) for c in prior]
-    if vals and max(vals) > 10 * opts.tol:
-        worst = prior[int(np.argmax(vals))]
-        raise InfeasiblePoint(
-            f"point violates {worst.label}: {max(vals):.3e} > {10 * opts.tol:.1e}"
-        )
-    data = _tangency(ws, prior, opts, discover=True)
-    new = list(data.new_constraints)
-    if data.incompatible is not None:
-        new.append(data.incompatible)
-    return data.C, new, data.kernel
 
 
 def _kernel_q_indices(L: LagrangianSystem, wvec: np.ndarray) -> list[int]:
@@ -749,7 +696,9 @@ def run_constraint_algorithm(
     satisfy every constraint that arises, or InfeasiblePoint is raised.
 
     Returns the ladder and, when it closes, the field coefficients at the
-    final (projected) point; otherwise the second element is None.
+    final (projected) point; otherwise the second element is None.  At
+    most min(opts.max_generations, ORDER_CAP - 2) passes run; a ladder
+    still open after them ends MaxIterations.
     """
     opts = opts or AlgorithmOptions()
     n = L.n
@@ -770,7 +719,7 @@ def run_constraint_algorithm(
     last = None
     active = list(primaries)
     ws = _Workspace(L, wvec)
-    for _ in range(opts.max_generations):
+    for _ in range(min(opts.max_generations, ORDER_CAP - 2)):
         last = _tangency(ws, active, opts, discover=True)
         if last.incompatible is not None:
             status = "Incompatible"

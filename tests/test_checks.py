@@ -87,6 +87,25 @@ def test_equivalence_fallback_on_singular_fibre_map():
     assert "singular" in result.detail
 
 
+def test_equivalence_fallback_integrates_each_description_once(monkeypatch):
+    # the momentum run goes first and fails in its lift, so the fallback
+    # adds only the mixed and velocity runs: three integrate calls in all
+    from cocontact import checks, dynamics
+
+    calls = []
+    integrate = dynamics.integrate
+
+    def counting(field, x0, cfg):
+        calls.append(field.kind)
+        return integrate(field, x0, cfg)
+
+    monkeypatch.setattr(dynamics, "integrate", counting)
+    monkeypatch.setattr(checks, "integrate", counting)
+    result = check_equivalence(preset_by_name("charged"), step=1e-2, t_end=0.1)
+    assert result.passed
+    assert calls == ["hamiltonian", "unified", "lagrangian"]
+
+
 def test_residual_order_skips_deep_ladders():
     result = check_residual_order(preset_by_name("charged"))
     assert result.passed

@@ -16,6 +16,7 @@ from cocontact.jets import JetDomainError
 from cocontact.pontryagin import InfeasiblePoint, NumericalBreakdown
 
 HEADER_1D = "t,q1,v1,p1,s,res_holonomy,res_sdot,res_herglotz,res_constraint"
+CHAIN = "q4*(v1 - q2) + q5*(v2 - q3) + v3^2/2 + q6*q1"
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -78,6 +79,19 @@ def test_constraints_incompatible_exit_code(capsys, tmp_path):
     rc, out, _ = run(capsys, ["constraints", "--config", cfg])
     assert rc == 2
     assert json.loads(out)["status"] == "Incompatible"
+
+
+def test_constraints_generation_cap_exit_code(capsys, tmp_path):
+    # a chain of multiplier coordinates whose ladder is still open when
+    # the generation cap is reached
+    cfg = write_config(tmp_path, {
+        "system": {"n": 6, "lagrangian": CHAIN},
+        "initial": {"q": [0.0] * 6, "v": [0.0] * 6},
+    })
+    rc, out, err = run(capsys, ["constraints", "--config", cfg])
+    assert rc == 3
+    assert err == ""
+    assert json.loads(out)["status"] == "MaxIterations"
 
 
 def test_constraints_degenerate_closes_with_undetermined_direction(capsys, tmp_path):
@@ -144,6 +158,8 @@ def test_malformed_json_config(capsys, tmp_path):
          "bad integrator block"),
         ({"system": "duffing", "outputs": {"channels": ["bogus"]}},
          "unknown residual channels"),
+        ({"system": {"n": 1, "lagrangian": "alpha*v1^2"},
+          "initial": {"q": [0.0], "v": [0.0]}}, "bad inline Lagrangian"),
     ],
 )
 def test_bad_configs_exit_one(capsys, tmp_path, doc, fragment):
@@ -253,6 +269,7 @@ def test_simulate_custom_initial_state(capsys, tmp_path):
     assert json.loads(out)["t_final"] == pytest.approx(1.4)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_overflowing_state_exits_four(capsys, tmp_path, monkeypatch):
     # the first step leaves the floating-point range: a named error at the
     # first non-finite state, not a traceback from the residual pass

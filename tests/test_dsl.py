@@ -103,8 +103,6 @@ def test_parameters():
     with pytest.raises(UnknownParameterError):
         evaluate(e, [0, 1.0, 0, 0], {"a": 2.0})
     assert evaluate(e, [0, 1.0, 0, 0], ParamTable(a=2.0, b=5.0)) == 7.0
-    merged = ParamTable(a=1.0, b=1.0).merged({"b": 3.0})
-    assert evaluate(e, [0, 1.0, 0, 0], merged) == 4.0
 
 
 def test_wrong_point_dimension():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cocontact.mechanics import LagrangianSystem, cocontact_hamiltonian_field
+from cocontact.mechanics import LagrangianSystem
 from cocontact.pontryagin import (
     AlgorithmOptions,
     assemble_Z,
@@ -29,7 +29,6 @@ from cocontact.dynamics import (
     Trajectory,
     cross_check_equivalence,
     hamiltonian_field,
-    hamiltonian_from_lagrangian,
     integrate,
     lagrangian_field,
     legendre_invert,
@@ -40,6 +39,7 @@ from cocontact.dynamics import (
     unified_field,
 )
 from cocontact.systems import PRESET_NAMES, preset_by_name
+from hamiltonian_reference import cocontact_hamiltonian_field, hamiltonian_from_lagrangian
 
 OPTS = AlgorithmOptions()
 
@@ -234,10 +234,9 @@ def test_trajectory_shape_and_samples():
     assert traj.states.shape == (len(traj), 5)
     assert traj.lifted.shape == (len(traj), 5)
     assert traj.coeffs.shape == (len(traj), 5)
-    pt, Z = traj.samples[3]
-    assert pt.t == traj.times[3]
-    assert Z.A == 1.0
-    np.testing.assert_allclose(Z.B, traj.lifted[3][2:3], atol=1e-14)
+    assert traj.lifted[3][0] == traj.times[3]
+    assert traj.coeffs[3][0] == 1.0
+    np.testing.assert_allclose(traj.coeffs[3][1:2], traj.lifted[3][2:3], atol=1e-14)
     for name in ("holonomy", "sdot", "herglotz", "constraint"):
         assert traj.residuals[name].shape == (len(traj),)
         assert traj.channel_max(name) >= 0.0

@@ -15,7 +15,6 @@ from cocontact.jets import (
     cos,
     eval_jet,
     exp,
-    lie_derivative,
     ln,
     powf,
     sin,
@@ -257,35 +256,15 @@ def test_scalar_field_wrapper():
         f.jet([1.0], 1)
 
 
-def test_lie_derivative_is_gradient_dot():
-    f = ScalarField(lambda X: X[0] ** 2 + sin(X[1]), dim=2)
-    w = [1.5, 0.3]
-    Z = [2.0, -1.0]
-    expect = 2 * 1.5 * 2.0 + math.cos(0.3) * (-1.0)
-    assert abs(lie_derivative(f, Z, w) - expect) <= 1e-14
-    with pytest.raises(DimensionMismatch):
-        lie_derivative(f, [1.0, 2.0, 3.0], w)
-
-
 def test_coordinate_space_layouts():
     for n in (1, 2, 4):
         lag = CoordinateSpace.lagrangian(n)
-        ham = CoordinateSpace.hamiltonian(n)
         uni = CoordinateSpace.unified(n)
-        assert lag.dim == 2 * n + 2 and ham.dim == 2 * n + 2 and uni.dim == 3 * n + 2
-        # name <-> index is a bijection
-        for space in (lag, ham, uni):
+        assert lag.dim == 2 * n + 2 and uni.dim == 3 * n + 2
+        for space in (lag, uni):
             assert len(set(space.names)) == space.dim
-            for i, name in enumerate(space.names):
-                assert space.index(name) == i
+            assert space.s_index == space.dim - 1
         assert lag.names[0] == "t" and lag.names[-1] == "s"
-        assert lag.v_index(n - 1) == 2 * n
-        assert ham.p_index(0) == 1 + n
-        assert uni.p_index(0) == 1 + 2 * n
-        assert uni.v_index(0) == 1 + n
-    with pytest.raises(DimensionMismatch):
-        CoordinateSpace.hamiltonian(2).v_index(0)
-    with pytest.raises(DimensionMismatch):
-        CoordinateSpace.lagrangian(2).p_index(0)
-    with pytest.raises(DimensionMismatch):
-        CoordinateSpace.lagrangian(2).index("p1")
+        assert lag.names[2 * n] == f"v{n}"
+        assert uni.names[1 + 2 * n] == "p1"
+        assert uni.names[1 + n] == "v1"

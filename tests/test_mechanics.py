@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 from cocontact import dsl
-from cocontact.jets import cos, exp, hessian_vv
+from cocontact.jets import cos, exp
 from cocontact.mechanics import (
     HamiltonianPoint,
-    HamiltonianSystem,
     LagrangianPoint,
     LagrangianSystem,
-    cocontact_hamiltonian_field,
     herglotz_residual,
     lagrangian_energy,
     legendre_map,
     regularity,
 )
+from hamiltonian_reference import HamiltonianSystem, cocontact_hamiltonian_field
 
 ALPHA, BETA, GAMMA, DELTA, OMEGA = 1.0, 5.0, 8.0, 0.02, 0.5
 
@@ -111,13 +110,6 @@ def test_legendre_map():
     pt = LagrangianPoint(0.0, [0.1], [2.0], 0.7)
     y = legendre_map(L2, pt)
     assert abs(y.p[0] - (m0 * 2.0 - 2 * g_ * 0.7)) <= 1e-14
-
-
-def test_hessian_vv_duffing_is_identity():
-    L = _duffing()
-    W = hessian_vv(L, LagrangianPoint(0.1, [0.4], [1.1], 0.2).as_vector())
-    assert W.shape == (1, 1)
-    assert abs(W[0, 0] - 1.0) <= 1e-14
 
 
 def test_regularity_regular():

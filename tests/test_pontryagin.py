@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from cocontact.jets import ORDER_CAP
 from cocontact.mechanics import LagrangianSystem
 from cocontact.pontryagin import (
     AlgorithmOptions,
@@ -21,12 +22,9 @@ from cocontact.pontryagin import (
     ZCoefficients,
     assemble_Z,
     constraint_values,
-    coupling,
-    hamiltonian,
     primary_constraints,
     project_onto,
     run_constraint_algorithm,
-    tangency_solve,
 )
 from cocontact.systems import SOURCE_CHARGE, charged_particle, duffing, variable_mass_drag
 
@@ -61,17 +59,6 @@ def test_point_validation():
         PontryaginPoint(math.nan, [1.0], [1.0], [0.0], 0.0)
     with pytest.raises(ValueError):
         PontryaginPoint.from_vector(2, np.zeros(5))
-
-
-def test_coupling_and_hamiltonian():
-    pre = duffing()
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        w = rng.uniform(-2, 2, 5)
-        t, x, v, p, s = w
-        assert abs(coupling(w) - p * v) < 1e-15
-        Lval = pre.system.value(np.array([t, x, v, s]))
-        assert abs(hamiltonian(pre.system, w) - (p * v - Lval)) < 1e-12
 
 
 def test_primary_constraint_values():
@@ -131,22 +118,6 @@ def test_duffing_C_equals_D_on_constraint_set():
         w = pre.sample_feasible(rng)
         Z = assemble_Z(pre.system, w, ladder)
         np.testing.assert_allclose(Z.C, Z.D, rtol=0, atol=1e-12)
-
-
-def test_tangency_solve_public_api():
-    pre = duffing()
-    rng = np.random.default_rng(3)
-    ladder, _ = run_constraint_algorithm(pre.system, lift_initial(pre))
-    w = pre.sample_feasible(rng)
-    C, new, kernel = tangency_solve(pre.system, w, ladder.active())
-    assert new == []
-    assert kernel.shape == (1, 0)
-    np.testing.assert_allclose(C, pre.expected_C(w), rtol=0, atol=1e-10)
-
-    off = w.copy()
-    off[3] += 1.0  # break the momentum constraint
-    with pytest.raises(InfeasiblePoint):
-        tangency_solve(pre.system, off, ladder.active())
 
 
 # -- the singular ladder ------------------------------------------------
@@ -320,6 +291,23 @@ def test_max_iterations_status():
     ladder, Z = run_constraint_algorithm(pre.system, lift_initial(pre), opts)
     assert ladder.status == "MaxIterations"
     assert Z is None
+
+
+def _multiplier_chain(t, q, v, s, par):
+    return q[3] * (v[0] - q[1]) + q[4] * (v[1] - q[2]) + 0.5 * v[2] * v[2] + q[5] * q[0]
+
+
+@pytest.mark.parametrize("opts", [AlgorithmOptions(), AlgorithmOptions(max_generations=20)])
+def test_generation_cap_stops_before_the_order_cap(opts):
+    # q4, q5 and q6 carry no velocity, and this chain's ladder is still open
+    # after ORDER_CAP - 2 passes; pass k expands L to order k + 2, so one
+    # more pass would exceed the jet layer's order cap
+    assert AlgorithmOptions().max_generations == ORDER_CAP - 2
+    L = LagrangianSystem(6, _multiplier_chain, label="chain")
+    ladder, Z = run_constraint_algorithm(L, np.zeros(3 * 6 + 2), opts)
+    assert ladder.status == "MaxIterations"
+    assert Z is None
+    assert ladder.n_generations == 1 + (ORDER_CAP - 2)
 
 
 def test_infeasible_start_off_the_surface():
