@@ -410,8 +410,8 @@ def residual_channels(
         wk = lifted[k]
         lag = lagrangian_part(wk, n)
         holonomy[k] = float(np.max(np.abs(qdot - wk[vs])))
-        sdot_ch[k] = abs(sdot - L.value(lag))
-        vec, _ = herglotz_residual(L, lag, vdot, sdot)
+        vec, sdot_defect = herglotz_residual(L, lag, vdot, sdot)
+        sdot_ch[k] = abs(sdot_defect)
         herglotz[k] = float(np.max(np.abs(vec)))
     if xi is None:
         active = ladder.active() if ladder is not None else None
@@ -509,15 +509,14 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
             span = cfg.t_end - t0
             n_full = int(np.floor(span / h + 1e-12))
             rem = span - n_full * h
-            for k in range(n_full):
-                samples.append(sample)
-                y = _rk4_step(field, y, h, deriv)
-                y = accept(y, t0 + (k + 1) * h)
-                deriv, *sample = field.eval(y)
+            # (step, exact time after it): the full steps, then the remainder
+            steps = [(h, t0 + (k + 1) * h) for k in range(n_full)]
             if rem > 1e-12 * max(1.0, abs(cfg.t_end)):
+                steps.append((rem, cfg.t_end))
+            for dt, t_exact in steps:
                 samples.append(sample)
-                y = _rk4_step(field, y, rem, deriv)
-                y = accept(y, cfg.t_end)
+                y = _rk4_step(field, y, dt, deriv)
+                y = accept(y, t_exact)
                 deriv, *sample = field.eval(y)
         else:
             h = cfg.step
@@ -573,15 +572,16 @@ class EquivalenceReport:
     lagrangian: velocity-side projection of the mixed run vs the native
     velocity-side run; hamiltonian: same on the momentum side; legendre:
     fibre-derivative image of the velocity-side run vs the momentum-side
-    run.
+    run.  On a singular fibre map the momentum description is undefined:
+    dev_hamiltonian, dev_legendre and the hamiltonian run are None.
     """
 
     dev_lagrangian: float
-    dev_hamiltonian: float
-    dev_legendre: float
+    dev_hamiltonian: float | None
+    dev_legendre: float | None
     unified: Trajectory
     lagrangian: Trajectory
-    hamiltonian: Trajectory
+    hamiltonian: Trajectory | None
 
     def as_dict(self) -> dict:
         return {
@@ -592,7 +592,7 @@ class EquivalenceReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(self.dev_lagrangian, self.dev_hamiltonian, self.dev_legendre)
+        return max(d for d in self.as_dict().values() if d is not None)
 
 
 def cross_check_equivalence(
@@ -606,7 +606,9 @@ def cross_check_equivalence(
     x0 is a mixed-space initial state (projected onto the constraint set
     before anything runs); the velocity- and momentum-side runs start from
     its projections.  Requires the fixed-step method so all three runs
-    share one time grid.
+    share one time grid.  When the momentum run raises
+    NonInvertibleLegendre (a singular fibre map), only the mixed and
+    velocity descriptions are compared.
     """
     if cfg.method != "rk4":
         raise ValueError("cross-checking needs a shared fixed-step grid; use rk4")
@@ -617,20 +619,24 @@ def cross_check_equivalence(
 
     # the momentum side first: a singular fibre map fails its lift before
     # the other two runs are spent
-    traj_y = integrate(HamiltonianField(L, ladder, opts), hamiltonian_part(w0, n), cfg)
+    try:
+        traj_y = integrate(HamiltonianField(L, ladder, opts), hamiltonian_part(w0, n), cfg)
+    except NonInvertibleLegendre:
+        traj_y = None
     traj_z = integrate(UnifiedField(L, ladder, opts), w0, cfg)
     traj_x = integrate(LagrangianField(L, ladder, opts), lagrangian_part(w0, n), cfg)
 
-    if not (len(traj_z) == len(traj_x) == len(traj_y)):
+    if len({len(t) for t in (traj_z, traj_x, traj_y) if t is not None}) != 1:
         raise RuntimeError("description runs produced different grids")
 
-    dev_lag = 0.0
-    dev_ham = 0.0
-    dev_leg = 0.0
-    for wz, xx, yy, wx in zip(traj_z.lifted, traj_x.states, traj_y.states, traj_x.lifted):
-        dev_lag = max(dev_lag, float(np.max(np.abs(lagrangian_part(wz, n) - xx))))
-        dev_ham = max(dev_ham, float(np.max(np.abs(hamiltonian_part(wz, n) - yy))))
-        dev_leg = max(dev_leg, float(np.max(np.abs(hamiltonian_part(wx, n) - yy))))
+    def dev(lifted, states, part):
+        return max(0.0, *(float(np.max(np.abs(part(w, n) - x))) for w, x in zip(lifted, states)))
+
+    dev_lag = dev(traj_z.lifted, traj_x.states, lagrangian_part)
+    if traj_y is None:
+        return EquivalenceReport(dev_lag, None, None, traj_z, traj_x, None)
+    dev_ham = dev(traj_z.lifted, traj_y.states, hamiltonian_part)
+    dev_leg = dev(traj_x.lifted, traj_y.states, hamiltonian_part)
     return EquivalenceReport(dev_lag, dev_ham, dev_leg, traj_z, traj_x, traj_y)
 
 

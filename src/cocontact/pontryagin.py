@@ -172,9 +172,13 @@ class _Workspace:
     Evaluating a deep ladder revisits the same polynomials at several
     orders.  Expansions are cached per object, and a request at order k is
     served by truncating any cached expansion of order >= k (exact, since
-    both expand the same function at the same point)."""
+    both expand the same function at the same point).  A generation-g
+    constraint at order k consumes L to order g + k, so the constructor
+    expands L once at `order` plus the deepest generation of the
+    constraints it serves; their requests then all truncate that one."""
 
-    def __init__(self, L: LagrangianSystem, wvec: np.ndarray):
+    def __init__(self, L: LagrangianSystem, wvec: np.ndarray,
+                 constraints: Sequence["ConstraintFn"] = (), order: int = 0):
         self.L = L
         self.n = L.n
         self.w = np.asarray(wvec, dtype=float)
@@ -185,6 +189,8 @@ class _Workspace:
         # workspace lifetime, so recycled object ids cannot alias entries
         self._xi: dict["ConstraintFn", dict[int, Taylor]] = {}
         self._D: dict[tuple[int, int], Taylor] = {}
+        if constraints:
+            self.L_taylor(order + max(c.generation for c in constraints))
 
     def seeds(self, order: int) -> list[Taylor]:
         out = self._seeds.get(order)
@@ -251,11 +257,10 @@ class ConstraintFn:
         return ws.xi_taylor(self, order)
 
     def __call__(self, w) -> float:
-        ws = _Workspace(self.L, _as_wvec(self.L.n, w))
-        return self.taylor(ws, 0).value
+        return float(constraint_values(self.L, w, [self])[0])
 
     def jet(self, w, order: int) -> Jet:
-        ws = _Workspace(self.L, _as_wvec(self.L.n, w))
+        ws = _Workspace(self.L, _as_wvec(self.L.n, w), [self], order)
         return jet_from_taylor(self.taylor(ws, order), ws.space.dim, order)
 
 
@@ -319,16 +324,16 @@ def _elimination_order(G: np.ndarray) -> list[int]:
 def _solve_frozen(G_rows: list[list], rhs: list, orderseq: list[int], tiny: float):
     """Solve G x = rhs by Gauss-Jordan with a fixed pivot sequence.
 
-    Entries may be Taylor polynomials or floats; divisions go through the
-    Taylor reciprocal.  A pivot whose value falls below `tiny` means the
-    frozen pattern stopped being valid at this point.
+    Entries are Taylor polynomials; divisions go through the Taylor
+    reciprocal.  A pivot whose value falls below `tiny` means the frozen
+    pattern stopped being valid at this point.
     """
     m = len(rhs)
     G = [list(row) for row in G_rows]
     b = list(rhs)
     for col, prow in enumerate(orderseq):
         piv = G[prow][col]
-        pval = piv.value if isinstance(piv, Taylor) else piv
+        pval = piv.value
         if abs(pval) < tiny:
             raise NumericalBreakdown(
                 f"frozen pivot {pval:.3e} below {tiny:.1e}; closure pattern lost"
@@ -339,8 +344,7 @@ def _solve_frozen(G_rows: list[list], rhs: list, orderseq: list[int], tiny: floa
         for r in range(m):
             if r != prow:
                 f = G[r][col]
-                nonzero = bool(f.terms) if isinstance(f, Taylor) else (f != 0.0)
-                if nonzero:
+                if f.terms:
                     G[r] = [gr - f * gp for gr, gp in zip(G[r], G[prow])]
                     b[r] = b[r] - f * b[prow]
     x = [None] * m
@@ -403,16 +407,13 @@ class _DerivedConstraint(ConstraintFn):
 
 def primary_constraints(L: LagrangianSystem, w) -> np.ndarray:
     """Values of the momentum constraints p_j - dL/dv_j at a point."""
-    wvec = _as_wvec(L.n, w)
-    ws = _Workspace(L, wvec)
-    return np.array([_PrimaryConstraint(L, j).taylor(ws, 0).value for j in range(L.n)])
+    return constraint_values(L, w, [_PrimaryConstraint(L, j) for j in range(L.n)])
 
 
 def constraint_values(L: LagrangianSystem, w, constraints: Sequence[ConstraintFn]) -> np.ndarray:
-    """Values of several constraints at one point, sharing one expansion
-    cache (much cheaper than calling each constraint separately)."""
-    wvec = _as_wvec(L.n, w)
-    ws = _Workspace(L, wvec)
+    """Values of several constraints at one point, sharing one workspace
+    (much cheaper than calling each constraint separately)."""
+    ws = _Workspace(L, _as_wvec(L.n, w), constraints, 0)
     return np.array([c.taylor(ws, 0).value for c in constraints])
 
 
@@ -454,18 +455,15 @@ class ConstraintLadder:
     def report(self) -> dict:
         """JSON-serializable summary with values at the probe point."""
         n = (len(self.probe) - 2) // 3
-        gens = []
-        for gen in self.generations:
-            gens.append(
-                [
-                    {
-                        "generation": c.generation,
-                        "label": c.label,
-                        "value_at_probe": c(self.probe),
-                    }
-                    for c in gen
-                ]
-            )
+        active = self.active()
+        values = iter(constraint_values(active[0].L, self.probe, active).tolist())
+        gens = [
+            [
+                {"generation": c.generation, "label": c.label, "value_at_probe": next(values)}
+                for c in gen
+            ]
+            for gen in self.generations
+        ]
         return {
             "status": self.status,
             "generations": gens,
@@ -482,16 +480,6 @@ class ConstraintLadder:
         }
 
 
-@dataclass(frozen=True)
-class _TangencyData:
-    C: np.ndarray
-    kernel: np.ndarray
-    rank: int
-    values: np.ndarray  # the constraints at the point, in input order
-    new_constraints: list[ConstraintFn]
-    incompatible: "ConstraintFn | None"
-
-
 def _span_residual(vec: np.ndarray, basis: np.ndarray) -> float:
     """Norm of vec after removing its component in the column span of basis."""
     if basis.size == 0:
@@ -505,19 +493,23 @@ def _tangency(
     constraints: list[ConstraintFn],
     opts: AlgorithmOptions,
     discover: bool,
-) -> _TangencyData:
+) -> tuple[ZCoefficients, int, list[ConstraintFn], ConstraintFn | None]:
+    """The field at the workspace's point, fixed by the tangency conditions
+    of `constraints`, and the rank of their C-system.  With `discover`,
+    also the obstructions that are new constraints and the incompatible
+    one, if any (else an empty list and None)."""
     n = ws.n
     dim = ws.space.dim
+    w = ws.w
     R = len(constraints)
     M = np.empty((R, n))
     g = np.empty(R)
     values = np.empty(R)
     grads = np.empty((R, dim))
-    # expand L once at the deepest order any active constraint needs;
-    # every later request is then served by truncation
-    ws.L_taylor(1 + max(c.generation for c in constraints))
-    Lj = jet_from_taylor(ws.L_taylor(1), dim, 1)
-    D = Lj.grad[1 : 1 + n] + ws.w[1 + 2 * n : 1 + 3 * n] * Lj.grad[-1]
+    Lt = ws.L_taylor(1)
+    L_grad = Lt.gradient(dim)
+    D = L_grad[1 : 1 + n] + w[1 + 2 * n : 1 + 3 * n] * L_grad[-1]
+    E = float(Lt.value)
     for r, c in enumerate(constraints):
         xt = ws.xi_taylor(c, 1)
         values[r] = xt.value
@@ -525,9 +517,9 @@ def _tangency(
         M[r] = grads[r][1 + n : 1 + 2 * n]
         g[r] = (
             grads[r][0]
-            + ws.w[1 + n : 1 + 2 * n] @ grads[r][1 : 1 + n]
+            + w[1 + n : 1 + 2 * n] @ grads[r][1 : 1 + n]
             + D @ grads[r][1 + 2 * n : 1 + 3 * n]
-            + Lj.value * grads[r][-1]
+            + E * grads[r][-1]
         )
 
     row_scale = max(float(np.max(np.linalg.norm(M, axis=1))) if R else 0.0, 1e-300)
@@ -583,8 +575,8 @@ def _tangency(
             f"tangency system condition {smax / sigma[rank - 1]:.2e} beyond cap"
         )
     C, *_ = np.linalg.lstsq(M, -g, rcond=opts.rank_tol)
-    kernel = Vt[rank:].T.copy()
-    return _TangencyData(C, kernel, rank, values, new_constraints, incompatible)
+    Z = ZCoefficients(1.0, w[1 + n : 1 + 2 * n].copy(), C, D, E, Vt[rank:].T.copy(), values)
+    return Z, rank, new_constraints, incompatible
 
 
 def _pick_columns(A: np.ndarray) -> list[int]:
@@ -648,7 +640,7 @@ def project_onto(
     )
 
     def residuals(vec):
-        ws = _Workspace(L, vec)
+        ws = _Workspace(L, vec, constraints, 1)
         vals = np.empty(len(constraints))
         grads = np.empty((len(constraints), len(dirs)))
         for i, c in enumerate(constraints):
@@ -716,45 +708,35 @@ def run_constraint_algorithm(
             )
 
     status = "MaxIterations"
-    last = None
+    Z, rank = None, 0
     active = list(primaries)
-    ws = _Workspace(L, wvec)
+    ws = _Workspace(L, wvec, active, 1)
     for _ in range(min(opts.max_generations, ORDER_CAP - 2)):
-        last = _tangency(ws, active, opts, discover=True)
-        if last.incompatible is not None:
+        Z, rank, new, incompatible = _tangency(ws, active, opts, discover=True)
+        if incompatible is not None:
             status = "Incompatible"
-            generations.append(last.new_constraints + [last.incompatible])
+            generations.append(new + [incompatible])
             break
-        if not last.new_constraints:
+        if not new:
             status = "Closed"
             break
-        generations.append(last.new_constraints)
-        active = active + last.new_constraints
+        generations.append(new)
+        active = active + new
         if opts.project:
             moved = project_onto(L, wvec, active, opts)
             if not np.array_equal(moved, wvec):
                 wvec = moved
-                ws = _Workspace(L, wvec)
+                ws = _Workspace(L, wvec, active, 1)
         else:
-            worst = max(abs(c.taylor(ws, 0).value) for c in last.new_constraints)
+            worst = max(abs(c.taylor(ws, 0).value) for c in new)
             if worst > opts.tol:
                 raise InfeasiblePoint(
                     f"new generation violated by {worst:.3e} and projection is off"
                 )
 
-    if status == "Closed":
-        ladder = ConstraintLadder(
-            generations, status, wvec, last.rank, last.kernel.shape[1], opts.tol
-        )
-        B = wvec[1 + n : 1 + 2 * n]
-        Lj = jet_from_taylor(ws.L_taylor(1), ws.space.dim, 1)
-        D = Lj.grad[1 : 1 + n] + wvec[1 + 2 * n : 1 + 3 * n] * Lj.grad[-1]
-        Z = ZCoefficients(1.0, B.copy(), last.C, D, float(Lj.value), last.kernel,
-                          last.values)
-        return ladder, Z
-    rank = last.rank if last is not None else 0
-    kdim = last.kernel.shape[1] if last is not None else 0
-    return ConstraintLadder(generations, status, wvec, rank, kdim, opts.tol), None
+    kdim = Z.undetermined.shape[1] if Z is not None else 0
+    ladder = ConstraintLadder(generations, status, wvec, rank, kdim, opts.tol)
+    return ladder, Z if status == "Closed" else None
 
 
 def assemble_Z(
@@ -762,28 +744,17 @@ def assemble_Z(
     w,
     ladder: ConstraintLadder,
     opts: AlgorithmOptions | None = None,
-    gauge=None,
 ) -> ZCoefficients:
     """Field coefficients at a point, given an already-closed ladder.
 
     No feasibility check is performed here: integrator stages evaluate the
     field slightly off the submanifold by design, and the coefficients
-    extend smoothly.  `gauge(w, kernel) -> vector` may supply a C-component
-    along the undetermined directions; the default is the minimum-norm
-    choice (zero along the kernel).
+    extend smoothly.  C is the minimum-norm choice (zero along the
+    undetermined directions).
     """
     if ladder.status != "Closed":
         raise LadderNotClosed(f"ladder status is {ladder.status}")
     opts = opts or AlgorithmOptions(tol=ladder.tolerance)
-    n = L.n
-    wvec = _as_wvec(n, w)
-    ws = _Workspace(L, wvec)
-    data = _tangency(ws, ladder.active(), opts, discover=False)
-    C = data.C
-    if gauge is not None and data.kernel.shape[1]:
-        extra = np.asarray(gauge(wvec, data.kernel), dtype=float)
-        C = C + data.kernel @ extra
-    B = wvec[1 + n : 1 + 2 * n]
-    Lj = jet_from_taylor(ws.L_taylor(1), ws.space.dim, 1)
-    D = Lj.grad[1 : 1 + n] + wvec[1 + 2 * n : 1 + 3 * n] * Lj.grad[-1]
-    return ZCoefficients(1.0, B.copy(), C, D, float(Lj.value), data.kernel, data.values)
+    active = ladder.active()
+    ws = _Workspace(L, _as_wvec(L.n, w), active, 1)
+    return _tangency(ws, active, opts, discover=False)[0]

@@ -89,21 +89,31 @@ def test_equivalence_fallback_on_singular_fibre_map():
 
 def test_equivalence_fallback_integrates_each_description_once(monkeypatch):
     # the momentum run goes first and fails in its lift, so the fallback
-    # adds only the mixed and velocity runs: three integrate calls in all
+    # adds only the mixed and velocity runs: three integrate calls in all,
+    # on the one ladder cross_check_equivalence discovers
     from cocontact import checks, dynamics
 
     calls = []
     integrate = dynamics.integrate
+    discover = dynamics.run_constraint_algorithm
+    ladders = []
 
     def counting(field, x0, cfg):
         calls.append(field.kind)
         return integrate(field, x0, cfg)
 
+    def counting_discover(*args, **kwargs):
+        ladders.append(args)
+        return discover(*args, **kwargs)
+
     monkeypatch.setattr(dynamics, "integrate", counting)
     monkeypatch.setattr(checks, "integrate", counting)
+    monkeypatch.setattr(dynamics, "run_constraint_algorithm", counting_discover)
+    monkeypatch.setattr(checks, "run_constraint_algorithm", counting_discover)
     result = check_equivalence(preset_by_name("charged"), step=1e-2, t_end=0.1)
     assert result.passed
     assert calls == ["hamiltonian", "unified", "lagrangian"]
+    assert len(ladders) == 1
 
 
 def test_residual_order_skips_deep_ladders():

@@ -456,6 +456,18 @@ def test_cross_check_exponential_mass_drag():
     assert len(eq.unified) == len(eq.lagrangian) == len(eq.hamiltonian)
 
 
+def test_cross_check_singular_fibre_map_compares_two_descriptions():
+    # the charged particle has no momentum description: the report carries
+    # the mixed-vs-velocity deviation alone
+    pre = preset_by_name("charged")
+    cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05)
+    eq = cross_check_equivalence(pre.system, lift_initial(pre), cfg)
+    assert eq.hamiltonian is None
+    assert eq.dev_hamiltonian is None and eq.dev_legendre is None
+    assert eq.max_deviation == eq.dev_lagrangian < 1e-10
+    assert len(eq.unified) == len(eq.lagrangian) == 6
+
+
 # -- export -------------------------------------------------------------
 
 

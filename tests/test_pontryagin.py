@@ -26,7 +26,14 @@ from cocontact.pontryagin import (
     project_onto,
     run_constraint_algorithm,
 )
-from cocontact.systems import SOURCE_CHARGE, charged_particle, duffing, variable_mass_drag
+from cocontact.systems import (
+    PRESET_NAMES,
+    SOURCE_CHARGE,
+    charged_particle,
+    duffing,
+    preset_by_name,
+    variable_mass_drag,
+)
 
 
 def lift_initial(pre):
@@ -248,6 +255,54 @@ def test_ladder_report_serializes():
     )
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_closed_ladder_field_is_the_assembled_field(name):
+    # run_constraint_algorithm and assemble_Z build Z in one place, so the
+    # field the ladder closes with is the field assemble_Z gives at the probe
+    pre = preset_by_name(name)
+    ladder, Z = run_constraint_algorithm(pre.system, lift_initial(pre))
+    again = assemble_Z(pre.system, ladder.probe, ladder)
+    for f in ("A", "B", "C", "D", "E", "undetermined", "constraint_values"):
+        assert np.array_equal(getattr(Z, f), getattr(again, f)), f
+
+
+def test_ladder_report_values_are_constraint_values():
+    pre = charged_particle()
+    ladder, _ = run_constraint_algorithm(pre.system, lift_initial(pre))
+    got = [e["value_at_probe"] for gen in ladder.report()["generations"] for e in gen]
+    want = constraint_values(pre.system, ladder.probe, ladder.active())
+    assert got == want.tolist()
+
+
+def test_workspace_expands_L_once_per_point(monkeypatch):
+    # every constraint of the charged ladder is served from one expansion
+    # of L: at the deepest generation for values, one order more for the
+    # order-1 residuals of the projection
+    pre = charged_particle()
+    L = pre.system
+    ladder, _ = run_constraint_algorithm(L, lift_initial(pre))
+    active = ladder.active()
+    deepest = max(c.generation for c in active)
+    unified_dim = 3 * L.n + 2
+    orders = []
+    taylor_on = LagrangianSystem.taylor_on
+
+    def counting(self, space, x, order):
+        if space.dim == unified_dim:
+            orders.append(order)
+        return taylor_on(self, space, x, order)
+
+    monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
+    rng = np.random.default_rng(9)
+    w = pre.sample_feasible(rng) + 1e-3 * rng.uniform(-1.0, 1.0, unified_dim)
+    constraint_values(L, w, active)
+    assert orders == [deepest]
+    orders.clear()
+    # at the probe the projection stops after its first residual evaluation
+    project_onto(L, ladder.probe, active)
+    assert orders == [1 + deepest]
+
+
 # -- degenerate but closing, and failure modes --------------------------
 
 def test_degenerate_lagrangian_keeps_free_direction():
@@ -262,16 +317,6 @@ def test_degenerate_lagrangian_keeps_free_direction():
     assert ladder.undetermined_dim == 1
     np.testing.assert_array_equal(Z.C, [0.0])  # minimum-norm pick
     assert abs(ladder.probe[3] - ladder.probe[4]) < 1e-15  # p = s
-
-
-def test_gauge_hook_moves_along_kernel_only():
-    L = LagrangianSystem(1, lambda t, q, v, s, par: v[0] * s, {}, label="vs")
-    ladder, _ = run_constraint_algorithm(L, np.array([0.3, 0.7, 1.2, 0.0, 0.4]))
-    w = ladder.probe
-    Z0 = assemble_Z(L, w, ladder)
-    Z1 = assemble_Z(L, w, ladder, gauge=lambda wv, K: np.array([2.5]))
-    np.testing.assert_allclose(Z1.C - Z0.C, 2.5 * Z0.undetermined[:, 0], atol=1e-14)
-    np.testing.assert_array_equal(Z0.D, Z1.D)
 
 
 def test_incompatible_system_detected():
