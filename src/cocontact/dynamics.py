@@ -36,7 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .mechanics import HamiltonianPoint, LagrangianSystem, herglotz_residual
+from .jets import Jet
+from .mechanics import HamiltonianPoint, LagrangianSystem, herglotz_defect, order2_of_jet
 from .pontryagin import (
     AlgorithmOptions,
     ConstraintLadder,
@@ -121,12 +122,13 @@ def legendre_invert(
     v0=None,
     tol: float = 1e-12,
     max_iter: int = 60,
-) -> np.ndarray:
+) -> tuple[np.ndarray, Jet]:
     """Solve dL/dv(t, q, v, s) = p for v by Newton iteration.
 
     y is a momentum-space point (t, q, p, s).  v0 seeds the iteration
     (zeros by default); for Lagrangians whose fibre derivative is affine in
-    v one step is exact.
+    v one step is exact.  Returns v and the order-2 jet of L at the
+    converged (t, q, v, s), the one the convergence test built.
     """
     n = L.n
     yvec = y.as_vector() if isinstance(y, HamiltonianPoint) else np.asarray(y, dtype=float)
@@ -140,7 +142,7 @@ def legendre_invert(
         jet = L.jet(lagrangian_part(w, n), 2)
         F = jet.grad[vs] - p
         if np.max(np.abs(F)) <= tol:
-            return w[vs].copy()
+            return w[vs].copy(), jet
         W = jet.hess[vs, vs]
         sigma = np.linalg.svd(W, compute_uv=False)
         if sigma[-1] <= 1e-12 * max(sigma[0], 1.0):
@@ -168,8 +170,9 @@ class UnifiedField:
 
     eval(state) -> (derivative, coefficient vector on the mixed space,
     lifted mixed-space state, constraint values at the lift in
-    ladder.active() order).  The constraint values come out of the
-    evaluation itself, never from a second pass over the ladder.  The last
+    ladder.active() order, L's order-2 data at the lift's velocity side as
+    mechanics.pack_order2 packs it).  The constraint values and the L data
+    come out of the evaluation itself, never from a second pass.  The last
     evaluation is kept, keyed by the state's bytes, and drift reads it
     too: the drift check at an accepted state and the eval that follows
     share one evaluation.  Callers must not modify the returned arrays in
@@ -194,7 +197,7 @@ class UnifiedField:
     def _evaluate(self, state: np.ndarray):
         Z = assemble_Z(self.L, state, self.ladder, self.opts)
         vec = Z.as_vector()
-        return vec, vec, state, Z.constraint_values
+        return vec, vec, state, Z.constraint_values, Z.L_data
 
     def _evaluation(self, state) -> tuple:
         state = np.asarray(state, dtype=float)
@@ -239,7 +242,7 @@ class LagrangianField(UnifiedField):
         Z = assemble_Z(self.L, w, self.ladder, self.opts)
         coeffs = Z.as_vector()
         # exact: assemble_Z sets A = 1.0 and B = v
-        return self.drop(coeffs), coeffs, w, Z.constraint_values
+        return self.drop(coeffs), coeffs, w, Z.constraint_values, Z.L_data
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval
@@ -250,26 +253,29 @@ class LagrangianField(UnifiedField):
 class HamiltonianField(UnifiedField):
     """Momentum-side description: states (t, q, p, s); the lift recovers
     the velocities by inverting the fibre derivative (regular Lagrangians
-    only), warm-started from the previous lift.  A regular ladder is the
-    momentum constraints p - dL/dv alone, so their values come from the
-    order-2 jet the evaluation builds anyway."""
+    only), warm-started from the previous lift.  The evaluation reads
+    everything from the order-2 jet the Newton lift converged with: a
+    regular ladder is the momentum constraints p - dL/dv alone, so their
+    values come from it too."""
 
     kind = "hamiltonian"
     _last_v: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def lift(self, y: np.ndarray) -> np.ndarray:
+    def _lift_with_jet(self, y: np.ndarray) -> tuple[np.ndarray, Jet]:
         n = self.L.n
-        v = legendre_invert(self.L, y, v0=self._last_v)
+        v, jet = legendre_invert(self.L, y, v0=self._last_v)
         self._last_v = v
-        return np.concatenate((y[: 1 + n], v, y[1 + n : 1 + 2 * n], y[-1:]))
+        return np.concatenate((y[: 1 + n], v, y[1 + n : 1 + 2 * n], y[-1:])), jet
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        return self._lift_with_jet(y)[0]
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return hamiltonian_part(w, self.L.n)
 
     def _evaluate(self, state):
         n = self.L.n
-        w = self.lift(state)
-        jet = self.L.jet(lagrangian_part(w, n), 2)
+        w, jet = self._lift_with_jet(state)
         v = w[1 + n : 1 + 2 * n]
         p = w[1 + 2 * n : 1 + 3 * n]
         qs, vs = slice(1, 1 + n), slice(1 + n, 1 + 2 * n)
@@ -283,7 +289,7 @@ class HamiltonianField(UnifiedField):
         except np.linalg.LinAlgError as exc:
             raise NonInvertibleLegendre("velocity Hessian is singular") from exc
         coeffs = np.concatenate(([1.0], v, C, D, [E]))
-        return self.drop(coeffs), coeffs, w, p - jet.grad[vs]
+        return self.drop(coeffs), coeffs, w, p - jet.grad[vs], order2_of_jet(jet)
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval
@@ -337,29 +343,34 @@ class Trajectory:
 # -- finite-difference weights (arbitrary nodes, exact order) -----------
 
 
-def _fd_weights(z: float, nodes: np.ndarray, m: int) -> np.ndarray:
-    """Weights of the m-th derivative at z from the given nodes (classic
-    recursive construction; returns shape (len(nodes), m + 1))."""
-    nnodes = len(nodes)
-    c = np.zeros((nnodes, m + 1))
+def _fd_weights(z, nodes, m: int) -> np.ndarray:
+    """Weights of the derivatives up to order m at z from the given nodes
+    (Fornberg's recursion), shape (len(nodes), m + 1).  z and nodes may
+    carry leading batch axes, z (...) and nodes (..., K): one stencil per
+    batch entry, shape (..., K, m + 1), each entry bit-identical to its
+    own unbatched call."""
+    z = np.asarray(z, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    nnodes = nodes.shape[-1]
+    c = np.zeros(np.broadcast_shapes(z.shape, nodes.shape[:-1]) + (nnodes, m + 1))
     c1 = 1.0
-    c4 = nodes[0] - z
-    c[0, 0] = 1.0
+    c4 = nodes[..., 0] - z
+    c[..., 0, 0] = 1.0
     for i in range(1, nnodes):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = nodes[i] - z
+        c4 = nodes[..., i] - z
         for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
+            c3 = nodes[..., i] - nodes[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[..., i, k] = c1 * (k * c[..., i - 1, k - 1] - c5 * c[..., i - 1, k]) / c2
+                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
+            c[..., j, 0] = c4 * c[..., j, 0] / c3
         c1 = c2
     return c
 
@@ -370,16 +381,18 @@ def residual_channels(
     lifted: np.ndarray,
     ladder: ConstraintLadder | None = None,
     xi: np.ndarray | None = None,
+    L_data: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """The four per-sample residual channels of a (lifted) trajectory.
 
     Works on raw arrays so that deliberately perturbed data can be fed
-    through the same instrumentation as real runs.  xi, shape (N, R),
-    holds the constraint values at each sample as the field's evaluation
-    returned them; integrate passes it so the constraint channel reuses
-    that evaluation.  Without it the values are recomputed at each lifted
-    sample: the whole ladder's, or the momentum constraints' alone when
-    no ladder is given.
+    through the same instrumentation as real runs.  integrate passes what
+    the field's evaluation returned at each sample: xi, shape (N, R), the
+    constraint values, and L_data, shape (N, ...), L's packed order-2 data
+    (mechanics.pack_order2).  Without xi the values are recomputed at each
+    lifted sample: the whole ladder's, or the momentum constraints' alone
+    when no ladder is given.  Without L_data it is built from one order-2
+    jet of L per sample.  Everything else is one batched pass.
     """
     times = np.asarray(times, dtype=float)
     lifted = np.asarray(lifted, dtype=float)
@@ -389,40 +402,28 @@ def residual_channels(
         raise ValueError("need at least two samples for residual channels")
     qs = slice(1, 1 + n)
     vs = slice(1 + n, 1 + 2 * n)
+    lag = np.concatenate((lifted[:, : 1 + 2 * n], lifted[:, -1:]), axis=1)
 
-    holonomy = np.empty(N)
-    sdot_ch = np.empty(N)
-    herglotz = np.empty(N)
+    # 5-node window per sample, shifted one-sided at the ends so every
+    # sample keeps a 4th-order stencil
+    width = min(N, 5)
+    windows = np.clip(np.arange(N) - 2, 0, N - width)[:, None] + np.arange(width)
+    wgt = _fd_weights(times, times[windows], 1)[..., 1]
+    # d/dt of (t, q, v, s) at each sample: (N, 1, width) @ (N, width, 2n+2)
+    rates = np.matmul(wgt[:, None, :], lag[windows])[:, 0]
 
-    for k in range(N):
-        # 5-node window, shifted one-sided at the ends so every sample
-        # keeps a 4th-order stencil
-        if N >= 5:
-            lo = min(max(0, k - 2), N - 5)
-            hi = lo + 5
-        else:
-            lo, hi = 0, N
-        wgt = _fd_weights(times[k], times[lo:hi], 1)[:, 1]
-        window = lifted[lo:hi]
-        qdot = wgt @ window[:, qs]
-        vdot = wgt @ window[:, vs]
-        sdot = float(wgt @ window[:, -1])
-        wk = lifted[k]
-        lag = lagrangian_part(wk, n)
-        holonomy[k] = float(np.max(np.abs(qdot - wk[vs])))
-        vec, sdot_defect = herglotz_residual(L, lag, vdot, sdot)
-        sdot_ch[k] = abs(sdot_defect)
-        herglotz[k] = float(np.max(np.abs(vec)))
+    if L_data is None:
+        L_data = np.array([order2_of_jet(L.jet(x, 2)) for x in lag])
+    vector, sdot_defect = herglotz_defect(lag, L_data, rates[:, vs], rates[:, -1])
     if xi is None:
         active = ladder.active() if ladder is not None else None
         xi = [constraint_values(L, wk, active) if active else primary_constraints(L, wk)
               for wk in lifted]
-    constraint = np.max(np.abs(np.asarray(xi, dtype=float)), axis=1)
     return {
-        "holonomy": holonomy,
-        "sdot": sdot_ch,
-        "herglotz": herglotz,
-        "constraint": constraint,
+        "holonomy": np.max(np.abs(rates[:, qs] - lag[:, vs]), axis=1),
+        "sdot": np.abs(sdot_defect),
+        "herglotz": np.max(np.abs(vector), axis=1),
+        "constraint": np.max(np.abs(np.asarray(xi, dtype=float)), axis=1),
     }
 
 
@@ -468,8 +469,9 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
     after every accepted step; otherwise drift is monitored and exceeding
     10x the feasibility tolerance raises LadderLost.  A non-finite
     accepted state raises StepFailure; numpy's floating-point warnings
-    from the steps that led there are silenced.  The constraint channel
-    reads the values each accepted state's evaluation returned.
+    from the steps that led there are silenced.  The residual pass reads
+    the constraint values and L's order-2 data each accepted state's
+    evaluation returned, so it expands nothing.
     """
     y = field.prepare(x0)
     t0 = float(y[0])
@@ -479,7 +481,7 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
     drift_cap = 10.0 * field.opts.tol
     times = [t0]
     states = [y.copy()]
-    samples = []  # (coeffs, lifted, constraint values) at each accepted state
+    samples = []  # (coeffs, lifted, constraint values, L data) at each accepted state
 
     def accept(ynew, t_exact):
         ynew[0] = t_exact
@@ -543,8 +545,8 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
 
     times_arr = np.array(times)
     states_arr = np.vstack(states)
-    coeffs_arr, lifted_arr, xi_arr = (np.vstack(col) for col in zip(*samples))
-    residuals = residual_channels(field.L, times_arr, lifted_arr, field.ladder, xi_arr)
+    coeffs_arr, lifted_arr, xi_arr, L_data = (np.vstack(col) for col in zip(*samples))
+    residuals = residual_channels(field.L, times_arr, lifted_arr, field.ladder, xi_arr, L_data)
     return Trajectory(
         field.kind, field.L.n, times_arr, states_arr, lifted_arr, coeffs_arr, residuals
     )

@@ -225,41 +225,69 @@ def regularity(L: LagrangianSystem, x, tol: float = DEFAULT_RANK_TOL) -> Regular
     count as zero.
     """
     vec = _as_lvec(L, x)
-    jet = L.jet(vec, 2)
-    n = L.n
-    sl = slice(1 + n, 1 + 2 * n)
-    W = np.array(jet.hess[sl, sl])
-    U, sigma, Vt = np.linalg.svd(W)
+    sl = slice(1 + L.n, 1 + 2 * L.n)
+    return classify_velocity_hessian(L.jet(vec, 2).hess[sl, sl], tol)
+
+
+def classify_velocity_hessian(W: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RegularityReport:
+    """The regularity report of a velocity Hessian W already in hand."""
+    U, sigma, Vt = np.linalg.svd(np.array(W))
     smax = sigma[0] if len(sigma) else 0.0
     rank = int(np.sum(sigma > tol * smax)) if smax > 0 else 0
     nullspace = Vt[rank:].T.copy()
-    verdict = "Regular" if rank == n else "Singular"
+    verdict = "Regular" if rank == len(W) else "Singular"
     return RegularityReport(verdict, rank, nullspace, tol, sigma)
 
 
-def herglotz_residual(L: LagrangianSystem, x, accel, sdot: float) -> tuple[np.ndarray, float]:
-    """Defect of a candidate motion against the damped Euler-Lagrange
-    equations.
+def pack_order2(value: float, grad: np.ndarray, hess_xv: np.ndarray) -> np.ndarray:
+    """L's order-2 data at a velocity-side point x = (t, q, v, s), packed
+    flat as [L, dL/dx (2n+2), d2L/dx dv ((2n+2) x n, row-major)]: all the
+    Herglotz defect reads."""
+    return np.concatenate(([value], grad, np.ravel(hess_xv)))
 
-    Given a state x, an acceleration vector and a rate sdot for the action
-    coordinate, returns the n-vector
+
+def order2_of_jet(jet: Jet) -> np.ndarray:
+    """pack_order2 of an order-2 jet on the velocity-side space."""
+    n = (len(jet.grad) - 2) // 2
+    return pack_order2(jet.value, jet.grad, jet.hess[:, 1 + n : 1 + 2 * n])
+
+
+def herglotz_defect(x, order2, accel, sdot) -> tuple[np.ndarray, np.ndarray]:
+    """The Herglotz defect, batched over any leading axes.
+
+    x (..., 2n+2) are velocity-side points, order2 L's packed data there
+    (pack_order2), accel (..., n) and sdot (...) the candidate rates.
+    Returns the (..., n) vector
 
         d/dt(dL/dv_i) - dL/dq_i - (dL/ds)(dL/dv_i)
 
     with the total time derivative expanded along (1, v, accel, sdot), and
-    the scalar sdot - L.  Both vanish along true motions.
+    the (...) scalar sdot - L.  Both vanish along true motions.
     """
-    vec = _as_lvec(L, x)
-    n = L.n
-    accel = _vectorize("accel", accel, n)
-    jet = L.jet(vec, 2)
+    x = np.asarray(x, dtype=float)
+    order2 = np.asarray(order2, dtype=float)
+    m = x.shape[-1]
+    n = (m - 2) // 2
     qs = slice(1, 1 + n)
     vs = slice(1 + n, 1 + 2 * n)
-    v = vec[vs]
-    dt_dv = jet.hess[0, vs]
-    dq_dv = jet.hess[qs, vs]
-    dv_dv = jet.hess[vs, vs]
-    ds_dv = jet.hess[-1, vs]
-    total = dt_dv + v @ dq_dv + accel @ dv_dv + sdot * ds_dv
-    vector = total - jet.grad[qs] - jet.grad[-1] * jet.grad[vs]
-    return vector, float(sdot - jet.value)
+    grad = order2[..., 1 : 1 + m]
+    H = order2[..., 1 + m :].reshape(order2.shape[:-1] + (m, n))  # d2L/dx dv
+    sdot = np.asarray(sdot, dtype=float)
+    # row-vector products: (..., 1, n) @ (..., n, n)
+    total = (
+        H[..., 0, :]
+        + (x[..., None, vs] @ H[..., qs, :])[..., 0, :]
+        + (np.asarray(accel, dtype=float)[..., None, :] @ H[..., vs, :])[..., 0, :]
+        + sdot[..., None] * H[..., -1, :]
+    )
+    vector = total - grad[..., qs] - grad[..., -1:] * grad[..., vs]
+    return vector, sdot - order2[..., 0]
+
+
+def herglotz_residual(L: LagrangianSystem, x, accel, sdot: float) -> tuple[np.ndarray, float]:
+    """Defect of a candidate motion against the damped Euler-Lagrange
+    equations at one state: herglotz_defect from one order-2 jet of L."""
+    vec = _as_lvec(L, x)
+    accel = _vectorize("accel", accel, L.n)
+    vector, scalar = herglotz_defect(vec, order2_of_jet(L.jet(vec, 2)), accel, sdot)
+    return vector, float(scalar)

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .jets import ORDER_CAP, CoordinateSpace, Jet, Taylor, jet_from_taylor
-from .mechanics import LagrangianSystem, regularity
+from .mechanics import LagrangianSystem, classify_velocity_hessian, pack_order2
 
 __all__ = [
     "PontryaginPoint",
@@ -138,8 +138,9 @@ class ZCoefficients:
     the tangency conditions leave free; C itself carries the minimum-norm
     choice, i.e. zero component along those directions.  constraint_values
     holds the value of every ladder constraint at the point, in
-    ladder.active() order: the assembly expands each one anyway, so
-    callers need not evaluate them again.
+    ladder.active() order, and L_data L's order-2 data at the point's
+    velocity side (t, q, v, s), packed by mechanics.pack_order2: the
+    assembly expands both anyway, so callers need not expand them again.
     """
 
     A: float
@@ -149,6 +150,7 @@ class ZCoefficients:
     E: float
     undetermined: np.ndarray  # shape (n, k), k >= 0
     constraint_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    L_data: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(([self.A], self.B, self.C, self.D, [self.E]))
@@ -575,7 +577,12 @@ def _tangency(
             f"tangency system condition {smax / sigma[rank - 1]:.2e} beyond cap"
         )
     C, *_ = np.linalg.lstsq(M, -g, rcond=opts.rank_tol)
-    Z = ZCoefficients(1.0, w[1 + n : 1 + 2 * n].copy(), C, D, E, Vt[rank:].T.copy(), values)
+    # L's order-2 data on the velocity side: lookups in the expansion the
+    # momentum constraints already consumed
+    lag = [*range(1 + 2 * n), dim - 1]
+    L_data = pack_order2(E, L_grad[lag], ws.L_taylor(2).hessian_block(lag, range(1 + n, 1 + 2 * n)))
+    Z = ZCoefficients(1.0, w[1 + n : 1 + 2 * n].copy(), C, D, E, Vt[rank:].T.copy(), values,
+                      L_data)
     return Z, rank, new_constraints, incompatible
 
 
@@ -596,10 +603,11 @@ def _pick_columns(A: np.ndarray) -> list[int]:
     return cols
 
 
-def _kernel_q_indices(L: LagrangianSystem, wvec: np.ndarray) -> list[int]:
-    """Configuration coordinates paired with the kernel of d2L/dv dv;
-    these act as multipliers and may be adjusted during projection."""
-    rep = regularity(L, lagrangian_part(wvec, L.n))
+def _kernel_q_indices(W: np.ndarray) -> list[int]:
+    """Configuration coordinates paired with the kernel of the velocity
+    Hessian W = d2L/dv dv; these act as multipliers and may be adjusted
+    during projection."""
+    rep = classify_velocity_hessian(W)
     out = []
     for k in range(rep.nullspace.shape[1]):
         u = np.abs(rep.nullspace[:, k])
@@ -628,15 +636,17 @@ def project_onto(
     wvec = _as_wvec(n, w).copy()
 
     # momenta first: the primary constraints are solved exactly by the
-    # fibre derivative
-    Lj = L.jet(lagrangian_part(wvec, n), 1)
-    wvec[1 + 2 * n : 1 + 3 * n] = Lj.grad[1 + n : 1 + 2 * n]
+    # fibre derivative; the same jet's velocity Hessian names the
+    # multiplier-like coordinates
+    Lj = L.jet(lagrangian_part(wvec, n), 2)
+    vs = slice(1 + n, 1 + 2 * n)
+    wvec[1 + 2 * n : 1 + 3 * n] = Lj.grad[vs]
 
     constraints = list(constraints)
     if not constraints:
         return wvec
     dirs = sorted(
-        set(range(1 + n, 1 + 3 * n)) | {1 + j for j in _kernel_q_indices(L, wvec)}
+        set(range(1 + n, 1 + 3 * n)) | {1 + j for j in _kernel_q_indices(Lj.hess[vs, vs])}
     )
 
     def residuals(vec):

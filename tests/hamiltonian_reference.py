@@ -97,7 +97,7 @@ class _EnvelopeHamiltonian:
         self._last_v: np.ndarray | None = None
 
     def _lift(self, yvec: np.ndarray) -> np.ndarray:
-        v = legendre_invert(self.L, yvec, v0=self._last_v)
+        v, _ = legendre_invert(self.L, yvec, v0=self._last_v)
         self._last_v = v
         n = self.n
         return np.concatenate((yvec[: 1 + n], v, yvec[-1:]))

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import cocontact.dynamics
 from cocontact.mechanics import LagrangianSystem
 from cocontact.pontryagin import (
     AlgorithmOptions,
@@ -27,6 +28,7 @@ from cocontact.dynamics import (
     NonInvertibleLegendre,
     StepFailure,
     Trajectory,
+    _fd_weights,
     cross_check_equivalence,
     hamiltonian_field,
     integrate,
@@ -148,7 +150,7 @@ def test_momentum_field_matches_generic_evolution_equations():
             rng.uniform(-1, 1), rng.uniform(-1.5, 1.5),
             rng.uniform(-2, 2), rng.uniform(-1, 1),
         ])
-        deriv, coeffs, lifted, xi = fld.eval(y)
+        deriv, coeffs, lifted, xi, L_data = fld.eval(y)
         ref = cocontact_hamiltonian_field(H, y)
         worst = max(worst, float(np.max(np.abs(deriv - ref))))
     assert worst < 1e-10
@@ -160,7 +162,7 @@ def test_envelope_hamiltonian_value_and_gradient():
     L = pre.system
     H = hamiltonian_from_lagrangian(L)
     y = np.array([0.4, 1.1, 0.9, 0.2])
-    v = legendre_invert(L, y)
+    v, _ = legendre_invert(L, y)
     lag = np.array([y[0], y[1], v[0], y[3]])
     assert abs(H.value(y) - (y[2] * v[0] - L.value(lag))) < 1e-12
     jet = H.jet(y, 1)
@@ -181,7 +183,7 @@ def test_legendre_invert_recovers_velocities():
         x = np.array([rng.uniform(0, 2), rng.uniform(-2, 2), rng.uniform(-3, 3), rng.uniform(-1, 1)])
         p = L.jet(x, 1).grad[2:3]
         y = np.array([x[0], x[1], p[0], x[3]])
-        v = legendre_invert(L, y)
+        v, _ = legendre_invert(L, y)
         assert abs(v[0] - x[2]) < 1e-10
 
 
@@ -306,7 +308,7 @@ def test_drift_and_eval_share_one_evaluation(name, make, monkeypatch):
         orders.clear()
         getattr(fld, second)(y)
         assert orders == [], f"{second} after {first} expanded L at orders {orders}"
-    deriv, coeffs, lifted, xi = fld.eval(y)
+    deriv, coeffs, lifted, xi, L_data = fld.eval(y)
     monkeypatch.undo()
     want = constraint_values(L, lifted, ladder.active())
     np.testing.assert_allclose(xi, want, rtol=0, atol=1e-14)
@@ -325,6 +327,136 @@ def test_constraint_channel_reads_the_field_evaluations(name, make):
     traj = integrate(fld, fld.drop(ladder.probe), cfg)
     want = residual_channels(L, traj.times, traj.lifted, ladder)["constraint"]
     np.testing.assert_allclose(traj.residuals["constraint"], want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("name, make", DESCRIPTIONS)
+def test_integrated_channels_match_recomputation(name, make, method):
+    # the channels integrate computes from its evaluations' L data equal
+    # the ones recomputed from the raw arrays, one order-2 jet per sample
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder = closed_ladder(L, lift_initial(pre))
+    fld = make(L, ladder, OPTS)
+    cfg = IntegratorConfig(method=method, step=1e-2, t_end=0.065, abs_tol=1e-12, rel_tol=1e-12)
+    traj = integrate(fld, fld.drop(ladder.probe), cfg)
+    assert len(traj) >= 5
+    want = residual_channels(L, traj.times, traj.lifted, ladder)
+    for channel in ("holonomy", "sdot", "herglotz"):
+        np.testing.assert_allclose(traj.residuals[channel], want[channel], rtol=0, atol=1e-10,
+                                   err_msg=channel)
+
+
+def _counting_taylor_on(monkeypatch, orders, active=lambda: True):
+    expand = LagrangianSystem.taylor_on
+
+    def counting(self, space, x, order):
+        if active():
+            orders.append(order)
+        return expand(self, space, x, order)
+
+    monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
+
+
+@pytest.mark.parametrize("name, make", DESCRIPTIONS)
+def test_residual_pass_in_integrate_expands_nothing(name, make, monkeypatch):
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder = closed_ladder(L, lift_initial(pre))
+    inside = []
+    orders = []
+    channels = cocontact.dynamics.residual_channels
+
+    def watched(*args, **kwargs):
+        inside.append(True)
+        try:
+            return channels(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cocontact.dynamics, "residual_channels", watched)
+    _counting_taylor_on(monkeypatch, orders, active=lambda: bool(inside))
+    fld = make(L, ladder, OPTS)
+    traj = integrate(fld, fld.drop(ladder.probe), IntegratorConfig(step=1e-2, t_end=0.05))
+    assert len(traj) == 6
+    assert orders == []
+
+
+def test_momentum_eval_expands_once_per_newton_iterate(monkeypatch):
+    # the evaluation reads the jet the Newton lift converged with and
+    # expands L no further time
+    quartic = LagrangianSystem(
+        1, lambda t, q, v, s, P: v[0] ** 4 / 12.0 + 0.5 * v[0] * v[0] - 0.5 * q[0] * q[0]
+    )
+    drag = preset_by_name("drag")
+    y = np.array([0.2, 0.3, 1.7, 0.1])
+    # p = v^3/3 + v is not affine in v: count Newton's iterates from v = 0;
+    # the last expansion tests convergence.  p = m(t) v is affine: one
+    # step, then the test
+    v, quartic_iterates = 0.0, 1
+    while abs(v ** 3 / 3 + v - y[2]) > 1e-12:
+        v -= (v ** 3 / 3 + v - y[2]) / (v * v + 1)
+        quartic_iterates += 1
+    assert quartic_iterates > 3
+    cases = [
+        (quartic, np.array([0.0, 0.3, 0.5, 0.0, 0.0]), quartic_iterates),
+        (drag.system, lift_initial(drag), 2),
+    ]
+    for L, w0, iterates in cases:
+        fld = hamiltonian_field(L, closed_ladder(L, w0), OPTS)
+        orders = []
+        _counting_taylor_on(monkeypatch, orders)
+        fld.eval(y)
+        monkeypatch.undo()
+        assert orders == [2] * iterates
+
+
+def _fornberg_reference(z, nodes, m):
+    """The classic scalar recursion on Python floats (Fornberg 1988)."""
+    nnodes = len(nodes)
+    c = [[0.0] * (m + 1) for _ in range(nnodes)]
+    c1 = 1.0
+    c4 = nodes[0] - z
+    c[0][0] = 1.0
+    for i in range(1, nnodes):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = nodes[i] - z
+        for j in range(i):
+            c3 = nodes[i] - nodes[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2
+                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
+            for k in range(mn, 0, -1):
+                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
+            c[j][0] = c4 * c[j][0] / c3
+        c1 = c2
+    return np.array(c)
+
+
+def test_batched_fd_weights_match_scalar_recursion():
+    pre = preset_by_name("duffing")
+    L = pre.system
+    ladder = closed_ladder(L, lift_initial(pre))
+    adaptive = integrate(unified_field(L, ladder, OPTS), ladder.probe,
+                         IntegratorConfig(method="rk45", step=1e-2, t_end=0.5))
+    assert np.ptp(np.diff(adaptive.times)) > 0  # a non-uniform grid
+    rng = np.random.default_rng(11)
+    grids = [adaptive.times] + [np.cumsum(rng.uniform(0.1, 1.0, N)) for N in (2, 3, 4)]
+    for times in grids:
+        N = len(times)
+        width = min(N, 5)
+        windows = np.clip(np.arange(N) - 2, 0, N - width)[:, None] + np.arange(width)
+        for m in (1, 2):
+            got = _fd_weights(times, times[windows], m)
+            assert got.shape == (N, width, m + 1)
+            for k in range(N):
+                want = _fornberg_reference(times[k], times[windows[k]].tolist(), m)
+                assert np.array_equal(got[k], want), (N, m, k)
+                assert np.array_equal(_fd_weights(times[k], times[windows[k]], m), want)
 
 
 # -- residual channels --------------------------------------------------

@@ -11,9 +11,11 @@ from cocontact.mechanics import (
     HamiltonianPoint,
     LagrangianPoint,
     LagrangianSystem,
+    herglotz_defect,
     herglotz_residual,
     lagrangian_energy,
     legendre_map,
+    order2_of_jet,
     regularity,
 )
 from hamiltonian_reference import HamiltonianSystem, cocontact_hamiltonian_field
@@ -181,6 +183,22 @@ def test_herglotz_residual_time_dependent_mass():
     vec, _ = herglotz_residual(L, LagrangianPoint(t, [x], [v], s), [a], sdot=0.0)
     expect = (2.0 + math.sin(t)) * a + math.cos(t) * v
     assert abs(vec[0] - expect) <= 1e-13
+
+
+def test_batched_herglotz_defect_is_the_pointwise_residual():
+    # the batched formula over N points equals herglotz_residual at each
+    L = _duffing()
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.5, 1.5, size=(7, 4))
+    accel = rng.uniform(-2.0, 2.0, size=(7, 1))
+    sdot = rng.uniform(-2.0, 2.0, size=7)
+    order2 = np.array([order2_of_jet(L.jet(xk, 2)) for xk in x])
+    vector, scalar = herglotz_defect(x, order2, accel, sdot)
+    assert vector.shape == (7, 1) and scalar.shape == (7,)
+    for k in range(7):
+        vec, scal = herglotz_residual(L, x[k], accel[k], sdot[k])
+        np.testing.assert_allclose(vector[k], vec, rtol=0, atol=1e-14)
+        assert abs(scalar[k] - scal) <= 1e-14
 
 
 def _duffing_hamiltonian():

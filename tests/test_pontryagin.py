@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cocontact.jets import ORDER_CAP
-from cocontact.mechanics import LagrangianSystem
+from cocontact.mechanics import LagrangianSystem, order2_of_jet
 from cocontact.pontryagin import (
     AlgorithmOptions,
     InfeasiblePoint,
@@ -301,6 +301,44 @@ def test_workspace_expands_L_once_per_point(monkeypatch):
     # at the probe the projection stops after its first residual evaluation
     project_onto(L, ladder.probe, active)
     assert orders == [1 + deepest]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_projection_expands_L_on_the_velocity_side_once(name, monkeypatch):
+    # the momenta and the multiplier-like directions both come from one
+    # order-2 jet of L at (t, q, v, s)
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder, _ = run_constraint_algorithm(L, lift_initial(pre))
+    orders = []
+    taylor_on = LagrangianSystem.taylor_on
+
+    def counting(self, space, x, order):
+        if space.dim == 2 * L.n + 2:
+            orders.append(order)
+        return taylor_on(self, space, x, order)
+
+    monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
+    project_onto(L, ladder.probe, ladder.active())
+    assert orders == [2]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_assembled_field_carries_L_order2_data(name):
+    # Z.L_data is L's order-2 data at the velocity side, read off the
+    # workspace's expansion: it equals a fresh jet of L there
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder, _ = run_constraint_algorithm(L, lift_initial(pre))
+    rng = np.random.default_rng(5)
+    dim = 3 * L.n + 2
+    for k in range(6):
+        w = ladder.probe + (0.0 if k == 0 else 1e-2) * rng.uniform(-1.0, 1.0, dim)
+        lag = np.concatenate((w[: 1 + 2 * L.n], w[-1:]))
+        want = order2_of_jet(L.jet(lag, 2))
+        got = assemble_Z(L, w, ladder).L_data
+        assert got.shape == want.shape == (1 + (2 * L.n + 2) * (1 + L.n),)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 # -- degenerate but closing, and failure modes --------------------------
