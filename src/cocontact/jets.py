@@ -16,6 +16,11 @@ to a Taylor coefficient.  Exponents are packed in base 10 (one decimal digit
 per variable), so multiplying monomials is integer addition of keys; the
 total-degree filter applied before every product guarantees digits never
 carry.  A global cache stores the total degree of every key ever formed.
+
+Elementary functions of a polynomial u are built one homogeneous degree at
+a time from the classical Taylor-coefficient recurrences (Griewank and
+Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13), so each costs
+about one truncated product, whatever the order.
 """
 
 from __future__ import annotations
@@ -48,8 +53,7 @@ ORDER_CAP = _BASE - 1
 
 # Total degree of every packed key ever created.  Shared across dimensions
 # (the packing does not depend on how many variables exist, only on which
-# digits are nonzero).  CPython dict writes are atomic, so concurrent reuse
-# from several threads is safe.
+# digits are nonzero).
 _DEG: dict[int, int] = {0: 0}
 
 _STRIDES: list[int] = [1]
@@ -63,7 +67,8 @@ def _strides(dim: int) -> list[int]:
 
 class JetDomainError(ArithmeticError):
     """An elementary function left its domain during evaluation
-    (ln or sqrt of a nonpositive value, division by zero)."""
+    (ln or sqrt of a nonpositive value, a real power of a nonpositive
+    base, division by zero)."""
 
 
 class DimensionMismatch(ValueError):
@@ -201,15 +206,13 @@ class Taylor:
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
-            return self._reciprocal() * other
+            return self._reciprocal(float(other))
         return NotImplemented
 
     def __pow__(self, e):
         if isinstance(e, float) and e.is_integer():
             e = int(e)
-        if isinstance(e, int):
-            if e < 0:
-                return (self ** (-e))._reciprocal()
+        if isinstance(e, int) and e >= 0:
             result = Taylor.constant(self.order, 1.0)
             b = self
             k = e
@@ -220,34 +223,22 @@ class Taylor:
                 if k:
                     b = b * b
             return result
-        return exp(ln(self) * float(e))
+        u0 = self.value
+        if isinstance(e, int):
+            if u0 == 0.0:
+                raise JetDomainError("division by zero")
+            return _power(self, float(e), u0**e)
+        e = float(e)
+        if u0 <= 0.0:
+            raise JetDomainError(f"real power of nonpositive base {u0}")
+        return _power(self, e, math.exp(e * math.log(u0)))
 
-    # -- composition with univariate series ---------------------------
-
-    def _nilpotent(self) -> "Taylor":
-        t = dict(self.terms)
-        t.pop(0, None)
-        return Taylor(self.order, t)
-
-    def compose_series(self, coeffs: Sequence[float]) -> "Taylor":
-        """Horner evaluation of sum_k coeffs[k] * (self - value)^k."""
-        u = self._nilpotent()
-        acc = Taylor.constant(self.order, coeffs[-1])
-        for c in reversed(coeffs[:-1]):
-            acc = acc * u
-            if c != 0.0:
-                acc = acc + c
-        return acc
-
-    def _reciprocal(self) -> "Taylor":
+    def _reciprocal(self, scale: float = 1.0) -> "Taylor":
+        """scale / self."""
         u0 = self.value
         if u0 == 0.0:
             raise JetDomainError("division by zero")
-        inv = 1.0 / u0
-        coeffs = [inv]
-        for _ in range(self.order):
-            coeffs.append(-coeffs[-1] * inv)
-        return self.compose_series(coeffs)
+        return _power(self, -1.0, scale / u0)
 
     # -- calculus ------------------------------------------------------
 
@@ -301,34 +292,121 @@ class Taylor:
         return out
 
 
-# -- elementary functions (float / Taylor dispatch) ---------------------
+# -- Taylor-coefficient recurrences -------------------------------------
+#
+# Write u = sum_j u_j and w = f(u) = sum_k w_k by homogeneous degree.  From
+# u * w' = a * u' * w (w = u**a), w' = u' * w (exp), u * w' = u' (ln) and
+# the sin/cos pair, degree k of the result is a weighted sum of the products
+# u_j * w_{k-j}, j = 1..k, all of exact degree k, so no truncation test is
+# needed and each w_k is final once formed.
 
 
-def _series(x: Taylor, derivs: Callable[[int, float], float]) -> Taylor:
+def _by_degree(x: Taylor) -> list[list[tuple[int, float]]]:
+    """The (key, coefficient) pairs of x, listed by total degree."""
+    out: list[list[tuple[int, float]]] = [[] for _ in range(x.order + 1)]
+    deg = _DEG
+    for k, c in x.terms.items():
+        out[deg[k]].append((k, c))
+    return out
+
+
+def _convolve(u, w, k: int, weight: Callable[[int, int], float]) -> dict[int, float]:
+    """Degree k of sum_{j=1..k} weight(k, j) * u_j * w_{k-j}."""
+    out: dict[int, float] = {}
+    get = out.get
+    deg = _DEG
+    for j in range(1, k + 1):
+        ua, wb = u[j], w[k - j]
+        if not ua or not wb:
+            continue
+        f = weight(k, j)
+        if not f:
+            continue
+        for ka, ca in ua:
+            ca *= f
+            for kb, cb in wb:
+                key = ka + kb
+                prev = get(key)
+                if prev is None:
+                    out[key] = ca * cb
+                    if key not in deg:
+                        deg[key] = k
+                else:
+                    out[key] = prev + ca * cb
+    return out
+
+
+def _recurrence(
+    x: Taylor, w0: float, weight: Callable[[int, int], float], lin: float = 0.0
+) -> Taylor:
+    """The polynomial w with w_0 = w0 and, for k >= 1,
+    w_k = lin * u_k + sum_{j=1..k} weight(k, j) * u_j * w_{k-j}."""
+    u = _by_degree(x)
+    terms = {0: w0} if w0 != 0.0 else {}
+    w = [list(terms.items())]
+    for k in range(1, x.order + 1):
+        wk = _convolve(u, w, k, weight)
+        if lin:
+            for key, c in u[k]:
+                wk[key] = wk.get(key, 0.0) + lin * c
+        terms.update(wk)
+        w.append(list(wk.items()))
+    return Taylor(x.order, terms)
+
+
+def _power(x: Taylor, a: float, w0: float) -> Taylor:
+    """w0 * (x / x.value)**a: k u0 w_k = sum_j (a j - (k - j)) u_j w_{k-j}."""
     u0 = x.value
-    coeffs = [derivs(k, u0) / math.factorial(k) for k in range(x.order + 1)]
-    return x.compose_series(coeffs)
+    return _recurrence(x, w0, lambda k, j: (a * j - (k - j)) / (k * u0))
+
+
+def _j_over_k(k: int, j: int) -> float:
+    return j / k
+
+
+def _minus_j_over_k(k: int, j: int) -> float:
+    return -j / k
+
+
+def _sincos(x: Taylor, want_sin: bool) -> Taylor:
+    """sin x or cos x: k s_k = sum_j j u_j c_{k-j}, k c_k = -sum_j j u_j s_{k-j}.
+    The top degree of the unwanted partner is never needed."""
+    u = _by_degree(x)
+    n = x.order
+    s0, c0 = math.sin(x.value), math.cos(x.value)
+    s_terms = {0: s0} if s0 != 0.0 else {}
+    c_terms = {0: c0} if c0 != 0.0 else {}
+    s, c = [list(s_terms.items())], [list(c_terms.items())]
+    for k in range(1, n + 1):
+        if want_sin or k < n:
+            sk = _convolve(u, c, k, _j_over_k)
+            s_terms.update(sk)
+            s.append(list(sk.items()))
+        if not want_sin or k < n:
+            ck = _convolve(u, s, k, _minus_j_over_k)
+            c_terms.update(ck)
+            c.append(list(ck.items()))
+    return Taylor(n, s_terms if want_sin else c_terms)
+
+
+# -- elementary functions (float / Taylor dispatch) ---------------------
 
 
 def sin(x):
     if isinstance(x, Taylor):
-        cyc = (math.sin, math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v))
-        return _series(x, lambda k, v: cyc[k % 4](v))
+        return _sincos(x, True)
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Taylor):
-        cyc = (math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v), math.sin)
-        return _series(x, lambda k, v: cyc[k % 4](v))
+        return _sincos(x, False)
     return math.cos(x)
 
 
 def exp(x):
     if isinstance(x, Taylor):
-        e0 = math.exp(x.value)
-        coeffs = [e0 / math.factorial(k) for k in range(x.order + 1)]
-        return x.compose_series(coeffs)
+        return _recurrence(x, math.exp(x.value), _j_over_k)
     return math.exp(x)
 
 
@@ -337,10 +415,8 @@ def ln(x):
         u0 = x.value
         if u0 <= 0.0:
             raise JetDomainError(f"ln of nonpositive value {u0}")
-        coeffs = [math.log(u0)]
-        for k in range(1, x.order + 1):
-            coeffs.append((-1.0) ** (k + 1) / (k * u0**k))
-        return x.compose_series(coeffs)
+        # k u0 w_k = k u_k - sum_{j<k} (k - j) u_j w_{k-j}
+        return _recurrence(x, math.log(u0), lambda k, j: -(k - j) / (k * u0), 1.0 / u0)
     if x <= 0.0:
         raise JetDomainError(f"ln of nonpositive value {x}")
     return math.log(x)
@@ -351,12 +427,7 @@ def sqrt(x):
         u0 = x.value
         if u0 <= 0.0:
             raise JetDomainError(f"sqrt of nonpositive value {u0}")
-        c = math.sqrt(u0)
-        coeffs = [c]
-        for k in range(1, x.order + 1):
-            c = c * (0.5 - (k - 1)) / (k * u0)
-            coeffs.append(c)
-        return x.compose_series(coeffs)
+        return _power(x, 0.5, math.sqrt(u0))
     if x < 0.0:
         raise JetDomainError(f"sqrt of negative value {x}")
     return math.sqrt(x)

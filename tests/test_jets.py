@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from cocontact.dsl import evaluate, parse
 from cocontact.jets import (
+    ORDER_CAP,
     CoordinateSpace,
     DimensionMismatch,
     Jet,
@@ -21,6 +23,7 @@ from cocontact.jets import (
     sin,
     sqrt,
 )
+from cocontact.systems import SOURCE_CHARGE, _default_phi, charged_particle
 
 
 def test_square_at_three():
@@ -170,6 +173,21 @@ def test_domain_errors():
         eval_jet(lambda X: powf(X[0], 0.5), [-2.0], 1)
 
 
+@pytest.mark.parametrize("base", [0.0, -1.0])
+def test_real_power_of_nonpositive_base_names_the_power(base):
+    message = "real power of nonpositive base"
+    x = Taylor.variable(2, 0, base)
+    for call in (lambda: x**2.5, lambda: powf(x, 2.5), lambda: powf(base, 2.5)):
+        with pytest.raises(JetDomainError, match=message):
+            call()
+    # the expression language reaches the same two paths
+    e = parse("q1^2.5", 1)
+    point = [0.0, base, 0.0, 0.0]
+    for order in (0, 1):
+        with pytest.raises(JetDomainError, match=message):
+            evaluate(e, point, order=order)
+
+
 def test_eval_jet_validation():
     with pytest.raises(ValueError):
         eval_jet(lambda X: X[0], [1.0], 4)
@@ -279,3 +297,147 @@ def test_coordinate_space_layouts():
         assert lag.names[2 * n] == f"v{n}"
         assert uni.names[1 + 2 * n] == "p1"
         assert uni.names[1 + n] == "v1"
+
+
+# -- one pass per elementary function -------------------------------------
+#
+# Reference: Horner composition, w = sum_k coeffs[k] * (x - x.value)**k with
+# the function's Taylor coefficients at x.value, a construction independent
+# of the coefficient recurrences, in plain Python.
+
+
+def _horner(x, coeffs):
+    u = Taylor(x.order, {k: c for k, c in x.terms.items() if k != 0})
+    acc = Taylor.constant(x.order, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * u
+        if c != 0.0:
+            acc = acc + c
+    return acc
+
+
+def _horner_derivs(x, derivs):
+    return _horner(x, [derivs(k, x.value) / math.factorial(k) for k in range(x.order + 1)])
+
+
+def _horner_sin(x):
+    cyc = (math.sin, math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v))
+    return _horner_derivs(x, lambda k, v: cyc[k % 4](v))
+
+
+def _horner_cos(x):
+    cyc = (math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v), math.sin)
+    return _horner_derivs(x, lambda k, v: cyc[k % 4](v))
+
+
+def _horner_exp(x):
+    e0 = math.exp(x.value)
+    return _horner(x, [e0 / math.factorial(k) for k in range(x.order + 1)])
+
+
+def _horner_ln(x):
+    u0 = x.value
+    coeffs = [math.log(u0)]
+    for k in range(1, x.order + 1):
+        coeffs.append((-1.0) ** (k + 1) / (k * u0**k))
+    return _horner(x, coeffs)
+
+
+def _horner_sqrt(x):
+    u0 = x.value
+    c = math.sqrt(u0)
+    coeffs = [c]
+    for k in range(1, x.order + 1):
+        c = c * (0.5 - (k - 1)) / (k * u0)
+        coeffs.append(c)
+    return _horner(x, coeffs)
+
+
+def _horner_reciprocal(x):
+    inv = 1.0 / x.value
+    coeffs = [inv]
+    for _ in range(x.order):
+        coeffs.append(-coeffs[-1] * inv)
+    return _horner(x, coeffs)
+
+
+def _horner_power(x, a):
+    return _horner_exp(_horner_ln(x) * a)
+
+
+_AGAINST_HORNER = {
+    "sin": (sin, _horner_sin),
+    "cos": (cos, _horner_cos),
+    "exp": (exp, _horner_exp),
+    "ln": (ln, _horner_ln),
+    "sqrt": (sqrt, _horner_sqrt),
+    "reciprocal": (lambda x: 1.0 / x, _horner_reciprocal),
+    "power 0.7": (lambda x: x**0.7, lambda x: _horner_power(x, 0.7)),
+    "power -2.5": (lambda x: powf(x, -2.5), lambda x: _horner_power(x, -2.5)),
+}
+
+
+def _assert_coefficients_close(got, want, rtol=1e-13):
+    scale = max(abs(c) for c in want.terms.values())
+    for k in set(got.terms) | set(want.terms):
+        assert abs(got.terms.get(k, 0.0) - want.terms.get(k, 0.0)) <= rtol * scale, k
+
+
+def _dense_argument(order, dim, rng):
+    """A polynomial with a term in every monomial up to `order`: value in
+    [1, 2], the other coefficients summing to at most half of it."""
+    seeds = [Taylor.variable(order, i, 0.0) for i in range(dim)]
+    every = (1.0 + sum(seeds)) ** order
+    terms = {k: rng.uniform(-1.0, 1.0) for k in every.terms if k != 0}
+    total = sum(abs(c) for c in terms.values())
+    value = rng.uniform(1.0, 2.0)
+    terms = {k: 0.5 * value * c / total for k, c in terms.items()}
+    terms[0] = value
+    return Taylor(order, terms)
+
+
+@pytest.mark.parametrize("order", range(1, ORDER_CAP + 1))
+def test_recurrences_match_horner_composition(order):
+    rng = np.random.default_rng(order)
+    for dim in (1, 3):
+        x = _dense_argument(order, dim, rng)
+        for name, (fn, reference) in _AGAINST_HORNER.items():
+            got = fn(x)
+            assert got.order == order, name
+            _assert_coefficients_close(got, reference(x))
+
+
+def test_charged_potential_matches_horner_composition():
+    pre = charged_particle()
+    w = pre.sample_feasible(np.random.default_rng(5))
+    assert len(w) == 14  # the unified space of the 4-dof charged particle
+    X = [Taylor.variable(6, i, c) for i, c in enumerate(w)]
+    q = X[1:4]
+    r2 = q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
+    want = _horner_reciprocal(_horner_sqrt(r2)) * SOURCE_CHARGE
+    _assert_coefficients_close(_default_phi(*q), want)
+
+
+def test_elementary_functions_form_no_products(monkeypatch):
+    x = _dense_argument(6, 3, np.random.default_rng(2))
+    calls = []
+    mul = Taylor.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Taylor, "__mul__", counting)
+    monkeypatch.setattr(Taylor, "__rmul__", counting)
+    for fn in (
+        sin, cos, exp, ln, sqrt,
+        lambda x: 1.0 / x,
+        lambda x: x**-1,
+        lambda x: x**-3,
+        lambda x: x**2.5,
+        lambda x: powf(x, 0.7),
+    ):
+        fn(x)
+    assert calls == []
+    x * x  # the counter sees products
+    assert calls == [1]

@@ -1,4 +1,5 @@
-"""Property tests: exact CSV round trips and batched stencil weights."""
+"""Property tests: exact CSV round trips, batched stencil weights and the
+Taylor engine's ring laws and function identities."""
 
 import os
 import tempfile
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from cocontact.dynamics import Trajectory, _fd_weights, trajectory_to_csv  # noqa: E402
+from cocontact.jets import Taylor, cos, exp, ln, powf, sin, sqrt  # noqa: E402
 
 CHANNELS = ("holonomy", "sdot", "herglotz", "constraint")
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -65,3 +67,76 @@ def test_batched_weights_equal_scalar_ones(window, m):
     batched = _fd_weights(z, nodes, m)
     for k in range(len(z)):
         assert np.array_equal(batched[k], _fd_weights(z[k], nodes[k], m))
+
+
+# -- Taylor engine ------------------------------------------------------
+
+
+@st.composite
+def polynomials(draw, count):
+    """`count` expansions of random polynomials at a random point, of one
+    random order and dimension, with a term in every monomial.  Such an
+    expansion is a random coefficient set, so it is drawn directly: the
+    value in [1, 2], every other coefficient in [-1, 1]."""
+    order = draw(st.integers(1, 9))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seeds = [Taylor.variable(order, i, 0.0) for i in range(dim)]
+    keys = list(((1.0 + sum(seeds)) ** order).terms)
+    out = []
+    for _ in range(count):
+        terms = {k: rng.uniform(-1.0, 1.0) for k in keys}
+        terms[0] = rng.uniform(1.0, 2.0)
+        out.append(Taylor(order, terms))
+    return out
+
+
+def _magnitude(x):
+    return Taylor(x.order, {k: abs(c) for k, c in x.terms.items()})
+
+
+def _assert_close(got, want, scale, tol=1e-12):
+    """Coefficient by coefficient, to tol * scale."""
+    for k in set(got.terms) | set(want.terms):
+        assert abs(got.terms.get(k, 0.0) - want.terms.get(k, 0.0)) <= tol * scale, k
+
+
+def _largest(x):
+    return max(abs(c) for c in x.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials(3))
+def test_taylor_ring_laws(polys):
+    a, b, c = polys
+    # every partial sum is bounded by the product of the magnitudes
+    scale = _largest(_magnitude(a) * _magnitude(b) * _magnitude(c))
+    _assert_close(a * b, b * a, scale)
+    _assert_close((a * b) * c, a * (b * c), scale)
+    _assert_close(a * (b + c), a * b + a * c, scale)
+
+
+def _well_conditioned(x):
+    """x with its value kept and its other coefficients scaled so their
+    absolute sum is at most half the value."""
+    rest = {k: c for k, c in x.terms.items() if k != 0}
+    factor = 0.5 * x.value / sum(abs(c) for c in rest.values()) if rest else 0.0
+    return x.value + Taylor(x.order, {k: factor * c for k, c in rest.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials(1), st.floats(-2.5, 2.5), st.floats(-2.5, 2.5))
+def test_taylor_function_identities(polys, a, b):
+    x = _well_conditioned(polys[0])
+    scale = max(1.0, _largest(x))
+    one = Taylor.constant(x.order, 1.0)
+    _assert_close(exp(ln(x)), x, scale)
+    _assert_close(sqrt(x) * sqrt(x), x, scale)
+    _assert_close(x * (1 / x), one, scale)
+    _assert_close(sin(x) * sin(x) + cos(x) * cos(x), one, scale)
+    _assert_close(x**a * x**b, x ** (a + b), max(1.0, _largest(x ** (a + b))))
+    # the value of every result is the float evaluation, bit for bit
+    for fn in (sin, cos, exp, ln, sqrt, lambda y: 1 / y):
+        assert fn(x).value == fn(x.value)
+    if not a.is_integer():  # integer powers multiply out
+        assert powf(x, a).value == powf(x.value, a)
