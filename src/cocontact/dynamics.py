@@ -143,13 +143,13 @@ def legendre_invert(
         F = jet.grad[vs] - p
         if np.max(np.abs(F)) <= tol:
             return w[vs].copy(), jet
-        W = jet.hess[vs, vs]
-        sigma = np.linalg.svd(W, compute_uv=False)
+        # one factorisation serves the singularity test and the step
+        U, sigma, Vt = np.linalg.svd(jet.hess[vs, vs])
         if sigma[-1] <= 1e-12 * max(sigma[0], 1.0):
             raise NonInvertibleLegendre(
                 f"velocity Hessian is singular (sigma_min = {sigma[-1]:.2e})"
             )
-        w[vs] -= np.linalg.solve(W, F)
+        w[vs] -= Vt.T @ ((U.T @ F) / sigma)
     raise NonInvertibleLegendre(
         f"velocity recovery did not converge within {max_iter} iterations"
     )

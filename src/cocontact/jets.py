@@ -242,26 +242,31 @@ class Taylor:
 
     # -- calculus ------------------------------------------------------
 
-    def partial(self, index: int) -> "Taylor":
-        """Partial derivative with respect to coordinate `index`.
+    def partials(self, dim: int) -> list["Taylor"]:
+        """Partial derivatives with respect to coordinates 0..dim-1, from
+        one pass over the terms.
 
-        The result is truncated one order lower (the top-degree
+        The results are truncated one order lower (the top-degree
         coefficients of a truncated polynomial do not determine the
         derivative's top degree).
         """
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 polynomial")
-        s = _strides(index + 1)[index]
+        strides = _strides(dim)
         deg = _DEG
-        out: dict[int, float] = {}
+        outs: list[dict[int, float]] = [{} for _ in range(dim)]
         for k, c in self.terms.items():
-            e = (k // s) % _BASE
-            if e:
-                nk = k - s
-                out[nk] = c * e
-                if nk not in deg:
-                    deg[nk] = deg[k] - 1
-        return Taylor(self.order - 1, out)
+            rest = k
+            for s, out in zip(strides, outs):
+                if not rest:
+                    break
+                rest, e = divmod(rest, _BASE)
+                if e:
+                    nk = k - s
+                    out[nk] = c * e
+                    if nk not in deg:
+                        deg[nk] = deg[k] - 1
+        return [Taylor(self.order - 1, out) for out in outs]
 
     def truncated(self, order: int) -> "Taylor":
         """Drop terms of total degree above `order`."""

@@ -177,7 +177,9 @@ class _Workspace:
     both expand the same function at the same point).  A generation-g
     constraint at order k consumes L to order g + k, so the constructor
     expands L once at `order` plus the deepest generation of the
-    constraints it serves; their requests then all truncate that one."""
+    constraints it serves; their requests then all truncate that one.
+    L's partials, D and each constraint's tangency row are built once per
+    order and cached too: the ladder's derived constraints share them."""
 
     def __init__(self, L: LagrangianSystem, wvec: np.ndarray,
                  constraints: Sequence["ConstraintFn"] = (), order: int = 0):
@@ -190,7 +192,9 @@ class _Workspace:
         # keyed by the constraint object itself: keeps it alive for the
         # workspace lifetime, so recycled object ids cannot alias entries
         self._xi: dict["ConstraintFn", dict[int, Taylor]] = {}
-        self._D: dict[tuple[int, int], Taylor] = {}
+        self._rows: dict[tuple["ConstraintFn", int], tuple[Taylor, list[Taylor]]] = {}
+        self._dL: dict[int, list[Taylor]] = {}
+        self._D: dict[int, list[Taylor]] = {}
         if constraints:
             self.L_taylor(order + max(c.generation for c in constraints))
 
@@ -228,15 +232,43 @@ class _Workspace:
             cache[order] = out
         return out
 
-    def D_taylor(self, i: int, order: int) -> Taylor:
-        """Momentum coefficient D_i = dL/dq_i + p_i dL/ds as a polynomial."""
-        key = (i, order)
-        out = self._D.get(key)
+    def dL(self, order: int) -> list[Taylor]:
+        """Every first partial of L, as polynomials of the given order."""
+        out = self._dL.get(order)
         if out is None:
-            Lt = self.L_taylor(order + 1)
-            p_i = self.seeds(order)[1 + 2 * self.n + i]
-            out = Lt.partial(1 + i) + p_i * Lt.partial(self.space.s_index)
-            self._D[key] = out
+            out = self._dL[order] = self.L_taylor(order + 1).partials(self.space.dim)
+        return out
+
+    def D(self, order: int) -> list[Taylor]:
+        """Momentum coefficients D_i = dL/dq_i + p_i dL/ds as polynomials."""
+        out = self._D.get(order)
+        if out is None:
+            n = self.n
+            dL = self.dL(order)
+            p = self.seeds(order)[1 + 2 * n : 1 + 3 * n]
+            out = self._D[order] = [dL[1 + i] + p_i * dL[-1] for i, p_i in enumerate(p)]
+        return out
+
+    def row(self, c: "ConstraintFn", order: int) -> tuple[Taylor, list[Taylor]]:
+        """c's tangency condition grad(c) . Z = 0 at the given order, as
+        (rate, [dc/dv_1 .. dc/dv_n]): the rate is every term of grad(c) . Z
+        except the C d/dv block, the list is the row C multiplies.  Both come
+        from one partials pass over c."""
+        key = (c, order)
+        out = self._rows.get(key)
+        if out is None:
+            n = self.n
+            d = self.xi_taylor(c, order + 1).partials(self.space.dim)
+            rate = d[0]
+            for v_i, d_i in zip(self.seeds(order)[1 + n : 1 + 2 * n], d[1 : 1 + n]):
+                if d_i.terms:
+                    rate = rate + v_i * d_i
+            for D_i, d_i in zip(self.D(order), d[1 + 2 * n : 1 + 3 * n]):
+                if d_i.terms:
+                    rate = rate + D_i * d_i
+            if d[-1].terms:
+                rate = rate + self.L_taylor(order) * d[-1]
+            out = self._rows[key] = (rate, d[1 + n : 1 + 2 * n])
         return out
 
 
@@ -273,67 +305,30 @@ class _PrimaryConstraint(ConstraintFn):
 
     def _taylor(self, ws: _Workspace, order: int) -> Taylor:
         p_j = ws.seeds(order)[1 + 2 * ws.n + self.j]
-        return p_j - ws.L_taylor(order + 1).partial(1 + ws.n + self.j)
+        return p_j - ws.dL(order)[1 + ws.n + self.j]
 
 
-def _rate_taylor(ws: _Workspace, c: ConstraintFn, order: int) -> Taylor:
-    """Known part of the rate of c along Z: every term of grad(c) . Z except
-    the C d/dv block, as a polynomial of the requested order."""
-    n = ws.n
-    xt = ws.xi_taylor(c, order + 1)
-    seeds = ws.seeds(order)
-    out = xt.partial(0)
-    for i in range(n):
-        dxi_dqi = xt.partial(1 + i)
-        if dxi_dqi.terms:
-            out = out + seeds[1 + n + i] * dxi_dqi
-    for i in range(n):
-        dxi_dpi = xt.partial(1 + 2 * n + i)
-        if dxi_dpi.terms:
-            out = out + ws.D_taylor(i, order) * dxi_dpi
-    dxi_ds = xt.partial(ws.space.s_index)
-    if dxi_ds.terms:
-        out = out + ws.L_taylor(order) * dxi_ds
-    return out
-
-
-def _v_row_taylor(ws: _Workspace, c: ConstraintFn, order: int) -> list[Taylor]:
-    """The C-facing row of c's tangency condition: [dc/dv_1 .. dc/dv_n]."""
-    xt = ws.xi_taylor(c, order + 1)
-    return [xt.partial(1 + ws.n + i) for i in range(ws.n)]
-
-
-def _elimination_order(G: np.ndarray) -> list[int]:
-    """Row pivot sequence of Gauss-Jordan elimination on square G, chosen
-    by partial pivoting at these (birth) values."""
-    G = G.astype(float).copy()
-    m = len(G)
-    remaining = list(range(m))
-    orderseq: list[int] = []
-    for col in range(m):
-        pick = max(remaining, key=lambda r: abs(G[r, col]))
-        if G[pick, col] == 0.0:
-            raise NumericalBreakdown("pivot collapsed while freezing a closure")
-        orderseq.append(pick)
-        remaining.remove(pick)
-        for r in range(m):
-            if r != pick and G[r, col] != 0.0:
-                f = G[r, col] / G[pick, col]
-                G[r, col:] -= f * G[pick, col:]
-    return orderseq
-
-
-def _solve_frozen(G_rows: list[list], rhs: list, orderseq: list[int], tiny: float):
-    """Solve G x = rhs by Gauss-Jordan with a fixed pivot sequence.
+def _solve_frozen(G_rows: list[list], rhs: list, orderseq: list[int] | None, tiny: float):
+    """Solve G x = rhs by Gauss-Jordan elimination; return x and the row
+    pivot sequence.
 
     Entries are Taylor polynomials; divisions go through the Taylor
-    reciprocal.  A pivot whose value falls below `tiny` means the frozen
-    pattern stopped being valid at this point.
+    reciprocal.  Without `orderseq` the pivots are chosen by partial
+    pivoting on the entries' values (a constraint's first evaluation, at
+    its birth point); with it they follow that frozen sequence.  A pivot
+    whose value falls below `tiny` means the pattern is not valid at this
+    point.
     """
     m = len(rhs)
     G = [list(row) for row in G_rows]
     b = list(rhs)
-    for col, prow in enumerate(orderseq):
+    seq: list[int] = []
+    for col in range(m):
+        if orderseq is None:
+            prow = max((r for r in range(m) if r not in seq), key=lambda r: abs(G[r][col].value))
+        else:
+            prow = orderseq[col]
+        seq.append(prow)
         piv = G[prow][col]
         pval = piv.value
         if abs(pval) < tiny:
@@ -349,10 +344,7 @@ def _solve_frozen(G_rows: list[list], rhs: list, orderseq: list[int], tiny: floa
                 if f.terms:
                     G[r] = [gr - f * gp for gr, gp in zip(G[r], G[prow])]
                     b[r] = b[r] - f * b[prow]
-    x = [None] * m
-    for col, prow in enumerate(orderseq):
-        x[col] = b[prow]
-    return x
+    return [b[prow] for prow in seq], seq
 
 
 class _DerivedConstraint(ConstraintFn):
@@ -364,9 +356,11 @@ class _DerivedConstraint(ConstraintFn):
         rate(source) - sum_i c_i rate(basis_i)
 
     with c re-solved at every evaluation point from the recorded pivot
-    columns.  Wherever the dependence persists, this equals the rate of
-    change of `source` along any field satisfying the earlier tangency
-    conditions, so it must vanish on the final submanifold.
+    columns.  The row pivot sequence is picked at the first evaluation,
+    which the algorithm makes at the birth point, and then frozen.
+    Wherever the dependence persists, this equals the rate of change of
+    `source` along any field satisfying the earlier tangency conditions,
+    so it must vanish on the final submanifold.
     """
 
     def __init__(
@@ -376,7 +370,6 @@ class _DerivedConstraint(ConstraintFn):
         source: ConstraintFn,
         basis: list[ConstraintFn],
         pivot_cols: list[int],
-        orderseq: list[int],
         pivot_tiny: float,
     ):
         label = f"rate({source.label})"
@@ -386,21 +379,17 @@ class _DerivedConstraint(ConstraintFn):
         self.source = source
         self.basis = basis
         self.pivot_cols = pivot_cols
-        self.orderseq = orderseq
+        self.orderseq: list[int] | None = None
         self.pivot_tiny = pivot_tiny
 
     def _taylor(self, ws: _Workspace, order: int) -> Taylor:
-        g_src = _rate_taylor(ws, self.source, order)
-        if not self.basis:
-            return g_src
-        rows = [_v_row_taylor(ws, c, order) for c in self.basis]
-        src_row = _v_row_taylor(ws, self.source, order)
-        G = [[rows[i][j] for i in range(len(self.basis))] for j in self.pivot_cols]
+        out, src_row = ws.row(self.source, order)
+        rows = [ws.row(c, order) for c in self.basis]
+        G = [[v_row[j] for _, v_row in rows] for j in self.pivot_cols]
         rhs = [src_row[j] for j in self.pivot_cols]
-        coeffs = _solve_frozen(G, rhs, self.orderseq, self.pivot_tiny)
-        out = g_src
-        for c_i, parent in zip(coeffs, self.basis):
-            out = out - c_i * _rate_taylor(ws, parent, order)
+        coeffs, self.orderseq = _solve_frozen(G, rhs, self.orderseq, self.pivot_tiny)
+        for c_i, (rate, _) in zip(coeffs, rows):
+            out = out - c_i * rate
         return out
 
 
@@ -503,28 +492,18 @@ def _tangency(
     n = ws.n
     dim = ws.space.dim
     w = ws.w
-    R = len(constraints)
-    M = np.empty((R, n))
-    g = np.empty(R)
-    values = np.empty(R)
-    grads = np.empty((R, dim))
     Lt = ws.L_taylor(1)
     L_grad = Lt.gradient(dim)
     D = L_grad[1 : 1 + n] + w[1 + 2 * n : 1 + 3 * n] * L_grad[-1]
     E = float(Lt.value)
-    for r, c in enumerate(constraints):
-        xt = ws.xi_taylor(c, 1)
-        values[r] = xt.value
-        grads[r] = xt.gradient(dim)
-        M[r] = grads[r][1 + n : 1 + 2 * n]
-        g[r] = (
-            grads[r][0]
-            + w[1 + n : 1 + 2 * n] @ grads[r][1 : 1 + n]
-            + D @ grads[r][1 + 2 * n : 1 + 3 * n]
-            + E * grads[r][-1]
-        )
+    xts = [ws.xi_taylor(c, 1) for c in constraints]
+    values = np.array([xt.value for xt in xts])
+    grads = np.array([xt.gradient(dim) for xt in xts])
+    # row r: grad(xi_r) . Z = g[r] + M[r] . C
+    M = grads[:, 1 + n : 1 + 2 * n]
+    g = grads @ np.concatenate(([1.0], w[1 + n : 1 + 2 * n], np.zeros(n), D, [E]))
 
-    row_scale = max(float(np.max(np.linalg.norm(M, axis=1))) if R else 0.0, 1e-300)
+    row_scale = max(float(np.max(np.linalg.norm(M, axis=1))), 1e-300)
     thresh = opts.rank_tol * row_scale
 
     new_constraints: list[ConstraintFn] = []
@@ -534,7 +513,7 @@ def _tangency(
         ortho: list[np.ndarray] = []
         generation = max(c.generation for c in constraints) + 1
         span = grads.T  # active gradients as columns, for transversality
-        for r in range(R):
+        for r in range(len(M)):
             row = M[r].copy()
             for u in ortho:
                 row -= (row @ u) * u
@@ -545,16 +524,9 @@ def _tangency(
                 continue
             # dependent row: build the obstruction scalar
             basis_rows = [constraints[i] for i in basis_idx]
-            if basis_idx:
-                A = M[basis_idx]
-                cols = _pick_columns(A)
-                G = A[:, cols].T  # G[j][i] = A[i, cols[j]]
-                orderseq = _elimination_order(G)
-            else:
-                cols, orderseq = [], []
+            cols = _pick_columns(M[basis_idx]) if basis_idx else []
             cand = _DerivedConstraint(
-                ws.L, generation, constraints[r], basis_rows, cols, orderseq,
-                opts.rank_tol * row_scale,
+                ws.L, generation, constraints[r], basis_rows, cols, opts.rank_tol * row_scale
             )
             ct = cand.taylor(ws, 1)
             value = ct.value
@@ -576,7 +548,8 @@ def _tangency(
         raise NumericalBreakdown(
             f"tangency system condition {smax / sigma[rank - 1]:.2e} beyond cap"
         )
-    C, *_ = np.linalg.lstsq(M, -g, rcond=opts.rank_tol)
+    # minimum-norm solution of M C = -g, dropping lstsq's rcond=rank_tol set
+    C = -Vt[:rank].T @ ((U[:, :rank].T @ g) / sigma[:rank])
     # L's order-2 data on the velocity side: lookups in the expansion the
     # momentum constraints already consumed
     lag = [*range(1 + 2 * n), dim - 1]
@@ -651,13 +624,9 @@ def project_onto(
 
     def residuals(vec):
         ws = _Workspace(L, vec, constraints, 1)
-        vals = np.empty(len(constraints))
-        grads = np.empty((len(constraints), len(dirs)))
-        for i, c in enumerate(constraints):
-            ct = c.taylor(ws, 1)
-            vals[i] = ct.value
-            grads[i] = ct.gradient(ws.space.dim)[dirs]
-        return vals, grads
+        cts = [c.taylor(ws, 1) for c in constraints]
+        return (np.array([ct.value for ct in cts]),
+                np.array([ct.gradient(ws.space.dim)[dirs] for ct in cts]))
 
     vals, grads = residuals(wvec)
     for _ in range(opts.max_project_iter):

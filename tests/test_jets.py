@@ -226,7 +226,7 @@ def test_internal_high_order_coefficients():
 def test_partial_and_truncation():
     x = Taylor.variable(3, 0, 1.5)
     y = Taylor.variable(3, 1, 2.0)
-    p = (x**2 * y).partial(0)  # 2xy at order 2
+    p = (x**2 * y).partials(2)[0]  # 2xy at order 2
     assert p.value == 6.0
     assert np.array_equal(p.gradient(2), [4.0, 3.0])
     t = (x + y) ** 3

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cocontact.jets import ORDER_CAP
+from cocontact.jets import ORDER_CAP, Taylor
 from cocontact.mechanics import LagrangianSystem, order2_of_jet
 from cocontact.pontryagin import (
     AlgorithmOptions,
@@ -20,6 +20,8 @@ from cocontact.pontryagin import (
     NumericalBreakdown,
     PontryaginPoint,
     ZCoefficients,
+    _solve_frozen,
+    _Workspace,
     assemble_Z,
     constraint_values,
     primary_constraints,
@@ -218,6 +220,29 @@ def test_field_is_tangent_to_every_constraint():
             assert abs(c.jet(w, 1).grad @ zvec) < 1e-9, c.label
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_field_C_matches_the_row_by_row_least_squares_solve(name):
+    # reference: the tangency rows built one constraint at a time from its
+    # jet, grad(c) . Z with the C block left out, solved by lstsq under the
+    # same rank rule; the assembly forms all rows at once and reuses its SVD
+    pre = preset_by_name(name)
+    L, n = pre.system, pre.n
+    ladder, _ = run_constraint_algorithm(L, lift_initial(pre))
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        w = pre.sample_feasible(rng)
+        Z = assemble_Z(L, w, ladder)
+        known = Z.as_vector()
+        known[1 + n : 1 + 2 * n] = 0.0
+        M, g = [], []
+        for c in ladder.active():
+            grad = c.jet(w, 1).grad
+            M.append(grad[1 + n : 1 + 2 * n])
+            g.append(sum(float(a * b) for a, b in zip(grad, known)))
+        C, *_ = np.linalg.lstsq(np.array(M), -np.array(g), rcond=AlgorithmOptions().rank_tol)
+        np.testing.assert_allclose(Z.C, C, rtol=1e-12, atol=1e-12)
+
+
 def test_assembled_field_carries_the_constraint_values():
     # assemble_Z expands every constraint to order 1 anyway; the values it
     # returns are those constraint_values computes, on and off the set
@@ -301,6 +326,69 @@ def test_workspace_expands_L_once_per_point(monkeypatch):
     # at the probe the projection stops after its first residual evaluation
     project_onto(L, ladder.probe, active)
     assert orders == [1 + deepest]
+
+
+def test_assemble_Z_builds_each_tangency_row_once(monkeypatch):
+    # the derived constraints of the charged ladder share their parents'
+    # rows at several orders; each (constraint, order) row comes from one
+    # partials pass, and L's partials from one pass per order
+    pre = charged_particle()
+    L = pre.system
+    ladder, _ = run_constraint_algorithm(L, lift_initial(pre))
+    requested, differentiated = [], []
+    row, partials = _Workspace.row, Taylor.partials
+
+    def counting_row(self, c, order):
+        requested.append((c, order))
+        return row(self, c, order)
+
+    def counting_partials(self, dim):
+        differentiated.append(self)
+        return partials(self, dim)
+
+    monkeypatch.setattr(_Workspace, "row", counting_row)
+    monkeypatch.setattr(Taylor, "partials", counting_partials)
+    assemble_Z(L, pre.sample_feasible(np.random.default_rng(10)), ladder)
+    rows = set(requested)
+    assert len(requested) > len(rows)  # repeated requests are served from the cache
+    assert len({id(x) for x in differentiated}) == len(differentiated)
+    deepest = max(c.generation for c in ladder.active())
+    # rows at orders 1..deepest - 1, L's partials at orders 1..deepest
+    assert {order for _, order in rows} == set(range(1, deepest))
+    assert len(differentiated) == len(rows) + deepest
+
+
+def test_charged_ladder_pivots_are_frozen_at_birth():
+    # each derived constraint eliminates three basis rows; the pivot
+    # sequence partial pivoting picked at the birth point is kept for
+    # every later evaluation
+    pre = charged_particle()
+    ladder, _ = run_constraint_algorithm(pre.system, lift_initial(pre))
+    derived = [c for gen in ladder.generations[1:] for c in gen]
+    assert len(derived) == 4
+    for c in derived:
+        assert c.pivot_cols == c.orderseq == [0, 1, 2]
+    rng = np.random.default_rng(11)
+    constraint_values(pre.system, pre.sample_feasible(rng), ladder.active())
+    for c in derived:
+        assert c.orderseq == [0, 1, 2]
+
+
+def test_solve_frozen_picks_then_follows_the_pivot_sequence():
+    def const(x):
+        return Taylor.constant(1, x)
+
+    G = [[const(1.0), const(2.0)], [const(3.0), const(4.0)]]
+    rhs = [const(5.0), const(6.0)]
+    x, seq = _solve_frozen(G, rhs, None, 1e-12)
+    assert seq == [1, 0]  # column 0's largest entry is in row 1
+    np.testing.assert_allclose([xi.value for xi in x], [-4.0, 4.5], rtol=1e-15)
+    y, same = _solve_frozen(G, rhs, [0, 1], 1e-12)
+    assert same == [0, 1]
+    np.testing.assert_allclose([yi.value for yi in y], [-4.0, 4.5], rtol=1e-15)
+    # a frozen pivot below the floor means the pattern no longer holds here
+    with pytest.raises(NumericalBreakdown):
+        _solve_frozen(G, rhs, [0, 1], 2.0)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -1,5 +1,6 @@
-"""Property tests: exact CSV round trips, batched stencil weights and the
-Taylor engine's ring laws and function identities."""
+"""Property tests: exact CSV round trips, batched stencil weights, the
+Taylor engine's ring laws, function identities and partials, and the
+expression language's print-parse round trip."""
 
 import os
 import tempfile
@@ -11,6 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from cocontact.dsl import FUNCTIONS, BinOp, Call, Const, Expr, Neg, Param, parse, to_text  # noqa: E402
 from cocontact.dynamics import Trajectory, _fd_weights, trajectory_to_csv  # noqa: E402
 from cocontact.jets import Taylor, cos, exp, ln, powf, sin, sqrt  # noqa: E402
 
@@ -140,3 +142,83 @@ def test_taylor_function_identities(polys, a, b):
         assert fn(x).value == fn(x.value)
     if not a.is_integer():  # integer powers multiply out
         assert powf(x, a).value == powf(x.value, a)
+
+
+def _partial(x, index):
+    """Oracle: the per-index partial derivative the engine had before
+    `Taylor.partials`, one pass over the terms per coordinate."""
+    s = 10**index
+    out = {}
+    for k, c in x.terms.items():
+        e = (k // s) % 10
+        if e:
+            out[k - s] = c * e
+    return Taylor(x.order - 1, out)
+
+
+@st.composite
+def sparse_polynomials(draw):
+    """A polynomial of random order 1..9 with a few random monomials in up
+    to 14 variables, built from seeds at 0 so every key is registered."""
+    order = draw(st.integers(1, 9))
+    nvars = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seeds = [Taylor.variable(order, i, 0.0) for i in range(nvars)]
+    out = Taylor.constant(order, 0.0)
+    for _ in range(draw(st.integers(0, 12))):
+        mono = Taylor.constant(order, rng.uniform(-1.0, 1.0))
+        for i in rng.integers(0, nvars, size=rng.integers(0, order + 1)):
+            mono = mono * seeds[i]
+        out = out + mono
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_polynomials(), st.integers(1, 14))
+def test_partials_equal_per_index_partials_bit_for_bit(x, dim):
+    got = x.partials(dim)
+    assert len(got) == dim
+    for i, p in enumerate(got):
+        want = _partial(x, i)
+        assert p.order == want.order == x.order - 1
+        assert list(p.terms) == list(want.terms)
+        values = [np.array(list(t.terms.values()), dtype=float) for t in (p, want)]
+        assert values[0].tobytes() == values[1].tobytes()
+
+
+# -- expression language ------------------------------------------------
+
+PARAM_NAMES = ("a", "kk", "mass", "_g0", "e", "E2")
+
+
+@st.composite
+def expressions(draw):
+    """A random syntax tree over n = 1..3 degrees of freedom, with or
+    without momenta: non-negative finite constants (the parser never makes
+    a negative one), coordinates, parameters, every operator including
+    non-constant exponents, and the five functions."""
+    n = draw(st.integers(1, 3))
+    allow_p = draw(st.booleans())
+    blocks = "qvp" if allow_p else "qv"
+    coords = ["t", "s"] + [f"{b}{k}" for b in blocks for k in range(1, n + 1)]
+    leaves = st.one_of(
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Const),
+        st.sampled_from(coords).map(lambda name: parse(name, n, allow_p).node),
+        st.sampled_from(PARAM_NAMES).map(Param),
+    )
+    tree = st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            kids.map(Neg),
+            st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
+            st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+        ),
+        max_leaves=12,
+    )
+    return Expr(draw(tree), n, allow_p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions())
+def test_printed_expression_parses_to_the_same_tree(e):
+    assert parse(to_text(e), e.n, e.allow_p).node == e.node
