@@ -28,8 +28,6 @@ from .dsl import (  # noqa: F401
     to_text,
 )
 from .mechanics import (  # noqa: F401
-    HamiltonianPoint,
-    LagrangianPoint,
     LagrangianSystem,
     RegularityReport,
     herglotz_residual,
@@ -44,7 +42,6 @@ from .pontryagin import (  # noqa: F401
     InfeasiblePoint,
     LadderNotClosed,
     NumericalBreakdown,
-    PontryaginPoint,
     ZCoefficients,
     assemble_Z,
     constraint_values,

@@ -49,11 +49,6 @@ class CheckResult:
         return out
 
 
-def _initial_unified(pre: SystemPreset) -> np.ndarray:
-    ic = pre.initial
-    return np.concatenate(([ic.t], ic.q, ic.v, np.zeros(pre.n), [ic.s]))
-
-
 def _domain_point(pre: SystemPreset, rng: np.random.Generator) -> np.ndarray:
     """A random smooth-domain point of the Lagrangian's (t, q, v, s) space."""
     n = pre.n
@@ -122,7 +117,7 @@ def check_ladder(
     tol = 1e-10 if tol is None else tol
     name = f"ladder[{pre.label}]"
     opts = AlgorithmOptions()
-    ladder, Z = run_constraint_algorithm(pre.system, _initial_unified(pre), opts)
+    ladder, Z = run_constraint_algorithm(pre.system, pre.initial, opts)
     if ladder.status != "Closed":
         return CheckResult(name, False, float("inf"), tol, f"status {ladder.status}")
     sizes = [len(g) for g in ladder.generations]
@@ -164,7 +159,7 @@ def check_equivalence(
     tol = 1e-6 if tol is None else tol
     name = f"equivalence[{pre.label}]"
     cfg = IntegratorConfig(method="rk4", step=step, t_end=t_end)
-    eq = cross_check_equivalence(pre.system, _initial_unified(pre), cfg, AlgorithmOptions())
+    eq = cross_check_equivalence(pre.system, pre.initial, cfg, AlgorithmOptions())
     if eq.hamiltonian is None:
         detail = ("momentum description undefined (singular fibre map); "
                   f"mixed-vs-velocity only, T={t_end}")
@@ -187,7 +182,7 @@ def check_residual_order(
     """
     name = f"residual-order[{pre.label}]"
     opts = AlgorithmOptions()
-    ladder, _ = run_constraint_algorithm(pre.system, _initial_unified(pre), opts)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, opts)
     if ladder.n_generations > 1:
         return CheckResult(name, True, 0.0, 0.0,
                            "skipped: deep ladder, cost out of scale for verify")

@@ -94,11 +94,24 @@ def _load_config(args) -> dict:
         raise ConfigError("a --config file or --preset name is required")
     try:
         with open(args.config) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(config).__name__}")
+    return config
+
+
+def _block(config: dict, key: str) -> dict:
+    """The object under key; {} when the key is absent or null."""
+    block = config.get(key)
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {type(block).__name__}")
+    return block
 
 
 def _build_system(config: dict):
@@ -106,20 +119,24 @@ def _build_system(config: dict):
     spec = config.get("system")
     if isinstance(spec, str):
         try:
-            pre = preset_by_name(spec, config.get("params"))
+            pre = preset_by_name(spec, _block(config, "params"))
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
         return pre.system, pre
     if isinstance(spec, dict):
-        if config.get("params"):
+        if _block(config, "params"):
             raise ConfigError("inline systems take params inside the system block")
         try:
             n = int(spec["n"])
             text = spec["lagrangian"]
         except KeyError as exc:
             raise ConfigError(f"inline system needs {exc} field") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad inline system n: {exc}") from exc
+        if not isinstance(text, str):
+            raise ConfigError("inline system lagrangian must be a string")
         try:
-            L = LagrangianSystem.from_expr(dsl.parse(text, n), spec.get("params"), "inline")
+            L = LagrangianSystem.from_expr(dsl.parse(text, n), _block(spec, "params"), "inline")
         except (dsl.DslError, dsl.UnknownParameterError) as exc:
             raise ConfigError(f"bad inline Lagrangian: {exc}") from exc
         return L, None
@@ -128,12 +145,11 @@ def _build_system(config: dict):
 
 def _initial_state(config: dict, L, pre) -> np.ndarray:
     """Unified-space start vector; momenta zeroed (projected later)."""
-    init = config.get("initial")
-    if init is None:
+    if config.get("initial") is None:
         if pre is None:
             raise ConfigError("inline systems need an initial block")
-        ic = pre.initial
-        return np.concatenate(([ic.t], ic.q, ic.v, np.zeros(L.n), [ic.s]))
+        return pre.initial.copy()
+    init = _block(config, "initial")
     try:
         t0 = float(init.get("t0", 0.0))
         q = np.asarray(init["q"], dtype=float)
@@ -150,7 +166,7 @@ def _initial_state(config: dict, L, pre) -> np.ndarray:
 
 
 def _integrator_config(config: dict, args) -> IntegratorConfig:
-    block = dict(config.get("integrator", {}))
+    block = dict(_block(config, "integrator"))
     if getattr(args, "step", None) is not None:
         block["step"] = args.step
     if getattr(args, "t_end", None) is not None:
@@ -199,8 +215,10 @@ def cmd_simulate(args) -> int:
     L, pre = _build_system(config)
     w0 = _initial_state(config, L, pre)
     cfg = _integrator_config(config, args)
-    outputs = dict(config.get("outputs", {}))
+    outputs = _block(config, "outputs")
     channels = outputs.get("channels", list(CHANNELS))
+    if not (isinstance(channels, list) and all(isinstance(c, str) for c in channels)):
+        raise ConfigError("outputs channels must be a list of channel names")
     bad = set(channels) - set(CHANNELS)
     if bad:
         raise ConfigError(f"unknown residual channels: {sorted(bad)}")
@@ -254,10 +272,10 @@ def cmd_sweep(args) -> int:
     name = config.get("system")
     if not isinstance(name, str):
         raise ConfigError("sweep needs a preset system")
-    block = dict(config.get("sweep", {}))
+    block = _block(config, "sweep")
     param = args.param or block.get("param")
     values = args.values or block.get("values")
-    if not param or not values:
+    if not (param and isinstance(param, str) and values):
         raise ConfigError("sweep needs a parameter name and a value list")
     try:
         values = [float(x) for x in (values.split(",") if isinstance(values, str) else values)]
@@ -274,7 +292,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for value, tag in zip(values, tags):
         try:
-            pre = preset_by_name(name, {**config.get("params", {}), param: value})
+            pre = preset_by_name(name, {**_block(config, "params"), param: value})
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from exc
         L = pre.system

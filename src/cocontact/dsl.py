@@ -365,10 +365,7 @@ def evaluate(e: Expr, point: Sequence[float], params: dict | None = None, order:
         return float(_eval_node(e.node, [float(v) for v in point], params))
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 0..3, got {order}")
-    seeds = [Taylor.variable(order, i, point[i]) for i in range(e.dim)]
-    out = _eval_node(e.node, seeds, params)
-    if not isinstance(out, Taylor):
-        out = Taylor.constant(order, out)
+    out = jets.expand(lambda seeds: _eval_node(e.node, seeds, params), point, order)
     return jet_from_taylor(out, e.dim, order)
 
 

@@ -31,13 +31,14 @@ coordinate never accumulates roundoff.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .jets import Jet
-from .mechanics import HamiltonianPoint, LagrangianSystem, herglotz_defect, order2_of_jet
+from .mechanics import LagrangianSystem, herglotz_defect, order2_of_jet
 from .pontryagin import (
     AlgorithmOptions,
     ConstraintLadder,
@@ -107,10 +108,12 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be finite and positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
 
 
 # -- velocity <-> momentum conversions ----------------------------------
@@ -131,7 +134,7 @@ def legendre_invert(
     converged (t, q, v, s), the one the convergence test built.
     """
     n = L.n
-    yvec = y.as_vector() if isinstance(y, HamiltonianPoint) else np.asarray(y, dtype=float)
+    yvec = np.asarray(y, dtype=float)
     if yvec.shape != (2 * n + 2,):
         raise ValueError(f"expected a momentum-space point of length {2 * n + 2}")
     v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
@@ -211,8 +214,7 @@ class UnifiedField:
 
     def prepare(self, x0) -> np.ndarray:
         """Project an initial state onto the constraint set."""
-        return self.reproject(x0.as_vector() if hasattr(x0, "as_vector")
-                              else np.asarray(x0, dtype=float))
+        return self.reproject(np.asarray(x0, dtype=float))
 
     def reproject(self, state: np.ndarray) -> np.ndarray:
         w = project_onto(self.L, self.lift(state), self.ladder.active(), self.opts)

@@ -36,6 +36,7 @@ __all__ = [
     "CoordinateSpace",
     "Taylor",
     "ScalarField",
+    "expand",
     "eval_jet",
     "sin",
     "cos",
@@ -560,6 +561,13 @@ def jet_from_taylor(t: Taylor, dim: int, order: int) -> Jet:
     return Jet(order=order, value=value, grad=grad, hess=hess, third=third)
 
 
+def expand(fn: Callable, x: Sequence[float], order: int) -> Taylor:
+    """Taylor polynomial of fn at x: fn receives one seed per coordinate,
+    and a constant result is lifted to a polynomial of the same order."""
+    out = fn([Taylor.variable(order, i, x[i]) for i in range(len(x))])
+    return out if isinstance(out, Taylor) else Taylor.constant(order, out)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar function of one coordinate space, evaluable on floats or
@@ -574,11 +582,7 @@ class ScalarField:
             raise DimensionMismatch(
                 f"field {self.label or '?'} expects dimension {self.dim}, got {len(x)}"
             )
-        seeds = [Taylor.variable(order, i, x[i]) for i in range(self.dim)]
-        out = self.fn(seeds)
-        if isinstance(out, Taylor):
-            return out
-        return Taylor.constant(order, out)
+        return expand(self.fn, x, order)
 
     def jet(self, x: Sequence[float], order: int) -> Jet:
         return jet_from_taylor(self.taylor(x, order), self.dim, order)
@@ -601,10 +605,5 @@ def eval_jet(f, x: Sequence[float], order: int) -> Jet:
         raise ValueError("evaluation point has non-finite entries")
     if isinstance(f, ScalarField):
         return f.jet(x, order)
-    dim = len(x)
-    seeds = [Taylor.variable(order, i, x[i]) for i in range(dim)]
-    out = f(seeds)
-    if not isinstance(out, Taylor):
-        out = Taylor.constant(order, out)
-    return jet_from_taylor(out, dim, order)
+    return jet_from_taylor(expand(f, x, order), len(x), order)
 

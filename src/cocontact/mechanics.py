@@ -19,12 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dsl as _dsl
-from .jets import CoordinateSpace, Jet, Taylor, jet_from_taylor
+from .jets import CoordinateSpace, Jet, Taylor, expand, jet_from_taylor
 
 __all__ = [
     "LagrangianSystem",
-    "LagrangianPoint",
-    "HamiltonianPoint",
     "RegularityReport",
     "lagrangian_energy",
     "legendre_map",
@@ -42,68 +40,6 @@ def _vectorize(name: str, arr, n: int) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} has non-finite entries")
     return out
-
-
-@dataclass(frozen=True)
-class LagrangianPoint:
-    """A state (t, q, v, s) of the velocity phase space."""
-
-    t: float
-    q: np.ndarray
-    v: np.ndarray
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(-1))
-        object.__setattr__(self, "v", _vectorize("v", self.v, len(self.q)))
-        object.__setattr__(self, "q", _vectorize("q", self.q, len(self.q)))
-        if not (np.isfinite(self.t) and np.isfinite(self.s)):
-            raise ValueError("t and s must be finite")
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.t], self.q, self.v, [self.s]))
-
-    @staticmethod
-    def from_vector(n: int, vec: Sequence[float]) -> "LagrangianPoint":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (2 * n + 2,):
-            raise ValueError(f"expected length {2 * n + 2}, got {vec.shape}")
-        return LagrangianPoint(vec[0], vec[1 : 1 + n], vec[1 + n : 1 + 2 * n], vec[-1])
-
-
-@dataclass(frozen=True)
-class HamiltonianPoint:
-    """A state (t, q, p, s) of the momentum phase space."""
-
-    t: float
-    q: np.ndarray
-    p: np.ndarray
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(-1))
-        object.__setattr__(self, "p", _vectorize("p", self.p, len(self.q)))
-        object.__setattr__(self, "q", _vectorize("q", self.q, len(self.q)))
-        if not (np.isfinite(self.t) and np.isfinite(self.s)):
-            raise ValueError("t and s must be finite")
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.t], self.q, self.p, [self.s]))
-
-    @staticmethod
-    def from_vector(n: int, vec: Sequence[float]) -> "HamiltonianPoint":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (2 * n + 2,):
-            raise ValueError(f"expected length {2 * n + 2}, got {vec.shape}")
-        return HamiltonianPoint(vec[0], vec[1 : 1 + n], vec[1 + n : 1 + 2 * n], vec[-1])
 
 
 class LagrangianSystem:
@@ -130,13 +66,8 @@ class LagrangianSystem:
         if len(x) != space.dim:
             raise ValueError(f"point has length {len(x)}, expected {space.dim}")
         n = self.n
-        seeds = [Taylor.variable(order, i, x[i]) for i in range(space.dim)]
-        q = seeds[1 : 1 + n]
-        v = seeds[1 + n : 1 + 2 * n]
-        out = self.fn(seeds[0], q, v, seeds[space.s_index], self.params)
-        if not isinstance(out, Taylor):
-            out = Taylor.constant(order, out)
-        return out
+        return expand(lambda z: self.fn(z[0], z[1 : 1 + n], z[1 + n : 1 + 2 * n],
+                                        z[space.s_index], self.params), x, order)
 
     def taylor(self, x: Sequence[float], order: int) -> Taylor:
         return self.taylor_on(self.space, x, order)
@@ -187,14 +118,8 @@ class RegularityReport:
     tolerance: float
     singular_values: np.ndarray
 
-    @property
-    def is_regular(self) -> bool:
-        return self.verdict == "Regular"
-
 
 def _as_lvec(L: LagrangianSystem, x) -> np.ndarray:
-    if isinstance(x, LagrangianPoint):
-        return x.as_vector()
     vec = np.asarray(x, dtype=float)
     if vec.shape != (2 * L.n + 2,):
         raise ValueError(f"expected a point of length {2 * L.n + 2}")
@@ -210,12 +135,12 @@ def lagrangian_energy(L: LagrangianSystem, x) -> float:
     return float(v @ jet.grad[1 + n : 1 + 2 * n] - jet.value)
 
 
-def legendre_map(L: LagrangianSystem, x) -> HamiltonianPoint:
+def legendre_map(L: LagrangianSystem, x) -> np.ndarray:
     """Fibre derivative (t, q, v, s) -> (t, q, dL/dv, s); defined for any L."""
     vec = _as_lvec(L, x)
-    jet = L.jet(vec, 1)
     n = L.n
-    return HamiltonianPoint(vec[0], vec[1 : 1 + n], jet.grad[1 + n : 1 + 2 * n], vec[-1])
+    p = L.jet(vec, 1).grad[1 + n : 1 + 2 * n]
+    return np.concatenate((vec[: 1 + n], p, vec[-1:]))
 
 
 def regularity(L: LagrangianSystem, x, tol: float = DEFAULT_RANK_TOL) -> RegularityReport:

@@ -48,7 +48,6 @@ from .jets import ORDER_CAP, CoordinateSpace, Jet, Taylor, jet_from_taylor
 from .mechanics import LagrangianSystem, classify_velocity_hessian, pack_order2
 
 __all__ = [
-    "PontryaginPoint",
     "lagrangian_part",
     "hamiltonian_part",
     "ZCoefficients",
@@ -78,46 +77,6 @@ class NumericalBreakdown(ArithmeticError):
 class LadderNotClosed(RuntimeError):
     """An operation needed a closed ladder but the algorithm stopped with
     Incompatible or MaxIterations."""
-
-
-@dataclass(frozen=True)
-class PontryaginPoint:
-    """A state (t, q, v, p, s) of the mixed phase space."""
-
-    t: float
-    q: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
-    s: float
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float).reshape(-1)
-        v = np.asarray(self.v, dtype=float).reshape(-1)
-        p = np.asarray(self.p, dtype=float).reshape(-1)
-        if not (len(q) == len(v) == len(p)):
-            raise ValueError("q, v, p must have equal lengths")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "p", p)
-        vec = self.as_vector()
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("point has non-finite entries")
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.t], self.q, self.v, self.p, [self.s]))
-
-    @staticmethod
-    def from_vector(n: int, vec: Sequence[float]) -> "PontryaginPoint":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (3 * n + 2,):
-            raise ValueError(f"expected length {3 * n + 2}, got {vec.shape}")
-        return PontryaginPoint(
-            vec[0], vec[1 : 1 + n], vec[1 + n : 1 + 2 * n], vec[1 + 2 * n : 1 + 3 * n], vec[-1]
-        )
 
 
 def lagrangian_part(w: np.ndarray, n: int) -> np.ndarray:
@@ -157,8 +116,6 @@ class ZCoefficients:
 
 
 def _as_wvec(n: int, w) -> np.ndarray:
-    if isinstance(w, PontryaginPoint):
-        return w.as_vector()
     vec = np.asarray(w, dtype=float)
     if vec.shape != (3 * n + 2,):
         raise ValueError(f"expected a unified-space point of length {3 * n + 2}")

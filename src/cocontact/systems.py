@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dsl as _dsl
 from .jets import JetDomainError, ScalarField, Taylor, eval_jet, exp, sqrt
-from .mechanics import LagrangianPoint, LagrangianSystem
+from .mechanics import LagrangianSystem
 
 __all__ = [
     "SystemPreset",
@@ -56,13 +56,14 @@ class SystemPreset:
     dynamical field.  ladder_closures are exact expressions for the
     constraint functions each generation of the algorithm must produce
     (beyond the primary p = dL/dv generation); they are valid at arbitrary
-    points of the unified space, not just feasible ones.
+    points of the unified space, not just feasible ones.  initial is the
+    default start on the mixed space, (t, q, v, p = 0, s), read-only.
     """
 
     label: str
     system: LagrangianSystem
     params: _dsl.ParamTable
-    initial: LagrangianPoint
+    initial: np.ndarray
     expected_C: Callable[[np.ndarray], np.ndarray] | None
     expected_D: Callable[[np.ndarray], np.ndarray] | None
     sample_feasible: Callable[[np.random.Generator], np.ndarray]
@@ -70,6 +71,13 @@ class SystemPreset:
     ladder_labels: tuple[str, ...] = ()
     ladder_closures: tuple[Callable[[np.ndarray], float], ...] = ()
     notes: str = ""
+
+    def __post_init__(self):
+        w = np.array(self.initial, dtype=float)
+        if w.shape != (3 * self.n + 2,):
+            raise ValueError(f"initial must have length {3 * self.n + 2}, got shape {w.shape}")
+        w.flags.writeable = False
+        object.__setattr__(self, "initial", w)
 
     @property
     def n(self) -> int:
@@ -135,7 +143,7 @@ def duffing(
         label="duffing",
         system=system,
         params=params,
-        initial=LagrangianPoint(0.0, [1.0], [0.0], 0.0),
+        initial=[0.0, 1.0, 0.0, 0.0, 0.0],  # (t, x, v, p, s)
         expected_C=expected_C,
         expected_D=expected_D,
         sample_feasible=sample_feasible,
@@ -227,7 +235,7 @@ def variable_mass_drag(
         label="variable_mass_drag",
         system=system,
         params=params,
-        initial=LagrangianPoint(0.0, [0.0], [0.0], 0.0),
+        initial=[0.0, 0.0, 0.0, 0.0, 0.0],  # (t, x, v, p, s)
         expected_C=expected_C,
         expected_D=expected_D,
         sample_feasible=sample_feasible,
@@ -408,7 +416,8 @@ def charged_particle(
         label="charged_particle",
         system=system,
         params=params,
-        initial=LagrangianPoint(0.0, [2.0, 0.0, 0.0, 0.0], [0.0, 10.0, 0.0, 0.0], 0.0),
+        initial=np.concatenate(([0.0], [2.0, 0.0, 0.0, 0.0], [0.0, 10.0, 0.0, 0.0],  # t, q, v
+                                np.zeros(4), [0.0])),  # p, s
         expected_C=expected_C,
         expected_D=expected_D,
         sample_feasible=sample_feasible,

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from cocontact.dynamics import legendre_invert
-from cocontact.jets import Jet, Taylor, jet_from_taylor
-from cocontact.mechanics import HamiltonianPoint, LagrangianSystem
+from cocontact.jets import Jet, Taylor, expand, jet_from_taylor
+from cocontact.mechanics import LagrangianSystem
 
 
 class HamiltonianSystem:
@@ -42,11 +42,8 @@ class HamiltonianSystem:
         n = self.n
         if len(x) != self.dim:
             raise ValueError(f"point has length {len(x)}, expected {self.dim}")
-        seeds = [Taylor.variable(order, i, x[i]) for i in range(self.dim)]
-        out = self.fn(seeds[0], seeds[1 : 1 + n], seeds[1 + n : 1 + 2 * n], seeds[-1], self.params)
-        if not isinstance(out, Taylor):
-            out = Taylor.constant(order, out)
-        return out
+        return expand(lambda z: self.fn(z[0], z[1 : 1 + n], z[1 + n : 1 + 2 * n], z[-1],
+                                        self.params), x, order)
 
     def jet(self, x: Sequence[float], order: int) -> Jet:
         return jet_from_taylor(self.taylor(x, order), self.dim, order)
@@ -66,7 +63,7 @@ class HamiltonianSystem:
 def cocontact_hamiltonian_field(H, y) -> np.ndarray:
     """Evolution coefficients (tdot, qdot, pdot, sdot) at a momentum-space
     point, laid out like the point itself."""
-    vec = y.as_vector() if isinstance(y, HamiltonianPoint) else np.asarray(y, dtype=float)
+    vec = np.asarray(y, dtype=float)
     n = H.n
     jet = H.jet(vec, 1)
     p = vec[1 + n : 1 + 2 * n]
@@ -103,7 +100,7 @@ class _EnvelopeHamiltonian:
         return np.concatenate((yvec[: 1 + n], v, yvec[-1:]))
 
     def value(self, y) -> float:
-        yvec = y.as_vector() if isinstance(y, HamiltonianPoint) else np.asarray(y, dtype=float)
+        yvec = np.asarray(y, dtype=float)
         lag = self._lift(yvec)
         n = self.n
         p = yvec[1 + n : 1 + 2 * n]
@@ -112,7 +109,7 @@ class _EnvelopeHamiltonian:
     def jet(self, y, order: int) -> Jet:
         if order != 1:
             raise ValueError("the dual Hamiltonian supports order-1 jets only")
-        yvec = y.as_vector() if isinstance(y, HamiltonianPoint) else np.asarray(y, dtype=float)
+        yvec = np.asarray(y, dtype=float)
         lag = self._lift(yvec)
         n = self.n
         v = lag[1 + n : 1 + 2 * n]

@@ -51,11 +51,6 @@ from cocontact.systems import SOURCE_CHARGE, charged_particle, duffing, preset_b
 OPTS = AlgorithmOptions()
 
 
-def _lift(pre):
-    ic = pre.initial
-    return np.concatenate(([ic.t], ic.q, ic.v, np.zeros(pre.n), [ic.s]))
-
-
 def _verdict(num, label, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'}  criterion {num}: {label}  ({detail})")
     return ok
@@ -69,7 +64,7 @@ def test_criterion_1_regular_ladders_close_in_one_step():
     worst = 0.0
     for name in ("duffing", "variable_mass_drag"):
         pre = preset_by_name(name)
-        ladder, _ = run_constraint_algorithm(pre.system, _lift(pre), OPTS)
+        ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
         assert ladder.status == "Closed"
         assert ladder.n_generations == 1, name
         rng = np.random.default_rng(3)
@@ -104,7 +99,7 @@ def test_criterion_2_singular_ladder_generations_and_closure():
     par = pre.params
     k, gam, m = par["k"], par["gamma"], par["m"]
 
-    ladder, _ = run_constraint_algorithm(pre.system, _lift(pre), OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
     # four momentum primaries, then one new constraint per generation,
     # then closure with nothing further
     assert ladder.status == "Closed"
@@ -147,7 +142,7 @@ def test_criterion_2_singular_ladder_generations_and_closure():
 
 def test_criterion_3_duffing_against_direct_ode():
     pre = preset_by_name("duffing")
-    ladder, _ = run_constraint_algorithm(pre.system, _lift(pre), OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
     traj = integrate(
         lagrangian_field(pre.system, ladder, OPTS),
         np.concatenate((ladder.probe[:3], ladder.probe[-1:])),
@@ -186,13 +181,13 @@ def test_criterion_3_duffing_against_direct_ode():
 def test_criterion_4_harmonic_limit_closed_form():
     alpha = 2.0
     pre = duffing(alpha=alpha, beta=0.0, gamma=0.0, delta=0.0)
-    ladder, _ = run_constraint_algorithm(pre.system, _lift(pre), OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
     traj = integrate(
         lagrangian_field(pre.system, ladder, OPTS),
         np.concatenate((ladder.probe[:3], ladder.probe[-1:])),
         IntegratorConfig(step=1e-3, t_end=2 * np.pi),
     )
-    x0 = pre.initial.q[0]
+    x0 = pre.initial[1]  # q
     dev = float(np.max(np.abs(traj.states[:, 1] - x0 * np.cos(np.sqrt(alpha) * traj.times))))
     assert _verdict(4, "harmonic limit", dev <= 1e-6, f"dev {dev:.2e}")
     assert dev <= 1e-6
@@ -206,7 +201,7 @@ def test_criterion_5_three_descriptions_agree():
     worst = 0.0
     for name in ("duffing", "variable_mass_drag"):
         pre = preset_by_name(name)
-        eq = cross_check_equivalence(pre.system, _lift(pre), cfg, OPTS)
+        eq = cross_check_equivalence(pre.system, pre.initial, cfg, OPTS)
         worst = max(worst, eq.max_deviation)
     assert _verdict(5, "projections and fibre map agree", worst <= 1e-6,
                     f"worst {worst:.2e}")
@@ -220,7 +215,7 @@ def test_criterion_6_residual_channels_fourth_order():
     ratios = {}
     for name in ("duffing", "variable_mass_drag"):
         pre = preset_by_name(name)
-        ladder, _ = run_constraint_algorithm(pre.system, _lift(pre), OPTS)
+        ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
         maxima = {}
         for h in (1e-2, 5e-3):
             traj = integrate(unified_field(pre.system, ladder, OPTS),
@@ -247,7 +242,7 @@ def test_criterion_6_residual_channels_fourth_order():
 @pytest.fixture(scope="module")
 def charged_run():
     pre = preset_by_name("charged_particle")
-    ladder, _ = run_constraint_algorithm(pre.system, _lift(pre), OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
     traj = integrate(unified_field(pre.system, ladder, OPTS), ladder.probe,
                      IntegratorConfig(step=1e-2, t_end=10.0))
     return pre, traj
@@ -319,7 +314,7 @@ def test_criterion_7_inward_spiral_with_binding_coupling():
         phi_expr=f"({kc * SOURCE_CHARGE!r}/sqrt(q1^2 + q2^2 + q3^2))",
         f_expr="q3",
     )
-    ladder, _ = run_constraint_algorithm(pre.system, _lift(pre), OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
     assert ladder.status == "Closed"
     assert [len(g) for g in ladder.generations] == [4, 1, 1, 1, 1]
     traj = integrate(unified_field(pre.system, ladder, OPTS), ladder.probe,

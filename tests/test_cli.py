@@ -160,6 +160,20 @@ def test_malformed_json_config(capsys, tmp_path):
          "unknown residual channels"),
         ({"system": {"n": 1, "lagrangian": "alpha*v1^2"},
           "initial": {"q": [0.0], "v": [0.0]}}, "bad inline Lagrangian"),
+        # blocks of the wrong JSON type
+        ([{"system": "duffing"}], "config must be a JSON object, got list"),
+        ({"system": "duffing", "initial": [0.0, 1.0]}, "initial must be a JSON object"),
+        ({"system": "duffing", "integrator": [1]}, "integrator must be a JSON object"),
+        ({"system": "duffing", "outputs": [1]}, "outputs must be a JSON object"),
+        ({"system": "duffing", "params": [1]}, "params must be a JSON object"),
+        ({"system": {"n": 1, "lagrangian": "v1^2/2", "params": "a=1"},
+          "initial": {"q": [0.0], "v": [0.0]}}, "params must be a JSON object, got str"),
+        ({"system": {"n": [1], "lagrangian": "v1^2/2"},
+          "initial": {"q": [0.0], "v": [0.0]}}, "bad inline system n"),
+        ({"system": {"n": 1, "lagrangian": 5},
+          "initial": {"q": [0.0], "v": [0.0]}}, "lagrangian must be a string"),
+        ({"system": "duffing", "outputs": {"channels": "holonomy"}},
+         "channels must be a list of channel names"),
     ],
 )
 def test_bad_configs_exit_one(capsys, tmp_path, doc, fragment):
@@ -168,6 +182,46 @@ def test_bad_configs_exit_one(capsys, tmp_path, doc, fragment):
                               "--step", "0.1", "--t-end", "0.2"])
     assert rc == 1
     assert fragment in err
+    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, fragment", [
+    ({"system": "duffing", "sweep": [1]}, "sweep must be a JSON object, got list"),
+    ({"system": "duffing", "params": 2.0,
+      "sweep": {"param": "alpha", "values": [1.0]}}, "params must be a JSON object"),
+    ({"system": "duffing", "sweep": {"param": ["alpha"], "values": [1.0]}},
+     "sweep needs a parameter name"),
+])
+def test_bad_sweep_configs_exit_one(capsys, tmp_path, monkeypatch, doc, fragment):
+    monkeypatch.setenv("COCONTACT_OUT_DIR", str(tmp_path))
+    cfg = write_config(tmp_path, doc)
+    rc, out, err = run(capsys, ["sweep", "--config", cfg, "--step", "0.1", "--t-end", "0.2"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+    assert fragment in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("integrator, fragment", [
+    ({"t_end": float("inf")}, "t_end must be finite"),
+    ({"method": "rk45", "t_end": float("inf")}, "t_end must be finite"),
+    ({"t_end": float("nan")}, "t_end must be finite"),
+    ({"step": float("inf")}, "step must be finite and positive"),
+    ({"step": float("nan")}, "step must be finite and positive"),
+    ({"method": "rk45", "abs_tol": float("inf")}, "tolerances must be finite and positive"),
+    ({"method": "rk45", "rel_tol": float("nan")}, "tolerances must be finite and positive"),
+])
+def test_non_finite_integrator_settings_exit_one(capsys, tmp_path, monkeypatch,
+                                                 integrator, fragment):
+    # json.load accepts NaN and Infinity; the integrator block must refuse them
+    monkeypatch.setenv("COCONTACT_OUT_DIR", str(tmp_path))
+    cfg = write_config(tmp_path, {"system": "duffing", "integrator": integrator})
+    rc, out, err = run(capsys, ["simulate", "--config", cfg])
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: ConfigError: bad integrator block: {fragment}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
 @pytest.mark.parametrize("initial", [

@@ -46,11 +46,6 @@ from hamiltonian_reference import cocontact_hamiltonian_field, hamiltonian_from_
 OPTS = AlgorithmOptions()
 
 
-def lift_initial(pre):
-    ic = pre.initial
-    return np.concatenate(([ic.t], ic.q, ic.v, np.zeros(pre.n), [ic.s]))
-
-
 def closed_ladder(L, w0):
     ladder, Z = run_constraint_algorithm(L, w0, OPTS)
     assert ladder.status == "Closed"
@@ -69,6 +64,17 @@ def test_config_validation():
         IntegratorConfig(abs_tol=-1e-9)
     cfg = IntegratorConfig()
     assert cfg.method == "rk4" and cfg.step == 1e-3 and not cfg.reproject
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_end", math.inf), ("t_end", -math.inf), ("t_end", math.nan),
+    ("step", math.inf), ("step", math.nan),
+    ("abs_tol", math.inf), ("abs_tol", math.nan),
+    ("rel_tol", math.inf), ("rel_tol", math.nan),
+])
+def test_config_rejects_non_finite_settings(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        IntegratorConfig(**{field: value})
 
 
 # -- closed-form motions ------------------------------------------------
@@ -120,7 +126,7 @@ def test_duffing_velocity_run_vs_reference_ode():
         k4 = rhs(y + h * k3)
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     x0 = lagrangian_part(ladder.probe, 1)
     cfg = IntegratorConfig(method="rk4", step=1e-3, t_end=2.0)
     traj = integrate(lagrangian_field(L, ladder, OPTS), x0, cfg)
@@ -140,7 +146,7 @@ def test_momentum_field_matches_generic_evolution_equations():
     # momentum-side equations applied to the induced Hamiltonian
     pre = preset_by_name("duffing")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     fld = hamiltonian_field(L, ladder, OPTS)
     H = hamiltonian_from_lagrangian(L)
     rng = np.random.default_rng(7)
@@ -197,7 +203,7 @@ def test_legendre_invert_rejects_singular_fibre_map():
 def test_momentum_description_unavailable_for_singular_system():
     pre = preset_by_name("charged")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     y0 = hamiltonian_part(ladder.probe, 4)
     with pytest.raises(NonInvertibleLegendre):
         hamiltonian_field(L, ladder, OPTS).prepare(y0)
@@ -226,7 +232,7 @@ def test_fixed_step_times_are_exact():
 def test_trajectory_shape_and_samples():
     pre = preset_by_name("duffing")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.1)
     traj = integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
     assert traj.kind == "unified"
@@ -250,7 +256,7 @@ def test_trajectory_shape_and_samples():
 def test_projection_helpers_drop_the_right_block():
     pre = preset_by_name("duffing")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     Z = assemble_Z(L, ladder.probe, ladder, OPTS)
     lag = lagrangian_part(Z.as_vector(), L.n)
     ham = hamiltonian_part(Z.as_vector(), L.n)
@@ -273,7 +279,7 @@ def test_description_field_is_drop_of_unified_field(name, make):
     # drop(w) is the drop of the unified field at w
     pre = preset_by_name(name)
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     w = ladder.probe
     fld = make(L, ladder, OPTS)
     got = fld(fld.drop(w))
@@ -288,7 +294,7 @@ def test_description_field_is_drop_of_unified_field(name, make):
 def test_drift_and_eval_share_one_evaluation(name, make, monkeypatch):
     pre = preset_by_name(name)
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     # a state away from the probe point, off the constraint set where the
     # description allows it
     y = make(L, ladder, OPTS).drop(ladder.probe)
@@ -321,7 +327,7 @@ def test_constraint_channel_reads_the_field_evaluations(name, make):
     # returned; they match the channel's own recomputation
     pre = preset_by_name(name)
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     fld = make(L, ladder, OPTS)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05)
     traj = integrate(fld, fld.drop(ladder.probe), cfg)
@@ -336,7 +342,7 @@ def test_integrated_channels_match_recomputation(name, make, method):
     # the ones recomputed from the raw arrays, one order-2 jet per sample
     pre = preset_by_name(name)
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     fld = make(L, ladder, OPTS)
     cfg = IntegratorConfig(method=method, step=1e-2, t_end=0.065, abs_tol=1e-12, rel_tol=1e-12)
     traj = integrate(fld, fld.drop(ladder.probe), cfg)
@@ -362,7 +368,7 @@ def _counting_taylor_on(monkeypatch, orders, active=lambda: True):
 def test_residual_pass_in_integrate_expands_nothing(name, make, monkeypatch):
     pre = preset_by_name(name)
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     inside = []
     orders = []
     channels = cocontact.dynamics.residual_channels
@@ -400,7 +406,7 @@ def test_momentum_eval_expands_once_per_newton_iterate(monkeypatch):
     assert quartic_iterates > 3
     cases = [
         (quartic, np.array([0.0, 0.3, 0.5, 0.0, 0.0]), quartic_iterates),
-        (drag.system, lift_initial(drag), 2),
+        (drag.system, drag.initial, 2),
     ]
     for L, w0, iterates in cases:
         fld = hamiltonian_field(L, closed_ladder(L, w0), OPTS)
@@ -440,7 +446,7 @@ def _fornberg_reference(z, nodes, m):
 def test_batched_fd_weights_match_scalar_recursion():
     pre = preset_by_name("duffing")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     adaptive = integrate(unified_field(L, ladder, OPTS), ladder.probe,
                          IntegratorConfig(method="rk45", step=1e-2, t_end=0.5))
     assert np.ptp(np.diff(adaptive.times)) > 0  # a non-uniform grid
@@ -465,7 +471,7 @@ def test_batched_fd_weights_match_scalar_recursion():
 def test_channels_flag_injected_faults():
     pre = preset_by_name("duffing")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.3)
     traj = integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
 
@@ -495,7 +501,7 @@ def test_channels_shrink_at_fourth_order():
     # halving the step must cut every nonvacuous channel by about 2^4
     pre = preset_by_name("drag")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     maxima = {}
     for h in (1e-2, 5e-3):
         cfg = IntegratorConfig(method="rk4", step=h, t_end=2.5)
@@ -509,7 +515,7 @@ def test_channels_shrink_at_fourth_order():
 def test_residual_report_structure():
     pre = preset_by_name("duffing")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.2)
     traj = integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
     rep = residual_report(L, traj)
@@ -524,7 +530,7 @@ def test_residual_report_structure():
 def test_monitor_mode_raises_when_ladder_lost():
     pre = preset_by_name("drag")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=0.25, t_end=6.0)
     with pytest.raises(LadderLost):
         integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
@@ -533,7 +539,7 @@ def test_monitor_mode_raises_when_ladder_lost():
 def test_reprojection_keeps_the_same_coarse_run_alive():
     pre = preset_by_name("drag")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=0.25, t_end=6.0, reproject=True)
     traj = integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
     assert traj.channel_max("constraint") < 1e-9
@@ -553,7 +559,7 @@ def test_adaptive_step_failure_at_finite_time_blowup():
 def test_adaptive_run_matches_fixed_step():
     pre = preset_by_name("duffing")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     fixed = integrate(unified_field(L, ladder, OPTS), ladder.probe,
                       IntegratorConfig(method="rk4", step=1e-3, t_end=2.0))
     adaptive = integrate(unified_field(L, ladder, OPTS), ladder.probe,
@@ -570,7 +576,7 @@ def test_adaptive_run_matches_fixed_step():
 def test_cross_check_requires_fixed_step():
     pre = preset_by_name("duffing")
     with pytest.raises(ValueError):
-        cross_check_equivalence(pre.system, lift_initial(pre),
+        cross_check_equivalence(pre.system, pre.initial,
                                 IntegratorConfig(method="rk45"))
 
 
@@ -579,7 +585,7 @@ def test_cross_check_exponential_mass_drag():
     pre = preset_by_name("drag", {"m_expr": "0.8*exp(-0.25*t)"})
     L = pre.system
     cfg = IntegratorConfig(method="rk4", step=1e-3, t_end=1.0)
-    eq = cross_check_equivalence(L, lift_initial(pre), cfg)
+    eq = cross_check_equivalence(L, pre.initial, cfg)
     assert isinstance(eq, EquivalenceReport)
     assert eq.dev_lagrangian < 1e-10
     assert eq.dev_hamiltonian < 1e-10
@@ -593,7 +599,7 @@ def test_cross_check_singular_fibre_map_compares_two_descriptions():
     # the mixed-vs-velocity deviation alone
     pre = preset_by_name("charged")
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05)
-    eq = cross_check_equivalence(pre.system, lift_initial(pre), cfg)
+    eq = cross_check_equivalence(pre.system, pre.initial, cfg)
     assert eq.hamiltonian is None
     assert eq.dev_hamiltonian is None and eq.dev_legendre is None
     assert eq.max_deviation == eq.dev_lagrangian < 1e-10
@@ -606,7 +612,7 @@ def test_cross_check_singular_fibre_map_compares_two_descriptions():
 def test_csv_round_trip(tmp_path):
     pre = preset_by_name("duffing")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.2)
     traj = integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
     path = tmp_path / "run.csv"
@@ -625,7 +631,7 @@ def test_csv_round_trip(tmp_path):
 def test_json_export(tmp_path):
     pre = preset_by_name("duffing")
     L = pre.system
-    ladder = closed_ladder(L, lift_initial(pre))
+    ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.1)
     traj = integrate(lagrangian_field(L, ladder, OPTS), lagrangian_part(ladder.probe, 1), cfg)
     path = tmp_path / "run.json"

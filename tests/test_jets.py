@@ -17,6 +17,7 @@ from cocontact.jets import (
     cos,
     eval_jet,
     exp,
+    expand,
     jet_from_taylor,
     ln,
     powf,
@@ -31,6 +32,18 @@ def test_square_at_three():
     assert j.value == 9.0
     assert j.grad[0] == 6.0
     assert j.hess[0, 0] == 2.0
+
+
+def test_expand_seeds_each_coordinate_and_lifts_constants():
+    x = [0.5, -2.0, 3.0]
+    got = expand(lambda X: X[0] * X[2] - X[1], x, 3)
+    seeds = [Taylor.variable(3, i, c) for i, c in enumerate(x)]
+    assert got.order == 3
+    assert got.terms == (seeds[0] * seeds[2] - seeds[1]).terms
+    const = expand(lambda X: 4.0, x, 2)  # no dependence on the seeds
+    assert isinstance(const, Taylor) and const.order == 2 and const.terms == {0: 4.0}
+    with pytest.raises(ValueError):
+        expand(lambda X: X[0], [1.0], ORDER_CAP + 1)
 
 
 def test_velocity_times_cosine():

@@ -8,8 +8,6 @@ import pytest
 from cocontact import dsl
 from cocontact.jets import cos, exp
 from cocontact.mechanics import (
-    HamiltonianPoint,
-    LagrangianPoint,
     LagrangianSystem,
     herglotz_defect,
     herglotz_residual,
@@ -43,27 +41,12 @@ def _duffing():
     )
 
 
-def test_points_round_trip():
-    x = LagrangianPoint(0.5, [1.0, 2.0], [3.0, 4.0], 0.25)
-    assert x.n == 2
-    vec = x.as_vector()
-    assert np.array_equal(vec, [0.5, 1, 2, 3, 4, 0.25])
-    y = LagrangianPoint.from_vector(2, vec)
-    assert np.array_equal(y.as_vector(), vec)
-    h = HamiltonianPoint.from_vector(2, vec)
-    assert np.array_equal(h.p, [3.0, 4.0])
-    with pytest.raises(ValueError):
-        LagrangianPoint(0.0, [1.0], [1.0, 2.0], 0.0)
-    with pytest.raises(ValueError):
-        LagrangianPoint(float("nan"), [1.0], [1.0], 0.0)
-
-
 def test_energy_closed_form():
     L = _duffing()
     rng = np.random.default_rng(0)
     for _ in range(30):
         t, x, v, s = rng.uniform(-2, 2, size=4)
-        pt = LagrangianPoint(t, [x], [v], s)
+        pt = np.array([t, x, v, s])
         expect = (
             0.5 * v * v
             + 0.5 * ALPHA * x * x
@@ -88,19 +71,20 @@ def test_energy_quadratic_kinetic_rule():
     rng = np.random.default_rng(1)
     for _ in range(20):
         vec = rng.uniform(-1.5, 1.5, size=6)
-        pt = LagrangianPoint(vec[0], vec[1:3], vec[3:5], vec[5])
-        c = pt.q[0] * pt.q[1] - 2.0 * pt.s + pt.t
-        expect = 0.5 * pt.v @ M @ pt.v - c
-        assert abs(lagrangian_energy(L, pt) - expect) <= 1e-12 * max(1.0, abs(expect))
+        t, q, v, s = vec[0], vec[1:3], vec[3:5], vec[5]
+        c = q[0] * q[1] - 2.0 * s + t
+        expect = 0.5 * v @ M @ v - c
+        assert abs(lagrangian_energy(L, vec) - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
 def test_legendre_map():
     L = _duffing()
-    pt = LagrangianPoint(0.3, [1.2], [-0.7], 0.5)
-    y = legendre_map(L, pt)
-    assert y.t == pt.t and y.s == pt.s
-    assert np.array_equal(y.q, pt.q)
-    assert abs(y.p[0] - (-0.7)) <= 1e-15  # p = v for unit mass
+    pt = np.array([0.3, 1.2, -0.7, 0.5])
+    y = legendre_map(L, pt)  # (t, q, p, s)
+    assert y.shape == (4,)
+    assert y[0] == pt[0] and y[-1] == pt[-1]
+    assert y[1] == pt[1]
+    assert abs(y[2] - (-0.7)) <= 1e-15  # p = v for unit mass
 
     # with an s-dependent kinetic coupling: p = m v - 2 gamma s
     m0, g_ = 1.4, 0.3
@@ -109,15 +93,23 @@ def test_legendre_map():
         return 0.5 * m0 * v[0] ** 2 - 2 * g_ * v[0] * s
 
     L2 = LagrangianSystem(1, fn)
-    pt = LagrangianPoint(0.0, [0.1], [2.0], 0.7)
-    y = legendre_map(L2, pt)
-    assert abs(y.p[0] - (m0 * 2.0 - 2 * g_ * 0.7)) <= 1e-14
+    y = legendre_map(L2, [0.0, 0.1, 2.0, 0.7])
+    assert abs(y[2] - (m0 * 2.0 - 2 * g_ * 0.7)) <= 1e-14
+
+
+def test_velocity_side_vectors_must_have_length_2n_plus_2():
+    L = _duffing()
+    for call in (lagrangian_energy, legendre_map, regularity):
+        with pytest.raises(ValueError, match="length 4"):
+            call(L, [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="length 4"):
+        herglotz_residual(L, np.zeros(5), [0.0], 0.0)
 
 
 def test_regularity_regular():
     L = _duffing()
-    rep = regularity(L, LagrangianPoint(0.0, [1.0], [0.0], 0.0))
-    assert rep.verdict == "Regular" and rep.is_regular
+    rep = regularity(L, [0.0, 1.0, 0.0, 0.0])
+    assert rep.verdict == "Regular"
     assert rep.rank == 1
     assert rep.nullspace.shape == (1, 0)
 
@@ -158,15 +150,15 @@ def test_herglotz_residual_duffing():
     rng = np.random.default_rng(2)
     for _ in range(25):
         t, x, v, s = rng.uniform(-1.5, 1.5, size=4)
-        pt = LagrangianPoint(t, [x], [v], s)
+        pt = np.array([t, x, v, s])
         exact_a = (
             -ALPHA * x - BETA * x**3 - DELTA * v + GAMMA * math.cos(OMEGA * t)
         )
-        vec, scal = herglotz_residual(L, pt, [exact_a], sdot=L.value(pt.as_vector()))
+        vec, scal = herglotz_residual(L, pt, [exact_a], sdot=L.value(pt))
         assert abs(vec[0]) <= 1e-12
         assert abs(scal) <= 1e-12
         # an acceleration offset shows up verbatim (unit mass)
-        vec, _ = herglotz_residual(L, pt, [exact_a + 0.125], sdot=L.value(pt.as_vector()))
+        vec, _ = herglotz_residual(L, pt, [exact_a + 0.125], sdot=L.value(pt))
         assert abs(vec[0] - 0.125) <= 1e-12
 
 
@@ -180,7 +172,7 @@ def test_herglotz_residual_time_dependent_mass():
     L = LagrangianSystem(1, fn)
     t, x, v, s = 0.4, 0.8, 1.3, 0.0
     a = -0.9
-    vec, _ = herglotz_residual(L, LagrangianPoint(t, [x], [v], s), [a], sdot=0.0)
+    vec, _ = herglotz_residual(L, [t, x, v, s], [a], sdot=0.0)
     expect = (2.0 + math.sin(t)) * a + math.cos(t) * v
     assert abs(vec[0] - expect) <= 1e-13
 
@@ -224,13 +216,13 @@ def test_cocontact_field_duffing():
     rng = np.random.default_rng(3)
     for _ in range(25):
         t, x, p, s = rng.uniform(-1.5, 1.5, size=4)
-        y = HamiltonianPoint(t, [x], [p], s)
+        y = np.array([t, x, p, s])
         out = cocontact_hamiltonian_field(H, y)
         assert out[0] == 1.0
         assert abs(out[1] - p) <= 1e-14
         pdot = -(ALPHA * x + BETA * x**3 - GAMMA * math.cos(OMEGA * t) + p * DELTA)
         assert abs(out[2] - pdot) <= 1e-12
-        Hval = H.value(y.as_vector())
+        Hval = H.value(y)
         assert abs(out[3] - (p * p - Hval)) <= 1e-12
 
 
@@ -240,7 +232,7 @@ def test_sdot_sign_convention():
         return 0.5 * p[0] ** 2 + 3.0 * q[0]
 
     H = HamiltonianSystem(1, fn)
-    y = HamiltonianPoint(0.0, [2.0], [1.5], 0.0)
+    y = np.array([0.0, 2.0, 1.5, 0.0])
     out = cocontact_hamiltonian_field(H, y)
     assert abs(out[-1] - (0.5 * 1.5**2 - 6.0)) <= 1e-14
 

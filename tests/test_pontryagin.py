@@ -18,7 +18,6 @@ from cocontact.pontryagin import (
     InfeasiblePoint,
     LadderNotClosed,
     NumericalBreakdown,
-    PontryaginPoint,
     ZCoefficients,
     _solve_frozen,
     _Workspace,
@@ -38,37 +37,12 @@ from cocontact.systems import (
 )
 
 
-def lift_initial(pre):
-    """Unified-space vector over a preset's initial data, momenta zeroed."""
-    ic = pre.initial
-    return np.concatenate(([ic.t], ic.q, ic.v, np.zeros(pre.n), [ic.s]))
-
-
 def coulomb_hess(x):
     r = math.sqrt(x @ x)
     return SOURCE_CHARGE * (3 * np.outer(x, x) / r**5 - np.eye(3) / r**3)
 
 
-# -- points and simple observables --------------------------------------
-
-def test_point_roundtrip():
-    w = PontryaginPoint(0.5, [1.0, 2.0], [3.0, 4.0], [5.0, 6.0], 7.0)
-    assert w.n == 2
-    vec = w.as_vector()
-    np.testing.assert_array_equal(vec, [0.5, 1, 2, 3, 4, 5, 6, 7])
-    again = PontryaginPoint.from_vector(2, vec)
-    np.testing.assert_array_equal(again.as_vector(), vec)
-    assert again.t == w.t and again.s == w.s
-
-
-def test_point_validation():
-    with pytest.raises(ValueError):
-        PontryaginPoint(0.0, [1.0], [1.0, 2.0], [0.0], 0.0)
-    with pytest.raises(ValueError):
-        PontryaginPoint(math.nan, [1.0], [1.0], [0.0], 0.0)
-    with pytest.raises(ValueError):
-        PontryaginPoint.from_vector(2, np.zeros(5))
-
+# -- simple observables --------------------------------------
 
 def test_primary_constraint_values():
     pre = duffing()
@@ -77,9 +51,16 @@ def test_primary_constraint_values():
     assert abs(primary_constraints(pre.system, w)[0] - (0.4 - (-0.7))) < 1e-14
 
     ch = charged_particle()
-    w = lift_initial(ch)
+    w = ch.initial
     vals = primary_constraints(ch.system, w)
     np.testing.assert_allclose(vals, [0.0, -10.0, 0.0, 0.0], atol=1e-14)
+
+
+def test_mixed_space_vectors_must_have_length_3n_plus_2():
+    pre = charged_particle()
+    for bad in (np.zeros(13), np.zeros(15), np.zeros((2, 7))):
+        with pytest.raises(ValueError, match="length 14"):
+            primary_constraints(pre.system, bad)
 
 
 def test_z_coefficients_vector_layout():
@@ -93,7 +74,7 @@ def test_z_coefficients_vector_layout():
 
 def test_duffing_closes_in_one_generation():
     pre = duffing()
-    ladder, Z = run_constraint_algorithm(pre.system, lift_initial(pre))
+    ladder, Z = run_constraint_algorithm(pre.system, pre.initial)
     assert ladder.status == "Closed"
     assert ladder.n_generations == 1
     assert ladder.rank == 1
@@ -122,7 +103,7 @@ def test_duffing_C_equals_D_on_constraint_set():
     # with p = dL/dv = v the two formulas coincide pointwise
     pre = duffing()
     rng = np.random.default_rng(2)
-    ladder, _ = run_constraint_algorithm(pre.system, lift_initial(pre))
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     for _ in range(20):
         w = pre.sample_feasible(rng)
         Z = assemble_Z(pre.system, w, ladder)
@@ -136,7 +117,7 @@ def test_charged_ladder_from_reference_start():
     # (z = t = 0), so several obstructions vanish there by accident; the
     # transversality clause must still find all five generations
     pre = charged_particle()
-    ladder, Z = run_constraint_algorithm(pre.system, lift_initial(pre))
+    ladder, Z = run_constraint_algorithm(pre.system, pre.initial)
     assert ladder.status == "Closed"
     assert ladder.n_generations == 5
     assert [len(g) for g in ladder.generations] == [4, 1, 1, 1, 1]
@@ -180,7 +161,7 @@ def test_discovered_constraints_equal_hand_closures_everywhere():
     # the recipes built by the algorithm agree with the hand-derived
     # closed forms at arbitrary points, not only feasible ones
     pre = charged_particle()
-    ladder, _ = run_constraint_algorithm(pre.system, lift_initial(pre))
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     derived = [gen[0] for gen in ladder.generations[1:]]
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -192,7 +173,7 @@ def test_discovered_constraints_equal_hand_closures_everywhere():
 
 def test_derived_constraint_jets_match_finite_differences():
     pre = charged_particle()
-    ladder, _ = run_constraint_algorithm(pre.system, lift_initial(pre))
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     rng = np.random.default_rng(6)
     w = rng.uniform(-1.2, 1.2, 14)
     w[1] = 1.7
@@ -210,7 +191,7 @@ def test_derived_constraint_jets_match_finite_differences():
 def test_field_is_tangent_to_every_constraint():
     # grad(xi) . Z = 0 at feasible points, for the whole ladder
     pre = charged_particle()
-    ladder, _ = run_constraint_algorithm(pre.system, lift_initial(pre))
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     rng = np.random.default_rng(7)
     for _ in range(10):
         w = pre.sample_feasible(rng)
@@ -227,7 +208,7 @@ def test_field_C_matches_the_row_by_row_least_squares_solve(name):
     # same rank rule; the assembly forms all rows at once and reuses its SVD
     pre = preset_by_name(name)
     L, n = pre.system, pre.n
-    ladder, _ = run_constraint_algorithm(L, lift_initial(pre))
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     rng = np.random.default_rng(12)
     for _ in range(5):
         w = pre.sample_feasible(rng)
@@ -247,7 +228,7 @@ def test_assembled_field_carries_the_constraint_values():
     # assemble_Z expands every constraint to order 1 anyway; the values it
     # returns are those constraint_values computes, on and off the set
     pre = charged_particle()
-    ladder, Z0 = run_constraint_algorithm(pre.system, lift_initial(pre))
+    ladder, Z0 = run_constraint_algorithm(pre.system, pre.initial)
     active = ladder.active()
     np.testing.assert_allclose(
         Z0.constraint_values, constraint_values(pre.system, ladder.probe, active),
@@ -265,7 +246,7 @@ def test_assembled_field_carries_the_constraint_values():
 
 def test_ladder_report_serializes():
     pre = charged_particle()
-    ladder, _ = run_constraint_algorithm(pre.system, lift_initial(pre))
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     rep = ladder.report()
     blob = json.dumps(rep)
     back = json.loads(blob)
@@ -285,7 +266,7 @@ def test_closed_ladder_field_is_the_assembled_field(name):
     # run_constraint_algorithm and assemble_Z build Z in one place, so the
     # field the ladder closes with is the field assemble_Z gives at the probe
     pre = preset_by_name(name)
-    ladder, Z = run_constraint_algorithm(pre.system, lift_initial(pre))
+    ladder, Z = run_constraint_algorithm(pre.system, pre.initial)
     again = assemble_Z(pre.system, ladder.probe, ladder)
     for f in ("A", "B", "C", "D", "E", "undetermined", "constraint_values"):
         assert np.array_equal(getattr(Z, f), getattr(again, f)), f
@@ -293,7 +274,7 @@ def test_closed_ladder_field_is_the_assembled_field(name):
 
 def test_ladder_report_values_are_constraint_values():
     pre = charged_particle()
-    ladder, _ = run_constraint_algorithm(pre.system, lift_initial(pre))
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     got = [e["value_at_probe"] for gen in ladder.report()["generations"] for e in gen]
     want = constraint_values(pre.system, ladder.probe, ladder.active())
     assert got == want.tolist()
@@ -305,7 +286,7 @@ def test_workspace_expands_L_once_per_point(monkeypatch):
     # order-1 residuals of the projection
     pre = charged_particle()
     L = pre.system
-    ladder, _ = run_constraint_algorithm(L, lift_initial(pre))
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     active = ladder.active()
     deepest = max(c.generation for c in active)
     unified_dim = 3 * L.n + 2
@@ -334,7 +315,7 @@ def test_assemble_Z_builds_each_tangency_row_once(monkeypatch):
     # partials pass, and L's partials from one pass per order
     pre = charged_particle()
     L = pre.system
-    ladder, _ = run_constraint_algorithm(L, lift_initial(pre))
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     requested, differentiated = [], []
     row, partials = _Workspace.row, Taylor.partials
 
@@ -363,7 +344,7 @@ def test_charged_ladder_pivots_are_frozen_at_birth():
     # sequence partial pivoting picked at the birth point is kept for
     # every later evaluation
     pre = charged_particle()
-    ladder, _ = run_constraint_algorithm(pre.system, lift_initial(pre))
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     derived = [c for gen in ladder.generations[1:] for c in gen]
     assert len(derived) == 4
     for c in derived:
@@ -397,7 +378,7 @@ def test_projection_expands_L_on_the_velocity_side_once(name, monkeypatch):
     # order-2 jet of L at (t, q, v, s)
     pre = preset_by_name(name)
     L = pre.system
-    ladder, _ = run_constraint_algorithm(L, lift_initial(pre))
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     orders = []
     taylor_on = LagrangianSystem.taylor_on
 
@@ -417,7 +398,7 @@ def test_assembled_field_carries_L_order2_data(name):
     # workspace's expansion: it equals a fresh jet of L there
     pre = preset_by_name(name)
     L = pre.system
-    ladder, _ = run_constraint_algorithm(L, lift_initial(pre))
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     rng = np.random.default_rng(5)
     dim = 3 * L.n + 2
     for k in range(6):
@@ -459,7 +440,7 @@ def test_incompatible_system_detected():
 def test_max_iterations_status():
     pre = charged_particle()
     opts = AlgorithmOptions(max_generations=2)
-    ladder, Z = run_constraint_algorithm(pre.system, lift_initial(pre), opts)
+    ladder, Z = run_constraint_algorithm(pre.system, pre.initial, opts)
     assert ladder.status == "MaxIterations"
     assert Z is None
 
@@ -485,7 +466,7 @@ def test_infeasible_start_off_the_surface():
     # starting with z != t: no adjustment of v, p or the multiplier can
     # reach the moving plane, since z and t are frozen
     pre = charged_particle()
-    w = lift_initial(pre)
+    w = pre.initial.copy()
     w[3] = 0.5  # z
     with pytest.raises(InfeasiblePoint):
         run_constraint_algorithm(pre.system, w)
@@ -495,7 +476,7 @@ def test_projectless_run_rejects_raw_momenta():
     pre = charged_particle()
     with pytest.raises(InfeasiblePoint):
         run_constraint_algorithm(
-            pre.system, lift_initial(pre), AlgorithmOptions(project=False)
+            pre.system, pre.initial, AlgorithmOptions(project=False)
         )
 
 

@@ -1,0 +1,20 @@
+"""The README's library quick start runs as printed."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_quick_start_runs():
+    text = README.read_text()
+    section = text.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README quick start", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "Closed"
+    assert len(lines) == 2 and 0.0 <= float(lines[1]) < 1e-9

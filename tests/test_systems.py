@@ -6,6 +6,7 @@ derivatives, explicit mass-law derivatives), so that the presets can in
 turn serve as oracles for the constraint algorithm.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 
 from cocontact.dsl import DslError, parse
 from cocontact.jets import JetDomainError, eval_jet
-from cocontact.mechanics import LagrangianPoint
 from cocontact.systems import (
     PRESET_NAMES,
     SOURCE_CHARGE,
@@ -88,7 +88,7 @@ def test_duffing_defaults():
     assert pre.params["gamma"] == 8.0
     assert pre.params["delta"] == 0.02
     assert pre.params["omega"] == 0.5
-    assert pre.initial == LagrangianPoint(0.0, [1.0], [0.0], 0.0)
+    np.testing.assert_array_equal(pre.initial, [0.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def test_duffing_expected_coefficients():
@@ -216,8 +216,8 @@ def test_charged_defaults():
     assert pre.params["m"] == 1.0
     assert pre.params["k"] == 2e-4
     assert pre.params["gamma"] == 0.3
-    np.testing.assert_array_equal(pre.initial.q, [2.0, 0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(pre.initial.v, [0.0, 10.0, 0.0, 0.0])
+    np.testing.assert_array_equal(pre.initial[1:5], [2.0, 0.0, 0.0, 0.0])  # q
+    np.testing.assert_array_equal(pre.initial[5:9], [0.0, 10.0, 0.0, 0.0])  # v
     assert len(pre.ladder_closures) == 4
     assert len(pre.ladder_labels) == 4
 
@@ -383,6 +383,27 @@ def test_preset_names_resolve():
     for name in PRESET_NAMES:
         pre = preset_by_name(name)
         assert pre.label == name
+
+
+def test_preset_initial_is_a_read_only_mixed_space_start():
+    for name in PRESET_NAMES:
+        pre = preset_by_name(name)
+        n = pre.n
+        assert pre.initial.shape == (3 * n + 2,)
+        assert pre.initial.dtype == float
+        np.testing.assert_array_equal(pre.initial[1 + 2 * n : 1 + 3 * n], np.zeros(n))  # p
+        assert not pre.initial.flags.writeable
+        with pytest.raises(ValueError):
+            pre.initial[0] = 1.0
+    pre = duffing()
+    w = pre.initial.copy()
+    w[1] = 0.5
+    again = dataclasses.replace(pre, initial=w)
+    assert not again.initial.flags.writeable
+    w[1] = 0.7  # the preset holds its own copy
+    assert again.initial[1] == 0.5
+    with pytest.raises(ValueError, match="length 5"):
+        dataclasses.replace(pre, initial=[0.0, 1.0, 0.0, 0.0])
 
 
 def test_preset_aliases():
