@@ -31,9 +31,6 @@ from .mechanics import (  # noqa: F401
     LagrangianSystem,
     RegularityReport,
     herglotz_residual,
-    lagrangian_energy,
-    legendre_map,
-    regularity,
 )
 from .pontryagin import (  # noqa: F401
     AlgorithmOptions,

@@ -32,6 +32,7 @@ generation cap; 4 integrator failure.  Errors print one line (EXIT_CODES).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,6 +43,7 @@ import numpy as np
 from . import dsl
 from .dynamics import (
     FIELDS,
+    RESIDUAL_CHANNELS,
     IntegratorConfig,
     LadderLost,
     NonInvertibleLegendre,
@@ -63,8 +65,6 @@ EXIT_CONFIG = 1
 EXIT_INCOMPATIBLE = 2
 EXIT_MAX_GENERATIONS = 3
 EXIT_INTEGRATOR = 4
-
-CHANNELS = ("holonomy", "sdot", "herglotz", "constraint")
 
 
 class ConfigError(ValueError):
@@ -127,12 +127,13 @@ def _build_system(config: dict):
         if _block(config, "params"):
             raise ConfigError("inline systems take params inside the system block")
         try:
-            n = int(spec["n"])
+            n = spec["n"]
             text = spec["lagrangian"]
         except KeyError as exc:
             raise ConfigError(f"inline system needs {exc} field") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad inline system n: {exc}") from exc
+        # bool is an int subclass: "n": true would run as n = 1
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ConfigError(f"bad inline system n: expected an integer, got {n!r}")
         if not isinstance(text, str):
             raise ConfigError("inline system lagrangian must be a string")
         try:
@@ -171,8 +172,7 @@ def _integrator_config(config: dict, args) -> IntegratorConfig:
         block["step"] = args.step
     if getattr(args, "t_end", None) is not None:
         block["t_end"] = args.t_end
-    allowed = {"method", "step", "t_end", "abs_tol", "rel_tol", "reproject"}
-    unknown = set(block) - allowed
+    unknown = set(block) - {f.name for f in dataclasses.fields(IntegratorConfig)}
     if unknown:
         raise ConfigError(f"unknown integrator fields: {sorted(unknown)}")
     try:
@@ -216,10 +216,10 @@ def cmd_simulate(args) -> int:
     w0 = _initial_state(config, L, pre)
     cfg = _integrator_config(config, args)
     outputs = _block(config, "outputs")
-    channels = outputs.get("channels", list(CHANNELS))
+    channels = outputs.get("channels", list(RESIDUAL_CHANNELS))
     if not (isinstance(channels, list) and all(isinstance(c, str) for c in channels)):
         raise ConfigError("outputs channels must be a list of channel names")
-    bad = set(channels) - set(CHANNELS)
+    bad = set(channels) - set(RESIDUAL_CHANNELS)
     if bad:
         raise ConfigError(f"unknown residual channels: {sorted(bad)}")
 
@@ -311,7 +311,7 @@ def cmd_sweep(args) -> int:
             "file": str(path),
             "t_final": traj.times[-1],
             "final_state": traj.states[-1].tolist(),
-            "residual_max": {k: rep[k]["max"] for k in CHANNELS},
+            "residual_max": {k: rep[k]["max"] for k in RESIDUAL_CHANNELS},
         })
     print(json.dumps({"param": param, "runs": rows}, indent=1))
     return EXIT_OK

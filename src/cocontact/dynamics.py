@@ -37,8 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Jet
-from .mechanics import LagrangianSystem, herglotz_defect, order2_of_jet
+from .jets import CoordinateSpace, Taylor
+from .mechanics import LagrangianSystem, herglotz_defect, read_order2
 from .pontryagin import (
     AlgorithmOptions,
     ConstraintLadder,
@@ -114,6 +114,9 @@ class IntegratorConfig:
             raise ValueError("step must be finite and positive")
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be finite and positive")
+        # a string such as "no" is truthy: it would turn reprojection on
+        if not isinstance(self.reproject, bool):
+            raise ValueError(f"reproject must be true or false, got {self.reproject!r}")
 
 
 # -- velocity <-> momentum conversions ----------------------------------
@@ -125,13 +128,14 @@ def legendre_invert(
     v0=None,
     tol: float = 1e-12,
     max_iter: int = 60,
-) -> tuple[np.ndarray, Jet]:
+) -> tuple[np.ndarray, Taylor]:
     """Solve dL/dv(t, q, v, s) = p for v by Newton iteration.
 
     y is a momentum-space point (t, q, p, s).  v0 seeds the iteration
     (zeros by default); for Lagrangians whose fibre derivative is affine in
-    v one step is exact.  Returns v and the order-2 jet of L at the
-    converged (t, q, v, s), the one the convergence test built.
+    v one step is exact.  Returns v and the order-2 expansion of L on the
+    mixed space at the converged (t, q, v, p, s), the one the convergence
+    test read.
     """
     n = L.n
     yvec = np.asarray(y, dtype=float)
@@ -139,15 +143,17 @@ def legendre_invert(
         raise ValueError(f"expected a momentum-space point of length {2 * n + 2}")
     v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
     w = np.concatenate((yvec[: 1 + n], v, yvec[1 + n :]))
+    space = CoordinateSpace.unified(n)
     vs = slice(1 + n, 1 + 2 * n)
+    vi = range(1 + n, 1 + 2 * n)
     p = w[1 + 2 * n : 1 + 3 * n]
     for _ in range(max_iter):
-        jet = L.jet(lagrangian_part(w, n), 2)
-        F = jet.grad[vs] - p
+        expansion = L.taylor_on(space, w, 2)
+        F = expansion.gradient(1 + 2 * n)[vs] - p
         if np.max(np.abs(F)) <= tol:
-            return w[vs].copy(), jet
+            return w[vs].copy(), expansion
         # one factorisation serves the singularity test and the step
-        U, sigma, Vt = np.linalg.svd(jet.hess[vs, vs])
+        U, sigma, Vt = np.linalg.svd(expansion.hessian_block(vi, vi))
         if sigma[-1] <= 1e-12 * max(sigma[0], 1.0):
             raise NonInvertibleLegendre(
                 f"velocity Hessian is singular (sigma_min = {sigma[-1]:.2e})"
@@ -165,19 +171,22 @@ def legendre_invert(
 class UnifiedField:
     """The dynamical field on the mixed space, states (t, q, v, p, s).
 
-    Each description is a pair of maps between its own states and the
-    mixed space, lift(state) -> w and drop(w) -> state; here both are the
-    identity.  prepare, reproject, eval and drift are written once in terms
-    of them, so the other two descriptions supply only lift, drop and
-    _evaluate.
+    Each description supplies two maps between its own states and the
+    mixed space: _lift(state) -> (w, expansion), the mixed-space point and
+    the mixed-space expansion of L there that the lift made (None if it
+    made none), and drop(w) -> state.  Here w is the state itself, with no
+    expansion, and drop is the identity.  lift, prepare, reproject, eval
+    and drift are written once in terms of them; the lift's expansion
+    serves the evaluation and the reprojection, so every description
+    expands L once per evaluated state.
 
     eval(state) -> (derivative, coefficient vector on the mixed space,
     lifted mixed-space state, constraint values at the lift in
     ladder.active() order, L's order-2 data at the lift's velocity side as
-    mechanics.pack_order2 packs it).  The constraint values and the L data
-    come out of the evaluation itself, never from a second pass.  The last
-    evaluation is kept, keyed by the state's bytes, and drift reads it
-    too: the drift check at an accepted state and the eval that follows
+    mechanics.read_order2 returns it).  The constraint values and the L
+    data come out of the evaluation itself, never from a second pass.  The
+    last evaluation is kept, keyed by the state's bytes, and drift reads
+    it too: the drift check at an accepted state and the eval that follows
     share one evaluation.  Callers must not modify the returned arrays in
     place.  One instance drives one trajectory at a time.
     """
@@ -188,8 +197,11 @@ class UnifiedField:
     _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     kind = "unified"
 
+    def _lift(self, state: np.ndarray) -> tuple[np.ndarray, Taylor | None]:
+        return state, None
+
     def lift(self, state: np.ndarray) -> np.ndarray:
-        return state
+        return self._lift(state)[0]
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return w
@@ -198,9 +210,11 @@ class UnifiedField:
         return self.eval(state)[0]
 
     def _evaluate(self, state: np.ndarray):
-        Z = assemble_Z(self.L, state, self.ladder, self.opts)
-        vec = Z.as_vector()
-        return vec, vec, state, Z.constraint_values, Z.L_data
+        w, expansion = self._lift(state)
+        Z = assemble_Z(self.L, w, self.ladder, self.opts, expansion=expansion)
+        coeffs = Z.as_vector()
+        # exact: assemble_Z sets A = 1.0 and B = v
+        return self.drop(coeffs), coeffs, w, Z.constraint_values, Z.L_data
 
     def _evaluation(self, state) -> tuple:
         state = np.asarray(state, dtype=float)
@@ -217,8 +231,9 @@ class UnifiedField:
         return self.reproject(np.asarray(x0, dtype=float))
 
     def reproject(self, state: np.ndarray) -> np.ndarray:
-        w = project_onto(self.L, self.lift(state), self.ladder.active(), self.opts)
-        return self.drop(w)
+        w, expansion = self._lift(state)
+        return self.drop(project_onto(self.L, w, self.ladder.active(), self.opts,
+                                      expansion=expansion))
 
     def drift(self, state: np.ndarray) -> float:
         vals = self._evaluation(state)[3]
@@ -226,25 +241,23 @@ class UnifiedField:
 
 
 class LagrangianField(UnifiedField):
-    """Velocity-side description: states (t, q, v, s); the lift fills in
-    the momenta from the fibre derivative p = dL/dv."""
+    """Velocity-side description: states (t, q, v, s).  The lift expands L
+    on the mixed space at (t, q, v, 0, s), to 1 plus the deepest
+    generation, and fills in the momenta p = dL/dv from its gradient; L
+    does not read p, so that is the expansion at the lifted point too."""
 
     kind = "lagrangian"
 
-    def lift(self, x: np.ndarray) -> np.ndarray:
+    def _lift(self, x: np.ndarray) -> tuple[np.ndarray, Taylor]:
         n = self.L.n
-        p = self.L.jet(x, 1).grad[1 + n : 1 + 2 * n]
-        return np.concatenate((x[: 1 + 2 * n], p, x[-1:]))
+        w = np.concatenate((x[: 1 + 2 * n], np.zeros(n), x[-1:]))
+        order = 1 + max(c.generation for c in self.ladder.active())
+        expansion = self.L.taylor_on(CoordinateSpace.unified(n), w, order)
+        w[1 + 2 * n : 1 + 3 * n] = expansion.gradient(1 + 2 * n)[1 + n :]
+        return w, expansion
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return lagrangian_part(w, self.L.n)
-
-    def _evaluate(self, state):
-        w = self.lift(state)
-        Z = assemble_Z(self.L, w, self.ladder, self.opts)
-        coeffs = Z.as_vector()
-        # exact: assemble_Z sets A = 1.0 and B = v
-        return self.drop(coeffs), coeffs, w, Z.constraint_values, Z.L_data
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval
@@ -255,43 +268,44 @@ class LagrangianField(UnifiedField):
 class HamiltonianField(UnifiedField):
     """Momentum-side description: states (t, q, p, s); the lift recovers
     the velocities by inverting the fibre derivative (regular Lagrangians
-    only), warm-started from the previous lift.  The evaluation reads
-    everything from the order-2 jet the Newton lift converged with: a
-    regular ladder is the momentum constraints p - dL/dv alone, so their
-    values come from it too."""
+    only), warm-started from the previous lift, and hands on the order-2
+    expansion the Newton iteration converged with.  A regular ladder is
+    the momentum constraints p - dL/dv alone, so the evaluation reads
+    their values, D, E and (implicitly differentiating dL/dv = p) C off
+    that expansion with a few lookups and one n x n solve.  Going through
+    assemble_Z instead gives the same trajectories but costs 36-50% more
+    per step (duffing and drag, rk4, on a 2-core x86 VM)."""
 
     kind = "hamiltonian"
     _last_v: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def _lift_with_jet(self, y: np.ndarray) -> tuple[np.ndarray, Jet]:
+    def _lift(self, y: np.ndarray) -> tuple[np.ndarray, Taylor]:
         n = self.L.n
-        v, jet = legendre_invert(self.L, y, v0=self._last_v)
+        v, expansion = legendre_invert(self.L, y, v0=self._last_v)
         self._last_v = v
-        return np.concatenate((y[: 1 + n], v, y[1 + n : 1 + 2 * n], y[-1:])), jet
-
-    def lift(self, y: np.ndarray) -> np.ndarray:
-        return self._lift_with_jet(y)[0]
+        return np.concatenate((y[: 1 + n], v, y[1 + n : 1 + 2 * n], y[-1:])), expansion
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return hamiltonian_part(w, self.L.n)
 
     def _evaluate(self, state):
         n = self.L.n
-        w, jet = self._lift_with_jet(state)
+        w, expansion = self._lift(state)
         v = w[1 + n : 1 + 2 * n]
         p = w[1 + 2 * n : 1 + 3 * n]
         qs, vs = slice(1, 1 + n), slice(1 + n, 1 + 2 * n)
-        D = jet.grad[qs] + p * jet.grad[-1]
-        E = jet.value
+        grad, H, L_data = read_order2(expansion, CoordinateSpace.unified(n))
+        D = grad[qs] + p * grad[-1]
+        E = L_data[0]
         # velocity rate along the lifted curve, from implicit
-        # differentiation of dL/dv = p
-        rhs = D - (jet.hess[0, vs] + v @ jet.hess[qs, vs] + E * jet.hess[-1, vs])
+        # differentiation of dL/dv = p; H holds d2L/dx dv, x = (t, q, v, s)
+        rhs = D - (H[0] + v @ H[qs] + E * H[-1])
         try:
-            C = np.linalg.solve(jet.hess[vs, vs], rhs)
+            C = np.linalg.solve(H[vs], rhs)
         except np.linalg.LinAlgError as exc:
             raise NonInvertibleLegendre("velocity Hessian is singular") from exc
         coeffs = np.concatenate(([1.0], v, C, D, [E]))
-        return self.drop(coeffs), coeffs, w, p - jet.grad[vs], order2_of_jet(jet)
+        return self.drop(coeffs), coeffs, w, p - grad[vs], L_data
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval
@@ -390,11 +404,12 @@ def residual_channels(
     Works on raw arrays so that deliberately perturbed data can be fed
     through the same instrumentation as real runs.  integrate passes what
     the field's evaluation returned at each sample: xi, shape (N, R), the
-    constraint values, and L_data, shape (N, ...), L's packed order-2 data
-    (mechanics.pack_order2).  Without xi the values are recomputed at each
+    constraint values, and L_data, shape (N, ...), L's flat order-2 data
+    (mechanics.read_order2).  Without xi the values are recomputed at each
     lifted sample: the whole ladder's, or the momentum constraints' alone
-    when no ladder is given.  Without L_data it is built from one order-2
-    jet of L per sample.  Everything else is one batched pass.
+    when no ladder is given.  Without L_data it is read off one order-2
+    expansion of L per lifted sample.  Everything else is one batched
+    pass.
     """
     times = np.asarray(times, dtype=float)
     lifted = np.asarray(lifted, dtype=float)
@@ -415,7 +430,8 @@ def residual_channels(
     rates = np.matmul(wgt[:, None, :], lag[windows])[:, 0]
 
     if L_data is None:
-        L_data = np.array([order2_of_jet(L.jet(x, 2)) for x in lag])
+        space = CoordinateSpace.unified(n)
+        L_data = np.array([read_order2(L.taylor_on(space, wk, 2), space)[2] for wk in lifted])
     vector, sdot_defect = herglotz_defect(lag, L_data, rates[:, vs], rates[:, -1])
     if xi is None:
         active = ladder.active() if ladder is not None else None
@@ -650,23 +666,10 @@ def cross_check_equivalence(
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """One row per sample: t, q1..qn, v1..vn, p1..pn, s, then the four
     residual channels.  %.17g preserves every float bit-exactly."""
-    n = traj.n
-    header = (
-        ["t"]
-        + [f"q{i + 1}" for i in range(n)]
-        + [f"v{i + 1}" for i in range(n)]
-        + [f"p{i + 1}" for i in range(n)]
-        + ["s", "res_holonomy", "res_sdot", "res_herglotz", "res_constraint"]
-    )
+    header = [*CoordinateSpace.unified(traj.n).names, *(f"res_{c}" for c in RESIDUAL_CHANNELS)]
     rows = [",".join(header)]
     for k in range(len(traj)):
-        w = traj.lifted[k]
-        vals = list(w) + [
-            traj.residuals["holonomy"][k],
-            traj.residuals["sdot"][k],
-            traj.residuals["herglotz"][k],
-            traj.residuals["constraint"][k],
-        ]
+        vals = [*traj.lifted[k], *(traj.residuals[c][k] for c in RESIDUAL_CHANNELS)]
         rows.append(",".join(f"{x:.17g}" for x in vals))
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")

@@ -25,6 +25,7 @@ about one truncated product, whatever the order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -473,6 +474,7 @@ class CoordinateSpace:
         return CoordinateSpace("lagrangian", n, names)
 
     @staticmethod
+    @functools.cache  # built once per n: every lift and workspace asks for it
     def unified(n: int) -> "CoordinateSpace":
         names = (
             "t",

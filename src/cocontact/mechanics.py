@@ -8,7 +8,7 @@ Euler-Lagrange equations by
     d/dt (dL/dv_i) - dL/dq_i = (dL/ds) (dL/dv_i),       sdot = L.
 
 The momentum side (t, q, p, s) is not a second input: its points are the
-image of the fibre derivative p = dL/dv (legendre_map).
+image of the fibre derivative p = dL/dv.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from .jets import CoordinateSpace, Jet, Taylor, expand, jet_from_taylor
 __all__ = [
     "LagrangianSystem",
     "RegularityReport",
-    "lagrangian_energy",
-    "legendre_map",
-    "regularity",
     "herglotz_residual",
 ]
 
@@ -126,34 +123,6 @@ def _as_lvec(L: LagrangianSystem, x) -> np.ndarray:
     return vec
 
 
-def lagrangian_energy(L: LagrangianSystem, x) -> float:
-    """E_L = v . dL/dv - L."""
-    vec = _as_lvec(L, x)
-    jet = L.jet(vec, 1)
-    n = L.n
-    v = vec[1 + n : 1 + 2 * n]
-    return float(v @ jet.grad[1 + n : 1 + 2 * n] - jet.value)
-
-
-def legendre_map(L: LagrangianSystem, x) -> np.ndarray:
-    """Fibre derivative (t, q, v, s) -> (t, q, dL/dv, s); defined for any L."""
-    vec = _as_lvec(L, x)
-    n = L.n
-    p = L.jet(vec, 1).grad[1 + n : 1 + 2 * n]
-    return np.concatenate((vec[: 1 + n], p, vec[-1:]))
-
-
-def regularity(L: LagrangianSystem, x, tol: float = DEFAULT_RANK_TOL) -> RegularityReport:
-    """Classify L at a point by the rank of W = d2L/dv dv.
-
-    The rank threshold is relative: singular values below tol * sigma_max
-    count as zero.
-    """
-    vec = _as_lvec(L, x)
-    sl = slice(1 + L.n, 1 + 2 * L.n)
-    return classify_velocity_hessian(L.jet(vec, 2).hess[sl, sl], tol)
-
-
 def classify_velocity_hessian(W: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RegularityReport:
     """The regularity report of a velocity Hessian W already in hand."""
     U, sigma, Vt = np.linalg.svd(np.array(W))
@@ -164,24 +133,24 @@ def classify_velocity_hessian(W: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> R
     return RegularityReport(verdict, rank, nullspace, tol, sigma)
 
 
-def pack_order2(value: float, grad: np.ndarray, hess_xv: np.ndarray) -> np.ndarray:
-    """L's order-2 data at a velocity-side point x = (t, q, v, s), packed
-    flat as [L, dL/dx (2n+2), d2L/dx dv ((2n+2) x n, row-major)]: all the
-    Herglotz defect reads."""
-    return np.concatenate(([value], grad, np.ravel(hess_xv)))
-
-
-def order2_of_jet(jet: Jet) -> np.ndarray:
-    """pack_order2 of an order-2 jet on the velocity-side space."""
-    n = (len(jet.grad) - 2) // 2
-    return pack_order2(jet.value, jet.grad, jet.hess[:, 1 + n : 1 + 2 * n])
+def read_order2(expansion: Taylor, space: CoordinateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L's order-2 data, read off its expansion (order >= 2) on `space`, the
+    velocity side or the mixed space: the gradient on `space`, the block
+    d2L/dx dv at the velocity side x = (t, q, v, s), shape (2n+2, n), and
+    the flat data the Herglotz defect reads, [L, dL/dx, d2L/dx dv] (the
+    block row-major).  Every entry is one coefficient lookup."""
+    n = space.n
+    grad = expansion.gradient(space.dim)
+    x = [*range(1 + 2 * n), space.s_index]
+    hess = expansion.hessian_block(x, range(1 + n, 1 + 2 * n))
+    return grad, hess, np.concatenate(([expansion.value], grad[x], hess.ravel()))
 
 
 def herglotz_defect(x, order2, accel, sdot) -> tuple[np.ndarray, np.ndarray]:
     """The Herglotz defect, batched over any leading axes.
 
-    x (..., 2n+2) are velocity-side points, order2 L's packed data there
-    (pack_order2), accel (..., n) and sdot (...) the candidate rates.
+    x (..., 2n+2) are velocity-side points, order2 L's flat data there
+    (read_order2), accel (..., n) and sdot (...) the candidate rates.
     Returns the (..., n) vector
 
         d/dt(dL/dv_i) - dL/dq_i - (dL/ds)(dL/dv_i)
@@ -211,8 +180,9 @@ def herglotz_defect(x, order2, accel, sdot) -> tuple[np.ndarray, np.ndarray]:
 
 def herglotz_residual(L: LagrangianSystem, x, accel, sdot: float) -> tuple[np.ndarray, float]:
     """Defect of a candidate motion against the damped Euler-Lagrange
-    equations at one state: herglotz_defect from one order-2 jet of L."""
+    equations at one state: herglotz_defect from one order-2 expansion of L."""
     vec = _as_lvec(L, x)
     accel = _vectorize("accel", accel, L.n)
-    vector, scalar = herglotz_defect(vec, order2_of_jet(L.jet(vec, 2)), accel, sdot)
+    order2 = read_order2(L.taylor(vec, 2), L.space)[2]
+    vector, scalar = herglotz_defect(vec, order2, accel, sdot)
     return vector, float(scalar)

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .jets import ORDER_CAP, CoordinateSpace, Jet, Taylor, jet_from_taylor
-from .mechanics import LagrangianSystem, classify_velocity_hessian, pack_order2
+from .mechanics import LagrangianSystem, classify_velocity_hessian, read_order2
 
 __all__ = [
     "lagrangian_part",
@@ -98,8 +98,9 @@ class ZCoefficients:
     choice, i.e. zero component along those directions.  constraint_values
     holds the value of every ladder constraint at the point, in
     ladder.active() order, and L_data L's order-2 data at the point's
-    velocity side (t, q, v, s), packed by mechanics.pack_order2: the
-    assembly expands both anyway, so callers need not expand them again.
+    velocity side (t, q, v, s), flat as mechanics.read_order2 returns it:
+    the assembly expands both anyway, so callers need not expand them
+    again.
     """
 
     A: float
@@ -135,11 +136,15 @@ class _Workspace:
     constraint at order k consumes L to order g + k, so the constructor
     expands L once at `order` plus the deepest generation of the
     constraints it serves; their requests then all truncate that one.
-    L's partials, D and each constraint's tangency row are built once per
-    order and cached too: the ladder's derived constraints share them."""
+    A mixed-space expansion of L at the point's (t, q, v, s) that the
+    caller holds (`expansion`) serves instead when its order suffices: L
+    does not read p, and truncating changes no coefficient.  L's partials,
+    D and each constraint's tangency row are built once per order and
+    cached too: the ladder's derived constraints share them."""
 
     def __init__(self, L: LagrangianSystem, wvec: np.ndarray,
-                 constraints: Sequence["ConstraintFn"] = (), order: int = 0):
+                 constraints: Sequence["ConstraintFn"] = (), order: int = 0,
+                 expansion: Taylor | None = None):
         self.L = L
         self.n = L.n
         self.w = np.asarray(wvec, dtype=float)
@@ -152,6 +157,8 @@ class _Workspace:
         self._rows: dict[tuple["ConstraintFn", int], tuple[Taylor, list[Taylor]]] = {}
         self._dL: dict[int, list[Taylor]] = {}
         self._D: dict[int, list[Taylor]] = {}
+        if expansion is not None:
+            self._L[expansion.order] = expansion
         if constraints:
             self.L_taylor(order + max(c.generation for c in constraints))
 
@@ -449,10 +456,10 @@ def _tangency(
     n = ws.n
     dim = ws.space.dim
     w = ws.w
-    Lt = ws.L_taylor(1)
-    L_grad = Lt.gradient(dim)
+    # the momentum constraints consume L to order 2 anyway
+    L_grad, _, L_data = read_order2(ws.L_taylor(2), ws.space)
     D = L_grad[1 : 1 + n] + w[1 + 2 * n : 1 + 3 * n] * L_grad[-1]
-    E = float(Lt.value)
+    E = float(L_data[0])
     xts = [ws.xi_taylor(c, 1) for c in constraints]
     values = np.array([xt.value for xt in xts])
     grads = np.array([xt.gradient(dim) for xt in xts])
@@ -507,10 +514,6 @@ def _tangency(
         )
     # minimum-norm solution of M C = -g, dropping lstsq's rcond=rank_tol set
     C = -Vt[:rank].T @ ((U[:, :rank].T @ g) / sigma[:rank])
-    # L's order-2 data on the velocity side: lookups in the expansion the
-    # momentum constraints already consumed
-    lag = [*range(1 + 2 * n), dim - 1]
-    L_data = pack_order2(E, L_grad[lag], ws.L_taylor(2).hessian_block(lag, range(1 + n, 1 + 2 * n)))
     Z = ZCoefficients(1.0, w[1 + n : 1 + 2 * n].copy(), C, D, E, Vt[rank:].T.copy(), values,
                       L_data)
     return Z, rank, new_constraints, incompatible
@@ -550,6 +553,8 @@ def project_onto(
     w,
     constraints: Sequence[ConstraintFn],
     opts: AlgorithmOptions | None = None,
+    *,
+    expansion: Taylor | None = None,
 ) -> np.ndarray:
     """Move a point onto the zero set of the given constraints.
 
@@ -560,32 +565,38 @@ def project_onto(
     Gauss-Newton; raises InfeasiblePoint when it cannot reach the
     constraint set, which signals an initial condition off the admissible
     submanifold.
+    One mixed-space expansion of L, to 1 plus the deepest generation,
+    gives the momenta, the multiplier-like coordinates and the first
+    residual evaluation; a caller that holds one passes it as `expansion`
+    (see _Workspace).
     """
     opts = opts or AlgorithmOptions()
     n = L.n
     wvec = _as_wvec(n, w).copy()
+    constraints = list(constraints)
+    if expansion is None:
+        order = 1 + max((c.generation for c in constraints), default=0)
+        expansion = L.taylor_on(CoordinateSpace.unified(n), wvec, order)
 
     # momenta first: the primary constraints are solved exactly by the
-    # fibre derivative; the same jet's velocity Hessian names the
-    # multiplier-like coordinates
-    Lj = L.jet(lagrangian_part(wvec, n), 2)
-    vs = slice(1 + n, 1 + 2 * n)
-    wvec[1 + 2 * n : 1 + 3 * n] = Lj.grad[vs]
-
-    constraints = list(constraints)
+    # fibre derivative; the velocity Hessian names the multiplier-like
+    # coordinates
+    wvec[1 + 2 * n : 1 + 3 * n] = expansion.gradient(1 + 2 * n)[1 + n :]
     if not constraints:
         return wvec
+    vi = range(1 + n, 1 + 2 * n)
     dirs = sorted(
-        set(range(1 + n, 1 + 3 * n)) | {1 + j for j in _kernel_q_indices(Lj.hess[vs, vs])}
+        set(range(1 + n, 1 + 3 * n))
+        | {1 + j for j in _kernel_q_indices(expansion.hessian_block(vi, vi))}
     )
 
-    def residuals(vec):
-        ws = _Workspace(L, vec, constraints, 1)
+    def residuals(vec, L_expansion=None):
+        ws = _Workspace(L, vec, constraints, 1, L_expansion)
         cts = [c.taylor(ws, 1) for c in constraints]
         return (np.array([ct.value for ct in cts]),
                 np.array([ct.gradient(ws.space.dim)[dirs] for ct in cts]))
 
-    vals, grads = residuals(wvec)
+    vals, grads = residuals(wvec, expansion)
     for _ in range(opts.max_project_iter):
         worst = float(np.max(np.abs(vals)))
         if worst <= opts.project_tol:
@@ -680,17 +691,19 @@ def assemble_Z(
     w,
     ladder: ConstraintLadder,
     opts: AlgorithmOptions | None = None,
+    *,
+    expansion: Taylor | None = None,
 ) -> ZCoefficients:
     """Field coefficients at a point, given an already-closed ladder.
 
     No feasibility check is performed here: integrator stages evaluate the
     field slightly off the submanifold by design, and the coefficients
     extend smoothly.  C is the minimum-norm choice (zero along the
-    undetermined directions).
+    undetermined directions).  `expansion`: see _Workspace.
     """
     if ladder.status != "Closed":
         raise LadderNotClosed(f"ladder status is {ladder.status}")
     opts = opts or AlgorithmOptions(tol=ladder.tolerance)
     active = ladder.active()
-    ws = _Workspace(L, _as_wvec(L.n, w), active, 1)
+    ws = _Workspace(L, _as_wvec(L.n, w), active, 1, expansion)
     return _tangency(ws, active, opts, discover=False)[0]

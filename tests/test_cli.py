@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cocontact import cli
-from cocontact.dynamics import LadderLost, NonInvertibleLegendre, StepFailure
+from cocontact.dynamics import RESIDUAL_CHANNELS, LadderLost, NonInvertibleLegendre, StepFailure
 from cocontact.jets import JetDomainError
 from cocontact.pontryagin import InfeasiblePoint, NumericalBreakdown
 
@@ -174,6 +174,14 @@ def test_malformed_json_config(capsys, tmp_path):
           "initial": {"q": [0.0], "v": [0.0]}}, "lagrangian must be a string"),
         ({"system": "duffing", "outputs": {"channels": "holonomy"}},
          "channels must be a list of channel names"),
+        # int() would truncate 1.5 to 1 and take true as 1
+        ({"system": {"n": 1.5, "lagrangian": "v1^2/2"},
+          "initial": {"q": [0.0], "v": [0.0]}}, "bad inline system n"),
+        ({"system": {"n": True, "lagrangian": "v1^2/2"},
+          "initial": {"q": [0.0], "v": [0.0]}}, "bad inline system n"),
+        # a non-empty string is truthy and would turn reprojection on
+        ({"system": "duffing", "integrator": {"reproject": "no"}},
+         "bad integrator block: reproject must be true or false"),
     ],
 )
 def test_bad_configs_exit_one(capsys, tmp_path, doc, fragment):
@@ -260,7 +268,7 @@ def test_simulate_writes_csv_and_json(capsys, tmp_path):
     assert summary["space"] == "unified"
     assert summary["samples"] == 51
     assert summary["t_final"] == 0.5
-    assert set(summary["residuals"]) == set(cli.CHANNELS)
+    assert set(summary["residuals"]) == set(RESIDUAL_CHANNELS)
     for rep in summary["residuals"].values():
         assert set(rep) == {"max", "rms"}
 
@@ -273,7 +281,7 @@ def test_simulate_writes_csv_and_json(capsys, tmp_path):
     table = np.loadtxt(tmp_path / "run.csv", delimiter=",", skiprows=1)
     assert np.array_equal(table[:, 0], np.asarray(doc["times"]))
     assert np.array_equal(table[:, 1:5], np.asarray(doc["lifted"])[:, 1:])
-    res = np.column_stack([doc["residuals"][k] for k in cli.CHANNELS])
+    res = np.column_stack([doc["residuals"][k] for k in RESIDUAL_CHANNELS])
     assert np.array_equal(table[:, 5:], res)
 
 

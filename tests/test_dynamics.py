@@ -77,6 +77,14 @@ def test_config_rejects_non_finite_settings(field, value):
         IntegratorConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", ["no", "yes", 0, 1, None])
+def test_config_rejects_non_boolean_reproject(value):
+    # "no" is truthy and would turn reprojection on
+    with pytest.raises(ValueError, match="reproject must be true or false"):
+        IntegratorConfig(reproject=value)
+    assert IntegratorConfig(reproject=True).reproject is True
+
+
 # -- closed-form motions ------------------------------------------------
 
 
@@ -386,6 +394,57 @@ def test_residual_pass_in_integrate_expands_nothing(name, make, monkeypatch):
     traj = integrate(fld, fld.drop(ladder.probe), IntegratorConfig(step=1e-2, t_end=0.05))
     assert len(traj) == 6
     assert orders == []
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_velocity_eval_expands_L_once_on_the_mixed_space(name, monkeypatch):
+    # the lift's expansion at 1 + the deepest generation fills in the
+    # momenta and then serves assemble_Z
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder = closed_ladder(L, pre.initial)
+    deepest = max(c.generation for c in ladder.active())
+    fld = lagrangian_field(L, ladder, OPTS)
+    x = fld.drop(ladder.probe)
+    x[1:] += 1e-3 * np.linspace(1.0, 2.0, len(x) - 1)
+    calls = []
+    expand = LagrangianSystem.taylor_on
+
+    def counting(self, space, point, order):
+        calls.append((space.dim, order))
+        return expand(self, space, point, order)
+
+    monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
+    deriv, coeffs, lifted, xi, L_data = fld.eval(x)
+    monkeypatch.undo()
+    assert calls == [(3 * L.n + 2, 1 + deepest)]
+    # the lifted momenta are the fibre derivative at x
+    p = L.jet(x, 1).grad[1 + L.n : 1 + 2 * L.n]
+    np.testing.assert_array_equal(lifted[1 + 2 * L.n : 1 + 3 * L.n], p)
+
+
+@pytest.mark.parametrize("reproject", [False, True])
+@pytest.mark.parametrize("name, make", DESCRIPTIONS)
+def test_no_velocity_side_expansion_in_integrate(name, make, reproject, monkeypatch):
+    # prepare (inside integrate), reproject and every evaluation expand L
+    # on the mixed space only
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder = closed_ladder(L, pre.initial)
+    dims = set()
+    expand = LagrangianSystem.taylor_on
+
+    def counting(self, space, x, order):
+        dims.add(space.dim)
+        return expand(self, space, x, order)
+
+    monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
+    fld = make(L, ladder, OPTS)
+    y0 = fld.drop(ladder.probe)
+    fld.reproject(y0)
+    cfg = IntegratorConfig(step=1e-2, t_end=0.03, reproject=reproject)
+    integrate(fld, y0, cfg)
+    assert dims == {3 * L.n + 2}
 
 
 def test_momentum_eval_expands_once_per_newton_iterate(monkeypatch):

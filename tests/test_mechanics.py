@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 
 from cocontact import dsl
-from cocontact.jets import cos, exp
-from cocontact.mechanics import (
-    LagrangianSystem,
-    herglotz_defect,
-    herglotz_residual,
-    lagrangian_energy,
-    legendre_map,
-    order2_of_jet,
-    regularity,
-)
+from cocontact.jets import CoordinateSpace, cos, exp
+from cocontact.mechanics import LagrangianSystem, herglotz_defect, herglotz_residual, read_order2
 from hamiltonian_reference import HamiltonianSystem, cocontact_hamiltonian_field
+from lagrangian_reference import lagrangian_energy, legendre_map, order2_reference, regularity
 
 ALPHA, BETA, GAMMA, DELTA, OMEGA = 1.0, 5.0, 8.0, 0.02, 0.5
 
@@ -177,6 +170,25 @@ def test_herglotz_residual_time_dependent_mass():
     assert abs(vec[0] - expect) <= 1e-13
 
 
+def test_read_order2_is_the_dense_jet_on_either_space():
+    # the lookups on the velocity side and on the mixed space (any p: L
+    # does not read it) give the dense jet's numbers bit for bit
+    L = _duffing()
+    rng = np.random.default_rng(6)
+    mixed = CoordinateSpace.unified(1)
+    for _ in range(5):
+        x = rng.uniform(-1.5, 1.5, 4)
+        w = np.array([x[0], x[1], x[2], rng.uniform(-1.0, 1.0), x[3]])
+        jet = L.jet(x, 2)
+        want = order2_reference(L, x)
+        for space, point, grad in ((L.space, x, jet.grad),
+                                   (mixed, w, np.insert(jet.grad, 3, 0.0))):
+            got_grad, hess, data = read_order2(L.taylor_on(space, point, 2), space)
+            np.testing.assert_array_equal(got_grad, grad)
+            np.testing.assert_array_equal(hess, jet.hess[:, 2:3])
+            np.testing.assert_array_equal(data, want)
+
+
 def test_batched_herglotz_defect_is_the_pointwise_residual():
     # the batched formula over N points equals herglotz_residual at each
     L = _duffing()
@@ -184,7 +196,7 @@ def test_batched_herglotz_defect_is_the_pointwise_residual():
     x = rng.uniform(-1.5, 1.5, size=(7, 4))
     accel = rng.uniform(-2.0, 2.0, size=(7, 1))
     sdot = rng.uniform(-2.0, 2.0, size=7)
-    order2 = np.array([order2_of_jet(L.jet(xk, 2)) for xk in x])
+    order2 = np.array([order2_reference(L, xk) for xk in x])
     vector, scalar = herglotz_defect(x, order2, accel, sdot)
     assert vector.shape == (7, 1) and scalar.shape == (7,)
     for k in range(7):

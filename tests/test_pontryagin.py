@@ -5,14 +5,15 @@ Oracles: the presets' closed-form coefficient and closure functions
 differences on the discovered constraint functions.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cocontact.jets import ORDER_CAP, Taylor
-from cocontact.mechanics import LagrangianSystem, order2_of_jet
+from cocontact.jets import ORDER_CAP, CoordinateSpace, Taylor
+from cocontact.mechanics import LagrangianSystem
 from cocontact.pontryagin import (
     AlgorithmOptions,
     InfeasiblePoint,
@@ -35,6 +36,7 @@ from cocontact.systems import (
     preset_by_name,
     variable_mass_drag,
 )
+from lagrangian_reference import order2_reference
 
 
 def coulomb_hess(x):
@@ -373,23 +375,67 @@ def test_solve_frozen_picks_then_follows_the_pivot_sequence():
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_projection_expands_L_on_the_velocity_side_once(name, monkeypatch):
-    # the momenta and the multiplier-like directions both come from one
-    # order-2 jet of L at (t, q, v, s)
+def test_projection_expands_L_on_the_mixed_space_once_per_residual_evaluation(name, monkeypatch):
+    # the momenta, the multiplier-like directions and the first residual
+    # evaluation share one mixed-space expansion of L at 1 + the deepest
+    # generation; each later residual evaluation makes one more; nothing is
+    # expanded on the velocity side
     pre = preset_by_name(name)
     L = pre.system
     ladder, _ = run_constraint_algorithm(L, pre.initial)
-    orders = []
-    taylor_on = LagrangianSystem.taylor_on
+    active = ladder.active()
+    deepest = max(c.generation for c in active)
+    calls, workspaces = [], []
+    taylor_on, init = LagrangianSystem.taylor_on, _Workspace.__init__
 
     def counting(self, space, x, order):
-        if space.dim == 2 * L.n + 2:
-            orders.append(order)
+        calls.append((space.dim, order))
         return taylor_on(self, space, x, order)
 
+    def counting_init(self, *args, **kwargs):
+        workspaces.append(self)
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
-    project_onto(L, ladder.probe, ladder.active())
-    assert orders == [2]
+    monkeypatch.setattr(_Workspace, "__init__", counting_init)
+    mixed = (3 * L.n + 2, 1 + deepest)
+    # at the probe the projection stops after its first residual evaluation
+    project_onto(L, ladder.probe, active)
+    assert calls == [mixed] and len(workspaces) == 1
+    calls.clear()
+    workspaces.clear()
+    # off the constraint set a deep ladder takes Gauss-Newton steps
+    w = ladder.probe.copy()
+    w[1 + L.n : 1 + 2 * L.n] += 1e-3
+    project_onto(L, w, active)
+    assert len(workspaces) >= (2 if deepest > 1 else 1)
+    assert calls == [mixed] * len(workspaces)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_callers_expansion_changes_no_bit(name):
+    # assemble_Z and project_onto give the same result, bit for bit, with
+    # or without an expansion of L the caller already holds, at the order
+    # they need or deeper
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
+    active = ladder.active()
+    deepest = max(c.generation for c in active)
+    space = CoordinateSpace.unified(L.n)
+    rng = np.random.default_rng(12)
+    for k in range(4):
+        # velocities and momenta only: the projection may not move t, z or s
+        w = ladder.probe.copy()
+        w[1 + L.n : 1 + 3 * L.n] += (0.0 if k == 0 else 1e-3) * rng.uniform(-1.0, 1.0, 2 * L.n)
+        plain = assemble_Z(L, w, ladder)
+        moved = project_onto(L, w, active)
+        for order in (1 + deepest, 2 + deepest):
+            expansion = L.taylor_on(space, w, order)
+            Z = assemble_Z(L, w, ladder, expansion=expansion)
+            for got, want in zip(dataclasses.astuple(Z), dataclasses.astuple(plain)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(project_onto(L, w, active, expansion=expansion), moved)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -404,7 +450,7 @@ def test_assembled_field_carries_L_order2_data(name):
     for k in range(6):
         w = ladder.probe + (0.0 if k == 0 else 1e-2) * rng.uniform(-1.0, 1.0, dim)
         lag = np.concatenate((w[: 1 + 2 * L.n], w[-1:]))
-        want = order2_of_jet(L.jet(lag, 2))
+        want = order2_reference(L, lag)
         got = assemble_Z(L, w, ladder).L_data
         assert got.shape == want.shape == (1 + (2 * L.n + 2) * (1 + L.n),)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
