@@ -42,6 +42,7 @@ from .mechanics import LagrangianSystem, herglotz_defect, read_order2
 from .pontryagin import (
     AlgorithmOptions,
     ConstraintLadder,
+    InfeasiblePoint,
     assemble_Z,
     constraint_values,
     hamiltonian_part,
@@ -484,12 +485,13 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
     The initial state is projected onto the admissible set first.  For
     fixed-step runs each sample time is assigned exactly as t0 + k * step.
     With cfg.reproject the state is pulled back onto the constraint set
-    after every accepted step; otherwise drift is monitored and exceeding
-    10x the feasibility tolerance raises LadderLost.  A non-finite
-    accepted state raises StepFailure; numpy's floating-point warnings
-    from the steps that led there are silenced.  The residual pass reads
-    the constraint values and L's order-2 data each accepted state's
-    evaluation returned, so it expands nothing.
+    after every accepted step, and a reprojection that stalls raises
+    InfeasiblePoint naming the step's time; otherwise drift is monitored
+    and exceeding 10x the feasibility tolerance raises LadderLost.  A
+    non-finite accepted state raises StepFailure; numpy's floating-point
+    warnings from the steps that led there are silenced.  The residual
+    pass reads the constraint values and L's order-2 data each accepted
+    state's evaluation returned, so it expands nothing.
     """
     y = field.prepare(x0)
     t0 = float(y[0])
@@ -506,7 +508,12 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
         if not np.isfinite(ynew).all():
             raise StepFailure(f"non-finite state at t = {t_exact:.6g}")
         if cfg.reproject:
-            ynew = field.reproject(ynew)
+            try:
+                ynew = field.reproject(ynew)
+            except InfeasiblePoint as exc:
+                # the advice on initial points would mislead mid-run
+                raise InfeasiblePoint(f"reprojection failed at t = {t_exact:.6g}: "
+                                      f"{exc.stall or exc} (reduce the step)") from exc
             ynew[0] = t_exact
         else:
             # evaluates the field at ynew; the eval that follows reuses it

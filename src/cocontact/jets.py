@@ -15,12 +15,27 @@ Representation: a polynomial is a sparse dict mapping a packed exponent key
 to a Taylor coefficient.  Exponents are packed in base 10 (one decimal digit
 per variable), so multiplying monomials is integer addition of keys; the
 total-degree filter applied before every product guarantees digits never
-carry.  A global cache stores the total degree of every key ever formed.
+carry.  Global caches store the total degree and the decoded digits of
+every key ever formed.  Which keys a polynomial holds depends on the
+expression alone, never on the point: a coefficient that happens to be zero
+keeps its key.
 
 Elementary functions of a polynomial u are built one homogeneous degree at
 a time from the classical Taylor-coefficient recurrences (Griewank and
 Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13), so each costs
 about one truncated product, whatever the order.
+
+Recording: because the keys do not depend on the point, the same
+expression at another point repeats the same float operations on its
+coefficients.  `Tape.record` runs the engine once on placeholder
+coefficients that log each operation, and the tape replays the log on new
+inputs as one loop over a flat instruction list (Griewank and Walther,
+ch. 6, on the tapes of operator-overloading AD).  The engine tests a
+coefficient's value only through `guard`, which a tape records and makes
+again at every replay; any other test of a recorded coefficient (a branch,
+a comparison, float()) refuses the recording, and that computation runs
+live instead.  A replay performs the operations of a live evaluation in
+the same order, so its results are the same bits.
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,9 +52,11 @@ __all__ = [
     "Jet",
     "CoordinateSpace",
     "Taylor",
+    "Tape",
     "ScalarField",
     "expand",
     "eval_jet",
+    "guard",
     "sin",
     "cos",
     "exp",
@@ -58,6 +76,12 @@ ORDER_CAP = _BASE - 1
 # digits are nonzero).
 _DEG: dict[int, int] = {0: 0}
 
+# The nonzero digits of every key decoded so far, as (index, exponent)
+# pairs by increasing index, and the same as a flat index tuple with each
+# index repeated exponent times.
+_DIGITS: dict[int, tuple[tuple[int, int], ...]] = {}
+_INDICES: dict[int, tuple[int, ...]] = {}
+
 _STRIDES: list[int] = [1]
 
 
@@ -65,6 +89,22 @@ def _strides(dim: int) -> list[int]:
     while len(_STRIDES) < dim:
         _STRIDES.append(_STRIDES[-1] * _BASE)
     return _STRIDES
+
+
+def _digits(key: int) -> tuple[tuple[int, int], ...]:
+    out = _DIGITS.get(key)
+    if out is None:
+        pairs = []
+        i = 0
+        k = key
+        while k:
+            k, e = divmod(k, _BASE)
+            if e:
+                pairs.append((i, e))
+            i += 1
+        out = _DIGITS[key] = tuple(pairs)
+        _INDICES[key] = tuple(i for i, e in pairs for _ in range(e))
+    return out
 
 
 class JetDomainError(ArithmeticError):
@@ -75,6 +115,39 @@ class JetDomainError(ArithmeticError):
 
 class DimensionMismatch(ValueError):
     """A point, gradient, or coefficient vector has the wrong length."""
+
+
+# -- value guards ---------------------------------------------------------
+
+
+def guard(value, fails: Callable[[float], bool], error: Callable[[float], Exception]) -> None:
+    """Raise error(value) when fails(value) holds.
+
+    The one way for the engine, a preset or an `fn` to test a coefficient's
+    value: on a coefficient a tape is recording, the test is recorded and
+    made again at every replay, with the replayed value.  A plain `if`,
+    comparison or float() on such a coefficient refuses the recording."""
+    if isinstance(value, _Coef):
+        value.tape.guard(value, fails, error)
+    elif fails(value):
+        raise error(value)
+
+
+def _is_zero(v) -> bool:
+    return v == 0.0
+
+
+def _nonpositive(v) -> bool:
+    return v <= 0.0
+
+
+def _division_by_zero(v) -> JetDomainError:
+    return JetDomainError("division by zero")
+
+
+def _math(fn: Callable[[float], float], x):
+    """fn(x) for a math-module function, recorded on a recorded x."""
+    return x.tape.call(fn, x) if isinstance(x, _Coef) else fn(x)
 
 
 class Taylor:
@@ -95,17 +168,13 @@ class Taylor:
 
     @staticmethod
     def constant(order: int, value: float) -> "Taylor":
-        v = float(value)
-        return Taylor(order, {0: v} if v != 0.0 else {})
+        return Taylor(order, {0: value if isinstance(value, _Coef) else float(value)})
 
     @staticmethod
     def variable(order: int, index: int, value: float) -> "Taylor":
         if order > ORDER_CAP:
             raise ValueError(f"truncation order {order} exceeds cap {ORDER_CAP}")
-        terms: dict[int, float] = {}
-        v = float(value)
-        if v != 0.0:
-            terms[0] = v
+        terms = {0: value if isinstance(value, _Coef) else float(value)}
         if order >= 1:
             s = _strides(index + 1)[index]
             terms[s] = 1.0
@@ -131,10 +200,12 @@ class Taylor:
         if isinstance(other, Taylor):
             self._check(other)
             out = dict(self.terms)
+            get = out.get
             for k, c in other.terms.items():
-                out[k] = out.get(k, 0.0) + c
+                prev = get(k)
+                out[k] = c if prev is None else prev + c
             return Taylor(self.order, out)
-        if isinstance(other, (int, float)):
+        if isinstance(other, _SCALARS):
             out = dict(self.terms)
             out[0] = out.get(0, 0.0) + other
             return Taylor(self.order, out)
@@ -149,17 +220,19 @@ class Taylor:
         if isinstance(other, Taylor):
             self._check(other)
             out = dict(self.terms)
+            get = out.get
             for k, c in other.terms.items():
-                out[k] = out.get(k, 0.0) - c
+                prev = get(k)
+                out[k] = -c if prev is None else prev - c
             return Taylor(self.order, out)
-        if isinstance(other, (int, float)):
+        if isinstance(other, _SCALARS):
             out = dict(self.terms)
             out[0] = out.get(0, 0.0) - other
             return Taylor(self.order, out)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, _SCALARS):
             out = {k: -c for k, c in self.terms.items()}
             out[0] = out.get(0, 0.0) + other
             return Taylor(self.order, out)
@@ -190,8 +263,8 @@ class Taylor:
                         else:
                             out[k] = prev + ca * cb
             return Taylor(order, out)
-        if isinstance(other, (int, float)):
-            c = float(other)
+        if isinstance(other, _SCALARS):
+            c = other if isinstance(other, _Coef) else float(other)
             return Taylor(self.order, {k: v * c for k, v in self.terms.items()})
         return NotImplemented
 
@@ -200,15 +273,14 @@ class Taylor:
     def __truediv__(self, other):
         if isinstance(other, Taylor):
             return self * other._reciprocal()
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise JetDomainError("division by zero")
+        if isinstance(other, _SCALARS):
+            guard(other, _is_zero, _division_by_zero)
             return self * (1.0 / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self._reciprocal(float(other))
+        if isinstance(other, _SCALARS):
+            return self._reciprocal(other if isinstance(other, _Coef) else float(other))
         return NotImplemented
 
     def __pow__(self, e):
@@ -227,19 +299,16 @@ class Taylor:
             return result
         u0 = self.value
         if isinstance(e, int):
-            if u0 == 0.0:
-                raise JetDomainError("division by zero")
+            guard(u0, _is_zero, _division_by_zero)
             return _power(self, float(e), u0**e)
         e = float(e)
-        if u0 <= 0.0:
-            raise JetDomainError(f"real power of nonpositive base {u0}")
-        return _power(self, e, math.exp(e * math.log(u0)))
+        guard(u0, _nonpositive, lambda v: JetDomainError(f"real power of nonpositive base {v}"))
+        return _power(self, e, _math(math.exp, e * _math(math.log, u0)))
 
     def _reciprocal(self, scale: float = 1.0) -> "Taylor":
         """scale / self."""
         u0 = self.value
-        if u0 == 0.0:
-            raise JetDomainError("division by zero")
+        guard(u0, _is_zero, _division_by_zero)
         return _power(self, -1.0, scale / u0)
 
     # -- calculus ------------------------------------------------------
@@ -256,18 +325,19 @@ class Taylor:
             raise ValueError("cannot differentiate an order-0 polynomial")
         strides = _strides(dim)
         deg = _DEG
+        digits = _DIGITS
         outs: list[dict[int, float]] = [{} for _ in range(dim)]
         for k, c in self.terms.items():
-            rest = k
-            for s, out in zip(strides, outs):
-                if not rest:
+            pairs = digits.get(k)
+            if pairs is None:
+                pairs = _digits(k)
+            for i, e in pairs:
+                if i >= dim:
                     break
-                rest, e = divmod(rest, _BASE)
-                if e:
-                    nk = k - s
-                    out[nk] = c * e
-                    if nk not in deg:
-                        deg[nk] = deg[k] - 1
+                nk = k - strides[i]
+                outs[i][nk] = c * e
+                if nk not in deg:
+                    deg[nk] = deg[k] - 1
         return [Taylor(self.order - 1, out) for out in outs]
 
     def truncated(self, order: int) -> "Taylor":
@@ -305,7 +375,9 @@ class Taylor:
 # u * w' = a * u' * w (w = u**a), w' = u' * w (exp), u * w' = u' (ln) and
 # the sin/cos pair, degree k of the result is a weighted sum of the products
 # u_j * w_{k-j}, j = 1..k, all of exact degree k, so no truncation test is
-# needed and each w_k is final once formed.
+# needed and each w_k is final once formed.  A weight that vanishes for
+# every u (the exponent's term in a power, j = k in ln) is None, so which
+# products are formed depends on the expression only.
 
 
 def _by_degree(x: Taylor) -> list[list[tuple[int, float]]]:
@@ -317,7 +389,7 @@ def _by_degree(x: Taylor) -> list[list[tuple[int, float]]]:
     return out
 
 
-def _convolve(u, w, k: int, weight: Callable[[int, int], float]) -> dict[int, float]:
+def _convolve(u, w, k: int, weight: Callable[[int, int], float | None]) -> dict[int, float]:
     """Degree k of sum_{j=1..k} weight(k, j) * u_j * w_{k-j}."""
     out: dict[int, float] = {}
     get = out.get
@@ -327,7 +399,7 @@ def _convolve(u, w, k: int, weight: Callable[[int, int], float]) -> dict[int, fl
         if not ua or not wb:
             continue
         f = weight(k, j)
-        if not f:
+        if f is None:
             continue
         for ka, ca in ua:
             ca *= f
@@ -344,18 +416,19 @@ def _convolve(u, w, k: int, weight: Callable[[int, int], float]) -> dict[int, fl
 
 
 def _recurrence(
-    x: Taylor, w0: float, weight: Callable[[int, int], float], lin: float = 0.0
+    x: Taylor, w0: float, weight: Callable[[int, int], float | None], lin: float | None = None
 ) -> Taylor:
     """The polynomial w with w_0 = w0 and, for k >= 1,
     w_k = lin * u_k + sum_{j=1..k} weight(k, j) * u_j * w_{k-j}."""
     u = _by_degree(x)
-    terms = {0: w0} if w0 != 0.0 else {}
+    terms = {0: w0}
     w = [list(terms.items())]
     for k in range(1, x.order + 1):
         wk = _convolve(u, w, k, weight)
-        if lin:
+        if lin is not None:
             for key, c in u[k]:
-                wk[key] = wk.get(key, 0.0) + lin * c
+                prev = wk.get(key)
+                wk[key] = lin * c if prev is None else prev + lin * c
         terms.update(wk)
         w.append(list(wk.items()))
     return Taylor(x.order, terms)
@@ -364,7 +437,12 @@ def _recurrence(
 def _power(x: Taylor, a: float, w0: float) -> Taylor:
     """w0 * (x / x.value)**a: k u0 w_k = sum_j (a j - (k - j)) u_j w_{k-j}."""
     u0 = x.value
-    return _recurrence(x, w0, lambda k, j: (a * j - (k - j)) / (k * u0))
+
+    def weight(k, j):
+        num = a * j - (k - j)
+        return num / (k * u0) if num else None
+
+    return _recurrence(x, w0, weight)
 
 
 def _j_over_k(k: int, j: int) -> float:
@@ -380,9 +458,8 @@ def _sincos(x: Taylor, want_sin: bool) -> Taylor:
     The top degree of the unwanted partner is never needed."""
     u = _by_degree(x)
     n = x.order
-    s0, c0 = math.sin(x.value), math.cos(x.value)
-    s_terms = {0: s0} if s0 != 0.0 else {}
-    c_terms = {0: c0} if c0 != 0.0 else {}
+    s_terms = {0: _math(math.sin, x.value)}
+    c_terms = {0: _math(math.cos, x.value)}
     s, c = [list(s_terms.items())], [list(c_terms.items())]
     for k in range(1, n + 1):
         if want_sin or k < n:
@@ -402,42 +479,42 @@ def _sincos(x: Taylor, want_sin: bool) -> Taylor:
 def sin(x):
     if isinstance(x, Taylor):
         return _sincos(x, True)
-    return math.sin(x)
+    return _math(math.sin, x)
 
 
 def cos(x):
     if isinstance(x, Taylor):
         return _sincos(x, False)
-    return math.cos(x)
+    return _math(math.cos, x)
 
 
 def exp(x):
     if isinstance(x, Taylor):
-        return _recurrence(x, math.exp(x.value), _j_over_k)
-    return math.exp(x)
+        return _recurrence(x, _math(math.exp, x.value), _j_over_k)
+    return _math(math.exp, x)
 
 
 def ln(x):
     if isinstance(x, Taylor):
         u0 = x.value
-        if u0 <= 0.0:
-            raise JetDomainError(f"ln of nonpositive value {u0}")
+        guard(u0, _nonpositive, lambda v: JetDomainError(f"ln of nonpositive value {v}"))
+
         # k u0 w_k = k u_k - sum_{j<k} (k - j) u_j w_{k-j}
-        return _recurrence(x, math.log(u0), lambda k, j: -(k - j) / (k * u0), 1.0 / u0)
-    if x <= 0.0:
-        raise JetDomainError(f"ln of nonpositive value {x}")
-    return math.log(x)
+        def weight(k, j):
+            return -(k - j) / (k * u0) if j != k else None
+
+        return _recurrence(x, _math(math.log, u0), weight, 1.0 / u0)
+    guard(x, _nonpositive, lambda v: JetDomainError(f"ln of nonpositive value {v}"))
+    return _math(math.log, x)
 
 
 def sqrt(x):
     if isinstance(x, Taylor):
         u0 = x.value
-        if u0 <= 0.0:
-            raise JetDomainError(f"sqrt of nonpositive value {u0}")
-        return _power(x, 0.5, math.sqrt(u0))
-    if x < 0.0:
-        raise JetDomainError(f"sqrt of negative value {x}")
-    return math.sqrt(x)
+        guard(u0, _nonpositive, lambda v: JetDomainError(f"sqrt of nonpositive value {v}"))
+        return _power(x, 0.5, _math(math.sqrt, u0))
+    guard(x, lambda v: v < 0.0, lambda v: JetDomainError(f"sqrt of negative value {v}"))
+    return _math(math.sqrt, x)
 
 
 def powf(x, e):
@@ -447,10 +524,337 @@ def powf(x, e):
     if isinstance(x, Taylor):
         return x**e
     if isinstance(e, int):
-        return float(x) ** e
-    if x <= 0.0:
-        raise JetDomainError(f"real power of nonpositive base {x}")
-    return math.exp(e * math.log(x))
+        return (x if isinstance(x, _Coef) else float(x)) ** e
+    guard(x, _nonpositive, lambda v: JetDomainError(f"real power of nonpositive base {v}"))
+    return _math(math.exp, e * _math(math.log, x))
+
+
+# -- recording and replay -----------------------------------------------
+
+
+class _Refused(BaseException):
+    """A recording met a test of a recorded coefficient's value.  Not an
+    Exception, so that an fn's own `except Exception` cannot swallow it and
+    record the branch it took."""
+
+
+# instruction kinds (Tape.__call__ names them again as locals)
+_DOT, _ACC, _MUL, _ADD, _SUB, _DIV, _NEG, _CALL, _POW, _GUARD = range(10)
+_BINARY = frozenset((_MUL, _ADD, _SUB, _DIV, _POW))
+# kinds that may raise: kept even when nothing reads their result, since a
+# live evaluation raises there too
+_RAISING = frozenset((_DIV, _CALL, _POW, _GUARD))
+
+
+class _Coef:
+    """A coefficient a tape is recording: register `i` of `tape`."""
+
+    __slots__ = ("tape", "i")
+
+    def __init__(self, tape: "Tape", i: int):
+        self.tape = tape
+        self.i = i
+
+    def __add__(self, other):
+        return self.tape.binary(_ADD, self, other)
+
+    def __radd__(self, other):
+        return self.tape.binary(_ADD, other, self)
+
+    def __sub__(self, other):
+        return self.tape.binary(_SUB, self, other)
+
+    def __rsub__(self, other):
+        return self.tape.binary(_SUB, other, self)
+
+    def __mul__(self, other):
+        return self.tape.binary(_MUL, self, other)
+
+    def __rmul__(self, other):
+        return self.tape.binary(_MUL, other, self)
+
+    def __truediv__(self, other):
+        return self.tape.binary(_DIV, self, other)
+
+    def __rtruediv__(self, other):
+        return self.tape.binary(_DIV, other, self)
+
+    def __pow__(self, other):
+        return self.tape.binary(_POW, self, other)
+
+    def __neg__(self):
+        return self.tape._emit(_NEG, self.i, None)
+
+    def _refuse(self, *args):
+        raise _Refused("a recorded coefficient's value was tested")
+
+    # the tests that would otherwise pass silently; the rest (int(),
+    # abs(), ...) raise TypeError, which refuses the recording too
+    __bool__ = __float__ = __format__ = _refuse
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
+
+
+# what the engine accepts as a scalar operand
+_SCALARS = (int, float, _Coef)
+
+
+class Tape:
+    """The float operations of one computation, recorded once, replayed as
+    often as needed.
+
+    `Tape.record(build, n)` calls build on n recorded input coefficients;
+    build runs the engine and returns the list of coefficients it wants
+    (recorded ones, or plain numbers).  Calling the tape on n floats
+    returns those outputs as computed from them.  A recording that meets a
+    value test, or fails in any way, gives None: the caller runs live.
+
+    Recording keeps every operation in the order the engine made it,
+    shares repeated ones, and folds x*1 to x.  The replay program drops
+    what nothing reads (except the kinds that may raise, so a replay
+    raises where a live evaluation would), and turns each chain
+    prev + a*b that only feeds the next link into one instruction.  Chains
+    and runs of one kind are interpreted by one inner loop each.
+    """
+
+    def __init__(self):
+        self._code: list[tuple] = []  # (kind, out, a, b) in recording order
+        self._n = 0  # registers allocated
+        self._const: dict[int, object] = {}  # register -> constant
+        self._const_of: dict[tuple, int] = {}
+        self._memo: dict[tuple, _Coef] = {}
+        self._inputs: list[int] = []
+
+    @classmethod
+    def record(cls, build: Callable[[list], Sequence], n: int) -> "Tape | None":
+        tape = cls()
+        try:
+            inputs = [tape._new() for _ in range(n)]
+            tape._inputs = [x.i for x in inputs]
+            tape._compile(build(inputs))
+        # besides a refusal, an fn may fail only on placeholders (a numpy
+        # call on a coefficient, say); the live run that follows raises
+        # whatever a float evaluation raises
+        except (_Refused, Exception):
+            return None
+        return tape
+
+    # -- recording -----------------------------------------------------
+
+    def _new(self) -> _Coef:
+        self._n += 1
+        return _Coef(self, self._n - 1)
+
+    def _reg(self, x) -> int | None:
+        if isinstance(x, _Coef):
+            if x.tape is not self:
+                raise _Refused("a coefficient of another recording")
+            return x.i
+        if isinstance(x, (int, float)):
+            key = (type(x), repr(x))
+            r = self._const_of.get(key)
+            if r is None:
+                r = self._const_of[key] = self._new().i
+                self._const[r] = x
+            return r
+        return None
+
+    def _emit(self, kind: int, a: int, b) -> _Coef:
+        """The result of kind on registers a and b (b: a register, the
+        function of a call, or None), shared with an earlier identical
+        operation."""
+        out = self._memo.get((kind, a, b))
+        if out is None:
+            out = self._memo[(kind, a, b)] = self._new()
+            self._code.append((kind, out.i, a, b))
+        return out
+
+    def binary(self, kind: int, x, y):
+        a, b = self._reg(x), self._reg(y)
+        if a is None or b is None:
+            return NotImplemented
+        if kind == _MUL:
+            # x*1 is x bit for bit; partials and the seeds' unit slopes
+            # make many
+            if self._const.get(b) == 1:
+                return x
+            if self._const.get(a) == 1:
+                return y
+        if kind in (_MUL, _ADD) and b < a:
+            a, b = b, a  # commutative: one record for both orders
+        return self._emit(kind, a, b)
+
+    def call(self, fn: Callable[[float], float], x) -> _Coef:
+        return self._emit(_CALL, self._reg(x), fn)
+
+    def guard(self, x, fails, error) -> None:
+        self._code.append((_GUARD, None, self._reg(x), (fails, error)))
+
+    # -- the replay program --------------------------------------------
+
+    def _compile(self, outputs: Sequence) -> None:
+        outs = [self._reg(o) for o in outputs]
+        if None in outs:
+            raise _Refused("an output is not a coefficient")
+        # one backward pass: keep what an output or a raising instruction
+        # reads, and count the reads of every register kept
+        uses: dict[int, int] = dict.fromkeys(outs, 1)
+        get = uses.get
+        raising, reads_b = _RAISING, _BINARY
+        kept = []
+        for ins in reversed(self._code):
+            kind, o, a, b = ins
+            if o in uses or kind in raising:
+                kept.append(ins)
+                uses[a] = get(a, 0) + 1
+                if kind in reads_b:
+                    uses[b] = get(b, 0) + 1
+        kept.reverse()
+
+        # fuse: a product read once, by a sum, becomes a link of that
+        # sum's chain; a chain read once, by the next sum, grows by a link
+        prog: list = []
+        muls: dict[int, int] = {}  # product read once -> its slot in prog
+        chains: dict[int, int] = {}  # chain read once -> its slot in prog
+        ADD, MUL = _ADD, _MUL
+        for kind, o, a, b in kept:
+            if kind == ADD and (a in muls or b in muls):
+                base, m = (a, b) if b in muls else (b, a)
+                slot = muls.pop(m)
+                link = prog[slot][2:]
+                prog[slot] = None
+                if base in chains:
+                    slot = chains.pop(base)
+                    ins = prog[slot]
+                    prog[slot] = None
+                    ins[1] = o
+                    ins[-1].append(link)
+                elif base in muls:
+                    slot = muls.pop(base)
+                    head = prog[slot][2:]
+                    prog[slot] = None
+                    ins = [_DOT, o, [head, link]]
+                else:
+                    ins = [_ACC, o, base, [link]]
+                if uses[o] == 1:
+                    chains[o] = len(prog)
+                prog.append(ins)
+                continue
+            if kind == MUL and uses[o] == 1:
+                muls[o] = len(prog)
+            prog.append([kind, o, a, b])
+        prog = [ins for ins in prog if ins is not None]
+
+        # registers: constants, then the inputs, then every result
+        regs: dict[int, int] = {}
+        init: list = []
+        for r, c in self._const.items():
+            regs[r] = len(init)
+            init.append(c)
+        lo = len(init)
+        for r in self._inputs:
+            regs[r] = len(init)
+            init.append(0.0)
+        for ins in prog:
+            if ins[1] is not None:
+                regs[ins[1]] = len(init)
+                init.append(0.0)
+        self._init = init
+        self._lo, self._hi = lo, lo + len(self._inputs)
+
+        def pairs(links):
+            return tuple((regs[a], regs[b]) for a, b in links)
+
+        runs: list = []
+        for kind, o, *args in prog:
+            if kind == _DOT:
+                (a, b), *rest = args[0]
+                step = (regs[o], regs[a], regs[b], pairs(rest))
+            elif kind == _ACC:
+                step = (regs[o], regs[args[0]], pairs(args[1]))
+            elif kind == _GUARD:
+                step = (regs[args[0]], *args[1])
+            elif kind == _CALL:
+                step = (regs[o], regs[args[0]], args[1])
+            elif kind in _BINARY:
+                step = (regs[o], regs[args[0]], regs[args[1]])
+            else:
+                step = (regs[o], regs[args[0]])
+            if runs and runs[-1][0] == kind:
+                runs[-1][1].append(step)
+            else:
+                runs.append((kind, [step]))
+        self._runs = [(kind, tuple(steps)) for kind, steps in runs]
+        idx = [regs[r] for r in outs]
+        self._out = (itemgetter(*idx) if len(idx) > 1
+                     else (lambda r, i=idx: tuple(r[j] for j in i)))
+        del self._code, self._memo, self._const_of, self._const
+
+    def __call__(self, inputs: Sequence[float]) -> tuple:
+        """The outputs at these inputs (Python floats, one per input)."""
+        if len(inputs) != self._hi - self._lo:
+            raise DimensionMismatch(
+                f"tape expects {self._hi - self._lo} inputs, got {len(inputs)}"
+            )
+        r = self._init.copy()
+        r[self._lo : self._hi] = inputs
+        # the kinds as locals: the dispatch below runs once per run
+        DOT, ACC, MUL, ADD, SUB, DIV, NEG, CALL, POW = range(9)
+        for kind, steps in self._runs:
+            if kind == MUL:
+                for o, a, b in steps:
+                    r[o] = r[a] * r[b]
+            elif kind == DOT:
+                for o, a, b, rest in steps:
+                    acc = r[a] * r[b]
+                    for a, b in rest:
+                        acc = acc + r[a] * r[b]
+                    r[o] = acc
+            elif kind == ADD:
+                for o, a, b in steps:
+                    r[o] = r[a] + r[b]
+            elif kind == ACC:
+                for o, c, rest in steps:
+                    acc = r[c]
+                    for a, b in rest:
+                        acc = acc + r[a] * r[b]
+                    r[o] = acc
+            elif kind == SUB:
+                for o, a, b in steps:
+                    r[o] = r[a] - r[b]
+            elif kind == NEG:
+                for o, a in steps:
+                    r[o] = -r[a]
+            elif kind == DIV:
+                for o, a, b in steps:
+                    r[o] = r[a] / r[b]
+            elif kind == CALL:
+                for o, a, fn in steps:
+                    r[o] = fn(r[a])
+            elif kind == POW:
+                for o, a, b in steps:
+                    r[o] = r[a] ** r[b]
+            else:
+                for a, fails, error in steps:
+                    if fails(r[a]):
+                        raise error(r[a])
+        return self._out(r)
+
+
+def taped_expansion(fn: Callable, dim: int, order: int) -> Callable[[Sequence[float]], Taylor] | None:
+    """expand(fn, ., order) as a replayed tape: a function of the point
+    (dim Python floats) giving the polynomial a live expand gives there,
+    key for key and bit for bit.  None when fn refuses to be recorded."""
+    keys: list[int] = []
+
+    def build(seeds):
+        out = expand(fn, seeds, order)
+        keys.extend(out.terms)
+        return list(out.terms.values())
+
+    tape = Tape.record(build, dim)
+    if tape is None:
+        return None
+    return lambda x: Taylor(order, dict(zip(keys, tape(x))))
 
 
 # -- coordinate spaces --------------------------------------------------
@@ -519,17 +923,15 @@ def jet_from_taylor(t: Taylor, dim: int, order: int) -> Jet:
     hess = np.zeros((dim, dim)) if order >= 2 else None
     third = np.zeros((dim, dim, dim)) if order >= 3 else None
     value = 0.0
+    indices = _INDICES
     for key, c in t.terms.items():
         if key == 0:
             value = c
             continue
-        idx: list[int] = []
-        k = key
-        i = 0
-        while k:
-            k, e = divmod(k, _BASE)
-            idx.extend([i] * e)
-            i += 1
+        idx = indices.get(key)
+        if idx is None:
+            _digits(key)
+            idx = indices[key]
         d = len(idx)
         if d == 1:
             grad[idx[0]] = c

@@ -13,13 +13,14 @@ image of the fibre derivative p = dL/dv.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import dsl as _dsl
-from .jets import CoordinateSpace, Jet, Taylor, expand, jet_from_taylor
+from .jets import CoordinateSpace, Jet, Taylor, _strides, expand, jet_from_taylor, taped_expansion
 
 __all__ = [
     "LagrangianSystem",
@@ -56,15 +57,34 @@ class LagrangianSystem:
         self.params = _dsl.ParamTable(params or {})
         self.label = label
         self.space = CoordinateSpace.lagrangian(n)
+        # (dim, order) -> (params when recorded, replayable expansion or None)
+        self._tapes: dict[tuple[int, int], tuple] = {}
 
     def taylor_on(self, space: CoordinateSpace, x: Sequence[float], order: int) -> Taylor:
         """Evaluate on any layout whose leading slots are (t, q, v) with s
-        last; this covers both the Lagrangian and the unified space."""
-        if len(x) != space.dim:
-            raise ValueError(f"point has length {len(x)}, expected {space.dim}")
+        last; this covers both the Lagrangian and the unified space.
+
+        The first expansion per (layout, order) records the engine's work
+        (jets.Tape), and later ones replay it.  A tape is stamped with the
+        parameter values it was recorded with; after any of them changes
+        the next call records afresh and replaces it, so one tape is held
+        per (layout, order).  An fn that refuses recording runs live."""
+        dim = space.dim
+        if len(x) != dim:
+            raise ValueError(f"point has length {len(x)}, expected {dim}")
+        params = tuple(self.params.items())
+        held = self._tapes.get((dim, order))
+        if held is None or held[0] != params:
+            held = self._tapes[(dim, order)] = (params, taped_expansion(self._on(space), dim, order))
+        if held[1] is None:
+            return expand(self._on(space), x, order)
+        return held[1](np.asarray(x, dtype=float).tolist())
+
+    def _on(self, space: CoordinateSpace) -> Callable:
+        """fn as a function of one point of `space`."""
         n = self.n
-        return expand(lambda z: self.fn(z[0], z[1 : 1 + n], z[1 + n : 1 + 2 * n],
-                                        z[space.s_index], self.params), x, order)
+        return lambda z: self.fn(z[0], z[1 : 1 + n], z[1 + n : 1 + 2 * n],
+                                 z[space.s_index], self.params)
 
     def taylor(self, x: Sequence[float], order: int) -> Taylor:
         return self.taylor_on(self.space, x, order)
@@ -133,17 +153,41 @@ def classify_velocity_hessian(W: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> R
     return RegularityReport(verdict, rank, nullspace, tol, sigma)
 
 
+@functools.cache
+def order2_keys(space: CoordinateSpace) -> tuple[int, ...]:
+    """The coefficients read_order2 looks up in an expansion on `space`, by
+    key: the value, the gradient on `space`, then the block d2L/dx dv at
+    x = (t, q, v, s), row-major."""
+    n = space.n
+    strides = _strides(space.dim)
+    x = [*range(1 + 2 * n), space.s_index]
+    return (0, *strides[: space.dim],
+            *(strides[i] + strides[j] for i in x for j in range(1 + n, 1 + 2 * n)))
+
+
+def order2_from(raw, space: CoordinateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """read_order2 from the coefficients at order2_keys(space)."""
+    n = space.n
+    raw = np.asarray(raw, dtype=float)
+    grad = raw[1 : 1 + space.dim]
+    hess = raw[1 + space.dim :].reshape(2 * n + 2, n).copy()
+    # a diagonal second partial is twice its Taylor coefficient
+    diag = np.arange(n)
+    hess[1 + n + diag, diag] *= 2.0
+    x = [*range(1 + 2 * n), space.s_index]
+    return grad, hess, np.concatenate((raw[:1], grad[x], hess.ravel()))
+
+
 def read_order2(expansion: Taylor, space: CoordinateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """L's order-2 data, read off its expansion (order >= 2) on `space`, the
     velocity side or the mixed space: the gradient on `space`, the block
     d2L/dx dv at the velocity side x = (t, q, v, s), shape (2n+2, n), and
     the flat data the Herglotz defect reads, [L, dL/dx, d2L/dx dv] (the
     block row-major).  Every entry is one coefficient lookup."""
-    n = space.n
-    grad = expansion.gradient(space.dim)
-    x = [*range(1 + 2 * n), space.s_index]
-    hess = expansion.hessian_block(x, range(1 + n, 1 + 2 * n))
-    return grad, hess, np.concatenate(([expansion.value], grad[x], hess.ravel()))
+    if expansion.order < 2:
+        raise ValueError("a Hessian needs truncation order >= 2")
+    t = expansion.terms
+    return order2_from([t.get(k, 0.0) for k in order2_keys(space)], space)
 
 
 def herglotz_defect(x, order2, accel, sdot) -> tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,15 @@ matters at special points that happen to satisfy a constraint before it is
 discovered; the first clause alone would close the ladder early there.  An
 obstruction with a significant value but a vanishing gradient cannot be
 satisfied anywhere nearby: the system is reported Incompatible.
+
+Discovery and projection run the Taylor engine live.  Once a ladder has
+closed, its evaluations all perform the same Taylor work: assemble_Z
+records it at the first call (every recipe with its frozen pivots, down
+to the order-1 values and gradients and L's order-2 data the tangency
+conditions read) on a jets.Tape that takes the point and L's expansion
+there, and replays it after that.  The frozen-pivot test is a guard, so a
+replay raises NumericalBreakdown where a live evaluation would.  Both
+paths end in the same numpy tail: one SVD.
 """
 
 from __future__ import annotations
@@ -44,8 +53,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import ORDER_CAP, CoordinateSpace, Jet, Taylor, jet_from_taylor
-from .mechanics import LagrangianSystem, classify_velocity_hessian, read_order2
+from .jets import ORDER_CAP, CoordinateSpace, Jet, Tape, Taylor, _strides, guard, jet_from_taylor
+from .mechanics import LagrangianSystem, classify_velocity_hessian, order2_from, order2_keys
 
 __all__ = [
     "lagrangian_part",
@@ -67,7 +76,10 @@ __all__ = [
 
 class InfeasiblePoint(ValueError):
     """The point does not lie on (and cannot be projected onto) the
-    constraint submanifold."""
+    constraint submanifold.  When project_onto raises it, `stall` says
+    where the projection stopped, without the advice on initial points."""
+
+    stall: str = ""
 
 
 class NumericalBreakdown(ArithmeticError):
@@ -142,12 +154,12 @@ class _Workspace:
     D and each constraint's tangency row are built once per order and
     cached too: the ladder's derived constraints share them."""
 
-    def __init__(self, L: LagrangianSystem, wvec: np.ndarray,
+    def __init__(self, L: LagrangianSystem, wvec: Sequence[float],
                  constraints: Sequence["ConstraintFn"] = (), order: int = 0,
                  expansion: Taylor | None = None):
         self.L = L
         self.n = L.n
-        self.w = np.asarray(wvec, dtype=float)
+        self.w = wvec
         self.space = CoordinateSpace.unified(L.n)
         self._seeds: dict[int, list[Taylor]] = {}
         self._L: dict[int, Taylor] = {}
@@ -279,9 +291,10 @@ def _solve_frozen(G_rows: list[list], rhs: list, orderseq: list[int] | None, tin
     Entries are Taylor polynomials; divisions go through the Taylor
     reciprocal.  Without `orderseq` the pivots are chosen by partial
     pivoting on the entries' values (a constraint's first evaluation, at
-    its birth point); with it they follow that frozen sequence.  A pivot
-    whose value falls below `tiny` means the pattern is not valid at this
-    point.
+    its birth point, which runs live); with it they follow that frozen
+    sequence, and the only value test is the guard on the pivot's size.  A
+    pivot whose value falls below `tiny` means the pattern is not valid at
+    this point.
     """
     m = len(rhs)
     G = [list(row) for row in G_rows]
@@ -294,11 +307,8 @@ def _solve_frozen(G_rows: list[list], rhs: list, orderseq: list[int] | None, tin
             prow = orderseq[col]
         seq.append(prow)
         piv = G[prow][col]
-        pval = piv.value
-        if abs(pval) < tiny:
-            raise NumericalBreakdown(
-                f"frozen pivot {pval:.3e} below {tiny:.1e}; closure pattern lost"
-            )
+        guard(piv.value, lambda v: abs(v) < tiny, lambda v: NumericalBreakdown(
+            f"frozen pivot {v:.3e} below {tiny:.1e}; closure pattern lost"))
         inv = 1.0 / piv
         G[prow] = [g * inv for g in G[prow]]
         b[prow] = b[prow] * inv
@@ -399,6 +409,10 @@ class ConstraintLadder:
     rank: int
     undetermined_dim: int
     tolerance: float
+    # assemble_Z's recording of this ladder's Taylor work: (the active
+    # constraints it covers, the keys of the L expansion it reads, the
+    # tape or None when refused)
+    _tape: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def active(self) -> list[ConstraintFn]:
         return [c for gen in self.generations for c in gen]
@@ -443,6 +457,54 @@ def _span_residual(vec: np.ndarray, basis: np.ndarray) -> float:
     return float(np.linalg.norm(vec - basis @ coef))
 
 
+def _reads(ws: _Workspace, constraints: Sequence[ConstraintFn]) -> list:
+    """Every coefficient the tangency conditions read, flat: L's order-2
+    data (mechanics.order2_keys), then each constraint's value and
+    gradient at order 1.  Lookups only, so a tape can return them as they
+    are."""
+    dim = ws.space.dim
+    L2 = ws.L_taylor(2).terms
+    out = [L2.get(k, 0.0) for k in order2_keys(ws.space)]
+    keys = (0, *_strides(dim)[:dim])
+    for c in constraints:
+        t = ws.xi_taylor(c, 1).terms
+        out += [t.get(k, 0.0) for k in keys]
+    return out
+
+
+def _unpack(space: CoordinateSpace, raw: Sequence[float], R: int):
+    """_reads' list as (constraint values (R,), gradients (R, dim), L's
+    gradient on the mixed space, L's flat order-2 data)."""
+    K = len(order2_keys(space))
+    L_grad, _, L_data = order2_from(raw[:K], space)
+    xi = np.array(raw[K:], dtype=float).reshape(R, space.dim + 1)
+    return xi[:, 0].copy(), xi[:, 1:].copy(), L_grad, L_data
+
+
+def _field(w: np.ndarray, values: np.ndarray, grads: np.ndarray, L_grad: np.ndarray,
+           L_data: np.ndarray, opts: AlgorithmOptions) -> tuple[ZCoefficients, int]:
+    """The field fixed by the tangency conditions whose values and
+    gradients are given, and the rank of their C-system: one SVD."""
+    n = (len(w) - 2) // 3
+    D = L_grad[1 : 1 + n] + w[1 + 2 * n : 1 + 3 * n] * L_grad[-1]
+    E = float(L_data[0])
+    # row r: grad(xi_r) . Z = g[r] + M[r] . C
+    M = grads[:, 1 + n : 1 + 2 * n]
+    g = grads @ np.concatenate(([1.0], w[1 + n : 1 + 2 * n], np.zeros(n), D, [E]))
+    U, sigma, Vt = np.linalg.svd(M, full_matrices=True)
+    smax = sigma[0] if len(sigma) else 0.0
+    rank = int(np.sum(sigma > opts.rank_tol * smax)) if smax > 0 else 0
+    if rank and smax / sigma[rank - 1] > opts.cond_cap:
+        raise NumericalBreakdown(
+            f"tangency system condition {smax / sigma[rank - 1]:.2e} beyond cap"
+        )
+    # minimum-norm solution of M C = -g, dropping lstsq's rcond=rank_tol set
+    C = -Vt[:rank].T @ ((U[:, :rank].T @ g) / sigma[:rank])
+    Z = ZCoefficients(1.0, w[1 + n : 1 + 2 * n].copy(), C, D, E, Vt[rank:].T.copy(), values,
+                      L_data)
+    return Z, rank
+
+
 def _tangency(
     ws: _Workspace,
     constraints: list[ConstraintFn],
@@ -455,18 +517,8 @@ def _tangency(
     one, if any (else an empty list and None)."""
     n = ws.n
     dim = ws.space.dim
-    w = ws.w
-    # the momentum constraints consume L to order 2 anyway
-    L_grad, _, L_data = read_order2(ws.L_taylor(2), ws.space)
-    D = L_grad[1 : 1 + n] + w[1 + 2 * n : 1 + 3 * n] * L_grad[-1]
-    E = float(L_data[0])
-    xts = [ws.xi_taylor(c, 1) for c in constraints]
-    values = np.array([xt.value for xt in xts])
-    grads = np.array([xt.gradient(dim) for xt in xts])
-    # row r: grad(xi_r) . Z = g[r] + M[r] . C
+    values, grads, L_grad, L_data = _unpack(ws.space, _reads(ws, constraints), len(constraints))
     M = grads[:, 1 + n : 1 + 2 * n]
-    g = grads @ np.concatenate(([1.0], w[1 + n : 1 + 2 * n], np.zeros(n), D, [E]))
-
     row_scale = max(float(np.max(np.linalg.norm(M, axis=1))), 1e-300)
     thresh = opts.rank_tol * row_scale
 
@@ -505,17 +557,7 @@ def _tangency(
             if _span_residual(cgrad, span) > opts.grad_tol * max(1.0, gnorm):
                 new_constraints.append(cand)
 
-    U, sigma, Vt = np.linalg.svd(M, full_matrices=True)
-    smax = sigma[0] if len(sigma) else 0.0
-    rank = int(np.sum(sigma > opts.rank_tol * smax)) if smax > 0 else 0
-    if rank and smax / sigma[rank - 1] > opts.cond_cap:
-        raise NumericalBreakdown(
-            f"tangency system condition {smax / sigma[rank - 1]:.2e} beyond cap"
-        )
-    # minimum-norm solution of M C = -g, dropping lstsq's rcond=rank_tol set
-    C = -Vt[:rank].T @ ((U[:, :rank].T @ g) / sigma[:rank])
-    Z = ZCoefficients(1.0, w[1 + n : 1 + 2 * n].copy(), C, D, E, Vt[rank:].T.copy(), values,
-                      L_data)
+    Z, rank = _field(ws.w, values, grads, L_grad, L_data, opts)
     return Z, rank, new_constraints, incompatible
 
 
@@ -616,12 +658,12 @@ def project_onto(
     if float(np.max(np.abs(vals))) <= opts.project_tol:
         return wvec
     worst_i = int(np.argmax(np.abs(vals)))
-    raise InfeasiblePoint(
-        f"projection stalled at |{constraints[worst_i].label}| = "
-        f"{abs(vals[worst_i]):.3e} (needs <= {opts.project_tol:.1e}); "
-        "the initial point is off the admissible set in a direction the "
-        "projection may not adjust"
-    )
+    stall = (f"projection stalled at |{constraints[worst_i].label}| = "
+             f"{abs(vals[worst_i]):.3e} (needs <= {opts.project_tol:.1e})")
+    exc = InfeasiblePoint(f"{stall}; the initial point is off the admissible set in a "
+                          "direction the projection may not adjust")
+    exc.stall = stall
+    raise exc
 
 
 def run_constraint_algorithm(
@@ -686,6 +728,35 @@ def run_constraint_algorithm(
     return ladder, Z if status == "Closed" else None
 
 
+def _closed_reads(L: LagrangianSystem, w: np.ndarray, ladder: ConstraintLadder,
+                  active: list[ConstraintFn], expansion: Taylor) -> list:
+    """_reads at w for a closed ladder, from L's mixed-space expansion at w
+    (order 1 + the deepest generation).  The first call records the
+    Taylor work on a tape that takes w and the expansion's coefficients;
+    later calls replay it.  Live instead when the recording was refused
+    or the expansion holds other keys than the recorded one."""
+    terms = expansion.terms
+    held = ladder._tape
+    if held is None or held[0] != active:
+        keys = tuple(terms)
+        space = CoordinateSpace.unified(L.n)
+
+        def build(inputs):
+            coefs = Taylor(expansion.order, dict(zip(keys, inputs[space.dim :])))
+            return _reads(_Workspace(L, inputs[: space.dim], expansion=coefs), active)
+
+        held = ladder._tape = (active, keys, Tape.record(build, space.dim + len(keys)))
+    _, keys, tape = held
+    if tape is not None and len(keys) == len(terms):
+        try:
+            coefs = [terms[k] for k in keys]
+        except KeyError:
+            pass
+        else:
+            return tape(w.tolist() + coefs)
+    return _reads(_Workspace(L, w, active, 1, expansion), active)
+
+
 def assemble_Z(
     L: LagrangianSystem,
     w,
@@ -699,11 +770,21 @@ def assemble_Z(
     No feasibility check is performed here: integrator stages evaluate the
     field slightly off the submanifold by design, and the coefficients
     extend smoothly.  C is the minimum-norm choice (zero along the
-    undetermined directions).  `expansion`: see _Workspace.
+    undetermined directions).  `expansion`: a mixed-space expansion of L
+    at the point's (t, q, v, s) that the caller holds, used when its order
+    reaches 1 + the deepest generation (see _Workspace).  The ladder's
+    Taylor work is recorded at the first call and replayed after it
+    (_closed_reads); the numpy tail (_field) is the one discovery runs.
     """
     if ladder.status != "Closed":
         raise LadderNotClosed(f"ladder status is {ladder.status}")
     opts = opts or AlgorithmOptions(tol=ladder.tolerance)
     active = ladder.active()
-    ws = _Workspace(L, _as_wvec(L.n, w), active, 1, expansion)
-    return _tangency(ws, active, opts, discover=False)[0]
+    wvec = _as_wvec(L.n, w)
+    space = CoordinateSpace.unified(L.n)
+    order = 1 + max(c.generation for c in active)
+    if expansion is None or expansion.order < order:
+        expansion = L.taylor_on(space, wvec, order)
+    raw = _closed_reads(L, wvec, ladder, active, expansion.truncated(order))
+    values, grads, L_grad, L_data = _unpack(space, raw, len(active))
+    return _field(wvec, values, grads, L_grad, L_data, opts)[0]

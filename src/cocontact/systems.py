@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import dsl as _dsl
-from .jets import JetDomainError, ScalarField, Taylor, eval_jet, exp, sqrt
+from .jets import JetDomainError, ScalarField, Taylor, eval_jet, exp, guard, sqrt
 from .mechanics import LagrangianSystem
 
 __all__ = [
@@ -180,9 +180,8 @@ def variable_mass_drag(
 
     def mass(t, par):
         m = _dsl._eval_node(m_ast.node, [t, 0.0, 0.0, 0.0], par)
-        mval = m.value if isinstance(m, Taylor) else m
-        if mval <= 0.0:
-            raise NonpositiveMassError(f"m(t) = {mval} is nonpositive")
+        guard(m.value if isinstance(m, Taylor) else m, lambda v: v <= 0.0,
+              lambda v: NonpositiveMassError(f"m(t) = {v} is nonpositive"))
         return m
 
     def mass_rate(t: float, par) -> float:
@@ -252,9 +251,8 @@ R_MIN = 1e-6
 
 def _default_phi(x, y, z):
     r2 = x * x + y * y + z * z
-    r2val = r2.value if isinstance(r2, Taylor) else r2
-    if r2val < R_MIN * R_MIN:
-        raise JetDomainError(f"radius below guard {R_MIN}")
+    guard(r2.value if isinstance(r2, Taylor) else r2, lambda v: v < R_MIN * R_MIN,
+          lambda v: JetDomainError(f"radius below guard {R_MIN}"))
     return SOURCE_CHARGE / sqrt(r2)
 
 

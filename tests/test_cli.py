@@ -379,6 +379,23 @@ def test_simulate_constraint_drift_exit_four(capsys, tmp_path):
     assert "LadderLost" in err
 
 
+def test_simulate_reprojection_failure_exits_four_naming_its_time(capsys, tmp_path):
+    # the reprojection stalls mid-run: the message names the step's time
+    # and the reprojection, not the initial point
+    cfg = write_config(tmp_path, {
+        "system": {"n": 3, "lagrangian": "0.5*cos(q2)*v1^2 + v2^2/2 + q3*(q1 - t)"},
+        "initial": {"q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 0.0]},
+        "integrator": {"method": "rk4", "step": 0.01, "t_end": 0.7, "reproject": True},
+        "outputs": {"csv": str(tmp_path / "r.csv")},
+    })
+    rc, out, err = run(capsys, ["simulate", "--config", cfg])
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error: InfeasiblePoint: reprojection failed at t = 0.6")
+    assert "initial point" not in err
+    assert err.count("\n") == 1
+
+
 # -- verify -------------------------------------------------------------
 
 

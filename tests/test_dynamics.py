@@ -13,8 +13,10 @@ import pytest
 
 import cocontact.dynamics
 from cocontact.mechanics import LagrangianSystem
+from cocontact import dsl
 from cocontact.pontryagin import (
     AlgorithmOptions,
+    InfeasiblePoint,
     assemble_Z,
     constraint_values,
     hamiltonian_part,
@@ -602,6 +604,25 @@ def test_reprojection_keeps_the_same_coarse_run_alive():
     cfg = IntegratorConfig(method="rk4", step=0.25, t_end=6.0, reproject=True)
     traj = integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
     assert traj.channel_max("constraint") < 1e-9
+
+
+# a five-generation ladder whose reprojection stalls between t = 0.6 and
+# 0.7 at step 1e-2 (the velocity metric cos(q2) degenerates at q2 = pi/2)
+STALLING_L = "0.5*cos(q2)*v1^2 + v2^2/2 + q3*(q1 - t)"
+STALLING_START = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def test_reprojection_failure_names_its_time():
+    L = LagrangianSystem.from_expr(dsl.parse(STALLING_L, 3))
+    ladder = closed_ladder(L, STALLING_START)
+    cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.7, reproject=True)
+    with pytest.raises(InfeasiblePoint) as exc:
+        integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
+    message = str(exc.value)
+    assert message.startswith("reprojection failed at t = 0.6")
+    assert "projection stalled at |" in message
+    # the start was projected long ago: no advice on initial points
+    assert "initial point" not in message
 
 
 def test_adaptive_step_failure_at_finite_time_blowup():
