@@ -78,28 +78,38 @@ def check_ad_vs_fd(
     rng = np.random.default_rng(seed)
     dim = 2 * pre.n + 2
     tols = {k: (tol if tol is not None else FD_TOLS[k]) for k in (1, 2, 3)}
-    worst = 0.0
+    # one stack of points: each jet below is one batched expansion
+    X = np.array([_domain_point(pre, rng) for _ in range(points)]).reshape(points, dim)
+    j3 = L.jet(X, 3)
     info = {1: 0.0, 2: 0.0, 3: 0.0}
-    for _ in range(points):
-        x = _domain_point(pre, rng)
-        j3 = L.jet(x, 3)
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = FD_STEPS[1]
-            fd = (L.value(x + e) - L.value(x - e)) / (2 * FD_STEPS[1])
-            d = abs(j3.grad[i] - fd) / (1 + abs(fd))
-            info[1] = max(info[1], d)
-            e[i] = FD_STEPS[2]
-            fd = (L.jet(x + e, 1).grad - L.jet(x - e, 1).grad) / (2 * FD_STEPS[2])
-            d2 = float(np.max(np.abs(j3.hess[i] - fd)) / (1 + np.max(np.abs(fd))))
-            info[2] = max(info[2], d2)
-            e[i] = FD_STEPS[3]
-            fd = (L.jet(x + e, 2).hess - L.jet(x - e, 2).hess) / (2 * FD_STEPS[3])
-            d3 = float(np.max(np.abs(j3.third[i] - fd)) / (1 + np.max(np.abs(fd))))
-            info[3] = max(info[3], d3)
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = FD_STEPS[1]
+        # the order-1 differences from float evaluations of L: a replayed
+        # value may differ from them in the last bit, and at this step the
+        # difference quotient would show it
+        fd = np.array([L.value(x + e) - L.value(x - e) for x in X]) / (2 * FD_STEPS[1])
+        _fold(info, 1, np.abs(j3.grad[:, i] - fd) / (1 + np.abs(fd)))
+        e[i] = FD_STEPS[2]
+        fd = (L.jet(X + e, 1).grad - L.jet(X - e, 1).grad) / (2 * FD_STEPS[2])
+        _fold(info, 2, _deviation(j3.hess[:, i], fd))
+        e[i] = FD_STEPS[3]
+        fd = (L.jet(X + e, 2).hess - L.jet(X - e, 2).hess) / (2 * FD_STEPS[3])
+        _fold(info, 3, _deviation(j3.third[:, i], fd))
     worst = max(info[k] / tols[k] for k in (1, 2, 3))
     detail = ", ".join(f"order {k}: {info[k]:.1e} vs {tols[k]:.0e}" for k in (1, 2, 3))
     return CheckResult(f"ad-vs-fd[{pre.label}]", worst <= 1.0, worst, 1.0, detail)
+
+
+def _deviation(exact: np.ndarray, fd: np.ndarray) -> np.ndarray:
+    """Per point (leading axis): max |exact - fd| / (1 + max |fd|)."""
+    axes = tuple(range(1, fd.ndim))
+    return np.max(np.abs(exact - fd), axis=axes) / (1 + np.max(np.abs(fd), axis=axes))
+
+
+def _fold(info: dict, k: int, d: np.ndarray) -> None:
+    """info[k] = max(info[k], *d), skipping NaN as a running max() does."""
+    info[k] = float(np.fmax.reduce(d, initial=info[k]))
 
 
 def check_ladder(
@@ -128,10 +138,9 @@ def check_ladder(
         )
 
     rng = np.random.default_rng(seed)
+    W = np.array([pre.sample_feasible(rng) for _ in range(points)]).reshape(points, 3 * pre.n + 2)
     worst = 0.0
-    for _ in range(points):
-        w = pre.sample_feasible(rng)
-        Zw = assemble_Z(pre.system, w, ladder, opts)
+    for w, Zw in zip(W, assemble_Z(pre.system, W, ladder, opts)):
         vals = Zw.constraint_values
         worst = max(worst, float(np.max(np.abs(vals))))
         for got, want in zip(vals[pre.n :], pre.ladder_closures):

@@ -36,6 +36,17 @@ again at every replay; any other test of a recorded coefficient (a branch,
 a comparison, float()) refuses the recording, and that computation runs
 live instead.  A replay performs the operations of a live evaluation in
 the same order, so its results are the same bits.
+
+Batches: a tape also replays B points at once, each register a (B,)
+array, so one pass of the instruction loop serves them all.  The
+arithmetic runs on whole rows; recorded calls (math.exp and the like),
+powers and guards run one element at a time with the recorded Python
+callables, since numpy's own elementary functions may round otherwise.
+Any exception on the batch, a floating-point one included (0/0 or an
+overflow, raised by np.errstate), replays it point by point, so a batch
+returns or raises exactly what its points do one at a time.  A polynomial
+whose coefficients are (B,) arrays (`stack`) carries a batch through the
+Taylor layer's readers; `jet_from_taylor` gives it a leading batch axis.
 """
 
 from __future__ import annotations
@@ -789,14 +800,43 @@ class Tape:
                      else (lambda r, i=idx: tuple(r[j] for j in i)))
         del self._code, self._memo, self._const_of, self._const
 
-    def __call__(self, inputs: Sequence[float]) -> tuple:
-        """The outputs at these inputs (Python floats, one per input)."""
+    def __call__(self, inputs) -> tuple:
+        """The outputs at these inputs.
+
+        n Python floats give a tuple of floats.  An (n, B) float64 array,
+        B points as its columns, gives a tuple of (B,) arrays, bit for bit
+        the outputs of B calls on the columns: the arithmetic runs on
+        whole rows, the recorded calls, powers and guards one element at a
+        time, and anything that raises on the batch (a guard, a floating
+        point exception) replays it point by point instead, which raises
+        what the first failing point raises."""
         if len(inputs) != self._hi - self._lo:
             raise DimensionMismatch(
                 f"tape expects {self._hi - self._lo} inputs, got {len(inputs)}"
             )
+        if not isinstance(inputs, np.ndarray) or inputs.ndim != 2:
+            return self._run(self._load(inputs), False)
+        inputs = np.ascontiguousarray(inputs, dtype=float)
+        try:
+            # an exception that a float operation would not raise (0/0,
+            # overflow) leaves the batch; underflow rounds alike in both
+            with np.errstate(all="raise", under="ignore"):
+                out = self._run(self._load(inputs), True)
+        except Exception:
+            points = [self._run(self._load(x), False) for x in inputs.T.tolist()]
+            return tuple(np.array(col, dtype=float) for col in zip(*points))
+        B = inputs.shape[1]
+        return tuple(o if isinstance(o, np.ndarray) else np.full(B, float(o)) for o in out)
+
+    def _load(self, inputs) -> list:
+        """The register file with these inputs in place."""
         r = self._init.copy()
         r[self._lo : self._hi] = inputs
+        return r
+
+    def _run(self, r: list, batch: bool) -> tuple:
+        """Replay on the register file r (floats, or (B,) arrays when
+        batch)."""
         # the kinds as locals: the dispatch below runs once per run
         DOT, ACC, MUL, ADD, SUB, DIV, NEG, CALL, POW = range(9)
         for kind, steps in self._runs:
@@ -827,6 +867,22 @@ class Tape:
             elif kind == DIV:
                 for o, a, b in steps:
                     r[o] = r[a] / r[b]
+            elif batch:
+                # the recorded Python callable on each element: a numpy
+                # ufunc may round differently from the math module
+                if kind == CALL:
+                    for o, a, fn in steps:
+                        r[o] = np.array([fn(x) for x in r[a].tolist()], dtype=float)
+                elif kind == POW:
+                    for o, a, b in steps:
+                        xs, ys = np.broadcast_arrays(r[a], r[b])
+                        r[o] = np.array([x ** y for x, y in zip(xs.tolist(), ys.tolist())],
+                                        dtype=float)
+                else:
+                    for a, fails, error in steps:
+                        for x in r[a].tolist():
+                            if fails(x):
+                                raise error(x)
             elif kind == CALL:
                 for o, a, fn in steps:
                     r[o] = fn(r[a])
@@ -855,6 +911,21 @@ def taped_expansion(fn: Callable, dim: int, order: int) -> Callable[[Sequence[fl
     if tape is None:
         return None
     return lambda x: Taylor(order, dict(zip(keys, tape(x))))
+
+
+def stack(polys: Sequence[Taylor]) -> Taylor:
+    """One polynomial whose coefficients are (B,) arrays, from B
+    polynomials of one order: a key one of them lacks reads 0 there."""
+    keys = dict.fromkeys(k for t in polys for k in t.terms)
+    return Taylor(polys[0].order,
+                  {k: np.array([t.terms.get(k, 0.0) for t in polys], dtype=float) for k in keys})
+
+
+def unstack(t: Taylor) -> list[Taylor]:
+    """The B polynomials of a stacked one, with float coefficients."""
+    keys = list(t.terms)
+    points = np.array(list(t.terms.values()), dtype=float).T.tolist()
+    return [Taylor(t.order, dict(zip(keys, x))) for x in points]
 
 
 # -- coordinate spaces --------------------------------------------------
@@ -903,7 +974,8 @@ class CoordinateSpace:
 
 @dataclass(frozen=True)
 class Jet:
-    """Derivative data of a scalar field at one point.
+    """Derivative data of a scalar field at one point, or at B points with
+    a leading batch axis on the value and on every array.
 
     grad[i] = df/dx_i; hess[i,j] = d2f/dx_i dx_j (order >= 2);
     third[i,j,k] = d3f/dx_i dx_j dx_k (order 3).  Arrays are read-only.
@@ -917,16 +989,19 @@ class Jet:
 
 
 def jet_from_taylor(t: Taylor, dim: int, order: int) -> Jet:
-    """Extract value/grad/hess/third (order capped at 3) from a polynomial."""
+    """Extract value/grad/hess/third (order capped at 3) from a polynomial.
+    A stacked polynomial ((B,) coefficients) gives a jet whose value and
+    arrays carry a leading batch axis of length B."""
     order = min(order, t.order)
-    grad = np.zeros(dim)
-    hess = np.zeros((dim, dim)) if order >= 2 else None
-    third = np.zeros((dim, dim, dim)) if order >= 3 else None
-    value = 0.0
+    value = t.terms.get(0, 0.0)
+    # the batch axis goes last while filling, so that one index serves both
+    batch = np.shape(value)
+    grad = np.zeros((dim, *batch))
+    hess = np.zeros((dim, dim, *batch)) if order >= 2 else None
+    third = np.zeros((dim, dim, dim, *batch)) if order >= 3 else None
     indices = _INDICES
     for key, c in t.terms.items():
         if key == 0:
-            value = c
             continue
         idx = indices.get(key)
         if idx is None:
@@ -957,6 +1032,8 @@ def jet_from_taylor(t: Taylor, dim: int, order: int) -> Jet:
             else:
                 for perm in ((a, b, e), (a, e, b), (b, a, e), (b, e, a), (e, a, b), (e, b, a)):
                     third[perm] = c
+    if batch:
+        grad, hess, third = (None if x is None else np.moveaxis(x, -1, 0) for x in (grad, hess, third))
     grad.flags.writeable = False
     if hess is not None:
         hess.flags.writeable = False

@@ -53,7 +53,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import ORDER_CAP, CoordinateSpace, Jet, Tape, Taylor, _strides, guard, jet_from_taylor
+from .jets import (ORDER_CAP, CoordinateSpace, Jet, Tape, Taylor, _strides, guard, jet_from_taylor,
+                   unstack)
 from .mechanics import LagrangianSystem, classify_velocity_hessian, order2_from, order2_keys
 
 __all__ = [
@@ -128,9 +129,11 @@ class ZCoefficients:
         return np.concatenate(([self.A], self.B, self.C, self.D, [self.E]))
 
 
-def _as_wvec(n: int, w) -> np.ndarray:
+def _as_wvec(n: int, w, stacked: bool = False) -> np.ndarray:
+    """w as a unified-space point, or, if `stacked` allows, a (B, dim)
+    stack of them."""
     vec = np.asarray(w, dtype=float)
-    if vec.shape != (3 * n + 2,):
+    if vec.shape != (3 * n + 2,) and not (stacked and vec.ndim == 2 and vec.shape[1] == 3 * n + 2):
         raise ValueError(f"expected a unified-space point of length {3 * n + 2}")
     return vec
 
@@ -729,12 +732,14 @@ def run_constraint_algorithm(
 
 
 def _closed_reads(L: LagrangianSystem, w: np.ndarray, ladder: ConstraintLadder,
-                  active: list[ConstraintFn], expansion: Taylor) -> list:
+                  active: list[ConstraintFn], expansion: Taylor):
     """_reads at w for a closed ladder, from L's mixed-space expansion at w
-    (order 1 + the deepest generation).  The first call records the
-    Taylor work on a tape that takes w and the expansion's coefficients;
-    later calls replay it.  Live instead when the recording was refused
-    or the expansion holds other keys than the recorded one."""
+    (order 1 + the deepest generation); at a (B, dim) stack of points, from
+    the stacked expansion, one row of reads per point.  The first call
+    records the Taylor work on a tape that takes w and the expansion's
+    coefficients; later calls replay it, a stack in one batched replay.
+    Live instead when the recording was refused or the expansion holds
+    other keys than the recorded one."""
     terms = expansion.terms
     held = ladder._tape
     if held is None or held[0] != active:
@@ -753,8 +758,13 @@ def _closed_reads(L: LagrangianSystem, w: np.ndarray, ladder: ConstraintLadder,
         except KeyError:
             pass
         else:
-            return tape(w.tolist() + coefs)
-    return _reads(_Workspace(L, w, active, 1, expansion), active)
+            if w.ndim == 1:
+                return tape(w.tolist() + coefs)
+            return np.array(tape(np.array([*w.T, *coefs]))).T
+    if w.ndim == 1:
+        return _reads(_Workspace(L, w, active, 1, expansion), active)
+    return [_reads(_Workspace(L, wb, active, 1, eb), active)
+            for wb, eb in zip(w, unstack(expansion))]
 
 
 def assemble_Z(
@@ -764,27 +774,30 @@ def assemble_Z(
     opts: AlgorithmOptions | None = None,
     *,
     expansion: Taylor | None = None,
-) -> ZCoefficients:
-    """Field coefficients at a point, given an already-closed ladder.
+) -> ZCoefficients | list[ZCoefficients]:
+    """Field coefficients at a point, given an already-closed ladder; at a
+    (B, dim) stack of points, the list of the B points' coefficients.
 
     No feasibility check is performed here: integrator stages evaluate the
     field slightly off the submanifold by design, and the coefficients
     extend smoothly.  C is the minimum-norm choice (zero along the
     undetermined directions).  `expansion`: a mixed-space expansion of L
-    at the point's (t, q, v, s) that the caller holds, used when its order
-    reaches 1 + the deepest generation (see _Workspace).  The ladder's
-    Taylor work is recorded at the first call and replayed after it
-    (_closed_reads); the numpy tail (_field) is the one discovery runs.
+    at the point's (t, q, v, s) that the caller holds (stacked, for a
+    stack), used when its order reaches 1 + the deepest generation (see
+    _Workspace).  The ladder's Taylor work is recorded at the first call
+    and replayed after it, once for a whole stack (_closed_reads); the
+    numpy tail (_field) is the one discovery runs, once per point.
     """
     if ladder.status != "Closed":
         raise LadderNotClosed(f"ladder status is {ladder.status}")
     opts = opts or AlgorithmOptions(tol=ladder.tolerance)
     active = ladder.active()
-    wvec = _as_wvec(L.n, w)
+    wvec = _as_wvec(L.n, w, stacked=True)
     space = CoordinateSpace.unified(L.n)
     order = 1 + max(c.generation for c in active)
     if expansion is None or expansion.order < order:
         expansion = L.taylor_on(space, wvec, order)
     raw = _closed_reads(L, wvec, ladder, active, expansion.truncated(order))
-    values, grads, L_grad, L_data = _unpack(space, raw, len(active))
-    return _field(wvec, values, grads, L_grad, L_data, opts)[0]
+    if wvec.ndim == 1:
+        return _field(wvec, *_unpack(space, raw, len(active)), opts)[0]
+    return [_field(wb, *_unpack(space, rb, len(active)), opts)[0] for wb, rb in zip(wvec, raw)]

@@ -19,7 +19,8 @@ from cocontact.checks import (
     check_residual_order,
     run_all_checks,
 )
-from cocontact.systems import preset_by_name
+from cocontact.systems import PRESET_NAMES, preset_by_name
+from checks_reference import check_ad_vs_fd_pointwise, check_ladder_pointwise
 
 
 def test_check_result_line_format():
@@ -31,6 +32,17 @@ def test_check_result_line_format():
     bad = CheckResult("equivalence[x]", False, 0.5, 1e-6, detail="diverged")
     assert bad.line().startswith("FAIL  equivalence[x]")
     assert bad.line().endswith("[diverged]")
+
+
+@pytest.mark.parametrize("points", (80, 100))
+@pytest.mark.parametrize("seed", (42, 7))
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_batched_checks_equal_the_pointwise_loops(name, seed, points):
+    # each side on its own preset, so neither replays the other's tapes
+    assert (check_ad_vs_fd(preset_by_name(name), seed, points)
+            == check_ad_vs_fd_pointwise(preset_by_name(name), seed, points))
+    assert (check_ladder(preset_by_name(name), seed, points)
+            == check_ladder_pointwise(preset_by_name(name), seed, points))
 
 
 def test_run_all_checks_duffing_passes():

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from cocontact.checks import check_ladder
 from cocontact.dsl import DslError, parse
 from cocontact.jets import JetDomainError, eval_jet
 from cocontact.systems import (
@@ -89,6 +90,16 @@ def test_duffing_defaults():
     assert pre.params["delta"] == 0.02
     assert pre.params["omega"] == 0.5
     np.testing.assert_array_equal(pre.initial, [0.0, 1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_preset_and_its_lagrangian_share_one_parameter_table(name):
+    pre = preset_by_name(name)
+    assert pre.system.params is pre.params
+    # a changed value reaches the closed forms and L alike
+    key = next(iter(pre.params))
+    pre.params[key] *= 1.5
+    assert check_ladder(pre, points=5).passed
 
 
 def test_duffing_expected_coefficients():

@@ -1,17 +1,20 @@
 """Taped evaluation against the live engine.
 
 A closed ladder's Taylor work and L's expansions are recorded once
-(jets.Tape) and replayed after that.  The live results here come from
-internal entry points: the engine run directly on floats (expand, the
-workspace reads), or whole runs with every recording refused.
+(jets.Tape) and replayed after that, one point at a time or a batch at
+once.  The live results here come from internal entry points: the engine
+run directly on floats (expand, the workspace reads), or whole runs with
+every recording refused.  Unless a test says otherwise, L's expansions are
+recorded at their first use, so that every later one is a replay.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cocontact import dsl
+from cocontact import dsl, mechanics
 from cocontact.dynamics import FIELDS, IntegratorConfig, LadderLost, integrate
 from cocontact.jets import (
     CoordinateSpace,
@@ -23,6 +26,7 @@ from cocontact.jets import (
     expand,
     guard,
     sin,
+    stack,
 )
 from cocontact.mechanics import LagrangianSystem
 from cocontact.pontryagin import (
@@ -53,6 +57,12 @@ DESCRIPTIONS = {
 # metric cos(q2) degenerates at q2 = pi/2
 STALLING_L = "0.5*cos(q2)*v1^2 + v2^2/2 + q3*(q1 - t)"
 STALLING_START = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+RECORD_AT = mechanics.RECORD_AT
+
+
+@pytest.fixture(autouse=True)
+def record_at_first_use(monkeypatch):
+    monkeypatch.setattr(mechanics, "RECORD_AT", 1)
 
 
 def refuse_recording(monkeypatch):
@@ -146,6 +156,86 @@ def test_taped_run_equals_live_run(name, kind, monkeypatch):
         assert np.array_equal(taped.residuals[channel], values), channel
 
 
+# -- a stack equals its points ---------------------------------------------
+
+
+def _used_layouts(pre, monkeypatch):
+    """Every (layout, order) at which the pointwise checks and an
+    integration in each description expand L, and the ladder."""
+    from cocontact.checks import check_ad_vs_fd, check_ladder
+
+    seen = {}
+    taylor_on = LagrangianSystem.taylor_on
+
+    def spy(self, space, x, order):
+        seen[(space.dim, order)] = space
+        return taylor_on(self, space, x, order)
+
+    monkeypatch.setattr(LagrangianSystem, "taylor_on", spy)
+    check_ad_vs_fd(pre, points=2)
+    check_ladder(pre, points=2)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
+    cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05)
+    lifted = []
+    for kind in DESCRIPTIONS[pre.label]:
+        fld = FIELDS[kind](pre.system, ladder, OPTS)
+        lifted.extend(integrate(fld, fld.drop(ladder.probe), cfg).lifted)
+    monkeypatch.setattr(LagrangianSystem, "taylor_on", taylor_on)
+    return seen, ladder, np.array(lifted)
+
+
+def assert_same_stack(got, points):
+    """got, a stacked polynomial, holds the polynomials `points`, bit for
+    bit and key for key."""
+    assert_same_taylor(got, stack(points))
+    for c in got.terms.values():
+        assert isinstance(c, np.ndarray) and c.shape == (len(points),)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_stack_equals_its_points_wherever_the_pipeline_expands(name, monkeypatch):
+    pre = preset_by_name(name)
+    L = pre.system
+    n = L.n
+    layouts, ladder, W = _used_layouts(pre, monkeypatch)
+    X = np.concatenate((W[:, : 1 + 2 * n], W[:, -1:]), axis=1)
+    assert {order for dim, order in layouts if dim == L.space.dim} == {1, 2, 3}
+    for (dim, order), space in layouts.items():
+        P = W if dim == W.shape[1] else X
+        assert_same_stack(L.taylor_on(space, P, order), [L.taylor_on(space, p, order) for p in P])
+    for order in (1, 2, 3):
+        jets = L.jet(X, order)
+        for b, x in enumerate(X):
+            one = L.jet(x, order)
+            for part in ("value", "grad", "hess", "third"):
+                want = getattr(one, part)
+                if want is None:
+                    assert getattr(jets, part) is None
+                else:
+                    assert np.array_equal(getattr(jets, part)[b], want), part
+    Zs = assemble_Z(L, W, ladder)
+    assert len(Zs) == len(W)
+    for Z, w in zip(Zs, W):
+        assert_same_Z(Z, assemble_Z(L, w, ladder))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_stack_of_one_is_the_single_point(name):
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+    w = ladder.probe
+    order = 1 + max(c.generation for c in ladder.active())
+    unified = CoordinateSpace.unified(L.n)
+    assert_same_stack(L.taylor_on(unified, w[None], order), [L.taylor_on(unified, w, order)])
+    (Z,) = assemble_Z(L, w[None], ladder)
+    assert_same_Z(Z, assemble_Z(L, w, ladder))
+    x = np.concatenate((w[: 1 + 2 * L.n], w[-1:]))
+    one, stacked = L.jet(x, 3), L.jet(x[None], 3)
+    for part in ("value", "grad", "hess", "third"):
+        assert np.array_equal(getattr(stacked, part)[0], getattr(one, part)), part
+
+
 # -- guards raise what the live engine raises ------------------------------
 
 
@@ -204,6 +294,61 @@ def test_drift_failure_is_the_live_one(monkeypatch):
     assert "at t = 1.05 " in taped[1]
 
 
+# -- a stack raises what its first failing point raises --------------------
+
+
+def _stack_raises_as_the_point(call, W, point):
+    """call(W) on a stack and call(point) on its failing point raise the
+    same, and the stack warns nothing on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _raised(lambda: call(W))
+    assert got == _raised(lambda: call(point))
+    return got
+
+
+def test_a_stack_with_a_point_below_the_radius_guard():
+    pre = charged_particle()
+    L = pre.system
+    space = CoordinateSpace.unified(L.n)
+    rng = np.random.default_rng(1)
+    W = np.array([pre.sample_feasible(rng) for _ in range(4)])
+    W[2, 1:4] = [1e-7, 0.0, 0.0]
+    got = _stack_raises_as_the_point(lambda w: L.taylor_on(space, w, 3), W, W[2])
+    assert got == (JetDomainError, "radius below guard 1e-06")
+
+
+def test_a_stack_with_a_nonpositive_mass():
+    L = variable_mass_drag(m_expr="1 - t").system
+    space = CoordinateSpace.unified(L.n)
+    W = np.array([[t, 0.1, 0.2, 0.0, 0.0] for t in (0.5, 0.0, 2.0, 3.0)])
+    got = _stack_raises_as_the_point(lambda w: L.taylor_on(space, w, 2), W, W[2])
+    assert got == (NonpositiveMassError, "m(t) = -1.0 is nonpositive")
+
+
+def test_a_stack_with_a_lost_pivot():
+    L, ladder = stalling_system()
+    W = np.array([ladder.probe] * 3)
+    W[1, 2] = math.pi / 2  # q2: the frozen pivot cos(q2) vanishes
+    got = _stack_raises_as_the_point(lambda w: assemble_Z(L, w, ladder), W, W[1])
+    assert got[0] is NumericalBreakdown
+    assert got[1].startswith("frozen pivot ") and got[1].endswith("closure pattern lost")
+
+
+def test_a_batch_with_a_float_exception_is_replayed_point_by_point():
+    tape = Tape.record(lambda x: [x[0] / x[1], x[0] * x[1], x[0] - 1.0], 2)
+    ok = np.array([[1.0, 0.3, 1e200], [2.0, -4.0, 1e200]])  # the last overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tape(ok)
+    for b, x in enumerate(ok.T.tolist()):
+        assert [c[b] for c in got] == list(tape(x))
+    assert got[1][2] == math.inf
+    nan = np.array([[1.0, 0.0], [2.0, 0.0]])  # 0/0
+    got = _stack_raises_as_the_point(tape, nan, [0.0, 0.0])
+    assert got == _raised(lambda: 0.0 / 0.0)
+
+
 # -- refusal and re-recording ---------------------------------------------
 
 
@@ -228,11 +373,13 @@ def test_an_fn_that_branches_on_a_value_is_refused_once(monkeypatch):
     L = LagrangianSystem(1, fn)
     space = CoordinateSpace.unified(1)
     calls = _counting_records(monkeypatch)
-    for q in (0.5, -0.5, 0.25):
-        w = np.array([0.0, q, 0.3, 0.0, 0.0])
+    W = np.array([[0.0, q, 0.3, 0.0, 0.0] for q in (0.5, -0.5, 0.25)])
+    for w in W:
         assert_same_taylor(L.taylor_on(space, w, 2), live_taylor(L, space, w, 2))
     assert len(calls) == 1
     assert L._tapes[(space.dim, 2)][1] is None
+    # a stack runs its points live and stacks them
+    assert_same_stack(L.taylor_on(space, W, 2), [live_taylor(L, space, w, 2) for w in W])
     # the refused fn still drives a field; the ladder's own work tapes
     ladder, _ = run_constraint_algorithm(L, np.array([0.0, 0.5, 0.3, 0.0, 0.0]), OPTS)
     for q in (0.5, -0.5):
@@ -271,6 +418,25 @@ def test_a_parameter_change_records_anew_and_keeps_one_tape(monkeypatch):
     assert list(L._tapes) == [(space.dim, 2)]
 
 
+def test_recording_waits_for_the_kth_single_point_use(monkeypatch):
+    monkeypatch.setattr(mechanics, "RECORD_AT", RECORD_AT)
+    L = preset_by_name("charged").system
+    space = CoordinateSpace.unified(L.n)
+    w = np.random.default_rng(3).uniform(1.0, 2.0, (RECORD_AT, space.dim))
+    calls = _counting_records(monkeypatch)
+    for k, wk in enumerate(w, 1):
+        assert_same_taylor(L.taylor_on(space, wk, 4), live_taylor(L, space, wk, 4))
+        assert len(calls) == (k == RECORD_AT)
+    # a changed parameter records at the next use, as before
+    L.params["gamma"] = 0.5
+    L.taylor_on(space, w[0], 4)
+    assert len(calls) == 2
+    # a stack records at once
+    L.taylor_on(space, w, 3)
+    assert len(calls) == 3
+    assert L._tapes[(space.dim, 3)][1] is not None
+
+
 # -- the tape itself -------------------------------------------------------
 
 
@@ -280,8 +446,12 @@ def test_tape_replays_the_recorded_operations():
         return [u * v + u, (u - 2.0) / v, -u, u * 1.0, v ** -3, 1.5]
 
     tape = Tape.record(build, 2)
-    for u, v in ((0.3, -0.7), (2.0, 5.0)):
+    points = ((0.3, -0.7), (2.0, 5.0))
+    for u, v in points:
         assert tape([u, v]) == tuple(build([u, v]))
+    # and as one batch, the constant output broadcast
+    batch = tape(np.array(points).T)
+    assert [tuple(c.tolist()) for c in batch] == list(zip(*(build(list(p)) for p in points)))
 
 
 def test_tape_refuses_a_value_test():
