@@ -38,11 +38,12 @@ from typing import Callable
 import numpy as np
 
 from .jets import CoordinateSpace, Taylor
-from .mechanics import LagrangianSystem, herglotz_defect, read_order2
+from .mechanics import LagrangianSystem, herglotz_defect, order2_parts, read_order2
 from .pontryagin import (
     AlgorithmOptions,
     ConstraintLadder,
     InfeasiblePoint,
+    _project,
     assemble_Z,
     constraint_values,
     hamiltonian_part,
@@ -146,15 +147,15 @@ def legendre_invert(
     w = np.concatenate((yvec[: 1 + n], v, yvec[1 + n :]))
     space = CoordinateSpace.unified(n)
     vs = slice(1 + n, 1 + 2 * n)
-    vi = range(1 + n, 1 + 2 * n)
     p = w[1 + 2 * n : 1 + 3 * n]
     for _ in range(max_iter):
         expansion = L.taylor_on(space, w, 2)
-        F = expansion.gradient(1 + 2 * n)[vs] - p
-        if np.max(np.abs(F)) <= tol:
+        grad, H = order2_parts(read_order2(expansion, space), n)
+        F = grad[vs] - p
+        if np.abs(F).max() <= tol:
             return w[vs].copy(), expansion
         # one factorisation serves the singularity test and the step
-        U, sigma, Vt = np.linalg.svd(expansion.hessian_block(vi, vi))
+        U, sigma, Vt = np.linalg.svd(H[vs])
         if sigma[-1] <= 1e-12 * max(sigma[0], 1.0):
             raise NonInvertibleLegendre(
                 f"velocity Hessian is singular (sigma_min = {sigma[-1]:.2e})"
@@ -179,7 +180,9 @@ class UnifiedField:
     expansion, and drop is the identity.  lift, prepare, reproject, eval
     and drift are written once in terms of them; the lift's expansion
     serves the evaluation and the reprojection, so every description
-    expands L once per evaluated state.
+    expands L once per evaluated state.  A state reproject returned is
+    lifted with the expansion its projection made last (_held), here and
+    on the velocity side, so it is not expanded again.
 
     eval(state) -> (derivative, coefficient vector on the mixed space,
     lifted mixed-space state, constraint values at the lift in
@@ -196,10 +199,16 @@ class UnifiedField:
     ladder: ConstraintLadder
     opts: AlgorithmOptions = field(default_factory=AlgorithmOptions)
     _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _held: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     kind = "unified"
 
     def _lift(self, state: np.ndarray) -> tuple[np.ndarray, Taylor | None]:
-        return state, None
+        return state, self._held_expansion(state)
+
+    def _held_expansion(self, state: np.ndarray) -> Taylor | None:
+        """The expansion reproject kept, if state is the state it returned."""
+        key, expansion = self._held
+        return expansion if key is not None and key == state.tobytes() else None
 
     def lift(self, state: np.ndarray) -> np.ndarray:
         return self._lift(state)[0]
@@ -213,9 +222,8 @@ class UnifiedField:
     def _evaluate(self, state: np.ndarray):
         w, expansion = self._lift(state)
         Z = assemble_Z(self.L, w, self.ladder, self.opts, expansion=expansion)
-        coeffs = Z.as_vector()
         # exact: assemble_Z sets A = 1.0 and B = v
-        return self.drop(coeffs), coeffs, w, Z.constraint_values, Z.L_data
+        return self.drop(Z.coeffs), Z.coeffs, w, Z.constraint_values, Z.L_data
 
     def _evaluation(self, state) -> tuple:
         state = np.asarray(state, dtype=float)
@@ -229,12 +237,20 @@ class UnifiedField:
 
     def prepare(self, x0) -> np.ndarray:
         """Project an initial state onto the constraint set."""
-        return self.reproject(np.asarray(x0, dtype=float))
-
-    def reproject(self, state: np.ndarray) -> np.ndarray:
-        w, expansion = self._lift(state)
+        w, expansion = self._lift(np.asarray(x0, dtype=float))
         return self.drop(project_onto(self.L, w, self.ladder.active(), self.opts,
                                       expansion=expansion))
+
+    def reproject(self, state: np.ndarray) -> np.ndarray:
+        """Project a state back onto the constraint set after an accepted
+        step.  The projection's last expansion of L is at the state it
+        returns, so it is kept (_held) for the evaluation that follows
+        there; prepare, once per run, keeps nothing."""
+        w, expansion = self._lift(state)
+        w, expansion = _project(self.L, w, self.ladder.active(), self.opts, expansion)
+        state = self.drop(w)
+        self._held = (state.tobytes(), expansion)
+        return state
 
     def drift(self, state: np.ndarray) -> float:
         vals = self._evaluation(state)[3]
@@ -252,8 +268,10 @@ class LagrangianField(UnifiedField):
     def _lift(self, x: np.ndarray) -> tuple[np.ndarray, Taylor]:
         n = self.L.n
         w = np.concatenate((x[: 1 + 2 * n], np.zeros(n), x[-1:]))
-        order = 1 + max(c.generation for c in self.ladder.active())
-        expansion = self.L.taylor_on(CoordinateSpace.unified(n), w, order)
+        expansion = self._held_expansion(x)
+        if expansion is None:
+            order = 1 + max(c.generation for c in self.ladder.active())
+            expansion = self.L.taylor_on(CoordinateSpace.unified(n), w, order)
         w[1 + 2 * n : 1 + 3 * n] = expansion.gradient(1 + 2 * n)[1 + n :]
         return w, expansion
 
@@ -273,9 +291,10 @@ class HamiltonianField(UnifiedField):
     expansion the Newton iteration converged with.  A regular ladder is
     the momentum constraints p - dL/dv alone, so the evaluation reads
     their values, D, E and (implicitly differentiating dL/dv = p) C off
-    that expansion with a few lookups and one n x n solve.  Going through
-    assemble_Z instead gives the same trajectories but costs 36-50% more
-    per step (duffing and drag, rk4, on a 2-core x86 VM)."""
+    that expansion with one gathered read and one n x n solve.  Going
+    through assemble_Z instead gives the same trajectories but costs
+    13-17% more per step (duffing and drag, rk4 at step 2e-3, one CPU of a
+    2-core x86-64 VM pinned, Python 3.11.7, numpy 2.4.6)."""
 
     kind = "hamiltonian"
     _last_v: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -295,7 +314,8 @@ class HamiltonianField(UnifiedField):
         v = w[1 + n : 1 + 2 * n]
         p = w[1 + 2 * n : 1 + 3 * n]
         qs, vs = slice(1, 1 + n), slice(1 + n, 1 + 2 * n)
-        grad, H, L_data = read_order2(expansion, CoordinateSpace.unified(n))
+        L_data = read_order2(expansion, CoordinateSpace.unified(n))
+        grad, H = order2_parts(L_data, n)
         D = grad[qs] + p * grad[-1]
         E = L_data[0]
         # velocity rate along the lifted curve, from implicit
@@ -432,7 +452,7 @@ def residual_channels(
 
     if L_data is None:
         space = CoordinateSpace.unified(n)
-        L_data = np.array([read_order2(L.taylor_on(space, wk, 2), space)[2] for wk in lifted])
+        L_data = np.array([read_order2(L.taylor_on(space, wk, 2), space) for wk in lifted])
     vector, sdot_defect = herglotz_defect(lag, L_data, rates[:, vs], rates[:, -1])
     if xi is None:
         active = ladder.active() if ladder is not None else None
@@ -501,7 +521,10 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
     drift_cap = 10.0 * field.opts.tol
     times = [t0]
     states = [y.copy()]
-    samples = []  # (coeffs, lifted, constraint values, L data) at each accepted state
+    # (coeffs, lifted, constraint values, L data) at each accepted state,
+    # packed as one row: the evaluation's arrays are views of the buffer
+    # its reads came in, which holds the constraint gradients too
+    samples = []
 
     def accept(ynew, t_exact):
         ynew[0] = t_exact
@@ -541,7 +564,7 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
             if rem > 1e-12 * max(1.0, abs(cfg.t_end)):
                 steps.append((rem, cfg.t_end))
             for dt, t_exact in steps:
-                samples.append(sample)
+                samples.append(np.concatenate(sample))
                 y = _rk4_step(field, y, dt, deriv)
                 y = accept(y, t_exact)
                 deriv, *sample = field.eval(y)
@@ -556,7 +579,7 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
                 scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
                 ratio = float(np.max(err / scale))
                 if ratio <= 1.0:
-                    samples.append(sample)
+                    samples.append(np.concatenate(sample))
                     t = t + h
                     y = accept(y5, t)
                     deriv, *sample = field.eval(y)
@@ -566,11 +589,13 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
                     h = h * max(0.2, 0.9 * ratio ** -0.2)
 
     # field data at the final accepted sample
-    samples.append(sample)
+    samples.append(np.concatenate(sample))
 
     times_arr = np.array(times)
     states_arr = np.vstack(states)
-    coeffs_arr, lifted_arr, xi_arr, L_data = (np.vstack(col) for col in zip(*samples))
+    cuts = np.cumsum([len(part) for part in sample[:3]])
+    coeffs_arr, lifted_arr, xi_arr, L_data = (np.ascontiguousarray(col)
+                                              for col in np.split(np.vstack(samples), cuts, axis=1))
     residuals = residual_channels(field.L, times_arr, lifted_arr, field.ladder, xi_arr, L_data)
     return Trajectory(
         field.kind, field.L.n, times_arr, states_arr, lifted_arr, coeffs_arr, residuals

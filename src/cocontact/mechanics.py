@@ -187,40 +187,40 @@ def classify_velocity_hessian(W: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> R
 
 
 @functools.cache
-def order2_keys(space: CoordinateSpace) -> tuple[int, ...]:
-    """The coefficients read_order2 looks up in an expansion on `space`, by
-    key: the value, the gradient on `space`, then the block d2L/dx dv at
-    x = (t, q, v, s), row-major."""
+def order2_gather(space: CoordinateSpace) -> tuple[tuple[int, ...], np.ndarray]:
+    """Where L's flat order-2 data sits in an expansion on `space`, the
+    velocity side or the mixed space: the keys of [L, dL/dx, d2L/dx dv] at
+    x = (t, q, v, s), the block row-major, and the factor that turns each
+    coefficient into its derivative (2 on a diagonal second partial
+    d2L/dv_i dv_i, 1 elsewhere)."""
     n = space.n
     strides = _strides(space.dim)
     x = [*range(1 + 2 * n), space.s_index]
-    return (0, *strides[: space.dim],
-            *(strides[i] + strides[j] for i in x for j in range(1 + n, 1 + 2 * n)))
+    v = range(1 + n, 1 + 2 * n)
+    keys = (0, *(strides[i] for i in x), *(strides[i] + strides[j] for i in x for j in v))
+    scale = np.array([1.0] * (3 + 2 * n) + [2.0 if i == j else 1.0 for i in x for j in v])
+    scale.flags.writeable = False  # shared by every caller
+    return keys, scale
 
 
-def order2_from(raw, space: CoordinateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """read_order2 from the coefficients at order2_keys(space)."""
-    n = space.n
-    raw = np.asarray(raw, dtype=float)
-    grad = raw[1 : 1 + space.dim]
-    hess = raw[1 + space.dim :].reshape(2 * n + 2, n).copy()
-    # a diagonal second partial is twice its Taylor coefficient
-    diag = np.arange(n)
-    hess[1 + n + diag, diag] *= 2.0
-    x = [*range(1 + 2 * n), space.s_index]
-    return grad, hess, np.concatenate((raw[:1], grad[x], hess.ravel()))
-
-
-def read_order2(expansion: Taylor, space: CoordinateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def read_order2(expansion: Taylor, space: CoordinateSpace) -> np.ndarray:
     """L's order-2 data, read off its expansion (order >= 2) on `space`, the
-    velocity side or the mixed space: the gradient on `space`, the block
-    d2L/dx dv at the velocity side x = (t, q, v, s), shape (2n+2, n), and
-    the flat data the Herglotz defect reads, [L, dL/dx, d2L/dx dv] (the
-    block row-major).  Every entry is one coefficient lookup."""
+    velocity side or the mixed space, flat as the Herglotz defect reads it:
+    [L, dL/dx, d2L/dx dv] at the velocity side x = (t, q, v, s), the
+    (2n+2, n) block row-major.  One gathered array: a coefficient lookup
+    per entry, scaled by order2_gather's factors."""
     if expansion.order < 2:
         raise ValueError("a Hessian needs truncation order >= 2")
+    keys, scale = order2_gather(space)
     t = expansion.terms
-    return order2_from([t.get(k, 0.0) for k in order2_keys(space)], space)
+    return np.array([t.get(k, 0.0) for k in keys]) * scale
+
+
+def order2_parts(order2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """dL/dx, shape (..., 2n+2), and d2L/dx dv, shape (..., 2n+2, n), in
+    read_order2's flat data, batched over any leading axes."""
+    m = 2 * n + 2
+    return order2[..., 1 : 1 + m], order2[..., 1 + m :].reshape(order2.shape[:-1] + (m, n))
 
 
 def herglotz_defect(x, order2, accel, sdot) -> tuple[np.ndarray, np.ndarray]:
@@ -241,8 +241,7 @@ def herglotz_defect(x, order2, accel, sdot) -> tuple[np.ndarray, np.ndarray]:
     n = (m - 2) // 2
     qs = slice(1, 1 + n)
     vs = slice(1 + n, 1 + 2 * n)
-    grad = order2[..., 1 : 1 + m]
-    H = order2[..., 1 + m :].reshape(order2.shape[:-1] + (m, n))  # d2L/dx dv
+    grad, H = order2_parts(order2, n)
     sdot = np.asarray(sdot, dtype=float)
     # row-vector products: (..., 1, n) @ (..., n, n)
     total = (
@@ -260,6 +259,6 @@ def herglotz_residual(L: LagrangianSystem, x, accel, sdot: float) -> tuple[np.nd
     equations at one state: herglotz_defect from one order-2 expansion of L."""
     vec = _as_lvec(L, x)
     accel = _vectorize("accel", accel, L.n)
-    order2 = read_order2(L.taylor(vec, 2), L.space)[2]
+    order2 = read_order2(L.taylor(vec, 2), L.space)
     vector, scalar = herglotz_defect(vec, order2, accel, sdot)
     return vector, float(scalar)

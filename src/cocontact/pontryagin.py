@@ -43,7 +43,9 @@ to the order-1 values and gradients and L's order-2 data the tangency
 conditions read) on a jets.Tape that takes the point and L's expansion
 there, and replays it after that.  The frozen-pivot test is a guard, so a
 replay raises NumericalBreakdown where a live evaluation would.  Both
-paths end in the same numpy tail: one SVD.
+paths end in the same numpy tail: the reads come in the layout it slices
+(the momentum coefficients D among them), so it is one array build, one
+matrix-vector product and one SVD.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import numpy as np
 
 from .jets import (ORDER_CAP, CoordinateSpace, Jet, Tape, Taylor, _strides, guard, jet_from_taylor,
                    unstack)
-from .mechanics import LagrangianSystem, classify_velocity_hessian, order2_from, order2_keys
+from .mechanics import LagrangianSystem, classify_velocity_hessian, order2_gather
 
 __all__ = [
     "lagrangian_part",
@@ -106,27 +108,47 @@ def hamiltonian_part(w: np.ndarray, n: int) -> np.ndarray:
 class ZCoefficients:
     """Coefficients of the dynamical field at one point.
 
-    undetermined holds an orthonormal basis (columns) of the C-directions
-    the tangency conditions leave free; C itself carries the minimum-norm
-    choice, i.e. zero component along those directions.  constraint_values
-    holds the value of every ladder constraint at the point, in
-    ladder.active() order, and L_data L's order-2 data at the point's
-    velocity side (t, q, v, s), flat as mechanics.read_order2 returns it:
-    the assembly expands both anyway, so callers need not expand them
-    again.
+    coeffs is the coefficient vector (A, B, C, D, E) on the mixed space;
+    A, B, C, D and E read it.  undetermined holds an orthonormal basis
+    (columns) of the C-directions the tangency conditions leave free; C
+    itself carries the minimum-norm choice, i.e. zero component along
+    those directions.  constraint_values holds the value of every ladder
+    constraint at the point, in ladder.active() order, and L_data L's
+    order-2 data at the point's velocity side (t, q, v, s), flat as
+    mechanics.read_order2 returns it: the assembly expands both anyway, so
+    callers need not expand them again.
     """
 
-    A: float
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    E: float
+    coeffs: np.ndarray  # shape (3n + 2,)
     undetermined: np.ndarray  # shape (n, k), k >= 0
     constraint_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
     L_data: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.A], self.B, self.C, self.D, [self.E]))
+    @property
+    def _n(self) -> int:
+        return (len(self.coeffs) - 2) // 3
+
+    @property
+    def A(self) -> float:
+        return float(self.coeffs[0])
+
+    @property
+    def B(self) -> np.ndarray:
+        return self.coeffs[1 : 1 + self._n]
+
+    @property
+    def C(self) -> np.ndarray:
+        n = self._n
+        return self.coeffs[1 + n : 1 + 2 * n]
+
+    @property
+    def D(self) -> np.ndarray:
+        n = self._n
+        return self.coeffs[1 + 2 * n : 1 + 3 * n]
+
+    @property
+    def E(self) -> float:
+        return float(self.coeffs[-1])
 
 
 def _as_wvec(n: int, w, stacked: bool = False) -> np.ndarray:
@@ -461,50 +483,52 @@ def _span_residual(vec: np.ndarray, basis: np.ndarray) -> float:
 
 
 def _reads(ws: _Workspace, constraints: Sequence[ConstraintFn]) -> list:
-    """Every coefficient the tangency conditions read, flat: L's order-2
-    data (mechanics.order2_keys), then each constraint's value and
-    gradient at order 1.  Lookups only, so a tape can return them as they
-    are."""
-    dim = ws.space.dim
+    """Every number the tangency tail reads, flat, in the layout _field
+    slices: the R constraint values; their gradients at order 1, row-major
+    (R x dim); the coefficient template z = (1, v, 0, D, E), with
+    D_i = dL/dq_i + p_i dL/ds and E = L; then L's flat order-2 data at
+    the velocity side, diagonal doubled (mechanics.read_order2).  Lookups,
+    and for D and the doubling the float operations numpy makes
+    elementwise, in its order: a tape returns them as they are, and the
+    bits do not depend on which side computes them."""
+    n, dim = ws.n, ws.space.dim
+    grad_keys = _strides(dim)[:dim]
+    xis = [ws.xi_taylor(c, 1).terms for c in constraints]
+    out = [t.get(0, 0.0) for t in xis]
+    for t in xis:
+        out += [t.get(k, 0.0) for k in grad_keys]
     L2 = ws.L_taylor(2).terms
-    out = [L2.get(k, 0.0) for k in order2_keys(ws.space)]
-    keys = (0, *_strides(dim)[:dim])
-    for c in constraints:
-        t = ws.xi_taylor(c, 1).terms
-        out += [t.get(k, 0.0) for k in keys]
+    dL_ds = L2.get(grad_keys[-1], 0.0)
+    out += [1.0, *ws.w[1 + n : 1 + 2 * n], *[0.0] * n]
+    out += [L2.get(grad_keys[1 + i], 0.0) + p_i * dL_ds
+            for i, p_i in enumerate(ws.w[1 + 2 * n : 1 + 3 * n])]
+    out.append(L2.get(0, 0.0))
+    keys, scale = order2_gather(ws.space)
+    out += [L2.get(k, 0.0) * f for k, f in zip(keys, scale.tolist())]
     return out
 
 
-def _unpack(space: CoordinateSpace, raw: Sequence[float], R: int):
-    """_reads' list as (constraint values (R,), gradients (R, dim), L's
-    gradient on the mixed space, L's flat order-2 data)."""
-    K = len(order2_keys(space))
-    L_grad, _, L_data = order2_from(raw[:K], space)
-    xi = np.array(raw[K:], dtype=float).reshape(R, space.dim + 1)
-    return xi[:, 0].copy(), xi[:, 1:].copy(), L_grad, L_data
-
-
-def _field(w: np.ndarray, values: np.ndarray, grads: np.ndarray, L_grad: np.ndarray,
-           L_data: np.ndarray, opts: AlgorithmOptions) -> tuple[ZCoefficients, int]:
-    """The field fixed by the tangency conditions whose values and
-    gradients are given, and the rank of their C-system: one SVD."""
-    n = (len(w) - 2) // 3
-    D = L_grad[1 : 1 + n] + w[1 + 2 * n : 1 + 3 * n] * L_grad[-1]
-    E = float(L_data[0])
+def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCoefficients, int]:
+    """The field fixed by the tangency conditions of R constraints, and the
+    rank of their C-system, from _reads' numbers as one float array:
+    fixed slices, one matrix-vector product and one SVD.  C goes into the
+    template's zero block, which makes the template the coefficient
+    vector."""
+    dim = 3 * n + 2
+    grads = raw[R : R + R * dim].reshape(R, dim)
+    coeffs = raw[R + R * dim : R + R * dim + dim]
     # row r: grad(xi_r) . Z = g[r] + M[r] . C
-    M = grads[:, 1 + n : 1 + 2 * n]
-    g = grads @ np.concatenate(([1.0], w[1 + n : 1 + 2 * n], np.zeros(n), D, [E]))
-    U, sigma, Vt = np.linalg.svd(M, full_matrices=True)
+    g = grads @ coeffs
+    U, sigma, Vt = np.linalg.svd(grads[:, 1 + n : 1 + 2 * n], full_matrices=True)
     smax = sigma[0] if len(sigma) else 0.0
-    rank = int(np.sum(sigma > opts.rank_tol * smax)) if smax > 0 else 0
+    rank = int(np.count_nonzero(sigma > opts.rank_tol * smax)) if smax > 0 else 0
     if rank and smax / sigma[rank - 1] > opts.cond_cap:
         raise NumericalBreakdown(
             f"tangency system condition {smax / sigma[rank - 1]:.2e} beyond cap"
         )
     # minimum-norm solution of M C = -g, dropping lstsq's rcond=rank_tol set
-    C = -Vt[:rank].T @ ((U[:, :rank].T @ g) / sigma[:rank])
-    Z = ZCoefficients(1.0, w[1 + n : 1 + 2 * n].copy(), C, D, E, Vt[rank:].T.copy(), values,
-                      L_data)
+    coeffs[1 + n : 1 + 2 * n] = -Vt[:rank].T @ ((U[:, :rank].T @ g) / sigma[:rank])
+    Z = ZCoefficients(coeffs, Vt[rank:].T.copy(), raw[:R], raw[R + R * dim + dim :])
     return Z, rank
 
 
@@ -520,7 +544,9 @@ def _tangency(
     one, if any (else an empty list and None)."""
     n = ws.n
     dim = ws.space.dim
-    values, grads, L_grad, L_data = _unpack(ws.space, _reads(ws, constraints), len(constraints))
+    R = len(constraints)
+    raw = np.array(_reads(ws, constraints), dtype=float)
+    grads = raw[R : R + R * dim].reshape(R, dim)
     M = grads[:, 1 + n : 1 + 2 * n]
     row_scale = max(float(np.max(np.linalg.norm(M, axis=1))), 1e-300)
     thresh = opts.rank_tol * row_scale
@@ -560,7 +586,7 @@ def _tangency(
             if _span_residual(cgrad, span) > opts.grad_tol * max(1.0, gnorm):
                 new_constraints.append(cand)
 
-    Z, rank = _field(ws.w, values, grads, L_grad, L_data, opts)
+    Z, rank = _field(raw, R, n, opts)
     return Z, rank, new_constraints, incompatible
 
 
@@ -615,12 +641,21 @@ def project_onto(
     residual evaluation; a caller that holds one passes it as `expansion`
     (see _Workspace).
     """
+    return _project(L, w, constraints, opts, expansion)[0]
+
+
+def _project(L: LagrangianSystem, w, constraints: Sequence[ConstraintFn],
+             opts: AlgorithmOptions | None, expansion: Taylor | None) -> tuple[np.ndarray, Taylor]:
+    """project_onto's point, and the mixed-space expansion of L there, to 1
+    plus the deepest generation: the one its last residual evaluation
+    made.  A caller that evaluates at the point next need not expand L
+    again."""
     opts = opts or AlgorithmOptions()
     n = L.n
     wvec = _as_wvec(n, w).copy()
     constraints = list(constraints)
+    order = 1 + max((c.generation for c in constraints), default=0)
     if expansion is None:
-        order = 1 + max((c.generation for c in constraints), default=0)
         expansion = L.taylor_on(CoordinateSpace.unified(n), wvec, order)
 
     # momenta first: the primary constraints are solved exactly by the
@@ -628,7 +663,7 @@ def project_onto(
     # coordinates
     wvec[1 + 2 * n : 1 + 3 * n] = expansion.gradient(1 + 2 * n)[1 + n :]
     if not constraints:
-        return wvec
+        return wvec, expansion
     vi = range(1 + n, 1 + 2 * n)
     dirs = sorted(
         set(range(1 + n, 1 + 3 * n))
@@ -639,27 +674,28 @@ def project_onto(
         ws = _Workspace(L, vec, constraints, 1, L_expansion)
         cts = [c.taylor(ws, 1) for c in constraints]
         return (np.array([ct.value for ct in cts]),
-                np.array([ct.gradient(ws.space.dim)[dirs] for ct in cts]))
+                np.array([ct.gradient(ws.space.dim)[dirs] for ct in cts]),
+                ws.L_taylor(order))
 
-    vals, grads = residuals(wvec, expansion)
+    vals, grads, expansion = residuals(wvec, expansion)
     for _ in range(opts.max_project_iter):
         worst = float(np.max(np.abs(vals)))
         if worst <= opts.project_tol:
-            return wvec
+            return wvec, expansion
         step, *_ = np.linalg.lstsq(grads, -vals, rcond=None)
         lam = 1.0
         for _ in range(9):
             trial = wvec.copy()
             trial[dirs] += lam * step
-            tvals, tgrads = residuals(trial)
+            tvals, tgrads, texpansion = residuals(trial)
             if np.max(np.abs(tvals)) < worst:
-                wvec, vals, grads = trial, tvals, tgrads
+                wvec, vals, grads, expansion = trial, tvals, tgrads, texpansion
                 break
             lam *= 0.5
         else:
             break
     if float(np.max(np.abs(vals))) <= opts.project_tol:
-        return wvec
+        return wvec, expansion
     worst_i = int(np.argmax(np.abs(vals)))
     stall = (f"projection stalled at |{constraints[worst_i].label}| = "
              f"{abs(vals[worst_i]):.3e} (needs <= {opts.project_tol:.1e})")
@@ -733,9 +769,10 @@ def run_constraint_algorithm(
 
 def _closed_reads(L: LagrangianSystem, w: np.ndarray, ladder: ConstraintLadder,
                   active: list[ConstraintFn], expansion: Taylor):
-    """_reads at w for a closed ladder, from L's mixed-space expansion at w
-    (order 1 + the deepest generation); at a (B, dim) stack of points, from
-    the stacked expansion, one row of reads per point.  The first call
+    """_reads at w for a closed ladder, as one float array, from L's
+    mixed-space expansion at w (order 1 + the deepest generation); at a
+    (B, dim) stack of points, from the stacked expansion, as a (B, K)
+    array, one row of reads per point.  The first call
     records the Taylor work on a tape that takes w and the expansion's
     coefficients; later calls replay it, a stack in one batched replay.
     Live instead when the recording was refused or the expansion holds
@@ -759,12 +796,12 @@ def _closed_reads(L: LagrangianSystem, w: np.ndarray, ladder: ConstraintLadder,
             pass
         else:
             if w.ndim == 1:
-                return tape(w.tolist() + coefs)
-            return np.array(tape(np.array([*w.T, *coefs]))).T
+                return np.array(tape(w.tolist() + coefs))
+            return np.stack(tape(np.array([*w.T, *coefs])), axis=1)
     if w.ndim == 1:
-        return _reads(_Workspace(L, w, active, 1, expansion), active)
-    return [_reads(_Workspace(L, wb, active, 1, eb), active)
-            for wb, eb in zip(w, unstack(expansion))]
+        return np.array(_reads(_Workspace(L, w, active, 1, expansion), active))
+    return np.array([_reads(_Workspace(L, wb, active, 1, eb), active)
+                     for wb, eb in zip(w, unstack(expansion))])
 
 
 def assemble_Z(
@@ -799,5 +836,5 @@ def assemble_Z(
         expansion = L.taylor_on(space, wvec, order)
     raw = _closed_reads(L, wvec, ladder, active, expansion.truncated(order))
     if wvec.ndim == 1:
-        return _field(wvec, *_unpack(space, raw, len(active)), opts)[0]
-    return [_field(wb, *_unpack(space, rb, len(active)), opts)[0] for wb, rb in zip(wvec, raw)]
+        return _field(raw, len(active), L.n, opts)[0]
+    return [_field(rb, len(active), L.n, opts)[0] for rb in raw]

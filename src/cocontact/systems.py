@@ -307,12 +307,20 @@ def charged_particle(
     phi_field = ScalarField(lambda X: phi_eval(X[0], X[1], X[2]), 3, "phi")
     f_field = ScalarField(lambda X: f_eval(X[0], X[1], X[2], X[3]), 4, "f")
 
-    def _phi_jets(q, order):
-        return eval_jet(phi_field, q[:3], order)
+    # One order-3 jet of phi per point serves every closed form there
+    # (check_ladder asks five times per point): its lower-order entries are
+    # the lower-order jets', bit for bit.  Jets are read-only.
+    phi_memo: list = [None, None]
+
+    def _phi_jets(q):
+        key = (np.asarray(q[:3], dtype=float).tobytes(), tuple(params.items()))
+        if phi_memo[0] != key:
+            phi_memo[:] = key, eval_jet(phi_field, q[:3], 3)
+        return phi_memo[1]
 
     def expected_D(w):
         t, q, v, p, s = _unified_parts(w, 4)
-        pj = _phi_jets(q, 1)
+        pj = _phi_jets(q)
         fj = eval_jet(f_field, [t, q[0], q[1], q[2]], 1)
         lam, gam, kk = q[3], params["gamma"], params["k"]
         out = np.empty(4)
@@ -331,7 +339,7 @@ def charged_particle(
         # unified space.  D_z and D_lam are shorthands for the momentum
         # coefficients whose vanishing the earlier generations enforce.
         def _dz(t, q, v, p):
-            pj = _phi_jets(q, 1)
+            pj = _phi_jets(q)
             return q[3] - params["k"] * pj.grad[2] - params["gamma"] * p[2]
 
         def _dlam(t, q, p):
@@ -354,7 +362,7 @@ def charged_particle(
         def xi5(w):
             t, q, v, p, s = _unified_parts(w, 4)
             gam, mm, kk = params["gamma"], params["m"], params["k"]
-            pj = _phi_jets(q, 2)
+            pj = _phi_jets(q)
             coupled = v[3] - kk * (
                 pj.hess[0, 2] * v[0] + pj.hess[1, 2] * v[1] + pj.hess[2, 2] * v[2]
             )
@@ -376,7 +384,7 @@ def charged_particle(
         def expected_C(w):  # noqa: F811 - deliberate rebind for default f
             t, q, v, p, s = _unified_parts(w, 4)
             gam, mm, kk = params["gamma"], params["m"], params["k"]
-            pj = _phi_jets(q, 3)
+            pj = _phi_jets(q)
             out = np.empty(4)
             out[:3] = (-kk * pj.grad - gam * p[:3]) / mm
             out[2] = (q[3] - kk * pj.grad[2] - gam * p[2]) / mm
@@ -393,7 +401,7 @@ def charged_particle(
         vx, vy = rng.uniform(-3, 3, size=2)
         s = rng.uniform(-1, 1)
         q = np.array([x, y, z, 0.0])
-        pj = _phi_jets(q, 2)
+        pj = _phi_jets(q)
         lam = params["k"] * pj.grad[2] + params["gamma"] * params["m"]
         vlam = params["k"] * (pj.hess[0, 2] * vx + pj.hess[1, 2] * vy + pj.hess[2, 2])
         q[3] = lam

@@ -1,0 +1,169 @@
+"""The closed field's numpy tail as it was written before the tapes emitted
+its reads in their final layout: a reference for the tests.
+
+`pontryagin._reads` returned L's order-2 coefficients and each
+constraint's value and gradient; `unpack` and `order2_from` re-laid them
+out as arrays, and `field` formed D, the coefficient template, the SVD
+and C, and concatenated the coefficient vector.  The momentum side read
+L's order-2 data by `Taylor.gradient`, `Taylor.hessian_block` and
+`read_order2`.  Here all of it runs live, point by point, on a fresh
+workspace.  The tests assert that the package gives the same arrays, bit
+for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cocontact.dynamics import FIELDS, HamiltonianField, NonInvertibleLegendre
+from cocontact.jets import CoordinateSpace, _strides
+from cocontact.pontryagin import (AlgorithmOptions, NumericalBreakdown, ZCoefficients, _Workspace,
+                                  project_onto)
+
+
+def order2_keys(space: CoordinateSpace) -> tuple[int, ...]:
+    """The value, the gradient on `space`, then the block d2L/dx dv at
+    x = (t, q, v, s), row-major, as keys."""
+    n = space.n
+    strides = _strides(space.dim)
+    x = [*range(1 + 2 * n), space.s_index]
+    return (0, *strides[: space.dim],
+            *(strides[i] + strides[j] for i in x for j in range(1 + n, 1 + 2 * n)))
+
+
+def order2_from(raw, space: CoordinateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gradient on `space`, d2L/dx dv of shape (2n+2, n), flat data)."""
+    n = space.n
+    raw = np.asarray(raw, dtype=float)
+    grad = raw[1 : 1 + space.dim]
+    hess = raw[1 + space.dim :].reshape(2 * n + 2, n).copy()
+    # a diagonal second partial is twice its Taylor coefficient
+    diag = np.arange(n)
+    hess[1 + n + diag, diag] *= 2.0
+    x = [*range(1 + 2 * n), space.s_index]
+    return grad, hess, np.concatenate((raw[:1], grad[x], hess.ravel()))
+
+
+def read_order2(expansion, space: CoordinateSpace):
+    t = expansion.terms
+    return order2_from([t.get(k, 0.0) for k in order2_keys(space)], space)
+
+
+def reads(ws: _Workspace, constraints) -> list:
+    """L's order-2 coefficients, then each constraint's value and gradient."""
+    dim = ws.space.dim
+    L2 = ws.L_taylor(2).terms
+    out = [L2.get(k, 0.0) for k in order2_keys(ws.space)]
+    keys = (0, *_strides(dim)[:dim])
+    for c in constraints:
+        t = ws.xi_taylor(c, 1).terms
+        out += [t.get(k, 0.0) for k in keys]
+    return out
+
+
+def unpack(space: CoordinateSpace, raw, R: int):
+    K = len(order2_keys(space))
+    L_grad, _, L_data = order2_from(raw[:K], space)
+    xi = np.array(raw[K:], dtype=float).reshape(R, space.dim + 1)
+    return xi[:, 0].copy(), xi[:, 1:].copy(), L_grad, L_data
+
+
+def field(w, values, grads, L_grad, L_data, opts: AlgorithmOptions) -> ZCoefficients:
+    n = (len(w) - 2) // 3
+    D = L_grad[1 : 1 + n] + w[1 + 2 * n : 1 + 3 * n] * L_grad[-1]
+    E = float(L_data[0])
+    M = grads[:, 1 + n : 1 + 2 * n]
+    g = grads @ np.concatenate(([1.0], w[1 + n : 1 + 2 * n], np.zeros(n), D, [E]))
+    U, sigma, Vt = np.linalg.svd(M, full_matrices=True)
+    smax = sigma[0] if len(sigma) else 0.0
+    rank = int(np.sum(sigma > opts.rank_tol * smax)) if smax > 0 else 0
+    if rank and smax / sigma[rank - 1] > opts.cond_cap:
+        raise NumericalBreakdown(
+            f"tangency system condition {smax / sigma[rank - 1]:.2e} beyond cap"
+        )
+    C = -Vt[:rank].T @ ((U[:, :rank].T @ g) / sigma[:rank])
+    coeffs = np.concatenate(([1.0], w[1 + n : 1 + 2 * n].copy(), C, D, [E]))
+    return ZCoefficients(coeffs, Vt[rank:].T.copy(), values, L_data)
+
+
+def reference_Z(L, w, ladder, opts: AlgorithmOptions | None = None,
+                expansion=None) -> ZCoefficients:
+    """assemble_Z at one point, its reads live on a fresh workspace."""
+    opts = opts or AlgorithmOptions(tol=ladder.tolerance)
+    active = ladder.active()
+    space = CoordinateSpace.unified(L.n)
+    order = 1 + max(c.generation for c in active)
+    if expansion is None or expansion.order < order:
+        expansion = L.taylor_on(space, w, order)
+    ws = _Workspace(L, w, active, 1, expansion.truncated(order))
+    return field(w, *unpack(space, reads(ws, active), len(active)), opts)
+
+
+def legendre_invert(L, y, v0=None, tol: float = 1e-12, max_iter: int = 60):
+    n = L.n
+    yvec = np.asarray(y, dtype=float)
+    v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
+    w = np.concatenate((yvec[: 1 + n], v, yvec[1 + n :]))
+    space = CoordinateSpace.unified(n)
+    vs = slice(1 + n, 1 + 2 * n)
+    vi = range(1 + n, 1 + 2 * n)
+    p = w[1 + 2 * n : 1 + 3 * n]
+    for _ in range(max_iter):
+        expansion = L.taylor_on(space, w, 2)
+        F = expansion.gradient(1 + 2 * n)[vs] - p
+        if np.max(np.abs(F)) <= tol:
+            return w[vs].copy(), expansion
+        U, sigma, Vt = np.linalg.svd(expansion.hessian_block(vi, vi))
+        if sigma[-1] <= 1e-12 * max(sigma[0], 1.0):
+            raise NonInvertibleLegendre(
+                f"velocity Hessian is singular (sigma_min = {sigma[-1]:.2e})"
+            )
+        w[vs] -= Vt.T @ ((U.T @ F) / sigma)
+    raise NonInvertibleLegendre(
+        f"velocity recovery did not converge within {max_iter} iterations"
+    )
+
+
+class ReferenceHamiltonianField(HamiltonianField):
+    def _lift(self, y):
+        n = self.L.n
+        v, expansion = legendre_invert(self.L, y, v0=self._last_v)
+        self._last_v = v
+        return np.concatenate((y[: 1 + n], v, y[1 + n : 1 + 2 * n], y[-1:])), expansion
+
+    def _evaluate(self, state):
+        n = self.L.n
+        w, expansion = self._lift(state)
+        v = w[1 + n : 1 + 2 * n]
+        p = w[1 + 2 * n : 1 + 3 * n]
+        qs, vs = slice(1, 1 + n), slice(1 + n, 1 + 2 * n)
+        grad, H, L_data = read_order2(expansion, CoordinateSpace.unified(n))
+        D = grad[qs] + p * grad[-1]
+        E = L_data[0]
+        rhs = D - (H[0] + v @ H[qs] + E * H[-1])
+        try:
+            C = np.linalg.solve(H[vs], rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NonInvertibleLegendre("velocity Hessian is singular") from exc
+        coeffs = np.concatenate(([1.0], v, C, D, [E]))
+        return self.drop(coeffs), coeffs, w, p - grad[vs], L_data
+
+
+def reference_field(kind: str):
+    """The description's field class with the tail above, each evaluation
+    expanding L afresh (reproject through project_onto)."""
+    if kind == "hamiltonian":
+        return ReferenceHamiltonianField
+
+    class Reference(FIELDS[kind]):
+        def reproject(self, state):
+            w, expansion = self._lift(state)
+            return self.drop(project_onto(self.L, w, self.ladder.active(), self.opts,
+                                          expansion=expansion))
+
+        def _evaluate(self, state):
+            w, expansion = self._lift(state)
+            Z = reference_Z(self.L, w, self.ladder, self.opts, expansion)
+            return self.drop(Z.coeffs), Z.coeffs, w, Z.constraint_values, Z.L_data
+
+    return Reference

@@ -66,9 +66,9 @@ def test_mixed_space_vectors_must_have_length_3n_plus_2():
 
 
 def test_z_coefficients_vector_layout():
-    Z = ZCoefficients(1.0, np.array([2.0]), np.array([3.0]), np.array([4.0]), 5.0,
-                      np.zeros((1, 0)))
-    np.testing.assert_array_equal(Z.as_vector(), [1, 2, 3, 4, 5])
+    Z = ZCoefficients(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.zeros((1, 0)))
+    assert (Z.A, Z.B.tolist(), Z.C.tolist(), Z.D.tolist(), Z.E) == (1.0, [2.0], [3.0], [4.0], 5.0)
+    assert isinstance(Z.A, float) and isinstance(Z.E, float)
     assert Z.constraint_values.shape == (0,)
 
 
@@ -198,7 +198,7 @@ def test_field_is_tangent_to_every_constraint():
     for _ in range(10):
         w = pre.sample_feasible(rng)
         Z = assemble_Z(pre.system, w, ladder)
-        zvec = Z.as_vector()
+        zvec = Z.coeffs
         for c in ladder.active():
             assert abs(c.jet(w, 1).grad @ zvec) < 1e-9, c.label
 
@@ -215,7 +215,7 @@ def test_field_C_matches_the_row_by_row_least_squares_solve(name):
     for _ in range(5):
         w = pre.sample_feasible(rng)
         Z = assemble_Z(L, w, ladder)
-        known = Z.as_vector()
+        known = Z.coeffs.copy()
         known[1 + n : 1 + 2 * n] = 0.0
         M, g = [], []
         for c in ladder.active():

@@ -116,7 +116,7 @@ def ladder_record(name) -> dict:
         "undetermined_dim": report["undetermined_dim"],
         "tolerance": report["tolerance"],
         "probe": ladder.probe.tolist(),
-        "Z": Z.as_vector().tolist(),
+        "Z": Z.coeffs.tolist(),
         "Z_undetermined_shape": list(Z.undetermined.shape),
         "Z_constraint_values": Z.constraint_values.tolist(),
     }

@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from cocontact.checks import check_ladder
+from cocontact import systems
+from cocontact.checks import CheckResult, check_ladder
 from cocontact.dsl import DslError, parse
 from cocontact.jets import JetDomainError, eval_jet
 from cocontact.systems import (
@@ -350,6 +351,46 @@ def test_charged_expected_C_independent_at_feasible():
         want[2] = (q[3] - 2e-4 * grad[2] - 0.3 * p[2]) / 1.0
         want[3] = 2e-4 * (v[:3] @ third[:, :, 2] @ v[:3] + hess[:, 2] @ want[:3])
         np.testing.assert_allclose(pre.expected_C(w), want, rtol=0, atol=1e-12)
+
+
+def test_phi_order3_jet_holds_the_lower_order_jets():
+    # the charged preset's closed forms share one order-3 jet of phi per
+    # point; its lower-order entries must be the lower-order jets' bits
+    phi = lambda X: systems._default_phi(*X)  # noqa: E731
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        x = rng.uniform(1.0, 3.0, 3) * rng.choice([-1.0, 1.0], 3)
+        j1, j2, j3 = (eval_jet(phi, x, k) for k in (1, 2, 3))
+        assert j1.value == j2.value == j3.value
+        assert np.array_equal(j1.grad, j3.grad) and np.array_equal(j2.grad, j3.grad)
+        assert np.array_equal(j2.hess, j3.hess)
+
+
+@pytest.mark.parametrize("seed, worst", [(42, 6.938893903907228e-16), (7, 6.661338147750939e-16)])
+def test_charged_closed_forms_share_one_phi_jet_per_point(monkeypatch, seed, worst):
+    # sample_feasible expands phi once per point and the closed forms once
+    # more (expected_D adds one jet of f): three jets per point, not seven;
+    # the result is the one each closed form expanding phi itself gave
+    calls = []
+    real = systems.eval_jet
+    monkeypatch.setattr(systems, "eval_jet", lambda *a: calls.append(1) or real(*a))
+    got = check_ladder(charged_particle(), seed, 80)
+    assert len(calls) <= 3 * 80
+    assert got == CheckResult("ladder[charged_particle]", True, worst, 1e-10,
+                              "5 generations, 80 feasible points")
+
+
+def test_charged_phi_jet_follows_the_parameter_table():
+    # a custom phi may read the table: a changed value expands afresh
+    phi = "gamma*(q1^2 + q2^2 + q3^2)"
+    pre = charged_particle(phi_expr=phi)
+    w = pre.initial.copy()
+    w[2] = 0.5
+    before = pre.expected_D(w)
+    pre.params["gamma"] = 0.5
+    after = pre.expected_D(w)
+    assert np.array_equal(after, charged_particle(phi_expr=phi, gamma=0.5).expected_D(w))
+    assert not np.array_equal(after, before)
 
 
 def test_charged_custom_potential_keeps_ladder():
