@@ -37,17 +37,18 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import CoordinateSpace, Taylor
+from .jets import CoordinateSpace
 from .mechanics import LagrangianSystem, herglotz_defect, order2_parts, read_order2
 from .pontryagin import (
     AlgorithmOptions,
     ConstraintLadder,
     InfeasiblePoint,
-    _project,
+    _layout,
     assemble_Z,
     constraint_values,
     hamiltonian_part,
     lagrangian_part,
+    momentum_reads,
     primary_constraints,
     project_onto,
     run_constraint_algorithm,
@@ -130,14 +131,16 @@ def legendre_invert(
     v0=None,
     tol: float = 1e-12,
     max_iter: int = 60,
-) -> tuple[np.ndarray, Taylor]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve dL/dv(t, q, v, s) = p for v by Newton iteration.
 
     y is a momentum-space point (t, q, p, s).  v0 seeds the iteration
     (zeros by default); for Lagrangians whose fibre derivative is affine in
-    v one step is exact.  Returns v and the order-2 expansion of L on the
-    mixed space at the converged (t, q, v, p, s), the one the convergence
-    test read.
+    v one step is exact.  Each iterate is one replay of the momentum
+    constraints' reads at the mixed-space point (t, q, v, p, s)
+    (pontryagin.momentum_reads) and takes dL/dv and d2L/dv dv from L's
+    order-2 data in them.  Returns v and the reads at the converged point,
+    the ones the convergence test read.
     """
     n = L.n
     yvec = np.asarray(y, dtype=float)
@@ -145,15 +148,15 @@ def legendre_invert(
         raise ValueError(f"expected a momentum-space point of length {2 * n + 2}")
     v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
     w = np.concatenate((yvec[: 1 + n], v, yvec[1 + n :]))
-    space = CoordinateSpace.unified(n)
     vs = slice(1 + n, 1 + 2 * n)
     p = w[1 + 2 * n : 1 + 3 * n]
+    L_data = _layout(n, n)[2]
     for _ in range(max_iter):
-        expansion = L.taylor_on(space, w, 2)
-        grad, H = order2_parts(read_order2(expansion, space), n)
+        raw = momentum_reads(L, w)
+        grad, H = order2_parts(raw[L_data], n)
         F = grad[vs] - p
         if np.abs(F).max() <= tol:
-            return w[vs].copy(), expansion
+            return w[vs].copy(), raw
         # one factorisation serves the singularity test and the step
         U, sigma, Vt = np.linalg.svd(H[vs])
         if sigma[-1] <= 1e-12 * max(sigma[0], 1.0):
@@ -174,15 +177,11 @@ class UnifiedField:
     """The dynamical field on the mixed space, states (t, q, v, p, s).
 
     Each description supplies two maps between its own states and the
-    mixed space: _lift(state) -> (w, expansion), the mixed-space point and
-    the mixed-space expansion of L there that the lift made (None if it
-    made none), and drop(w) -> state.  Here w is the state itself, with no
-    expansion, and drop is the identity.  lift, prepare, reproject, eval
-    and drift are written once in terms of them; the lift's expansion
-    serves the evaluation and the reprojection, so every description
-    expands L once per evaluated state.  A state reproject returned is
-    lifted with the expansion its projection made last (_held), here and
-    on the velocity side, so it is not expanded again.
+    mixed space: lift(state) -> w, the mixed-space point, and
+    drop(w) -> state; here both are the identity.  prepare, reproject,
+    eval and drift are written once in terms of them.  An evaluation is
+    one replay of the ladder's tape at the lifted point (assemble_Z), L's
+    expansion included.
 
     eval(state) -> (derivative, coefficient vector on the mixed space,
     lifted mixed-space state, constraint values at the lift in
@@ -199,19 +198,10 @@ class UnifiedField:
     ladder: ConstraintLadder
     opts: AlgorithmOptions = field(default_factory=AlgorithmOptions)
     _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-    _held: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     kind = "unified"
 
-    def _lift(self, state: np.ndarray) -> tuple[np.ndarray, Taylor | None]:
-        return state, self._held_expansion(state)
-
-    def _held_expansion(self, state: np.ndarray) -> Taylor | None:
-        """The expansion reproject kept, if state is the state it returned."""
-        key, expansion = self._held
-        return expansion if key is not None and key == state.tobytes() else None
-
     def lift(self, state: np.ndarray) -> np.ndarray:
-        return self._lift(state)[0]
+        return state
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return w
@@ -220,8 +210,8 @@ class UnifiedField:
         return self.eval(state)[0]
 
     def _evaluate(self, state: np.ndarray):
-        w, expansion = self._lift(state)
-        Z = assemble_Z(self.L, w, self.ladder, self.opts, expansion=expansion)
+        w = self.lift(state)
+        Z = assemble_Z(self.L, w, self.ladder, self.opts)
         # exact: assemble_Z sets A = 1.0 and B = v
         return self.drop(Z.coeffs), Z.coeffs, w, Z.constraint_values, Z.L_data
 
@@ -237,20 +227,11 @@ class UnifiedField:
 
     def prepare(self, x0) -> np.ndarray:
         """Project an initial state onto the constraint set."""
-        w, expansion = self._lift(np.asarray(x0, dtype=float))
-        return self.drop(project_onto(self.L, w, self.ladder.active(), self.opts,
-                                      expansion=expansion))
+        return self.reproject(np.asarray(x0, dtype=float))
 
     def reproject(self, state: np.ndarray) -> np.ndarray:
-        """Project a state back onto the constraint set after an accepted
-        step.  The projection's last expansion of L is at the state it
-        returns, so it is kept (_held) for the evaluation that follows
-        there; prepare, once per run, keeps nothing."""
-        w, expansion = self._lift(state)
-        w, expansion = _project(self.L, w, self.ladder.active(), self.opts, expansion)
-        state = self.drop(w)
-        self._held = (state.tobytes(), expansion)
-        return state
+        """Project a state back onto the constraint set after a step."""
+        return self.drop(project_onto(self.L, self.lift(state), self.ladder.active(), self.opts))
 
     def drift(self, state: np.ndarray) -> float:
         vals = self._evaluation(state)[3]
@@ -258,22 +239,19 @@ class UnifiedField:
 
 
 class LagrangianField(UnifiedField):
-    """Velocity-side description: states (t, q, v, s).  The lift expands L
-    on the mixed space at (t, q, v, 0, s), to 1 plus the deepest
-    generation, and fills in the momenta p = dL/dv from its gradient; L
-    does not read p, so that is the expansion at the lifted point too."""
+    """Velocity-side description: states (t, q, v, s).  The lift fills in
+    the momenta p = dL/dv from the gradient of L's order-1 expansion on the
+    mixed space at (t, q, v, 0, s); L does not read p, so that is its
+    gradient at the lifted point too."""
 
     kind = "lagrangian"
 
-    def _lift(self, x: np.ndarray) -> tuple[np.ndarray, Taylor]:
+    def lift(self, x: np.ndarray) -> np.ndarray:
         n = self.L.n
         w = np.concatenate((x[: 1 + 2 * n], np.zeros(n), x[-1:]))
-        expansion = self._held_expansion(x)
-        if expansion is None:
-            order = 1 + max(c.generation for c in self.ladder.active())
-            expansion = self.L.taylor_on(CoordinateSpace.unified(n), w, order)
+        expansion = self.L.taylor_on(CoordinateSpace.unified(n), w, 1)
         w[1 + 2 * n : 1 + 3 * n] = expansion.gradient(1 + 2 * n)[1 + n :]
-        return w, expansion
+        return w
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return lagrangian_part(w, self.L.n)
@@ -287,46 +265,49 @@ class LagrangianField(UnifiedField):
 class HamiltonianField(UnifiedField):
     """Momentum-side description: states (t, q, p, s); the lift recovers
     the velocities by inverting the fibre derivative (regular Lagrangians
-    only), warm-started from the previous lift, and hands on the order-2
-    expansion the Newton iteration converged with.  A regular ladder is
-    the momentum constraints p - dL/dv alone, so the evaluation reads
-    their values, D, E and (implicitly differentiating dL/dv = p) C off
-    that expansion with one gathered read and one n x n solve.  Going
-    through assemble_Z instead gives the same trajectories but costs
-    13-17% more per step (duffing and drag, rk4 at step 2e-3, one CPU of a
-    2-core x86-64 VM pinned, Python 3.11.7, numpy 2.4.6)."""
+    only), warm-started from the previous lift.  A regular ladder is the
+    momentum constraints p - dL/dv alone, so the evaluation reads their
+    values, D, E and L's order-2 data off the reads the Newton iteration
+    converged with, and (implicitly differentiating dL/dv = p) solves one
+    n x n system for C.  Going through assemble_Z instead gives the same
+    trajectories but costs 28-60% more per step (duffing and drag, rk4 at
+    step 2e-3, two runs, one CPU of a 2-core x86-64 VM pinned, Python
+    3.11.7, numpy 2.4.6)."""
 
     kind = "hamiltonian"
     _last_v: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def _lift(self, y: np.ndarray) -> tuple[np.ndarray, Taylor]:
+    def _invert(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The lift of y and legendre_invert's reads there."""
         n = self.L.n
-        v, expansion = legendre_invert(self.L, y, v0=self._last_v)
+        v, raw = legendre_invert(self.L, y, v0=self._last_v)
         self._last_v = v
-        return np.concatenate((y[: 1 + n], v, y[1 + n : 1 + 2 * n], y[-1:])), expansion
+        return np.concatenate((y[: 1 + n], v, y[1 + n : 1 + 2 * n], y[-1:])), raw
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        return self._invert(y)[0]
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return hamiltonian_part(w, self.L.n)
 
     def _evaluate(self, state):
         n = self.L.n
-        w, expansion = self._lift(state)
+        w, raw = self._invert(state)
         v = w[1 + n : 1 + 2 * n]
-        p = w[1 + 2 * n : 1 + 3 * n]
         qs, vs = slice(1, 1 + n), slice(1 + n, 1 + 2 * n)
-        L_data = read_order2(expansion, CoordinateSpace.unified(n))
-        grad, H = order2_parts(L_data, n)
-        D = grad[qs] + p * grad[-1]
-        E = L_data[0]
+        # C's block makes the template (1, v, 0, D, E) the coefficient vector
+        _, template, data = _layout(n, n)
+        coeffs, L_data = raw[template], raw[data]
+        H = order2_parts(L_data, n)[1]
+        D, E = coeffs[1 + 2 * n : 1 + 3 * n], coeffs[-1]
         # velocity rate along the lifted curve, from implicit
         # differentiation of dL/dv = p; H holds d2L/dx dv, x = (t, q, v, s)
         rhs = D - (H[0] + v @ H[qs] + E * H[-1])
         try:
-            C = np.linalg.solve(H[vs], rhs)
+            coeffs[vs] = np.linalg.solve(H[vs], rhs)
         except np.linalg.LinAlgError as exc:
             raise NonInvertibleLegendre("velocity Hessian is singular") from exc
-        coeffs = np.concatenate(([1.0], v, C, D, [E]))
-        return self.drop(coeffs), coeffs, w, p - grad[vs], L_data
+        return self.drop(coeffs), coeffs, w, raw[:n], L_data
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval

@@ -54,7 +54,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -552,6 +551,7 @@ class _Refused(BaseException):
 # instruction kinds (Tape.__call__ names them again as locals)
 _DOT, _ACC, _MUL, _ADD, _SUB, _DIV, _NEG, _CALL, _POW, _GUARD = range(10)
 _BINARY = frozenset((_MUL, _ADD, _SUB, _DIV, _POW))
+_COMMUTATIVE = frozenset((_MUL, _ADD))
 # kinds that may raise: kept even when nothing reads their result, since a
 # live evaluation raises there too
 _RAISING = frozenset((_DIV, _CALL, _POW, _GUARD))
@@ -656,12 +656,13 @@ class Tape:
         return _Coef(self, self._n - 1)
 
     def _reg(self, x) -> int | None:
-        if isinstance(x, _Coef):
+        if type(x) is _Coef:
             if x.tape is not self:
                 raise _Refused("a coefficient of another recording")
             return x.i
         if isinstance(x, (int, float)):
-            key = (type(x), repr(x))
+            # by value, but 0.0 and -0.0 are equal and differ in bits
+            key = (type(x), x) if x else (type(x), repr(x))
             r = self._const_of.get(key)
             if r is None:
                 r = self._const_of[key] = self._new().i
@@ -673,9 +674,11 @@ class Tape:
         """The result of kind on registers a and b (b: a register, the
         function of a call, or None), shared with an earlier identical
         operation."""
-        out = self._memo.get((kind, a, b))
+        key = (kind, a, b)
+        out = self._memo.get(key)
         if out is None:
-            out = self._memo[(kind, a, b)] = self._new()
+            out = self._memo[key] = _Coef(self, self._n)
+            self._n += 1
             self._code.append((kind, out.i, a, b))
         return out
 
@@ -690,8 +693,8 @@ class Tape:
                 return x
             if self._const.get(a) == 1:
                 return y
-        if kind in (_MUL, _ADD) and b < a:
-            a, b = b, a  # commutative: one record for both orders
+        if b < a and kind in _COMMUTATIVE:
+            a, b = b, a  # one record for both orders
         return self._emit(kind, a, b)
 
     def call(self, fn: Callable[[float], float], x) -> _Coef:
@@ -755,22 +758,30 @@ class Tape:
             prog.append([kind, o, a, b])
         prog = [ins for ins in prog if ins is not None]
 
-        # registers: constants, then the inputs, then every result
+        # registers: constants, the inputs, the results, then one slot per
+        # output, so that a replay returns the file's tail.  A result is
+        # written straight into the slot of the first output it is, a
+        # constant output is loaded with the file, and any other output (an
+        # input, a result output twice) is copied there after the run
         regs: dict[int, int] = {}
         init: list = []
-        for r, c in self._const.items():
+        for r in (*self._const, *self._inputs):
             regs[r] = len(init)
-            init.append(c)
-        lo = len(init)
-        for r in self._inputs:
+            init.append(self._const.get(r, 0.0))
+        first: dict[int, int] = {}
+        for j, r in enumerate(outs):
+            first.setdefault(r, j)
+        written = {ins[1] for ins in prog} - {None}
+        for r in sorted(written - first.keys()):
             regs[r] = len(init)
             init.append(0.0)
-        for ins in prog:
-            if ins[1] is not None:
-                regs[ins[1]] = len(init)
-                init.append(0.0)
-        self._init = init
-        self._lo, self._hi = lo, lo + len(self._inputs)
+        start = len(init)
+        init += [self._const.get(r, 0.0) for r in outs]
+        regs.update((r, start + j) for r, j in first.items() if r in written)
+        self._copies = tuple((start + j, regs[r]) for j, r in enumerate(outs)
+                             if r not in self._const and regs[r] != start + j)
+        self._init, self._start = init, start
+        self._lo, self._hi = len(self._const), len(self._const) + len(self._inputs)
 
         def pairs(links):
             return tuple((regs[a], regs[b]) for a, b in links)
@@ -795,16 +806,13 @@ class Tape:
             else:
                 runs.append((kind, [step]))
         self._runs = [(kind, tuple(steps)) for kind, steps in runs]
-        idx = [regs[r] for r in outs]
-        self._out = (itemgetter(*idx) if len(idx) > 1
-                     else (lambda r, i=idx: tuple(r[j] for j in i)))
         del self._code, self._memo, self._const_of, self._const
 
-    def __call__(self, inputs) -> tuple:
+    def __call__(self, inputs) -> list:
         """The outputs at these inputs.
 
-        n Python floats give a tuple of floats.  An (n, B) float64 array,
-        B points as its columns, gives a tuple of (B,) arrays, bit for bit
+        n Python floats give a list of floats.  An (n, B) float64 array,
+        B points as its columns, gives a list of (B,) arrays, bit for bit
         the outputs of B calls on the columns: the arithmetic runs on
         whole rows, the recorded calls, powers and guards one element at a
         time, and anything that raises on the batch (a guard, a floating
@@ -824,9 +832,9 @@ class Tape:
                 out = self._run(self._load(inputs), True)
         except Exception:
             points = [self._run(self._load(x), False) for x in inputs.T.tolist()]
-            return tuple(np.array(col, dtype=float) for col in zip(*points))
+            return [np.array(col, dtype=float) for col in zip(*points)]
         B = inputs.shape[1]
-        return tuple(o if isinstance(o, np.ndarray) else np.full(B, float(o)) for o in out)
+        return [o if isinstance(o, np.ndarray) else np.full(B, float(o)) for o in out]
 
     def _load(self, inputs) -> list:
         """The register file with these inputs in place."""
@@ -834,9 +842,9 @@ class Tape:
         r[self._lo : self._hi] = inputs
         return r
 
-    def _run(self, r: list, batch: bool) -> tuple:
+    def _run(self, r: list, batch: bool) -> list:
         """Replay on the register file r (floats, or (B,) arrays when
-        batch)."""
+        batch); the outputs are its tail."""
         # the kinds as locals: the dispatch below runs once per run
         DOT, ACC, MUL, ADD, SUB, DIV, NEG, CALL, POW = range(9)
         for kind, steps in self._runs:
@@ -893,7 +901,9 @@ class Tape:
                 for a, fails, error in steps:
                     if fails(r[a]):
                         raise error(r[a])
-        return self._out(r)
+        for o, a in self._copies:
+            r[o] = r[a]
+        return r[self._start :]
 
 
 def taped_expansion(fn: Callable, dim: int, order: int) -> Callable[[Sequence[float]], Taylor] | None:
@@ -919,13 +929,6 @@ def stack(polys: Sequence[Taylor]) -> Taylor:
     keys = dict.fromkeys(k for t in polys for k in t.terms)
     return Taylor(polys[0].order,
                   {k: np.array([t.terms.get(k, 0.0) for t in polys], dtype=float) for k in keys})
-
-
-def unstack(t: Taylor) -> list[Taylor]:
-    """The B polynomials of a stacked one, with float coefficients."""
-    keys = list(t.terms)
-    points = np.array(list(t.terms.values()), dtype=float).T.tolist()
-    return [Taylor(t.order, dict(zip(keys, x))) for x in points]
 
 
 # -- coordinate spaces --------------------------------------------------

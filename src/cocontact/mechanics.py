@@ -74,6 +74,9 @@ class LagrangianSystem:
         self._tapes: dict[tuple[int, int], tuple] = {}
         # (dim, order) -> single-point expansions made before its recording
         self._uses: dict[tuple[int, int], int] = {}
+        # the reads of the momentum constraints alone, which legendre_invert
+        # replays (pontryagin.momentum_reads)
+        self._momentum_reads = None
 
     def taylor_on(self, space: CoordinateSpace, x, order: int) -> Taylor:
         """Evaluate on any layout whose leading slots are (t, q, v) with s

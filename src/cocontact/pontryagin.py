@@ -38,11 +38,12 @@ satisfied anywhere nearby: the system is reported Incompatible.
 
 Discovery and projection run the Taylor engine live.  Once a ladder has
 closed, its evaluations all perform the same Taylor work: assemble_Z
-records it at the first call (every recipe with its frozen pivots, down
-to the order-1 values and gradients and L's order-2 data the tangency
-conditions read) on a jets.Tape that takes the point and L's expansion
-there, and replays it after that.  The frozen-pivot test is a guard, so a
-replay raises NumericalBreakdown where a live evaluation would.  Both
+records it at the first call (L's expansion, then every recipe with its
+frozen pivots, down to the order-1 values and gradients and L's order-2
+data the tangency conditions read) on one jets.Tape whose only input is
+the mixed-space point, and replays it after that; the replay skips every
+coefficient of L that no read needs.  The frozen-pivot test is a guard,
+so a replay raises NumericalBreakdown where a live evaluation would.  Both
 paths end in the same numpy tail: the reads come in the layout it slices
 (the momentum coefficients D among them), so it is one array build, one
 matrix-vector product and one SVD.
@@ -55,8 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import (ORDER_CAP, CoordinateSpace, Jet, Tape, Taylor, _strides, guard, jet_from_taylor,
-                   unstack)
+from .jets import ORDER_CAP, CoordinateSpace, Jet, Tape, Taylor, _strides, expand, guard, jet_from_taylor
 from .mechanics import LagrangianSystem, classify_velocity_hessian, order2_gather
 
 __all__ = [
@@ -434,10 +434,8 @@ class ConstraintLadder:
     rank: int
     undetermined_dim: int
     tolerance: float
-    # assemble_Z's recording of this ladder's Taylor work: (the active
-    # constraints it covers, the keys of the L expansion it reads, the
-    # tape or None when refused)
-    _tape: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # assemble_Z's recording of this ladder's Taylor work
+    _reads: _ClosedReads | None = field(default=None, init=False, repr=False, compare=False)
 
     def active(self) -> list[ConstraintFn]:
         return [c for gen in self.generations for c in gen]
@@ -508,15 +506,22 @@ def _reads(ws: _Workspace, constraints: Sequence[ConstraintFn]) -> list:
     return out
 
 
+def _layout(R: int, n: int) -> tuple[slice, slice, slice]:
+    """Where _reads puts the R constraints' gradients, the coefficient
+    template and L's order-2 data, after the R values."""
+    z = R + R * (3 * n + 2)
+    return slice(R, z), slice(z, z + 3 * n + 2), slice(z + 3 * n + 2, None)
+
+
 def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCoefficients, int]:
     """The field fixed by the tangency conditions of R constraints, and the
     rank of their C-system, from _reads' numbers as one float array:
     fixed slices, one matrix-vector product and one SVD.  C goes into the
     template's zero block, which makes the template the coefficient
     vector."""
-    dim = 3 * n + 2
-    grads = raw[R : R + R * dim].reshape(R, dim)
-    coeffs = raw[R + R * dim : R + R * dim + dim]
+    grads_at, template, data = _layout(R, n)
+    grads = raw[grads_at].reshape(R, 3 * n + 2)
+    coeffs = raw[template]
     # row r: grad(xi_r) . Z = g[r] + M[r] . C
     g = grads @ coeffs
     U, sigma, Vt = np.linalg.svd(grads[:, 1 + n : 1 + 2 * n], full_matrices=True)
@@ -528,7 +533,7 @@ def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCo
         )
     # minimum-norm solution of M C = -g, dropping lstsq's rcond=rank_tol set
     coeffs[1 + n : 1 + 2 * n] = -Vt[:rank].T @ ((U[:, :rank].T @ g) / sigma[:rank])
-    Z = ZCoefficients(coeffs, Vt[rank:].T.copy(), raw[:R], raw[R + R * dim + dim :])
+    Z = ZCoefficients(coeffs, Vt[rank:].T.copy(), raw[:R], raw[data])
     return Z, rank
 
 
@@ -546,7 +551,7 @@ def _tangency(
     dim = ws.space.dim
     R = len(constraints)
     raw = np.array(_reads(ws, constraints), dtype=float)
-    grads = raw[R : R + R * dim].reshape(R, dim)
+    grads = raw[_layout(R, n)[0]].reshape(R, dim)
     M = grads[:, 1 + n : 1 + 2 * n]
     row_scale = max(float(np.max(np.linalg.norm(M, axis=1))), 1e-300)
     thresh = opts.rank_tol * row_scale
@@ -624,8 +629,6 @@ def project_onto(
     w,
     constraints: Sequence[ConstraintFn],
     opts: AlgorithmOptions | None = None,
-    *,
-    expansion: Taylor | None = None,
 ) -> np.ndarray:
     """Move a point onto the zero set of the given constraints.
 
@@ -638,25 +641,23 @@ def project_onto(
     submanifold.
     One mixed-space expansion of L, to 1 plus the deepest generation,
     gives the momenta, the multiplier-like coordinates and the first
-    residual evaluation; a caller that holds one passes it as `expansion`
-    (see _Workspace).
+    residual evaluation.
     """
-    return _project(L, w, constraints, opts, expansion)[0]
+    return _project(L, w, constraints, opts)[0]
 
 
 def _project(L: LagrangianSystem, w, constraints: Sequence[ConstraintFn],
-             opts: AlgorithmOptions | None, expansion: Taylor | None) -> tuple[np.ndarray, Taylor]:
+             opts: AlgorithmOptions | None) -> tuple[np.ndarray, Taylor]:
     """project_onto's point, and the mixed-space expansion of L there, to 1
     plus the deepest generation: the one its last residual evaluation
-    made.  A caller that evaluates at the point next need not expand L
-    again."""
+    made.  Discovery builds its next workspace on it, so it need not
+    expand L again."""
     opts = opts or AlgorithmOptions()
     n = L.n
     wvec = _as_wvec(n, w).copy()
     constraints = list(constraints)
     order = 1 + max((c.generation for c in constraints), default=0)
-    if expansion is None:
-        expansion = L.taylor_on(CoordinateSpace.unified(n), wvec, order)
+    expansion = L.taylor_on(CoordinateSpace.unified(n), wvec, order)
 
     # momenta first: the primary constraints are solved exactly by the
     # fibre derivative; the velocity Hessian names the multiplier-like
@@ -726,8 +727,11 @@ def run_constraint_algorithm(
 
     primaries: list[ConstraintFn] = [_PrimaryConstraint(L, j) for j in range(n)]
     generations: list[list[ConstraintFn]] = [primaries]
+    # a projection's last expansion of L is at the point it returns, to the
+    # order the next workspace needs: that workspace starts from it
+    expansion = None
     if opts.project:
-        wvec = project_onto(L, wvec, primaries, opts)
+        wvec, expansion = _project(L, wvec, primaries, opts)
     else:
         vals = primary_constraints(L, wvec)
         if np.max(np.abs(vals)) > opts.tol:
@@ -738,7 +742,7 @@ def run_constraint_algorithm(
     status = "MaxIterations"
     Z, rank = None, 0
     active = list(primaries)
-    ws = _Workspace(L, wvec, active, 1)
+    ws = _Workspace(L, wvec, active, 1, expansion)
     for _ in range(min(opts.max_generations, ORDER_CAP - 2)):
         Z, rank, new, incompatible = _tangency(ws, active, opts, discover=True)
         if incompatible is not None:
@@ -751,10 +755,10 @@ def run_constraint_algorithm(
         generations.append(new)
         active = active + new
         if opts.project:
-            moved = project_onto(L, wvec, active, opts)
+            moved, expansion = _project(L, wvec, active, opts)
             if not np.array_equal(moved, wvec):
                 wvec = moved
-                ws = _Workspace(L, wvec, active, 1)
+                ws = _Workspace(L, wvec, active, 1, expansion)
         else:
             worst = max(abs(c.taylor(ws, 0).value) for c in new)
             if worst > opts.tol:
@@ -767,41 +771,53 @@ def run_constraint_algorithm(
     return ladder, Z if status == "Closed" else None
 
 
-def _closed_reads(L: LagrangianSystem, w: np.ndarray, ladder: ConstraintLadder,
-                  active: list[ConstraintFn], expansion: Taylor):
-    """_reads at w for a closed ladder, as one float array, from L's
-    mixed-space expansion at w (order 1 + the deepest generation); at a
-    (B, dim) stack of points, from the stacked expansion, as a (B, K)
-    array, one row of reads per point.  The first call
-    records the Taylor work on a tape that takes w and the expansion's
-    coefficients; later calls replay it, a stack in one batched replay.
-    Live instead when the recording was refused or the expansion holds
-    other keys than the recorded one."""
-    terms = expansion.terms
-    held = ladder._tape
-    if held is None or held[0] != active:
-        keys = tuple(terms)
-        space = CoordinateSpace.unified(L.n)
+class _ClosedReads:
+    """_reads of a closed set of constraints as a function of the
+    mixed-space point alone, at one point or at a (B, dim) stack (one row
+    of reads per point).
 
-        def build(inputs):
-            coefs = Taylor(expansion.order, dict(zip(keys, inputs[space.dim :])))
-            return _reads(_Workspace(L, inputs[: space.dim], expansion=coefs), active)
+    One recording (jets.Tape) runs L's expansion, to 1 plus the deepest
+    generation, and the reads, so the replay program drops every
+    coefficient of L that nothing reads.  L's parameter values are
+    constants in it: the tape is stamped with them, as L's own tapes are,
+    and recorded afresh after any of them changes.  A refused recording
+    runs live."""
 
-        held = ladder._tape = (active, keys, Tape.record(build, space.dim + len(keys)))
-    _, keys, tape = held
-    if tape is not None and len(keys) == len(terms):
-        try:
-            coefs = [terms[k] for k in keys]
-        except KeyError:
-            pass
-        else:
+    def __init__(self, L: LagrangianSystem, active: list[ConstraintFn]):
+        self.L = L
+        self.active = active
+        self.params: tuple | None = None  # L's parameter values when recorded
+        self.tape: Tape | None = None
+
+    def _build(self, inputs: list) -> list:
+        L, active = self.L, self.active
+        order = 1 + max(c.generation for c in active)
+        expansion = expand(L._on(CoordinateSpace.unified(L.n)), inputs, order)
+        return _reads(_Workspace(L, inputs, active, 1, expansion), active)
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        L, active = self.L, self.active
+        params = tuple(L.params.items())
+        if self.params != params:
+            self.params, self.tape = params, Tape.record(self._build, 3 * L.n + 2)
+        if self.tape is None:
             if w.ndim == 1:
-                return np.array(tape(w.tolist() + coefs))
-            return np.stack(tape(np.array([*w.T, *coefs])), axis=1)
-    if w.ndim == 1:
-        return np.array(_reads(_Workspace(L, w, active, 1, expansion), active))
-    return np.array([_reads(_Workspace(L, wb, active, 1, eb), active)
-                     for wb, eb in zip(w, unstack(expansion))])
+                return np.array(_reads(_Workspace(L, w, active, 1), active))
+            return np.array([_reads(_Workspace(L, wb, active, 1), active) for wb in w])
+        if w.ndim == 1:
+            return np.array(self.tape(w.tolist()), dtype=float)
+        return np.stack(self.tape(w.T), axis=1)
+
+
+def momentum_reads(L: LagrangianSystem, w: np.ndarray) -> np.ndarray:
+    """_reads of L's momentum constraints alone, the whole ladder of a
+    regular L, at the mixed-space point w: R = n values p - dL/dv, their
+    gradients, the template (1, v, 0, D, E) and L's order-2 data.  The tape
+    is held on L (legendre_invert replays it at every Newton iterate)."""
+    reads = L._momentum_reads
+    if reads is None:
+        reads = L._momentum_reads = _ClosedReads(L, [_PrimaryConstraint(L, j) for j in range(L.n)])
+    return reads(w)
 
 
 def assemble_Z(
@@ -809,8 +825,6 @@ def assemble_Z(
     w,
     ladder: ConstraintLadder,
     opts: AlgorithmOptions | None = None,
-    *,
-    expansion: Taylor | None = None,
 ) -> ZCoefficients | list[ZCoefficients]:
     """Field coefficients at a point, given an already-closed ladder; at a
     (B, dim) stack of points, the list of the B points' coefficients.
@@ -818,23 +832,20 @@ def assemble_Z(
     No feasibility check is performed here: integrator stages evaluate the
     field slightly off the submanifold by design, and the coefficients
     extend smoothly.  C is the minimum-norm choice (zero along the
-    undetermined directions).  `expansion`: a mixed-space expansion of L
-    at the point's (t, q, v, s) that the caller holds (stacked, for a
-    stack), used when its order reaches 1 + the deepest generation (see
-    _Workspace).  The ladder's Taylor work is recorded at the first call
-    and replayed after it, once for a whole stack (_closed_reads); the
-    numpy tail (_field) is the one discovery runs, once per point.
+    undetermined directions).  The ladder's Taylor work, L's expansion
+    included, is recorded at the first call and replayed after it, once
+    for a whole stack (_ClosedReads); the numpy tail (_field) is the one
+    discovery runs, once per point.
     """
     if ladder.status != "Closed":
         raise LadderNotClosed(f"ladder status is {ladder.status}")
     opts = opts or AlgorithmOptions(tol=ladder.tolerance)
     active = ladder.active()
     wvec = _as_wvec(L.n, w, stacked=True)
-    space = CoordinateSpace.unified(L.n)
-    order = 1 + max(c.generation for c in active)
-    if expansion is None or expansion.order < order:
-        expansion = L.taylor_on(space, wvec, order)
-    raw = _closed_reads(L, wvec, ladder, active, expansion.truncated(order))
+    reads = ladder._reads
+    if reads is None or reads.L is not L or reads.active != active:
+        reads = ladder._reads = _ClosedReads(L, active)
+    raw = reads(wvec)
     if wvec.ndim == 1:
         return _field(raw, len(active), L.n, opts)[0]
     return [_field(rb, len(active), L.n, opts)[0] for rb in raw]

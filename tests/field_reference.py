@@ -6,9 +6,10 @@ constraint's value and gradient; `unpack` and `order2_from` re-laid them
 out as arrays, and `field` formed D, the coefficient template, the SVD
 and C, and concatenated the coefficient vector.  The momentum side read
 L's order-2 data by `Taylor.gradient`, `Taylor.hessian_block` and
-`read_order2`.  Here all of it runs live, point by point, on a fresh
-workspace.  The tests assert that the package gives the same arrays, bit
-for bit.
+`read_order2`, and the velocity lift took the momenta from L's
+expansion at 1 + the deepest generation.  Here all of it runs live,
+point by point, on a fresh workspace.  The tests assert that the package
+gives the same arrays, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from cocontact.dynamics import FIELDS, HamiltonianField, NonInvertibleLegendre
 from cocontact.jets import CoordinateSpace, _strides
-from cocontact.pontryagin import (AlgorithmOptions, NumericalBreakdown, ZCoefficients, _Workspace,
-                                  project_onto)
+from cocontact.pontryagin import AlgorithmOptions, NumericalBreakdown, ZCoefficients, _Workspace
 
 
 def order2_keys(space: CoordinateSpace) -> tuple[int, ...]:
@@ -86,16 +86,13 @@ def field(w, values, grads, L_grad, L_data, opts: AlgorithmOptions) -> ZCoeffici
     return ZCoefficients(coeffs, Vt[rank:].T.copy(), values, L_data)
 
 
-def reference_Z(L, w, ladder, opts: AlgorithmOptions | None = None,
-                expansion=None) -> ZCoefficients:
+def reference_Z(L, w, ladder, opts: AlgorithmOptions | None = None) -> ZCoefficients:
     """assemble_Z at one point, its reads live on a fresh workspace."""
     opts = opts or AlgorithmOptions(tol=ladder.tolerance)
     active = ladder.active()
     space = CoordinateSpace.unified(L.n)
     order = 1 + max(c.generation for c in active)
-    if expansion is None or expansion.order < order:
-        expansion = L.taylor_on(space, w, order)
-    ws = _Workspace(L, w, active, 1, expansion.truncated(order))
+    ws = _Workspace(L, w, active, 1, L.taylor_on(space, w, order))
     return field(w, *unpack(space, reads(ws, active), len(active)), opts)
 
 
@@ -131,6 +128,9 @@ class ReferenceHamiltonianField(HamiltonianField):
         self._last_v = v
         return np.concatenate((y[: 1 + n], v, y[1 + n : 1 + 2 * n], y[-1:])), expansion
 
+    def lift(self, y):
+        return self._lift(y)[0]
+
     def _evaluate(self, state):
         n = self.L.n
         w, expansion = self._lift(state)
@@ -151,19 +151,25 @@ class ReferenceHamiltonianField(HamiltonianField):
 
 def reference_field(kind: str):
     """The description's field class with the tail above, each evaluation
-    expanding L afresh (reproject through project_onto)."""
+    expanding L afresh; the velocity lift takes the momenta from L's
+    expansion at 1 + the deepest generation."""
     if kind == "hamiltonian":
         return ReferenceHamiltonianField
 
     class Reference(FIELDS[kind]):
-        def reproject(self, state):
-            w, expansion = self._lift(state)
-            return self.drop(project_onto(self.L, w, self.ladder.active(), self.opts,
-                                          expansion=expansion))
+        def lift(self, state):
+            if kind == "unified":
+                return state
+            n = self.L.n
+            w = np.concatenate((state[: 1 + 2 * n], np.zeros(n), state[-1:]))
+            order = 1 + max(c.generation for c in self.ladder.active())
+            expansion = self.L.taylor_on(CoordinateSpace.unified(n), w, order)
+            w[1 + 2 * n : 1 + 3 * n] = expansion.gradient(1 + 2 * n)[1 + n :]
+            return w
 
         def _evaluate(self, state):
-            w, expansion = self._lift(state)
-            Z = reference_Z(self.L, w, self.ladder, self.opts, expansion)
+            w = self.lift(state)
+            Z = reference_Z(self.L, w, self.ladder, self.opts)
             return self.drop(Z.coeffs), Z.coeffs, w, Z.constraint_values, Z.L_data
 
     return Reference

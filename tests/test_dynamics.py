@@ -17,11 +17,11 @@ from cocontact import dsl
 from cocontact.pontryagin import (
     AlgorithmOptions,
     InfeasiblePoint,
+    _ClosedReads,
     assemble_Z,
     constraint_values,
     hamiltonian_part,
     lagrangian_part,
-    project_onto,
     run_constraint_algorithm,
 )
 from cocontact.dynamics import (
@@ -310,21 +310,18 @@ def test_drift_and_eval_share_one_evaluation(name, make, monkeypatch):
     # description allows it
     y = make(L, ladder, OPTS).drop(ladder.probe)
     y[1:] += 1e-3 * np.linspace(1.0, 2.0, len(y) - 1)
-    orders = []
-    expand = LagrangianSystem.taylor_on
-
-    def counting(self, space, x, order):
-        orders.append(order)
-        return expand(self, space, x, order)
-
-    monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
+    # every description evaluates by replaying reads (the ladder's, or on
+    # the momentum side the momentum constraints' at each Newton iterate)
+    work = []
+    _counting_replays(monkeypatch, work)
+    _counting_taylor_on(monkeypatch, work)
     for first, second in (("eval", "drift"), ("drift", "eval")):
         fld = make(L, ladder, OPTS)
         getattr(fld, first)(y)
-        assert orders, first
-        orders.clear()
+        assert work, first
+        work.clear()
         getattr(fld, second)(y)
-        assert orders == [], f"{second} after {first} expanded L at orders {orders}"
+        assert work == [], f"{second} after {first} evaluated again: {work}"
     deriv, coeffs, lifted, xi, L_data = fld.eval(y)
     monkeypatch.undo()
     want = constraint_values(L, lifted, ladder.active())
@@ -375,6 +372,18 @@ def _counting_taylor_on(monkeypatch, orders, active=lambda: True):
     monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
 
 
+def _counting_replays(monkeypatch, points):
+    """Record the point of every replay of a closed set of constraints'
+    reads: assemble_Z's, and legendre_invert's momentum constraints'."""
+    replay = _ClosedReads.__call__
+
+    def counting(self, w):
+        points.append(np.array(w))
+        return replay(self, w)
+
+    monkeypatch.setattr(_ClosedReads, "__call__", counting)
+
+
 @pytest.mark.parametrize("name, make", DESCRIPTIONS)
 def test_residual_pass_in_integrate_expands_nothing(name, make, monkeypatch):
     pre = preset_by_name(name)
@@ -401,12 +410,11 @@ def test_residual_pass_in_integrate_expands_nothing(name, make, monkeypatch):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_velocity_eval_expands_L_once_on_the_mixed_space(name, monkeypatch):
-    # the lift's expansion at 1 + the deepest generation fills in the
-    # momenta and then serves assemble_Z
+    # the lift's order-1 expansion fills in the momenta; assemble_Z's
+    # replay expands L itself
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
-    deepest = max(c.generation for c in ladder.active())
     fld = lagrangian_field(L, ladder, OPTS)
     x = fld.drop(ladder.probe)
     x[1:] += 1e-3 * np.linspace(1.0, 2.0, len(x) - 1)
@@ -420,7 +428,7 @@ def test_velocity_eval_expands_L_once_on_the_mixed_space(name, monkeypatch):
     monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
     deriv, coeffs, lifted, xi, L_data = fld.eval(x)
     monkeypatch.undo()
-    assert calls == [(3 * L.n + 2, 1 + deepest)]
+    assert calls == [(3 * L.n + 2, 1)]
     # the lifted momenta are the fibre derivative at x
     p = L.jet(x, 1).grad[1 + L.n : 1 + 2 * L.n]
     np.testing.assert_array_equal(lifted[1 + 2 * L.n : 1 + 3 * L.n], p)
@@ -453,43 +461,34 @@ def test_no_velocity_side_expansion_in_integrate(name, make, reproject, monkeypa
 @pytest.mark.parametrize("kind", ["unified", "lagrangian"])
 @pytest.mark.parametrize("name", ["duffing", "charged_particle"])
 def test_reprojection_hands_its_expansion_to_the_next_evaluation(name, kind, monkeypatch):
-    # the projection's last expansion is at the state it returns, and the
-    # evaluation there reads it: a reprojected run expands L as often as a
-    # monitored one, 4.2 times per step over 10 steps, not 5.2, and runs
-    # bit for bit as when that evaluation expands afresh
+    # a reprojected state is evaluated once: the evaluation there is the
+    # next step's first stage, and a reprojected run replays the ladder's
+    # reads as often as a monitored one, 4 times per step plus once
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
     make = cocontact.dynamics.FIELDS[kind]
-
-    class ExpandsAfresh(make):
-        def reproject(self, state):
-            w, expansion = self._lift(state)
-            return self.drop(project_onto(self.L, w, self.ladder.active(), self.opts,
-                                          expansion=expansion))
-
-    calls = []
-    real = LagrangianSystem.taylor_on
-    monkeypatch.setattr(LagrangianSystem, "taylor_on",
-                        lambda self, *args: calls.append(1) or real(self, *args))
-    runs = {}
-    for label, fld, reproject in (("held", make(L, ladder, OPTS), True),
-                                  ("monitored", make(L, ladder, OPTS), False),
-                                  ("afresh", ExpandsAfresh(L, ladder, OPTS), True)):
-        calls.clear()
-        cfg = IntegratorConfig(step=1e-2, t_end=0.1, reproject=reproject)
-        runs[label] = integrate(fld, fld.drop(ladder.probe), cfg), len(calls) / 10
-    assert [runs[k][1] for k in ("held", "monitored", "afresh")] == [4.2, 4.2, 5.2]
-    held, afresh = runs["held"][0], runs["afresh"][0]
-    for attr in ("times", "states", "lifted", "coeffs"):
-        assert np.array_equal(getattr(held, attr), getattr(afresh, attr)), attr
-    for channel, values in afresh.residuals.items():
-        assert np.array_equal(held.residuals[channel], values), channel
+    points = []
+    _counting_replays(monkeypatch, points)
+    counts = {}
+    for reproject in (True, False):
+        points.clear()
+        fld = make(L, ladder, OPTS)
+        traj = integrate(fld, fld.drop(ladder.probe),
+                         IntegratorConfig(step=1e-2, t_end=0.1, reproject=reproject))
+        counts[reproject] = len(points)
+        if reproject:
+            lifted, evaluated = traj.lifted, [w.tobytes() for w in points]
+    assert counts == {True: 41, False: 41}
+    assert len(lifted) == 11
+    for w in lifted:
+        assert evaluated.count(w.tobytes()) == 1
 
 
 def test_momentum_eval_expands_once_per_newton_iterate(monkeypatch):
-    # the evaluation reads the jet the Newton lift converged with and
-    # expands L no further time
+    # every Newton iterate is one replay of the momentum constraints'
+    # reads; the evaluation reads the ones the lift converged with, and
+    # nothing expands L
     quartic = LagrangianSystem(
         1, lambda t, q, v, s, P: v[0] ** 4 / 12.0 + 0.5 * v[0] * v[0] - 0.5 * q[0] * q[0]
     )
@@ -509,11 +508,12 @@ def test_momentum_eval_expands_once_per_newton_iterate(monkeypatch):
     ]
     for L, w0, iterates in cases:
         fld = hamiltonian_field(L, closed_ladder(L, w0), OPTS)
-        orders = []
+        orders, points = [], []
         _counting_taylor_on(monkeypatch, orders)
+        _counting_replays(monkeypatch, points)
         fld.eval(y)
         monkeypatch.undo()
-        assert orders == [2] * iterates
+        assert len(points) == iterates and orders == []
 
 
 def _fornberg_reference(z, nodes, m):

@@ -5,7 +5,6 @@ Oracles: the presets' closed-form coefficient and closure functions
 differences on the discovered constraint functions.
 """
 
-import dataclasses
 import json
 import math
 
@@ -20,6 +19,8 @@ from cocontact.pontryagin import (
     LadderNotClosed,
     NumericalBreakdown,
     ZCoefficients,
+    _project,
+    _reads,
     _solve_frozen,
     _Workspace,
     assemble_Z,
@@ -414,9 +415,9 @@ def test_projection_expands_L_on_the_mixed_space_once_per_residual_evaluation(na
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_a_callers_expansion_changes_no_bit(name):
-    # assemble_Z and project_onto give the same result, bit for bit, with
-    # or without an expansion of L the caller already holds, at the order
-    # they need or deeper
+    # the expansion _project hands on (discovery builds its next workspace
+    # on it) is L's expansion at the point it returns, bit for bit, and a
+    # workspace on it reads what a fresh one reads
     pre = preset_by_name(name)
     L = pre.system
     ladder, _ = run_constraint_algorithm(L, pre.initial)
@@ -428,14 +429,13 @@ def test_a_callers_expansion_changes_no_bit(name):
         # velocities and momenta only: the projection may not move t, z or s
         w = ladder.probe.copy()
         w[1 + L.n : 1 + 3 * L.n] += (0.0 if k == 0 else 1e-3) * rng.uniform(-1.0, 1.0, 2 * L.n)
-        plain = assemble_Z(L, w, ladder)
-        moved = project_onto(L, w, active)
-        for order in (1 + deepest, 2 + deepest):
-            expansion = L.taylor_on(space, w, order)
-            Z = assemble_Z(L, w, ladder, expansion=expansion)
-            for got, want in zip(dataclasses.astuple(Z), dataclasses.astuple(plain)):
-                assert np.array_equal(got, want)
-            assert np.array_equal(project_onto(L, w, active, expansion=expansion), moved)
+        moved, expansion = _project(L, w, active, None)
+        assert np.array_equal(moved, project_onto(L, w, active))
+        fresh = L.taylor_on(space, moved, 1 + deepest)
+        assert list(expansion.terms) == list(fresh.terms)
+        assert np.array_equal(list(expansion.terms.values()), list(fresh.terms.values()))
+        held = _reads(_Workspace(L, moved, active, 1, expansion), active)
+        assert np.array_equal(held, _reads(_Workspace(L, moved, active, 1), active))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
