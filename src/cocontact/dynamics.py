@@ -38,19 +38,20 @@ from typing import Callable
 import numpy as np
 
 from .jets import CoordinateSpace
-from .mechanics import LagrangianSystem, herglotz_defect, order2_parts, read_order2
+from .mechanics import LagrangianSystem, herglotz_defect, order2_parts
 from .pontryagin import (
     AlgorithmOptions,
     ConstraintLadder,
     InfeasiblePoint,
+    LadderNotClosed,
+    _field,
+    _ladder_reads,
     _layout,
+    _project,
     assemble_Z,
-    constraint_values,
     hamiltonian_part,
     lagrangian_part,
     momentum_reads,
-    primary_constraints,
-    project_onto,
     run_constraint_algorithm,
 )
 
@@ -152,7 +153,7 @@ def legendre_invert(
     p = w[1 + 2 * n : 1 + 3 * n]
     L_data = _layout(n, n)[2]
     for _ in range(max_iter):
-        raw = momentum_reads(L, w)
+        raw = momentum_reads(L)(w)
         grad, H = order2_parts(raw[L_data], n)
         F = grad[vs] - p
         if np.abs(F).max() <= tol:
@@ -181,7 +182,7 @@ class UnifiedField:
     drop(w) -> state; here both are the identity.  prepare, reproject,
     eval and drift are written once in terms of them.  An evaluation is
     one replay of the ladder's tape at the lifted point (assemble_Z), L's
-    expansion included.
+    expansion included, and so is each residual step of a projection.
 
     eval(state) -> (derivative, coefficient vector on the mixed space,
     lifted mixed-space state, constraint values at the lift in
@@ -231,7 +232,11 @@ class UnifiedField:
 
     def reproject(self, state: np.ndarray) -> np.ndarray:
         """Project a state back onto the constraint set after a step."""
-        return self.drop(project_onto(self.L, self.lift(state), self.ladder.active(), self.opts))
+        return self._project_mixed(self.lift(state))
+
+    def _project_mixed(self, w: np.ndarray) -> np.ndarray:
+        reads = _ladder_reads(self.L, self.ladder)
+        return self.drop(_project(reads, w, self.ladder.active(), self.opts))
 
     def drift(self, state: np.ndarray) -> float:
         vals = self._evaluation(state)[3]
@@ -239,22 +244,32 @@ class UnifiedField:
 
 
 class LagrangianField(UnifiedField):
-    """Velocity-side description: states (t, q, v, s).  The lift fills in
-    the momenta p = dL/dv from the gradient of L's order-1 expansion on the
-    mixed space at (t, q, v, 0, s); L does not read p, so that is its
-    gradient at the lifted point too."""
+    """Velocity-side description: states (t, q, v, s).  An evaluation is
+    one replay of the ladder's velocity-side tape, which fills in the
+    momenta p = dL/dv from its own expansion of L; the lift reads them back
+    from L's data.  A projection starts from p = 0 and fills them in."""
 
     kind = "lagrangian"
 
     def lift(self, x: np.ndarray) -> np.ndarray:
-        n = self.L.n
-        w = np.concatenate((x[: 1 + 2 * n], np.zeros(n), x[-1:]))
-        expansion = self.L.taylor_on(CoordinateSpace.unified(n), w, 1)
-        w[1 + 2 * n : 1 + 3 * n] = expansion.gradient(1 + 2 * n)[1 + n :]
-        return w
+        return self._evaluation(x)[2]
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return lagrangian_part(w, self.L.n)
+
+    def _evaluate(self, x):
+        ladder, n = self.ladder, self.L.n
+        if ladder.status != "Closed":
+            raise LadderNotClosed(f"ladder status is {ladder.status}")
+        raw = _ladder_reads(self.L, ladder, lift=True)(x)
+        Z = _field(raw, len(ladder.active()), n, self.opts)[0]
+        # p is dL/dv in L's data (L, dL/dt, dL/dq, dL/dv, ...)
+        w = np.concatenate((x[: 1 + 2 * n], Z.L_data[2 + n : 2 + 2 * n], x[-1:]))
+        return self.drop(Z.coeffs), Z.coeffs, w, Z.constraint_values, Z.L_data
+
+    def reproject(self, x: np.ndarray) -> np.ndarray:
+        n = self.L.n
+        return self._project_mixed(np.concatenate((x[: 1 + 2 * n], np.zeros(n), x[-1:])))
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval
@@ -407,11 +422,10 @@ def residual_channels(
     through the same instrumentation as real runs.  integrate passes what
     the field's evaluation returned at each sample: xi, shape (N, R), the
     constraint values, and L_data, shape (N, ...), L's flat order-2 data
-    (mechanics.read_order2).  Without xi the values are recomputed at each
-    lifted sample: the whole ladder's, or the momentum constraints' alone
-    when no ladder is given.  Without L_data it is read off one order-2
-    expansion of L per lifted sample.  Everything else is one batched
-    pass.
+    (mechanics.read_order2).  Whichever is missing comes from one replay
+    of the lifted samples as a stack: the ladder's tape, or the momentum
+    constraints' (pontryagin.momentum_reads) when no ladder is given.
+    Everything else is one batched pass too.
     """
     times = np.asarray(times, dtype=float)
     lifted = np.asarray(lifted, dtype=float)
@@ -431,14 +445,13 @@ def residual_channels(
     # d/dt of (t, q, v, s) at each sample: (N, 1, width) @ (N, width, 2n+2)
     rates = np.matmul(wgt[:, None, :], lag[windows])[:, 0]
 
-    if L_data is None:
-        space = CoordinateSpace.unified(n)
-        L_data = np.array([read_order2(L.taylor_on(space, wk, 2), space) for wk in lifted])
+    if xi is None or L_data is None:
+        reads = _ladder_reads(L, ladder) if ladder is not None else momentum_reads(L)
+        R = len(reads.active)
+        raw = reads(lifted)
+        xi = raw[:, :R] if xi is None else xi
+        L_data = raw[:, _layout(R, n)[2]] if L_data is None else L_data
     vector, sdot_defect = herglotz_defect(lag, L_data, rates[:, vs], rates[:, -1])
-    if xi is None:
-        active = ladder.active() if ladder is not None else None
-        xi = [constraint_values(L, wk, active) if active else primary_constraints(L, wk)
-              for wk in lifted]
     return {
         "holonomy": np.max(np.abs(rates[:, qs] - lag[:, vs]), axis=1),
         "sdot": np.abs(sdot_defect),

@@ -364,20 +364,6 @@ class Taylor:
         t = self.terms
         return np.array([t.get(strides[i], 0.0) for i in range(dim)])
 
-    def hessian_block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """Second partials d2f/dx_i dx_j for i in rows, j in cols, read off
-        the degree-2 coefficients (order >= 2)."""
-        if self.order < 2:
-            raise ValueError("a Hessian needs truncation order >= 2")
-        strides = _strides(max(max(rows), max(cols)) + 1)
-        t = self.terms
-        out = np.empty((len(rows), len(cols)))
-        for a, i in enumerate(rows):
-            for b, j in enumerate(cols):
-                c = t.get(strides[i] + strides[j], 0.0)
-                out[a, b] = 2.0 * c if i == j else c
-        return out
-
 
 # -- Taylor-coefficient recurrences -------------------------------------
 #
@@ -906,10 +892,11 @@ class Tape:
         return r[self._start :]
 
 
-def taped_expansion(fn: Callable, dim: int, order: int) -> Callable[[Sequence[float]], Taylor] | None:
-    """expand(fn, ., order) as a replayed tape: a function of the point
-    (dim Python floats) giving the polynomial a live expand gives there,
-    key for key and bit for bit.  None when fn refuses to be recorded."""
+def taped_expansion(fn: Callable, dim: int, order: int) -> Callable[[np.ndarray], Taylor] | None:
+    """expand(fn, ., order) as a replayed tape: a function of a (dim, B)
+    array of B points giving the polynomial whose coefficients are (B,)
+    arrays, each the one a live expand gives at its point, key for key and
+    bit for bit.  None when fn refuses to be recorded."""
     keys: list[int] = []
 
     def build(seeds):

@@ -31,16 +31,6 @@ __all__ = [
 
 DEFAULT_RANK_TOL = 1e-9
 
-# A recording costs as much as 15-25 live expansions of the same key
-# (charged L on the mixed space: order 4 records in 4.6 ms against 0.28 ms
-# live) and a replay far less than one, so a key's tape pays for itself
-# only once it has been used about that often.  Discovery asks for most of
-# its orders four times or fewer; an integration asks for one order at
-# every evaluation.  Recording at the sixteenth single-point use keeps the
-# first from paying for tapes it never replays and costs the second at
-# most one recording's worth of live expansions.
-RECORD_AT = 16
-
 
 def _vectorize(name: str, arr, n: int) -> np.ndarray:
     out = np.asarray(arr, dtype=float).reshape(-1)
@@ -72,10 +62,8 @@ class LagrangianSystem:
         self.space = CoordinateSpace.lagrangian(n)
         # (dim, order) -> (params when recorded, replayable expansion or None)
         self._tapes: dict[tuple[int, int], tuple] = {}
-        # (dim, order) -> single-point expansions made before its recording
-        self._uses: dict[tuple[int, int], int] = {}
         # the reads of the momentum constraints alone, which legendre_invert
-        # replays (pontryagin.momentum_reads)
+        # and a one-generation ladder replay (pontryagin.momentum_reads)
         self._momentum_reads = None
 
     def taylor_on(self, space: CoordinateSpace, x, order: int) -> Taylor:
@@ -86,33 +74,26 @@ class LagrangianSystem:
         polynomial whose coefficients are (B,) arrays, each the one a
         single point gives, bit for bit.
 
-        The RECORD_AT-th single-point expansion per (layout, order), or the
-        first stack, records the engine's work (jets.Tape), and later ones
-        replay it; the ones before run live.  A tape is stamped with the
-        parameter values it was recorded with; after any of them changes
-        the next call records afresh and replaces it, so one tape is held
-        per (layout, order).  An fn that refuses recording runs live, on a
-        stack point by point."""
+        A single point runs live: the pointwise work on a closed ladder
+        replays the ladder's own tape (pontryagin._ClosedReads).  The first
+        stack per (layout, order) records the engine's work (jets.Tape), and
+        later ones replay it.  A tape is stamped with the parameter values
+        it was recorded with and recorded afresh after any of them changes,
+        so one is held per (layout, order).  An fn that refuses recording
+        runs live, point by point."""
         dim = space.dim
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != dim:
             raise ValueError(f"point has shape {x.shape}, expected ({dim},) or (B, {dim})")
-        key = (dim, order)
-        params = tuple(self.params.items())
-        held = self._tapes.get(key)
-        if held is None or held[0] != params:
-            if held is None and x.ndim == 1:
-                uses = self._uses[key] = self._uses.get(key, 0) + 1
-                if uses < RECORD_AT:
-                    return expand(self._on(space), x, order)
-            held = self._tapes[key] = (params, taped_expansion(self._on(space), dim, order))
-        if x.ndim == 2:
-            if held[1] is None:
-                return stack([expand(self._on(space), xb, order) for xb in x])
-            return held[1](x.T)
-        if held[1] is None:
+        if x.ndim == 1:
             return expand(self._on(space), x, order)
-        return held[1](x.tolist())
+        params = tuple(self.params.items())
+        held = self._tapes.get((dim, order))
+        if held is None or held[0] != params:
+            held = self._tapes[dim, order] = (params, taped_expansion(self._on(space), dim, order))
+        if held[1] is None:
+            return stack([expand(self._on(space), xb, order) for xb in x])
+        return held[1](x.T)
 
     def _on(self, space: CoordinateSpace) -> Callable:
         """fn as a function of one point of `space`."""

@@ -36,17 +36,15 @@ discovered; the first clause alone would close the ladder early there.  An
 obstruction with a significant value but a vanishing gradient cannot be
 satisfied anywhere nearby: the system is reported Incompatible.
 
-Discovery and projection run the Taylor engine live.  Once a ladder has
-closed, its evaluations all perform the same Taylor work: assemble_Z
-records it at the first call (L's expansion, then every recipe with its
+Discovery and project_onto run the Taylor engine live.  Once a ladder has
+closed, its evaluations and projections all perform the same Taylor work:
+the first call records it (L's expansion, then every recipe with its
 frozen pivots, down to the order-1 values and gradients and L's order-2
 data the tangency conditions read) on one jets.Tape whose only input is
-the mixed-space point, and replays it after that; the replay skips every
-coefficient of L that no read needs.  The frozen-pivot test is a guard,
-so a replay raises NumericalBreakdown where a live evaluation would.  Both
-paths end in the same numpy tail: the reads come in the layout it slices
-(the momentum coefficients D among them), so it is one array build, one
-matrix-vector product and one SVD.
+the point, and later calls replay it, skipping every coefficient of L that
+no read needs.  The frozen-pivot test is a guard, so a replay raises
+NumericalBreakdown where a live evaluation would.  Both paths end in one
+numpy tail: an array build, a matrix-vector product and one SVD.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .jets import ORDER_CAP, CoordinateSpace, Jet, Tape, Taylor, _strides, expand, guard, jet_from_taylor
-from .mechanics import LagrangianSystem, classify_velocity_hessian, order2_gather
+from .mechanics import LagrangianSystem, classify_velocity_hessian, order2_gather, order2_parts
 
 __all__ = [
     "lagrangian_part",
@@ -434,8 +432,7 @@ class ConstraintLadder:
     rank: int
     undetermined_dim: int
     tolerance: float
-    # assemble_Z's recording of this ladder's Taylor work
-    _reads: _ClosedReads | None = field(default=None, init=False, repr=False, compare=False)
+    _reads: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by lift
 
     def active(self) -> list[ConstraintFn]:
         return [c for gen in self.generations for c in gen]
@@ -639,64 +636,74 @@ def project_onto(
     Gauss-Newton; raises InfeasiblePoint when it cannot reach the
     constraint set, which signals an initial condition off the admissible
     submanifold.
-    One mixed-space expansion of L, to 1 plus the deepest generation,
-    gives the momenta, the multiplier-like coordinates and the first
-    residual evaluation.
+    Each residual evaluation runs live (_LiveReads); an integrator's
+    projections replay the ladder's tape instead.
     """
-    return _project(L, w, constraints, opts)[0]
-
-
-def _project(L: LagrangianSystem, w, constraints: Sequence[ConstraintFn],
-             opts: AlgorithmOptions | None) -> tuple[np.ndarray, Taylor]:
-    """project_onto's point, and the mixed-space expansion of L there, to 1
-    plus the deepest generation: the one its last residual evaluation
-    made.  Discovery builds its next workspace on it, so it need not
-    expand L again."""
-    opts = opts or AlgorithmOptions()
-    n = L.n
-    wvec = _as_wvec(n, w).copy()
     constraints = list(constraints)
-    order = 1 + max((c.generation for c in constraints), default=0)
-    expansion = L.taylor_on(CoordinateSpace.unified(n), wvec, order)
+    return _project(_LiveReads(L, constraints), _as_wvec(L.n, w), constraints, opts)
 
+
+class _LiveReads:
+    """_reads of some constraints at a point, each on a fresh workspace,
+    which expands L to 1 plus the deepest generation.  `ws` is the last one,
+    at a copy of its point; discovery runs its next pass on it.  L does not
+    read p, so a point that moved p alone reuses the last expansion."""
+
+    def __init__(self, L: LagrangianSystem, constraints: list[ConstraintFn], ws=None):
+        self.L, self.constraints, self.ws = L, constraints, ws
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        L, constraints, ws = self.L, self.constraints, self.ws
+        held, x = None, lagrangian_part(w, L.n).tobytes()
+        if ws is not None and lagrangian_part(ws.w, L.n).tobytes() == x:
+            held = ws.L_taylor(1 + max((c.generation for c in constraints), default=1))
+        self.ws = _Workspace(L, w.copy(), constraints, 1, held)
+        return np.array(_reads(self.ws, constraints), dtype=float)
+
+
+def _project(reads, w, constraints: list[ConstraintFn], opts: AlgorithmOptions | None):
+    """project_onto's point, from reads(w), _reads of `constraints` at w
+    (live or a ladder's tape): the residuals are the values and gradients,
+    the momenta and the multiplier-like directions come from L's data."""
+    opts = opts or AlgorithmOptions()
+    w = np.array(w, dtype=float)
+    n, R = (len(w) - 2) // 3, len(constraints)
+    grads_at, _, data = _layout(R, n)
+    vs, ps = slice(1 + n, 1 + 2 * n), slice(1 + 2 * n, 1 + 3 * n)
+    raw = reads(w)
     # momenta first: the primary constraints are solved exactly by the
     # fibre derivative; the velocity Hessian names the multiplier-like
-    # coordinates
-    wvec[1 + 2 * n : 1 + 3 * n] = expansion.gradient(1 + 2 * n)[1 + n :]
+    # coordinates.  L does not read p, so both hold at the new point too
+    dL, H = order2_parts(raw[data], n)
+    if dL[vs].tobytes() != w[ps].tobytes():
+        w = np.concatenate((w[: ps.start], dL[vs], w[ps.stop :]))
+        raw = reads(w)
     if not constraints:
-        return wvec, expansion
-    vi = range(1 + n, 1 + 2 * n)
-    dirs = sorted(
-        set(range(1 + n, 1 + 3 * n))
-        | {1 + j for j in _kernel_q_indices(expansion.hessian_block(vi, vi))}
-    )
+        return w
+    dirs = sorted(set(range(1 + n, 1 + 3 * n)) | {1 + j for j in _kernel_q_indices(H[vs])})
 
-    def residuals(vec, L_expansion=None):
-        ws = _Workspace(L, vec, constraints, 1, L_expansion)
-        cts = [c.taylor(ws, 1) for c in constraints]
-        return (np.array([ct.value for ct in cts]),
-                np.array([ct.gradient(ws.space.dim)[dirs] for ct in cts]),
-                ws.L_taylor(order))
+    def residuals(raw):
+        return raw[:R], raw[grads_at].reshape(R, 3 * n + 2)[:, dirs]
 
-    vals, grads, expansion = residuals(wvec, expansion)
+    vals, grads = residuals(raw)
     for _ in range(opts.max_project_iter):
         worst = float(np.max(np.abs(vals)))
         if worst <= opts.project_tol:
-            return wvec, expansion
+            return w
         step, *_ = np.linalg.lstsq(grads, -vals, rcond=None)
         lam = 1.0
         for _ in range(9):
-            trial = wvec.copy()
+            trial = w.copy()
             trial[dirs] += lam * step
-            tvals, tgrads, texpansion = residuals(trial)
+            tvals, tgrads = residuals(reads(trial))
             if np.max(np.abs(tvals)) < worst:
-                wvec, vals, grads, expansion = trial, tvals, tgrads, texpansion
+                w, vals, grads = trial, tvals, tgrads
                 break
             lam *= 0.5
         else:
             break
     if float(np.max(np.abs(vals))) <= opts.project_tol:
-        return wvec, expansion
+        return w
     worst_i = int(np.argmax(np.abs(vals)))
     stall = (f"projection stalled at |{constraints[worst_i].label}| = "
              f"{abs(vals[worst_i]):.3e} (needs <= {opts.project_tol:.1e})")
@@ -727,22 +734,22 @@ def run_constraint_algorithm(
 
     primaries: list[ConstraintFn] = [_PrimaryConstraint(L, j) for j in range(n)]
     generations: list[list[ConstraintFn]] = [primaries]
-    # a projection's last expansion of L is at the point it returns, to the
-    # order the next workspace needs: that workspace starts from it
-    expansion = None
+    active = list(primaries)
+    # a projection's last workspace is at the point it returns
     if opts.project:
-        wvec, expansion = _project(L, wvec, primaries, opts)
+        reads = _LiveReads(L, active)
+        wvec = _project(reads, wvec, active, opts)
+        ws = reads.ws
     else:
         vals = primary_constraints(L, wvec)
         if np.max(np.abs(vals)) > opts.tol:
             raise InfeasiblePoint(
                 f"momentum constraints violated by {np.max(np.abs(vals)):.3e}"
             )
+        ws = _Workspace(L, wvec, active, 1)
 
     status = "MaxIterations"
     Z, rank = None, 0
-    active = list(primaries)
-    ws = _Workspace(L, wvec, active, 1, expansion)
     for _ in range(min(opts.max_generations, ORDER_CAP - 2)):
         Z, rank, new, incompatible = _tangency(ws, active, opts, discover=True)
         if incompatible is not None:
@@ -755,10 +762,9 @@ def run_constraint_algorithm(
         generations.append(new)
         active = active + new
         if opts.project:
-            moved, expansion = _project(L, wvec, active, opts)
-            if not np.array_equal(moved, wvec):
-                wvec = moved
-                ws = _Workspace(L, wvec, active, 1, expansion)
+            reads = _LiveReads(L, active, ws)
+            wvec = _project(reads, wvec, active, opts)
+            ws = reads.ws
         else:
             worst = max(abs(c.taylor(ws, 0).value) for c in new)
             if worst > opts.tol:
@@ -772,9 +778,11 @@ def run_constraint_algorithm(
 
 
 class _ClosedReads:
-    """_reads of a closed set of constraints as a function of the
-    mixed-space point alone, at one point or at a (B, dim) stack (one row
-    of reads per point).
+    """_reads of a closed set of constraints as a function of one point
+    alone, at one point or at a (B, dim) stack (one row of reads per
+    point): of the mixed-space point, or with `lift` of the velocity side
+    (t, q, v, s), whose momenta p = dL/dv it fills in from its own
+    expansion of L before the reads.
 
     One recording (jets.Tape) runs L's expansion, to 1 plus the deepest
     generation, and the reads, so the replay program drops every
@@ -783,41 +791,54 @@ class _ClosedReads:
     and recorded afresh after any of them changes.  A refused recording
     runs live."""
 
-    def __init__(self, L: LagrangianSystem, active: list[ConstraintFn]):
-        self.L = L
-        self.active = active
+    def __init__(self, L: LagrangianSystem, active: list[ConstraintFn], lift: bool = False):
+        self.L, self.active, self.lift = L, active, lift
         self.params: tuple | None = None  # L's parameter values when recorded
         self.tape: Tape | None = None
 
-    def _build(self, inputs: list) -> list:
-        L, active = self.L, self.active
+    def _build(self, x) -> list:
+        L, active, n = self.L, self.active, self.L.n
         order = 1 + max(c.generation for c in active)
-        expansion = expand(L._on(CoordinateSpace.unified(L.n)), inputs, order)
-        return _reads(_Workspace(L, inputs, active, 1, expansion), active)
+        unified = CoordinateSpace.unified(n)
+        w = [*x[: 1 + 2 * n], *[0.0] * n, x[-1]] if self.lift else x
+        expansion = expand(L._on(unified), w, order)
+        if self.lift:
+            # L does not read p: its expansion at p = 0 serves the lifted point
+            w[1 + 2 * n : 1 + 3 * n] = [expansion.terms.get(k, 0.0)
+                                        for k in _strides(unified.dim)[1 + n : 1 + 2 * n]]
+        return _reads(_Workspace(L, w, active, 1, expansion), active)
 
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        L, active = self.L, self.active
-        params = tuple(L.params.items())
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        params = tuple(self.L.params.items())
         if self.params != params:
-            self.params, self.tape = params, Tape.record(self._build, 3 * L.n + 2)
+            dim = (2 if self.lift else 3) * self.L.n + 2
+            self.params, self.tape = params, Tape.record(self._build, dim)
         if self.tape is None:
-            if w.ndim == 1:
-                return np.array(_reads(_Workspace(L, w, active, 1), active))
-            return np.array([_reads(_Workspace(L, wb, active, 1), active) for wb in w])
-        if w.ndim == 1:
-            return np.array(self.tape(w.tolist()), dtype=float)
-        return np.stack(self.tape(w.T), axis=1)
+            return np.array(self._build(x) if x.ndim == 1 else [self._build(xb) for xb in x],
+                            dtype=float)
+        if x.ndim == 1:
+            return np.array(self.tape(x.tolist()), dtype=float)
+        return np.stack(self.tape(x.T), axis=1)
 
 
-def momentum_reads(L: LagrangianSystem, w: np.ndarray) -> np.ndarray:
-    """_reads of L's momentum constraints alone, the whole ladder of a
-    regular L, at the mixed-space point w: R = n values p - dL/dv, their
-    gradients, the template (1, v, 0, D, E) and L's order-2 data.  The tape
-    is held on L (legendre_invert replays it at every Newton iterate)."""
-    reads = L._momentum_reads
-    if reads is None:
-        reads = L._momentum_reads = _ClosedReads(L, [_PrimaryConstraint(L, j) for j in range(L.n)])
-    return reads(w)
+def momentum_reads(L: LagrangianSystem) -> _ClosedReads:
+    """The _ClosedReads of L's momentum constraints alone, the whole ladder
+    of a regular L, held on L: legendre_invert replays it at every Newton
+    iterate, and a one-generation ladder replays it as its own."""
+    if L._momentum_reads is None:
+        L._momentum_reads = _ClosedReads(L, [_PrimaryConstraint(L, j) for j in range(L.n)])
+    return L._momentum_reads
+
+
+def _ladder_reads(L: LagrangianSystem, ladder: ConstraintLadder, lift: bool = False):
+    """The ladder's _ClosedReads (with `lift`, of the velocity side), made
+    at the first call; a one-generation ladder's is momentum_reads(L)."""
+    reads = ladder._reads.get(lift)
+    if reads is None or reads.L is not L:
+        one = ladder.n_generations == 1 and not lift
+        reads = momentum_reads(L) if one else _ClosedReads(L, ladder.active(), lift)
+        ladder._reads[lift] = reads
+    return reads
 
 
 def assemble_Z(
@@ -840,12 +861,9 @@ def assemble_Z(
     if ladder.status != "Closed":
         raise LadderNotClosed(f"ladder status is {ladder.status}")
     opts = opts or AlgorithmOptions(tol=ladder.tolerance)
-    active = ladder.active()
     wvec = _as_wvec(L.n, w, stacked=True)
-    reads = ladder._reads
-    if reads is None or reads.L is not L or reads.active != active:
-        reads = ladder._reads = _ClosedReads(L, active)
-    raw = reads(wvec)
+    raw = _ladder_reads(L, ladder)(wvec)
+    R = len(ladder.active())
     if wvec.ndim == 1:
-        return _field(raw, len(active), L.n, opts)[0]
-    return [_field(rb, len(active), L.n, opts)[0] for rb in raw]
+        return _field(raw, R, L.n, opts)[0]
+    return [_field(rb, R, L.n, opts)[0] for rb in raw]

@@ -332,7 +332,8 @@ def test_drift_and_eval_share_one_evaluation(name, make, monkeypatch):
 @pytest.mark.parametrize("name, make", DESCRIPTIONS)
 def test_constraint_channel_reads_the_field_evaluations(name, make):
     # integrate hands residual_channels the values its evaluations
-    # returned; they match the channel's own recomputation
+    # returned; they equal the channel's own recomputation, one stacked
+    # replay of the ladder's tape, bit for bit
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
@@ -340,14 +341,16 @@ def test_constraint_channel_reads_the_field_evaluations(name, make):
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05)
     traj = integrate(fld, fld.drop(ladder.probe), cfg)
     want = residual_channels(L, traj.times, traj.lifted, ladder)["constraint"]
-    np.testing.assert_allclose(traj.residuals["constraint"], want, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(traj.residuals["constraint"], want)
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 @pytest.mark.parametrize("name, make", DESCRIPTIONS)
 def test_integrated_channels_match_recomputation(name, make, method):
     # the channels integrate computes from its evaluations' L data equal
-    # the ones recomputed from the raw arrays, one order-2 jet per sample
+    # the ones recomputed from the raw arrays, bit for bit: one stacked
+    # replay of the ladder's tape, or without a ladder of the momentum
+    # constraints' (L's order-2 data is the same in both)
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
@@ -355,10 +358,10 @@ def test_integrated_channels_match_recomputation(name, make, method):
     cfg = IntegratorConfig(method=method, step=1e-2, t_end=0.065, abs_tol=1e-12, rel_tol=1e-12)
     traj = integrate(fld, fld.drop(ladder.probe), cfg)
     assert len(traj) >= 5
-    want = residual_channels(L, traj.times, traj.lifted, ladder)
-    for channel in ("holonomy", "sdot", "herglotz"):
-        np.testing.assert_allclose(traj.residuals[channel], want[channel], rtol=0, atol=1e-10,
-                                   err_msg=channel)
+    for want in (residual_channels(L, traj.times, traj.lifted, ladder),
+                 residual_channels(L, traj.times, traj.lifted)):
+        for channel in ("holonomy", "sdot", "herglotz"):
+            np.testing.assert_array_equal(traj.residuals[channel], want[channel], err_msg=channel)
 
 
 def _counting_taylor_on(monkeypatch, orders, active=lambda: True):
@@ -374,7 +377,8 @@ def _counting_taylor_on(monkeypatch, orders, active=lambda: True):
 
 def _counting_replays(monkeypatch, points):
     """Record the point of every replay of a closed set of constraints'
-    reads: assemble_Z's, and legendre_invert's momentum constraints'."""
+    reads: a ladder's (evaluations, projections, the velocity side's
+    evaluations), and legendre_invert's momentum constraints'."""
     replay = _ClosedReads.__call__
 
     def counting(self, w):
@@ -410,25 +414,22 @@ def test_residual_pass_in_integrate_expands_nothing(name, make, monkeypatch):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_velocity_eval_expands_L_once_on_the_mixed_space(name, monkeypatch):
-    # the lift's order-1 expansion fills in the momenta; assemble_Z's
-    # replay expands L itself
+    # the evaluation is one replay of the ladder's velocity-side tape,
+    # which expands L on the mixed space and fills in the momenta from it;
+    # nothing calls taylor_on
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
     fld = lagrangian_field(L, ladder, OPTS)
     x = fld.drop(ladder.probe)
     x[1:] += 1e-3 * np.linspace(1.0, 2.0, len(x) - 1)
-    calls = []
-    expand = LagrangianSystem.taylor_on
-
-    def counting(self, space, point, order):
-        calls.append((space.dim, order))
-        return expand(self, space, point, order)
-
-    monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
+    fld.eval(fld.drop(ladder.probe))  # records
+    orders, points = [], []
+    _counting_taylor_on(monkeypatch, orders)
+    _counting_replays(monkeypatch, points)
     deriv, coeffs, lifted, xi, L_data = fld.eval(x)
     monkeypatch.undo()
-    assert calls == [(3 * L.n + 2, 1)]
+    assert orders == [] and len(points) == 1 and np.array_equal(points[0], x)
     # the lifted momenta are the fibre derivative at x
     p = L.jet(x, 1).grad[1 + L.n : 1 + 2 * L.n]
     np.testing.assert_array_equal(lifted[1 + 2 * L.n : 1 + 3 * L.n], p)
@@ -437,52 +438,58 @@ def test_velocity_eval_expands_L_once_on_the_mixed_space(name, monkeypatch):
 @pytest.mark.parametrize("reproject", [False, True])
 @pytest.mark.parametrize("name, make", DESCRIPTIONS)
 def test_no_velocity_side_expansion_in_integrate(name, make, reproject, monkeypatch):
-    # prepare (inside integrate), reproject and every evaluation expand L
-    # on the mixed space only
+    # prepare (inside integrate), reproject and every evaluation replay the
+    # ladder's tapes: once a ladder has closed, a run makes no taylor_on
+    # call at a single point, on any side
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
-    dims = set()
-    expand = LagrangianSystem.taylor_on
-
-    def counting(self, space, x, order):
-        dims.add(space.dim)
-        return expand(self, space, x, order)
-
-    monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
+    orders = []
+    _counting_taylor_on(monkeypatch, orders)
     fld = make(L, ladder, OPTS)
     y0 = fld.drop(ladder.probe)
     fld.reproject(y0)
     cfg = IntegratorConfig(step=1e-2, t_end=0.03, reproject=reproject)
     integrate(fld, y0, cfg)
-    assert dims == {3 * L.n + 2}
+    assert orders == []
 
 
 @pytest.mark.parametrize("kind", ["unified", "lagrangian"])
 @pytest.mark.parametrize("name", ["duffing", "charged_particle"])
-def test_reprojection_hands_its_expansion_to_the_next_evaluation(name, kind, monkeypatch):
-    # a reprojected state is evaluated once: the evaluation there is the
-    # next step's first stage, and a reprojected run replays the ladder's
-    # reads as often as a monitored one, 4 times per step plus once
+def test_a_reprojected_state_is_evaluated_once(name, kind, monkeypatch):
+    # the evaluation at a reprojected state is the next step's first stage:
+    # a reprojected run evaluates the field as often as a monitored one, 4
+    # times per step plus once.  Its projections replay the ladder's
+    # mixed-space tape besides, and neither run calls taylor_on
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
     make = cocontact.dynamics.FIELDS[kind]
-    points = []
+    evaluated, orders, points = [], [], []
+    evaluate = make._evaluate
+
+    def counting(self, state):
+        evaluated.append(state.tobytes())
+        return evaluate(self, state)
+
+    monkeypatch.setattr(make, "_evaluate", counting)
+    _counting_taylor_on(monkeypatch, orders)
     _counting_replays(monkeypatch, points)
-    counts = {}
+    replays = {}
     for reproject in (True, False):
+        evaluated.clear()
         points.clear()
         fld = make(L, ladder, OPTS)
         traj = integrate(fld, fld.drop(ladder.probe),
                          IntegratorConfig(step=1e-2, t_end=0.1, reproject=reproject))
-        counts[reproject] = len(points)
+        assert len(evaluated) == 41
+        replays[reproject] = len(points)
         if reproject:
-            lifted, evaluated = traj.lifted, [w.tobytes() for w in points]
-    assert counts == {True: 41, False: 41}
-    assert len(lifted) == 11
-    for w in lifted:
-        assert evaluated.count(w.tobytes()) == 1
+            assert len(traj) == 11
+            for state in traj.states:
+                assert evaluated.count(state.tobytes()) == 1
+    assert orders == []
+    assert replays[True] > replays[False] >= 41
 
 
 def test_momentum_eval_expands_once_per_newton_iterate(monkeypatch):

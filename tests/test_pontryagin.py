@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from cocontact.jets import ORDER_CAP, CoordinateSpace, Taylor
+from cocontact import dsl
+from cocontact.jets import ORDER_CAP, Taylor
 from cocontact.mechanics import LagrangianSystem
 from cocontact.pontryagin import (
     AlgorithmOptions,
@@ -19,12 +20,13 @@ from cocontact.pontryagin import (
     LadderNotClosed,
     NumericalBreakdown,
     ZCoefficients,
+    _ladder_reads,
     _project,
-    _reads,
     _solve_frozen,
     _Workspace,
     assemble_Z,
     constraint_values,
+    lagrangian_part,
     primary_constraints,
     project_onto,
     run_constraint_algorithm,
@@ -38,6 +40,13 @@ from cocontact.systems import (
     variable_mass_drag,
 )
 from lagrangian_reference import order2_reference
+
+
+# a ladder whose generation-2 constraint q1 - t the projection cannot
+# move (it may not adjust q1); tests/test_dynamics.py integrates it into
+# its reprojection stall
+STALLING_L = "0.5*cos(q2)*v1^2 + v2^2/2 + q3*(q1 - t)"
+STALLING_START = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def coulomb_hess(x):
@@ -286,12 +295,11 @@ def test_ladder_report_values_are_constraint_values():
 def test_workspace_expands_L_once_per_point(monkeypatch):
     # every constraint of the charged ladder is served from one expansion
     # of L: at the deepest generation for values, one order more for the
-    # order-1 residuals of the projection
+    # order-1 residuals of the projection.  Discovery runs each pass on the
+    # workspace its projection ended on: 8 expansions, where handing only
+    # the projection's expansion on made 12
     pre = charged_particle()
     L = pre.system
-    ladder, _ = run_constraint_algorithm(L, pre.initial)
-    active = ladder.active()
-    deepest = max(c.generation for c in active)
     unified_dim = 3 * L.n + 2
     orders = []
     taylor_on = LagrangianSystem.taylor_on
@@ -302,6 +310,11 @@ def test_workspace_expands_L_once_per_point(monkeypatch):
         return taylor_on(self, space, x, order)
 
     monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
+    assert orders == [2, 3, 4, 4, 5, 5, 6, 6]
+    orders.clear()
+    active = ladder.active()
+    deepest = max(c.generation for c in active)
     rng = np.random.default_rng(9)
     w = pre.sample_feasible(rng) + 1e-3 * rng.uniform(-1.0, 1.0, unified_dim)
     constraint_values(L, w, active)
@@ -377,65 +390,76 @@ def test_solve_frozen_picks_then_follows_the_pivot_sequence():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_projection_expands_L_on_the_mixed_space_once_per_residual_evaluation(name, monkeypatch):
-    # the momenta, the multiplier-like directions and the first residual
-    # evaluation share one mixed-space expansion of L at 1 + the deepest
-    # generation; each later residual evaluation makes one more; nothing is
+    # project_onto evaluates its residuals on live workspaces, each one
+    # expanding L on the mixed space at 1 + the deepest generation; the
+    # evaluation after the momenta are filled in moved only p, which L does
+    # not read, so it reuses the first one's expansion.  Nothing is
     # expanded on the velocity side
     pre = preset_by_name(name)
     L = pre.system
     ladder, _ = run_constraint_algorithm(L, pre.initial)
     active = ladder.active()
     deepest = max(c.generation for c in active)
-    calls, workspaces = [], []
+    calls, points = [], []
     taylor_on, init = LagrangianSystem.taylor_on, _Workspace.__init__
 
     def counting(self, space, x, order):
         calls.append((space.dim, order))
         return taylor_on(self, space, x, order)
 
-    def counting_init(self, *args, **kwargs):
-        workspaces.append(self)
-        init(self, *args, **kwargs)
+    def counting_init(self, L, w, *args, **kwargs):
+        points.append(lagrangian_part(w, L.n).tobytes())
+        init(self, L, w, *args, **kwargs)
 
     monkeypatch.setattr(LagrangianSystem, "taylor_on", counting)
     monkeypatch.setattr(_Workspace, "__init__", counting_init)
     mixed = (3 * L.n + 2, 1 + deepest)
     # at the probe the projection stops after its first residual evaluation
     project_onto(L, ladder.probe, active)
-    assert calls == [mixed] and len(workspaces) == 1
+    assert calls == [mixed] and 1 <= len(points) <= 2
     calls.clear()
-    workspaces.clear()
+    points.clear()
     # off the constraint set a deep ladder takes Gauss-Newton steps
     w = ladder.probe.copy()
     w[1 + L.n : 1 + 2 * L.n] += 1e-3
     project_onto(L, w, active)
-    assert len(workspaces) >= (2 if deepest > 1 else 1)
-    assert calls == [mixed] * len(workspaces)
+    moves = sum(a != b for a, b in zip(points, points[1:]))
+    assert 1 + moves >= (2 if deepest > 1 else 1)
+    assert calls == [mixed] * (1 + moves)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_a_callers_expansion_changes_no_bit(name):
-    # the expansion _project hands on (discovery builds its next workspace
-    # on it) is L's expansion at the point it returns, bit for bit, and a
-    # workspace on it reads what a fresh one reads
+def test_taped_projection_equals_the_live_one(name):
+    # an integrator's projection replays the ladder's tape, project_onto
+    # runs live: they move a point alike, bit for bit
     pre = preset_by_name(name)
     L = pre.system
     ladder, _ = run_constraint_algorithm(L, pre.initial)
     active = ladder.active()
-    deepest = max(c.generation for c in active)
-    space = CoordinateSpace.unified(L.n)
+    reads = _ladder_reads(L, ladder)
     rng = np.random.default_rng(12)
     for k in range(4):
         # velocities and momenta only: the projection may not move t, z or s
         w = ladder.probe.copy()
         w[1 + L.n : 1 + 3 * L.n] += (0.0 if k == 0 else 1e-3) * rng.uniform(-1.0, 1.0, 2 * L.n)
-        moved, expansion = _project(L, w, active, None)
-        assert np.array_equal(moved, project_onto(L, w, active))
-        fresh = L.taylor_on(space, moved, 1 + deepest)
-        assert list(expansion.terms) == list(fresh.terms)
-        assert np.array_equal(list(expansion.terms.values()), list(fresh.terms.values()))
-        held = _reads(_Workspace(L, moved, active, 1, expansion), active)
-        assert np.array_equal(held, _reads(_Workspace(L, moved, active, 1), active))
+        assert np.array_equal(_project(reads, w, active, None), project_onto(L, w, active))
+    assert reads.tape is not None
+
+
+def test_taped_and_live_projections_stall_alike():
+    L = LagrangianSystem.from_expr(dsl.parse(STALLING_L, 3))
+    ladder, _ = run_constraint_algorithm(L, STALLING_START)
+    active = ladder.active()
+    w = ladder.probe.copy()
+    w[1] += 1e-6  # q1 - t moves off zero, and q1 is not adjustable
+    stalls = []
+    for project in (lambda: _project(_ladder_reads(L, ladder), w, active, None),
+                    lambda: project_onto(L, w, active)):
+        with pytest.raises(InfeasiblePoint) as exc:
+            project()
+        stalls.append(exc.value.stall)
+    assert stalls[0] == stalls[1]
+    assert stalls[0].startswith("projection stalled at |rate(p3 - dL/dv3) mod 2 rows| = ")
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -1,11 +1,10 @@
 """Taped evaluation against the live engine.
 
-A closed ladder's Taylor work and L's expansions are recorded once
-(jets.Tape) and replayed after that, one point at a time or a batch at
-once.  The live results here come from internal entry points: the engine
-run directly on floats (expand, the workspace reads), or whole runs with
-every recording refused.  Unless a test says otherwise, L's expansions are
-recorded at their first use, so that every later one is a replay.
+A closed ladder's Taylor work is recorded once (jets.Tape) and replayed
+after that, one point at a time or a batch at once; L's own expansions are
+recorded for stacks only, and a single point runs live.  The live results
+here come from internal entry points: the engine run directly on floats
+(expand, the workspace reads), or whole runs with every recording refused.
 """
 
 import math
@@ -14,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cocontact import dsl, mechanics
+from cocontact import dsl
 from cocontact.dynamics import FIELDS, IntegratorConfig, LadderLost, integrate
 from cocontact.jets import (
     CoordinateSpace,
@@ -36,6 +35,7 @@ from cocontact.pontryagin import (
     _reads,
     _Workspace,
     assemble_Z,
+    project_onto,
     run_constraint_algorithm,
 )
 from cocontact.systems import (
@@ -57,12 +57,6 @@ DESCRIPTIONS = {
 # metric cos(q2) degenerates at q2 = pi/2
 STALLING_L = "0.5*cos(q2)*v1^2 + v2^2/2 + q3*(q1 - t)"
 STALLING_START = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-RECORD_AT = mechanics.RECORD_AT
-
-
-@pytest.fixture(autouse=True)
-def record_at_first_use(monkeypatch):
-    monkeypatch.setattr(mechanics, "RECORD_AT", 1)
 
 
 def refuse_recording(monkeypatch):
@@ -115,18 +109,22 @@ def test_taped_evaluation_equals_live_at_every_sample(name):
     deepest = max(c.generation for c in ladder.active())
     unified = CoordinateSpace.unified(n)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.1)
+    active = ladder.active()
     for kind in DESCRIPTIONS[name]:
         fld = FIELDS[kind](L, ladder, OPTS)
-        traj = integrate(fld, fld.drop(ladder.probe), cfg)
-        for w in traj.lifted:
+        W = integrate(fld, fld.drop(ladder.probe), cfg).lifted
+        X = np.concatenate((W[:, : 1 + 2 * n], W[:, -1:]), axis=1)
+        for w, x in zip(W, X):
             assert_same_Z(assemble_Z(L, w, ladder), live_Z(L, w, ladder))
-            for order in (2, 1 + deepest):
-                assert_same_taylor(L.taylor_on(unified, w, order),
-                                   live_taylor(L, unified, w, order))
-            x = np.concatenate((w[: 1 + 2 * n], w[-1:]))
-            for order in (1, 2, 3):
-                assert_same_taylor(L.taylor(x, order), live_taylor(L, L.space, x, order))
-    assert ladder._reads.tape is not None
+            if kind == "lagrangian":
+                # the velocity side's tape fills in the momenta the lift holds
+                assert np.array_equal(ladder._reads[True](x), live_reads(L, w, active))
+        for order in (2, 1 + deepest):
+            assert_same_stack(L.taylor_on(unified, W, order),
+                              [live_taylor(L, unified, w, order) for w in W])
+        for order in (1, 2, 3):
+            assert_same_stack(L.taylor(X, order), [live_taylor(L, L.space, x, order) for x in X])
+    assert all(reads.tape is not None for reads in ladder._reads.values())
     assert all(tape is not None for _, tape in L._tapes.values())
 
 
@@ -241,32 +239,34 @@ def _raised(call):
 
 
 def test_radius_guard_fires_on_replay():
+    # the ladder's tape expands L itself, so it holds L's guards
     pre = charged_particle()
     L = pre.system
-    space = CoordinateSpace.unified(L.n)
+    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
     w = pre.sample_feasible(np.random.default_rng(1))
-    L.taylor_on(space, w, 3)  # records
+    assemble_Z(L, w, ladder)  # records
+    assert ladder._reads[False].tape is not None
     w[1:4] = [1e-7, 0.0, 0.0]
-    got = _raised(lambda: L.taylor_on(space, w, 3))
-    assert got == _raised(lambda: live_taylor(L, space, w, 3))
+    got = _raised(lambda: assemble_Z(L, w, ladder))
+    assert got == _raised(lambda: live_Z(L, w, ladder))
     assert got == (JetDomainError, "radius below guard 1e-06")
 
 
 def test_mass_guard_fires_on_replay():
-    pre = variable_mass_drag(m_expr="1 - t")
-    L = pre.system
-    space = CoordinateSpace.unified(L.n)
-    L.taylor_on(space, [0.5, 0.1, 0.2, 0.0, 0.0], 2)  # records at m = 0.5
-    w = [2.0, 0.1, 0.2, 0.0, 0.0]
-    got = _raised(lambda: L.taylor_on(space, w, 2))
-    assert got == _raised(lambda: live_taylor(L, space, w, 2))
+    L = variable_mass_drag(m_expr="1 - t").system
+    ladder, _ = run_constraint_algorithm(L, np.array([0.5, 0.1, 0.2, 0.0, 0.0]), OPTS)
+    assemble_Z(L, ladder.probe, ladder)  # records at m = 0.5
+    assert ladder._reads[False].tape is not None
+    w = np.array([2.0, 0.1, 0.2, 0.0, 0.0])
+    got = _raised(lambda: assemble_Z(L, w, ladder))
+    assert got == _raised(lambda: live_Z(L, w, ladder))
     assert got == (NonpositiveMassError, "m(t) = -1.0 is nonpositive")
 
 
 def test_pivot_guard_fires_on_replay():
     L, ladder = stalling_system()
     assemble_Z(L, ladder.probe, ladder)  # records
-    assert ladder._reads.tape is not None
+    assert ladder._reads[False].tape is not None
     w = ladder.probe.copy()
     w[2] = math.pi / 2  # q2: the frozen pivot cos(q2) vanishes
     got = _raised(lambda: assemble_Z(L, w, ladder))
@@ -316,7 +316,7 @@ def test_a_stack_with_a_point_below_the_radius_guard():
     got = _stack_raises_as_the_point(lambda w: assemble_Z(L, w, ladder), W, W[2])
     assert got == _raised(lambda: live_Z(L, W[2], ladder))
     assert got == (JetDomainError, "radius below guard 1e-06")
-    assert ladder._reads.tape is not None
+    assert ladder._reads[False].tape is not None
 
 
 def test_a_stack_with_a_nonpositive_mass():
@@ -375,19 +375,20 @@ def test_an_fn_that_branches_on_a_value_is_refused_once(monkeypatch):
     space = CoordinateSpace.unified(1)
     calls = _counting_records(monkeypatch)
     W = np.array([[0.0, q, 0.3, 0.0, 0.0] for q in (0.5, -0.5, 0.25)])
-    for w in W:
-        assert_same_taylor(L.taylor_on(space, w, 2), live_taylor(L, space, w, 2))
+    # a stack runs its points live and stacks them, the first one after
+    # its recording is refused, and the next without another attempt
+    for _ in range(2):
+        assert_same_stack(L.taylor_on(space, W, 2), [live_taylor(L, space, w, 2) for w in W])
     assert len(calls) == 1
     assert L._tapes[(space.dim, 2)][1] is None
-    # a stack runs its points live and stacks them
-    assert_same_stack(L.taylor_on(space, W, 2), [live_taylor(L, space, w, 2) for w in W])
     # the refused fn still drives a field: the ladder's recording, which
-    # runs fn too, is refused as well, and its reads run live
+    # runs fn too, is refused as well, once, and its reads run live
     ladder, _ = run_constraint_algorithm(L, np.array([0.0, 0.5, 0.3, 0.0, 0.0]), OPTS)
     for q in (0.5, -0.5):
         w = np.array([0.0, q, 0.3, 0.3, 0.0])
         assert_same_Z(assemble_Z(L, w, ladder), live_Z(L, w, ladder))
-    assert ladder._reads.tape is None
+    assert len(calls) == 2
+    assert ladder._reads[False].tape is None
 
 
 def _frozen_stiffness(t, q, v, s, par):
@@ -412,9 +413,8 @@ def test_an_fn_that_calls_float_runs_live_in_every_description(kind):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     for channel, values in want.residuals.items():
         assert np.array_equal(got.residuals[channel], values), channel
-    reads = L._momentum_reads if kind == "hamiltonian" else ladder._reads
-    assert reads.tape is None and reads.params == ()
-    assert all(tape is None for _, tape in L._tapes.values())
+    held = [L._momentum_reads, *ladder._reads.values()]
+    assert all(reads.tape is None and reads.params == () for reads in held if reads is not None)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -443,27 +443,28 @@ def test_a_guarded_fn_is_taped():
 
     L = LagrangianSystem(1, fn)
     space = CoordinateSpace.unified(1)
-    w = np.array([0.0, 0.5, 0.3, 0.0, 0.0])
-    assert_same_taylor(L.taylor_on(space, w, 2), live_taylor(L, space, w, 2))
+    W = np.array([[0.0, q, 0.3, 0.0, 0.0] for q in (0.5, -0.5)])
+    assert_same_stack(L.taylor_on(space, W, 2), [live_taylor(L, space, w, 2) for w in W])
     assert L._tapes[(space.dim, 2)][1] is not None
-    w[1] = -2.0
-    assert _raised(lambda: L.taylor_on(space, w, 2)) == (ValueError, "q1 = -2.0 below -1")
+    W[1, 1] = -2.0
+    got = _stack_raises_as_the_point(lambda w: L.taylor_on(space, w, 2), W, W[1])
+    assert got == (ValueError, "q1 = -2.0 below -1")
 
 
 def test_a_parameter_change_records_anew_and_keeps_one_tape(monkeypatch):
     pre = preset_by_name("duffing")
     L = pre.system
     space = CoordinateSpace.unified(1)
-    w = np.array([0.3, 1.1, -0.4, 0.0, 0.2])
+    W = np.array([[0.3, 1.1, -0.4, 0.0, 0.2], [0.1, -0.7, 0.5, 0.0, 0.0]])
     calls = _counting_records(monkeypatch)
-    before = L.taylor_on(space, w, 2)
-    L.taylor_on(space, w, 2)
+    before = L.taylor_on(space, W, 2)
+    L.taylor_on(space, W, 2)
     assert len(calls) == 1
     L.params["beta"] = 0.0
-    after = L.taylor_on(space, w, 2)
+    after = L.taylor_on(space, W, 2)
     assert len(calls) == 2
-    assert_same_taylor(after, live_taylor(L, space, w, 2))
-    assert after.value != before.value
+    assert_same_stack(after, [live_taylor(L, space, w, 2) for w in W])
+    assert not np.array_equal(after.value, before.value)
     assert list(L._tapes) == [(space.dim, 2)]
 
 
@@ -474,33 +475,32 @@ def test_a_parameter_change_records_the_ladder_anew():
     active = ladder.active()
     w = pre.sample_feasible(np.random.default_rng(5))
     before = assemble_Z(L, w, ladder)
-    tape = ladder._reads.tape
+    tape = ladder._reads[False].tape
     assert tape is not None
     L.params["gamma"] = 0.5 * L.params["gamma"]
     after = assemble_Z(L, w, ladder)
-    assert ladder._reads.tape is not None and ladder._reads.tape is not tape
-    assert np.array_equal(ladder._reads(w), live_reads(L, w, active))
+    assert ladder._reads[False].tape is not None and ladder._reads[False].tape is not tape
+    assert np.array_equal(ladder._reads[False](w), live_reads(L, w, active))
     assert_same_Z(after, live_Z(L, w, ladder))
     assert not np.array_equal(after.coeffs, before.coeffs)
 
 
-def test_recording_waits_for_the_kth_single_point_use(monkeypatch):
-    monkeypatch.setattr(mechanics, "RECORD_AT", RECORD_AT)
+def test_a_single_point_never_records_and_a_stack_records_at_once(monkeypatch):
     L = preset_by_name("charged").system
     space = CoordinateSpace.unified(L.n)
-    w = np.random.default_rng(3).uniform(1.0, 2.0, (RECORD_AT, space.dim))
+    W = np.random.default_rng(3).uniform(1.0, 2.0, (20, space.dim))
     calls = _counting_records(monkeypatch)
-    for k, wk in enumerate(w, 1):
-        assert_same_taylor(L.taylor_on(space, wk, 4), live_taylor(L, space, wk, 4))
-        assert len(calls) == (k == RECORD_AT)
-    # a changed parameter records at the next use, as before
+    for w in W:
+        assert_same_taylor(L.taylor_on(space, w, 4), live_taylor(L, space, w, 4))
+    assert calls == [] and L._tapes == {}
+    L.taylor_on(space, W, 4)
+    assert len(calls) == 1 and L._tapes[(space.dim, 4)][1] is not None
+    # a changed parameter records the stack's tape again, at the next stack
     L.params["gamma"] = 0.5
-    L.taylor_on(space, w[0], 4)
-    assert len(calls) == 2
-    # a stack records at once
-    L.taylor_on(space, w, 3)
-    assert len(calls) == 3
-    assert L._tapes[(space.dim, 3)][1] is not None
+    L.taylor_on(space, W[0], 4)
+    assert len(calls) == 1
+    assert_same_stack(L.taylor_on(space, W, 4), [live_taylor(L, space, w, 4) for w in W])
+    assert len(calls) == 2 and list(L._tapes) == [(space.dim, 4)]
 
 
 # -- the tape itself -------------------------------------------------------
