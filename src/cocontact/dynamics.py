@@ -37,18 +37,17 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import CoordinateSpace
+from .jets import CoordinateSpace, JetDomainError
 from .mechanics import LagrangianSystem, herglotz_defect, order2_parts
 from .pontryagin import (
     AlgorithmOptions,
     ConstraintLadder,
     InfeasiblePoint,
-    LadderNotClosed,
+    NumericalBreakdown,
     _field,
     _ladder_reads,
     _layout,
     _project,
-    assemble_Z,
     hamiltonian_part,
     lagrangian_part,
     momentum_reads,
@@ -180,9 +179,9 @@ class UnifiedField:
     Each description supplies two maps between its own states and the
     mixed space: lift(state) -> w, the mixed-space point, and
     drop(w) -> state; here both are the identity.  prepare, reproject,
-    eval and drift are written once in terms of them.  An evaluation is
-    one replay of the ladder's tape at the lifted point (assemble_Z), L's
-    expansion included, and so is each residual step of a projection.
+    eval and drift are written once in terms of them and of _read: here
+    one replay of the ladder's tape, L's expansion included, and
+    assemble_Z's numpy tail make an evaluation.
 
     eval(state) -> (derivative, coefficient vector on the mixed space,
     lifted mixed-space state, constraint values at the lift in
@@ -210,10 +209,15 @@ class UnifiedField:
     def __call__(self, state: np.ndarray) -> np.ndarray:
         return self.eval(state)[0]
 
-    def _evaluate(self, state: np.ndarray):
+    def _read(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The lift of a state and the ladder's reads there (pontryagin._reads)."""
         w = self.lift(state)
-        Z = assemble_Z(self.L, w, self.ladder, self.opts)
-        # exact: assemble_Z sets A = 1.0 and B = v
+        return w, _ladder_reads(self.L, self.ladder)(w)
+
+    def _evaluate(self, state: np.ndarray):
+        w, raw = self._read(state)
+        # exact: the reads' template sets A = 1.0 and B = v
+        Z = _field(raw, len(self.ladder.active()), self.L.n, self.opts)[0]
         return self.drop(Z.coeffs), Z.coeffs, w, Z.constraint_values, Z.L_data
 
     def _evaluation(self, state) -> tuple:
@@ -231,12 +235,21 @@ class UnifiedField:
         return self.reproject(np.asarray(x0, dtype=float))
 
     def reproject(self, state: np.ndarray) -> np.ndarray:
-        """Project a state back onto the constraint set after a step."""
-        return self._project_mixed(self.lift(state))
-
-    def _project_mixed(self, w: np.ndarray) -> np.ndarray:
-        reads = _ladder_reads(self.L, self.ladder)
-        return self.drop(_project(reads, w, self.ladder.active(), self.opts))
+        """Project a state back onto the constraint set after a step,
+        starting, as project_onto does, at the lift with p = dL/dv: a state
+        with a p of its own is read again once it is filled in, or, where
+        its own p breaks the reads down, read on the velocity side.  The
+        mixed-space tape is recorded when Gauss-Newton first moves."""
+        n, reads = self.L.n, _ladder_reads(self.L, self.ladder)
+        try:
+            w, raw = self._read(state)
+        except (NumericalBreakdown, JetDomainError):
+            w, raw = LagrangianField._read(self, lagrangian_part(self.lift(state), n))
+        p = raw[_layout(len(reads.active), n)[2]][2 + n : 2 + 2 * n]  # dL/dv in L's data
+        if p.tobytes() != w[1 + 2 * n : 1 + 3 * n].tobytes():
+            w = np.concatenate((w[: 1 + 2 * n], p, w[1 + 3 * n :]))
+            raw = reads(w)
+        return self.drop(_project(reads, w, raw, reads.active, self.opts))
 
     def drift(self, state: np.ndarray) -> float:
         vals = self._evaluation(state)[3]
@@ -244,32 +257,24 @@ class UnifiedField:
 
 
 class LagrangianField(UnifiedField):
-    """Velocity-side description: states (t, q, v, s).  An evaluation is
-    one replay of the ladder's velocity-side tape, which fills in the
-    momenta p = dL/dv from its own expansion of L; the lift reads them back
-    from L's data.  A projection starts from p = 0 and fills them in."""
+    """Velocity-side description: states (t, q, v, s).  Its reads replay
+    the ladder's velocity-side tape, which fills in the momenta p = dL/dv
+    before the constraints read the point; the lift reads them back."""
 
     kind = "lagrangian"
 
     def lift(self, x: np.ndarray) -> np.ndarray:
-        return self._evaluation(x)[2]
+        """(t, q, v, dL/dv, s): one replay of the velocity-side tape."""
+        return self._read(x)[0]
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return lagrangian_part(w, self.L.n)
 
-    def _evaluate(self, x):
-        ladder, n = self.ladder, self.L.n
-        if ladder.status != "Closed":
-            raise LadderNotClosed(f"ladder status is {ladder.status}")
-        raw = _ladder_reads(self.L, ladder, lift=True)(x)
-        Z = _field(raw, len(ladder.active()), n, self.opts)[0]
-        # p is dL/dv in L's data (L, dL/dt, dL/dq, dL/dv, ...)
-        w = np.concatenate((x[: 1 + 2 * n], Z.L_data[2 + n : 2 + 2 * n], x[-1:]))
-        return self.drop(Z.coeffs), Z.coeffs, w, Z.constraint_values, Z.L_data
-
-    def reproject(self, x: np.ndarray) -> np.ndarray:
+    def _read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.L.n
-        return self._project_mixed(np.concatenate((x[: 1 + 2 * n], np.zeros(n), x[-1:])))
+        raw = _ladder_reads(self.L, self.ladder, lift=True)(x)
+        p = raw[_layout(len(self.ladder.active()), n)[2]][2 + n : 2 + 2 * n]
+        return np.concatenate((x[: 1 + 2 * n], p, x[-1:])), raw
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval
@@ -292,22 +297,23 @@ class HamiltonianField(UnifiedField):
     kind = "hamiltonian"
     _last_v: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def _invert(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The lift of y and legendre_invert's reads there."""
+    def _read(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The lift of y and legendre_invert's reads there: a regular L's
+        ladder is the momentum constraints alone, so they are its reads."""
         n = self.L.n
         v, raw = legendre_invert(self.L, y, v0=self._last_v)
         self._last_v = v
         return np.concatenate((y[: 1 + n], v, y[1 + n : 1 + 2 * n], y[-1:])), raw
 
     def lift(self, y: np.ndarray) -> np.ndarray:
-        return self._invert(y)[0]
+        return self._read(y)[0]
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return hamiltonian_part(w, self.L.n)
 
     def _evaluate(self, state):
         n = self.L.n
-        w, raw = self._invert(state)
+        w, raw = self._read(state)
         v = w[1 + n : 1 + 2 * n]
         qs, vs = slice(1, 1 + n), slice(1 + n, 1 + 2 * n)
         # C's block makes the template (1, v, 0, D, E) the coefficient vector

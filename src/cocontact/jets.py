@@ -364,6 +364,20 @@ class Taylor:
         t = self.terms
         return np.array([t.get(strides[i], 0.0) for i in range(dim)])
 
+    def hessian_block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        """Second partials d2f/dx_i dx_j for i in rows, j in cols, read off
+        the degree-2 coefficients (order >= 2)."""
+        if self.order < 2:
+            raise ValueError("a Hessian needs truncation order >= 2")
+        strides = _strides(max(max(rows), max(cols)) + 1)
+        t = self.terms
+        out = np.empty((len(rows), len(cols)))
+        for a, i in enumerate(rows):
+            for b, j in enumerate(cols):
+                c = t.get(strides[i] + strides[j], 0.0)
+                out[a, b] = 2.0 * c if i == j else c
+        return out
+
 
 # -- Taylor-coefficient recurrences -------------------------------------
 #

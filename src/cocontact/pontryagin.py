@@ -636,51 +636,45 @@ def project_onto(
     Gauss-Newton; raises InfeasiblePoint when it cannot reach the
     constraint set, which signals an initial condition off the admissible
     submanifold.
-    Each residual evaluation runs live (_LiveReads); an integrator's
-    projections replay the ladder's tape instead.
+    It runs live, from one expansion of L for the momenta p = dL/dv and
+    the first residuals; an integrator's replays the ladder's tape.
     """
     constraints = list(constraints)
-    return _project(_LiveReads(L, constraints), _as_wvec(L.n, w), constraints, opts)
+    reads = _LiveReads(L, constraints, _as_wvec(L.n, w))
+    return _project(reads, reads.w, reads.raw, constraints, opts)
 
 
 class _LiveReads:
-    """_reads of some constraints at a point, each on a fresh workspace,
-    which expands L to 1 plus the deepest generation.  `ws` is the last one,
-    at a copy of its point; discovery runs its next pass on it.  L does not
-    read p, so a point that moved p alone reuses the last expansion."""
+    """_reads of some constraints, live, on a fresh workspace per point,
+    starting from `w` with its momenta p = dL/dv filled in and the reads
+    there, `raw`: L does not read p, so one expansion (or the caller's)
+    serves both, p going in first.  `ws` is the last workspace."""
 
-    def __init__(self, L: LagrangianSystem, constraints: list[ConstraintFn], ws=None):
-        self.L, self.constraints, self.ws = L, constraints, ws
+    def __init__(self, L: LagrangianSystem, constraints: list[ConstraintFn], w,
+                 expansion: Taylor | None = None):
+        n, self.L, self.constraints = L.n, L, constraints
+        self.w = np.array(w, dtype=float)
+        self.ws = _Workspace(L, self.w, constraints, 1, expansion)
+        self.w[1 + 2 * n : 1 + 3 * n] = self.ws.L_taylor(1).gradient(1 + 2 * n)[1 + n :]
+        self.raw = np.array(_reads(self.ws, constraints), dtype=float)
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        L, constraints, ws = self.L, self.constraints, self.ws
-        held, x = None, lagrangian_part(w, L.n).tobytes()
-        if ws is not None and lagrangian_part(ws.w, L.n).tobytes() == x:
-            held = ws.L_taylor(1 + max((c.generation for c in constraints), default=1))
-        self.ws = _Workspace(L, w.copy(), constraints, 1, held)
-        return np.array(_reads(self.ws, constraints), dtype=float)
+        self.ws = _Workspace(self.L, w.copy(), self.constraints, 1)
+        return np.array(_reads(self.ws, self.constraints), dtype=float)
 
 
-def _project(reads, w, constraints: list[ConstraintFn], opts: AlgorithmOptions | None):
-    """project_onto's point, from reads(w), _reads of `constraints` at w
-    (live or a ladder's tape): the residuals are the values and gradients,
-    the momenta and the multiplier-like directions come from L's data."""
+def _project(reads, w: np.ndarray, raw: np.ndarray, constraints: list[ConstraintFn],
+             opts: AlgorithmOptions | None) -> np.ndarray:
+    """project_onto's point, from w, whose p is dL/dv, and raw, the _reads
+    of `constraints` there; reads gives them elsewhere (live, or a tape)."""
     opts = opts or AlgorithmOptions()
     w = np.array(w, dtype=float)
     n, R = (len(w) - 2) // 3, len(constraints)
-    grads_at, _, data = _layout(R, n)
-    vs, ps = slice(1 + n, 1 + 2 * n), slice(1 + 2 * n, 1 + 3 * n)
-    raw = reads(w)
-    # momenta first: the primary constraints are solved exactly by the
-    # fibre derivative; the velocity Hessian names the multiplier-like
-    # coordinates.  L does not read p, so both hold at the new point too
-    dL, H = order2_parts(raw[data], n)
-    if dL[vs].tobytes() != w[ps].tobytes():
-        w = np.concatenate((w[: ps.start], dL[vs], w[ps.stop :]))
-        raw = reads(w)
     if not constraints:
         return w
-    dirs = sorted(set(range(1 + n, 1 + 3 * n)) | {1 + j for j in _kernel_q_indices(H[vs])})
+    grads_at, _, data = _layout(R, n)
+    H = order2_parts(raw[data], n)[1][1 + n : 1 + 2 * n]  # d2L/dv dv
+    dirs = sorted(set(range(1 + n, 1 + 3 * n)) | {1 + j for j in _kernel_q_indices(H)})
 
     def residuals(raw):
         return raw[:R], raw[grads_at].reshape(R, 3 * n + 2)[:, dirs]
@@ -735,11 +729,14 @@ def run_constraint_algorithm(
     primaries: list[ConstraintFn] = [_PrimaryConstraint(L, j) for j in range(n)]
     generations: list[list[ConstraintFn]] = [primaries]
     active = list(primaries)
-    # a projection's last workspace is at the point it returns
+
+    def project(expansion=None):
+        # the point, and the projection's last workspace: at that point
+        reads = _LiveReads(L, active, wvec, expansion)
+        return _project(reads, reads.w, reads.raw, active, opts), reads.ws
+
     if opts.project:
-        reads = _LiveReads(L, active)
-        wvec = _project(reads, wvec, active, opts)
-        ws = reads.ws
+        wvec, ws = project()
     else:
         vals = primary_constraints(L, wvec)
         if np.max(np.abs(vals)) > opts.tol:
@@ -762,9 +759,8 @@ def run_constraint_algorithm(
         generations.append(new)
         active = active + new
         if opts.project:
-            reads = _LiveReads(L, active, ws)
-            wvec = _project(reads, wvec, active, opts)
-            ws = reads.ws
+            # the last workspace is at wvec, its expansion of L deep enough
+            wvec, ws = project(ws.L_taylor(1 + len(generations)))
         else:
             worst = max(abs(c.taylor(ws, 0).value) for c in new)
             if worst > opts.tol:
@@ -831,8 +827,10 @@ def momentum_reads(L: LagrangianSystem) -> _ClosedReads:
 
 
 def _ladder_reads(L: LagrangianSystem, ladder: ConstraintLadder, lift: bool = False):
-    """The ladder's _ClosedReads (with `lift`, of the velocity side), made
-    at the first call; a one-generation ladder's is momentum_reads(L)."""
+    """The closed ladder's _ClosedReads (with `lift`, of the velocity side);
+    a one-generation ladder's is momentum_reads(L)."""
+    if ladder.status != "Closed":
+        raise LadderNotClosed(f"ladder status is {ladder.status}")
     reads = ladder._reads.get(lift)
     if reads is None or reads.L is not L:
         one = ladder.n_generations == 1 and not lift
@@ -858,12 +856,8 @@ def assemble_Z(
     for a whole stack (_ClosedReads); the numpy tail (_field) is the one
     discovery runs, once per point.
     """
-    if ladder.status != "Closed":
-        raise LadderNotClosed(f"ladder status is {ladder.status}")
+    reads = _ladder_reads(L, ladder)
     opts = opts or AlgorithmOptions(tol=ladder.tolerance)
     wvec = _as_wvec(L.n, w, stacked=True)
-    raw = _ladder_reads(L, ladder)(wvec)
-    R = len(ladder.active())
-    if wvec.ndim == 1:
-        return _field(raw, R, L.n, opts)[0]
-    return [_field(rb, R, L.n, opts)[0] for rb in raw]
+    Zs = [_field(rb, len(reads.active), L.n, opts)[0] for rb in np.atleast_2d(reads(wvec))]
+    return Zs[0] if wvec.ndim == 1 else Zs

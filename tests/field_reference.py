@@ -5,8 +5,9 @@ its reads in their final layout: a reference for the tests.
 constraint's value and gradient; `unpack` and `order2_from` re-laid them
 out as arrays, and `field` formed D, the coefficient template, the SVD
 and C, and concatenated the coefficient vector.  The momentum side read
-L's order-2 data by `Taylor.gradient` and `read_order2`, and the velocity
-lift took the momenta from L's expansion at 1 + the deepest generation.  Here all of it runs live,
+L's order-2 data by `Taylor.gradient`, `Taylor.hessian_block` and
+`read_order2`, and the velocity lift took the momenta from L's
+expansion at 1 + the deepest generation.  Here all of it runs live,
 point by point, on a fresh workspace.  The tests assert that the package
 gives the same arrays, bit for bit.
 """
@@ -102,13 +103,14 @@ def legendre_invert(L, y, v0=None, tol: float = 1e-12, max_iter: int = 60):
     w = np.concatenate((yvec[: 1 + n], v, yvec[1 + n :]))
     space = CoordinateSpace.unified(n)
     vs = slice(1 + n, 1 + 2 * n)
+    vi = range(1 + n, 1 + 2 * n)
     p = w[1 + 2 * n : 1 + 3 * n]
     for _ in range(max_iter):
         expansion = L.taylor_on(space, w, 2)
         F = expansion.gradient(1 + 2 * n)[vs] - p
         if np.max(np.abs(F)) <= tol:
             return w[vs].copy(), expansion
-        U, sigma, Vt = np.linalg.svd(read_order2(expansion, space)[1][vs])
+        U, sigma, Vt = np.linalg.svd(expansion.hessian_block(vi, vi))
         if sigma[-1] <= 1e-12 * max(sigma[0], 1.0):
             raise NonInvertibleLegendre(
                 f"velocity Hessian is singular (sigma_min = {sigma[-1]:.2e})"

@@ -17,11 +17,13 @@ from cocontact import dsl
 from cocontact.pontryagin import (
     AlgorithmOptions,
     InfeasiblePoint,
+    NumericalBreakdown,
     _ClosedReads,
     assemble_Z,
     constraint_values,
     hamiltonian_part,
     lagrangian_part,
+    project_onto,
     run_constraint_algorithm,
 )
 from cocontact.dynamics import (
@@ -668,6 +670,33 @@ def test_reprojection_failure_names_its_time():
     assert "projection stalled at |" in message
     # the start was projected long ago: no advice on initial points
     assert "initial point" not in message
+
+
+# L is linear in v2 and v4, and dL/ds = -0.5 v3: the generation-2
+# constraints rate(p2 - dL/dv2) and rate(p4 - dL/dv4) have v-rows
+# -0.5 p2 and -0.5 p4 on v3, and the generation-3 constraint divides by the
+# first, a frozen pivot that vanishes at p = 0 (on the constraint set
+# p2 = dL/dv2 = 2)
+P_PIVOT_L = "0.5*v1^2 + 2*v2 - 0.5*s*v3 + 1.5*v4 + q2*q4"
+P_PIVOT_START = np.array([0.0, 0.3, 0.2, -0.1, 0.4, 0.5, 0.1, 0.2, -0.3, 0, 0, 0, 0, 0.2])
+
+
+def test_a_velocity_projection_reads_nothing_before_the_momenta():
+    L = LagrangianSystem.from_expr(dsl.parse(P_PIVOT_L, 4))
+    ladder = closed_ladder(L, P_PIVOT_START)
+    assert [len(gen) for gen in ladder.generations] == [4, 3, 1]
+    x = lagrangian_part(ladder.probe, L.n)
+    at_zero_p = np.concatenate((x[:-1], np.zeros(L.n), x[-1:]))
+    with pytest.raises(NumericalBreakdown):
+        assemble_Z(L, at_zero_p, ladder)
+    # both sides start where project_onto does, from p = dL/dv
+    fld = lagrangian_field(L, ladder, OPTS)
+    want = project_onto(L, at_zero_p, ladder.active(), OPTS)
+    assert np.array_equal(fld.reproject(x), lagrangian_part(want, L.n))
+    assert np.array_equal(unified_field(L, ladder, OPTS).reproject(at_zero_p), want)
+    cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05, reproject=True)
+    traj = integrate(fld, x, cfg)
+    assert len(traj) == 6 and traj.channel_max("constraint") < 1e-9
 
 
 def test_adaptive_step_failure_at_finite_time_blowup():

@@ -250,6 +250,14 @@ def test_partial_and_truncation():
         low.truncated(3)
 
 
+def test_hessian_block_matches_jet_hessian():
+    x = [Taylor.variable(3, i, c) for i, c in enumerate((0.3, -1.2, 0.7, 2.0))]
+    f = sin(x[0] * x[1]) + x[2] ** 2 * x[3] + exp(x[1]) * x[3] ** 2
+    hess = jet_from_taylor(f, 4, 2).hess
+    rows, cols = [0, 1, 3], [1, 2, 3]
+    assert np.array_equal(f.hessian_block(rows, cols), hess[np.ix_(rows, cols)])
+    with pytest.raises(ValueError):
+        f.truncated(1).hessian_block(rows, cols)
 
 
 def test_reciprocal_series():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cocontact import dsl
+from cocontact.dynamics import LagrangianField, UnifiedField
 from cocontact.jets import ORDER_CAP, Taylor
 from cocontact.mechanics import LagrangianSystem
 from cocontact.pontryagin import (
@@ -20,8 +21,6 @@ from cocontact.pontryagin import (
     LadderNotClosed,
     NumericalBreakdown,
     ZCoefficients,
-    _ladder_reads,
-    _project,
     _solve_frozen,
     _Workspace,
     assemble_Z,
@@ -390,11 +389,11 @@ def test_solve_frozen_picks_then_follows_the_pivot_sequence():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_projection_expands_L_on_the_mixed_space_once_per_residual_evaluation(name, monkeypatch):
-    # project_onto evaluates its residuals on live workspaces, each one
-    # expanding L on the mixed space at 1 + the deepest generation; the
-    # evaluation after the momenta are filled in moved only p, which L does
-    # not read, so it reuses the first one's expansion.  Nothing is
-    # expanded on the velocity side
+    # project_onto evaluates its residuals on live workspaces, one per
+    # point, each expanding L on the mixed space at 1 + the deepest
+    # generation; the first one's expansion also fills in the momenta
+    # before any constraint reads the point.  Nothing is expanded on the
+    # velocity side
     pre = preset_by_name(name)
     L = pre.system
     ladder, _ = run_constraint_algorithm(L, pre.initial)
@@ -416,34 +415,36 @@ def test_projection_expands_L_on_the_mixed_space_once_per_residual_evaluation(na
     mixed = (3 * L.n + 2, 1 + deepest)
     # at the probe the projection stops after its first residual evaluation
     project_onto(L, ladder.probe, active)
-    assert calls == [mixed] and 1 <= len(points) <= 2
+    assert calls == [mixed] and len(points) == 1
     calls.clear()
     points.clear()
     # off the constraint set a deep ladder takes Gauss-Newton steps
     w = ladder.probe.copy()
     w[1 + L.n : 1 + 2 * L.n] += 1e-3
     project_onto(L, w, active)
-    moves = sum(a != b for a, b in zip(points, points[1:]))
-    assert 1 + moves >= (2 if deepest > 1 else 1)
-    assert calls == [mixed] * (1 + moves)
+    assert len(points) >= (2 if deepest > 1 else 1)
+    assert calls == [mixed] * len(points)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_taped_projection_equals_the_live_one(name):
-    # an integrator's projection replays the ladder's tape, project_onto
-    # runs live: they move a point alike, bit for bit
+    # an integrator's projection replays the ladder's tapes, project_onto
+    # runs live: they move a point alike, bit for bit, in the unified and
+    # velocity descriptions
     pre = preset_by_name(name)
     L = pre.system
     ladder, _ = run_constraint_algorithm(L, pre.initial)
     active = ladder.active()
-    reads = _ladder_reads(L, ladder)
+    unified, velocity = UnifiedField(L, ladder), LagrangianField(L, ladder)
     rng = np.random.default_rng(12)
     for k in range(4):
         # velocities and momenta only: the projection may not move t, z or s
         w = ladder.probe.copy()
         w[1 + L.n : 1 + 3 * L.n] += (0.0 if k == 0 else 1e-3) * rng.uniform(-1.0, 1.0, 2 * L.n)
-        assert np.array_equal(_project(reads, w, active, None), project_onto(L, w, active))
-    assert reads.tape is not None
+        want = project_onto(L, w, active)
+        assert np.array_equal(unified.reproject(w), want)
+        assert np.array_equal(velocity.reproject(lagrangian_part(w, L.n)), lagrangian_part(want, L.n))
+    assert ladder._reads[False].tape is not None
 
 
 def test_taped_and_live_projections_stall_alike():
@@ -453,12 +454,13 @@ def test_taped_and_live_projections_stall_alike():
     w = ladder.probe.copy()
     w[1] += 1e-6  # q1 - t moves off zero, and q1 is not adjustable
     stalls = []
-    for project in (lambda: _project(_ladder_reads(L, ladder), w, active, None),
+    for project in (lambda: UnifiedField(L, ladder).reproject(w),
+                    lambda: LagrangianField(L, ladder).reproject(lagrangian_part(w, L.n)),
                     lambda: project_onto(L, w, active)):
         with pytest.raises(InfeasiblePoint) as exc:
             project()
         stalls.append(exc.value.stall)
-    assert stalls[0] == stalls[1]
+    assert stalls[0] == stalls[1] == stalls[2]
     assert stalls[0].startswith("projection stalled at |rate(p3 - dL/dv3) mod 2 rows| = ")
 
 
