@@ -148,11 +148,17 @@ def legendre_invert(
         raise ValueError(f"expected a momentum-space point of length {2 * n + 2}")
     v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
     w = np.concatenate((yvec[: 1 + n], v, yvec[1 + n :]))
+    # Newton cannot converge from a non-finite point; it would spend every iteration
+    if not all(map(math.isfinite, w.tolist())):
+        finite_y = all(map(math.isfinite, yvec.tolist()))
+        raise NonInvertibleLegendre(
+            f"non-finite {'velocity seed v0' if finite_y else 'momentum-space point y'}"
+        )
     vs = slice(1 + n, 1 + 2 * n)
     p = w[1 + 2 * n : 1 + 3 * n]
-    L_data = _layout(n, n)[2]
+    reads, L_data = momentum_reads(L), _layout(n, n)[2]
     for _ in range(max_iter):
-        raw = momentum_reads(L)(w)
+        raw = reads(w)
         grad, H = order2_parts(raw[L_data], n)
         F = grad[vs] - p
         if np.abs(F).max() <= tol:
@@ -180,8 +186,9 @@ class UnifiedField:
     mixed space: lift(state) -> w, the mixed-space point, and
     drop(w) -> state; here both are the identity.  prepare, reproject,
     eval and drift are written once in terms of them and of _read: here
-    one replay of the ladder's tape, L's expansion included, and
-    assemble_Z's numpy tail make an evaluation.
+    one replay of the ladder's tape, L's expansion included.  Every
+    description evaluates as _read, then the numpy tail pontryagin._field,
+    the one assemble_Z and discovery run.
 
     eval(state) -> (derivative, coefficient vector on the mixed space,
     lifted mixed-space state, constraint values at the lift in
@@ -286,13 +293,10 @@ class HamiltonianField(UnifiedField):
     """Momentum-side description: states (t, q, p, s); the lift recovers
     the velocities by inverting the fibre derivative (regular Lagrangians
     only), warm-started from the previous lift.  A regular ladder is the
-    momentum constraints p - dL/dv alone, so the evaluation reads their
-    values, D, E and L's order-2 data off the reads the Newton iteration
-    converged with, and (implicitly differentiating dL/dv = p) solves one
-    n x n system for C.  Going through assemble_Z instead gives the same
-    trajectories but costs 28-60% more per step (duffing and drag, rk4 at
-    step 2e-3, two runs, one CPU of a 2-core x86-64 VM pinned, Python
-    3.11.7, numpy 2.4.6)."""
+    momentum constraints p - dL/dv alone, so the reads the Newton
+    iteration converged with are the ladder's reads at the lift, and the
+    evaluation is the other descriptions' tail (pontryagin._field) on
+    them."""
 
     kind = "hamiltonian"
     _last_v: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -310,25 +314,6 @@ class HamiltonianField(UnifiedField):
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return hamiltonian_part(w, self.L.n)
-
-    def _evaluate(self, state):
-        n = self.L.n
-        w, raw = self._read(state)
-        v = w[1 + n : 1 + 2 * n]
-        qs, vs = slice(1, 1 + n), slice(1 + n, 1 + 2 * n)
-        # C's block makes the template (1, v, 0, D, E) the coefficient vector
-        _, template, data = _layout(n, n)
-        coeffs, L_data = raw[template], raw[data]
-        H = order2_parts(L_data, n)[1]
-        D, E = coeffs[1 + 2 * n : 1 + 3 * n], coeffs[-1]
-        # velocity rate along the lifted curve, from implicit
-        # differentiation of dL/dv = p; H holds d2L/dx dv, x = (t, q, v, s)
-        rhs = D - (H[0] + v @ H[qs] + E * H[-1])
-        try:
-            coeffs[vs] = np.linalg.solve(H[vs], rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NonInvertibleLegendre("velocity Hessian is singular") from exc
-        return self.drop(coeffs), coeffs, w, raw[:n], L_data
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval

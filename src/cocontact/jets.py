@@ -28,17 +28,17 @@ about one truncated product, whatever the order.
 Recording: because the keys do not depend on the point, the same
 expression at another point repeats the same float operations on its
 coefficients.  `Tape.record` runs the engine once on placeholder
-coefficients that log each operation, and the tape replays the log on new
-inputs as one loop over a flat instruction list (Griewank and Walther,
-ch. 6, on the tapes of operator-overloading AD).  The engine tests a
-coefficient's value only through `guard`, which a tape records and makes
-again at every replay; any other test of a recorded coefficient (a branch,
-a comparison, float()) refuses the recording, and that computation runs
-live instead.  A replay performs the operations of a live evaluation in
+coefficients that log each operation (Griewank and Walther, ch. 6, on the
+tapes of operator-overloading AD), and generates from the log one
+straight-line Python function that replays it on new inputs.  The engine
+tests a coefficient's value only through `guard`, which a tape records and
+makes again at every replay; any other test of a recorded coefficient (a
+branch, a comparison, float()) refuses the recording, and that computation
+runs live instead.  A replay performs the operations of a live evaluation in
 the same order, so its results are the same bits.
 
 Batches: a tape also replays B points at once, each register a (B,)
-array, so one pass of the instruction loop serves them all.  The
+array, so one call of the same generated code serves them all.  The
 arithmetic runs on whole rows; recorded calls (math.exp and the like),
 powers and guards run one element at a time with the recorded Python
 callables, since numpy's own elementary functions may round otherwise.
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -364,20 +365,6 @@ class Taylor:
         t = self.terms
         return np.array([t.get(strides[i], 0.0) for i in range(dim)])
 
-    def hessian_block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """Second partials d2f/dx_i dx_j for i in rows, j in cols, read off
-        the degree-2 coefficients (order >= 2)."""
-        if self.order < 2:
-            raise ValueError("a Hessian needs truncation order >= 2")
-        strides = _strides(max(max(rows), max(cols)) + 1)
-        t = self.terms
-        out = np.empty((len(rows), len(cols)))
-        for a, i in enumerate(rows):
-            for b, j in enumerate(cols):
-                c = t.get(strides[i] + strides[j], 0.0)
-                out[a, b] = 2.0 * c if i == j else c
-        return out
-
 
 # -- Taylor-coefficient recurrences -------------------------------------
 #
@@ -548,13 +535,14 @@ class _Refused(BaseException):
     record the branch it took."""
 
 
-# instruction kinds (Tape.__call__ names them again as locals)
-_DOT, _ACC, _MUL, _ADD, _SUB, _DIV, _NEG, _CALL, _POW, _GUARD = range(10)
+# instruction kinds
+_MUL, _ADD, _SUB, _DIV, _NEG, _CALL, _POW, _GUARD = range(8)
 _BINARY = frozenset((_MUL, _ADD, _SUB, _DIV, _POW))
 _COMMUTATIVE = frozenset((_MUL, _ADD))
 # kinds that may raise: kept even when nothing reads their result, since a
 # live evaluation raises there too
 _RAISING = frozenset((_DIV, _CALL, _POW, _GUARD))
+_SYMBOL = {_MUL: "*", _ADD: "+", _SUB: "-", _DIV: "/"}
 
 
 class _Coef:
@@ -609,6 +597,21 @@ class _Coef:
 _SCALARS = (int, float, _Coef)
 
 
+def _each(fn: Callable[[float], float]) -> Callable:
+    """fn on each element of a (B,) array: a numpy ufunc may round
+    differently from the math module."""
+    return lambda xs: np.array([fn(x) for x in xs.tolist()], dtype=float)
+
+
+def _power_each(a, b) -> np.ndarray:
+    xs, ys = np.broadcast_arrays(a, b)
+    return np.array([x ** y for x, y in zip(xs.tolist(), ys.tolist())], dtype=float)
+
+
+def _any(fails: Callable[[float], bool]) -> Callable:
+    return lambda xs: any(map(fails, xs.tolist()))
+
+
 class Tape:
     """The float operations of one computation, recorded once, replayed as
     often as needed.
@@ -622,9 +625,12 @@ class Tape:
     Recording keeps every operation in the order the engine made it,
     shares repeated ones, and folds x*1 to x.  The replay program drops
     what nothing reads (except the kinds that may raise, so a replay
-    raises where a live evaluation would), and turns each chain
-    prev + a*b that only feeds the next link into one instruction.  Chains
-    and runs of one kind are interpreted by one inner loop each.
+    raises where a live evaluation would) and is generated as one
+    straight-line Python function, compiled once: a statement per
+    operation in recording order, the registers its locals.  Its source
+    holds generated names and operator symbols only.  Constants and the
+    recorded callables are bound to their names twice: as they are, for
+    single points, and as element-by-element wrappers, for stacks.
     """
 
     def __init__(self):
@@ -683,7 +689,9 @@ class Tape:
         return out
 
     def binary(self, kind: int, x, y):
-        a, b = self._reg(x), self._reg(y)
+        # most operands are this recording's coefficients: read them inline
+        a = x.i if type(x) is _Coef and x.tape is self else self._reg(x)
+        b = y.i if type(y) is _Coef and y.tape is self else self._reg(y)
         if a is None or b is None:
             return NotImplemented
         if kind == _MUL:
@@ -709,103 +717,58 @@ class Tape:
         outs = [self._reg(o) for o in outputs]
         if None in outs:
             raise _Refused("an output is not a coefficient")
-        # one backward pass: keep what an output or a raising instruction
-        # reads, and count the reads of every register kept
-        uses: dict[int, int] = dict.fromkeys(outs, 1)
-        get = uses.get
-        raising, reads_b = _RAISING, _BINARY
+        # one backward pass: keep what an output or a raising instruction reads
+        read = set(outs)
         kept = []
         for ins in reversed(self._code):
             kind, o, a, b = ins
-            if o in uses or kind in raising:
+            if o in read or kind in _RAISING:
                 kept.append(ins)
-                uses[a] = get(a, 0) + 1
-                if kind in reads_b:
-                    uses[b] = get(b, 0) + 1
+                read.add(a)
+                if kind in _BINARY:
+                    read.add(b)
         kept.reverse()
 
-        # fuse: a product read once, by a sum, becomes a link of that
-        # sum's chain; a chain read once, by the next sum, grows by a link
-        prog: list = []
-        muls: dict[int, int] = {}  # product read once -> its slot in prog
-        chains: dict[int, int] = {}  # chain read once -> its slot in prog
-        ADD, MUL = _ADD, _MUL
+        # register i is the local r<i>; a recorded callable is named by its
+        # first use
+        calls: dict[Callable, int] = {}
+        guards: dict[tuple, int] = {}
+        body = []
         for kind, o, a, b in kept:
-            if kind == ADD and (a in muls or b in muls):
-                base, m = (a, b) if b in muls else (b, a)
-                slot = muls.pop(m)
-                link = prog[slot][2:]
-                prog[slot] = None
-                if base in chains:
-                    slot = chains.pop(base)
-                    ins = prog[slot]
-                    prog[slot] = None
-                    ins[1] = o
-                    ins[-1].append(link)
-                elif base in muls:
-                    slot = muls.pop(base)
-                    head = prog[slot][2:]
-                    prog[slot] = None
-                    ins = [_DOT, o, [head, link]]
-                else:
-                    ins = [_ACC, o, base, [link]]
-                if uses[o] == 1:
-                    chains[o] = len(prog)
-                prog.append(ins)
-                continue
-            if kind == MUL and uses[o] == 1:
-                muls[o] = len(prog)
-            prog.append([kind, o, a, b])
-        prog = [ins for ins in prog if ins is not None]
-
-        # registers: constants, the inputs, the results, then one slot per
-        # output, so that a replay returns the file's tail.  A result is
-        # written straight into the slot of the first output it is, a
-        # constant output is loaded with the file, and any other output (an
-        # input, a result output twice) is copied there after the run
-        regs: dict[int, int] = {}
-        init: list = []
-        for r in (*self._const, *self._inputs):
-            regs[r] = len(init)
-            init.append(self._const.get(r, 0.0))
-        first: dict[int, int] = {}
-        for j, r in enumerate(outs):
-            first.setdefault(r, j)
-        written = {ins[1] for ins in prog} - {None}
-        for r in sorted(written - first.keys()):
-            regs[r] = len(init)
-            init.append(0.0)
-        start = len(init)
-        init += [self._const.get(r, 0.0) for r in outs]
-        regs.update((r, start + j) for r, j in first.items() if r in written)
-        self._copies = tuple((start + j, regs[r]) for j, r in enumerate(outs)
-                             if r not in self._const and regs[r] != start + j)
-        self._init, self._start = init, start
-        self._lo, self._hi = len(self._const), len(self._const) + len(self._inputs)
-
-        def pairs(links):
-            return tuple((regs[a], regs[b]) for a, b in links)
-
-        runs: list = []
-        for kind, o, *args in prog:
-            if kind == _DOT:
-                (a, b), *rest = args[0]
-                step = (regs[o], regs[a], regs[b], pairs(rest))
-            elif kind == _ACC:
-                step = (regs[o], regs[args[0]], pairs(args[1]))
-            elif kind == _GUARD:
-                step = (regs[args[0]], *args[1])
+            if kind == _GUARD:
+                j = guards.setdefault(b, len(guards))
+                body.append(f"if g{j}(r{a}): raise e{j}(r{a})")
             elif kind == _CALL:
-                step = (regs[o], regs[args[0]], args[1])
-            elif kind in _BINARY:
-                step = (regs[o], regs[args[0]], regs[args[1]])
+                body.append(f"r{o} = f{calls.setdefault(b, len(calls))}(r{a})")
+            elif kind == _POW:
+                body.append(f"r{o} = power(r{a}, r{b})")
+            elif kind == _NEG:
+                body.append(f"r{o} = -r{a}")
             else:
-                step = (regs[o], regs[args[0]])
-            if runs and runs[-1][0] == kind:
-                runs[-1][1].append(step)
-            else:
-                runs.append((kind, [step]))
-        self._runs = [(kind, tuple(steps)) for kind, steps in runs]
+                body.append(f"r{o} = r{a} {_SYMBOL[kind]} r{b}")
+        # what the names hold: (name, for single points, for stacks).  A
+        # stack's error is never seen: whatever the batch raises, it is
+        # replayed point by point
+        bound = [(f"r{r}", c, c) for r, c in self._const.items() if r in read]
+        bound.append(("power", operator.pow, _power_each))
+        bound += [(f"f{j}", fn, _each(fn)) for fn, j in calls.items()]
+        for (fails, error), j in guards.items():
+            bound += [(f"g{j}", fails, _any(fails)), (f"e{j}", error, error)]
+        lines = [
+            "def bind(k):",
+            f"    [{', '.join(name for name, _, _ in bound)}] = k",
+            "    def replay(x):",
+            f"        [{', '.join(f'r{i}' for i in self._inputs)}] = x",
+            *("        " + line for line in body),
+            f"        return [{', '.join(f'r{r}' for r in outs)}]",
+            "    return replay",
+        ]
+        namespace: dict = {"__builtins__": {}}
+        exec(compile("\n".join(lines), "<tape>", "exec"), namespace)
+        bind = namespace["bind"]
+        self._point = bind([value for _, value, _ in bound])
+        self._stack = bind([value for _, _, value in bound])
+        self._width = len(self._inputs)
         del self._code, self._memo, self._const_of, self._const
 
     def __call__(self, inputs) -> list:
@@ -818,92 +781,21 @@ class Tape:
         time, and anything that raises on the batch (a guard, a floating
         point exception) replays it point by point instead, which raises
         what the first failing point raises."""
-        if len(inputs) != self._hi - self._lo:
-            raise DimensionMismatch(
-                f"tape expects {self._hi - self._lo} inputs, got {len(inputs)}"
-            )
+        if len(inputs) != self._width:
+            raise DimensionMismatch(f"tape expects {self._width} inputs, got {len(inputs)}")
         if not isinstance(inputs, np.ndarray) or inputs.ndim != 2:
-            return self._run(self._load(inputs), False)
+            return self._point(inputs)
         inputs = np.ascontiguousarray(inputs, dtype=float)
         try:
             # an exception that a float operation would not raise (0/0,
             # overflow) leaves the batch; underflow rounds alike in both
             with np.errstate(all="raise", under="ignore"):
-                out = self._run(self._load(inputs), True)
+                out = self._stack(inputs)
         except Exception:
-            points = [self._run(self._load(x), False) for x in inputs.T.tolist()]
+            points = [self._point(x) for x in inputs.T.tolist()]
             return [np.array(col, dtype=float) for col in zip(*points)]
         B = inputs.shape[1]
         return [o if isinstance(o, np.ndarray) else np.full(B, float(o)) for o in out]
-
-    def _load(self, inputs) -> list:
-        """The register file with these inputs in place."""
-        r = self._init.copy()
-        r[self._lo : self._hi] = inputs
-        return r
-
-    def _run(self, r: list, batch: bool) -> list:
-        """Replay on the register file r (floats, or (B,) arrays when
-        batch); the outputs are its tail."""
-        # the kinds as locals: the dispatch below runs once per run
-        DOT, ACC, MUL, ADD, SUB, DIV, NEG, CALL, POW = range(9)
-        for kind, steps in self._runs:
-            if kind == MUL:
-                for o, a, b in steps:
-                    r[o] = r[a] * r[b]
-            elif kind == DOT:
-                for o, a, b, rest in steps:
-                    acc = r[a] * r[b]
-                    for a, b in rest:
-                        acc = acc + r[a] * r[b]
-                    r[o] = acc
-            elif kind == ADD:
-                for o, a, b in steps:
-                    r[o] = r[a] + r[b]
-            elif kind == ACC:
-                for o, c, rest in steps:
-                    acc = r[c]
-                    for a, b in rest:
-                        acc = acc + r[a] * r[b]
-                    r[o] = acc
-            elif kind == SUB:
-                for o, a, b in steps:
-                    r[o] = r[a] - r[b]
-            elif kind == NEG:
-                for o, a in steps:
-                    r[o] = -r[a]
-            elif kind == DIV:
-                for o, a, b in steps:
-                    r[o] = r[a] / r[b]
-            elif batch:
-                # the recorded Python callable on each element: a numpy
-                # ufunc may round differently from the math module
-                if kind == CALL:
-                    for o, a, fn in steps:
-                        r[o] = np.array([fn(x) for x in r[a].tolist()], dtype=float)
-                elif kind == POW:
-                    for o, a, b in steps:
-                        xs, ys = np.broadcast_arrays(r[a], r[b])
-                        r[o] = np.array([x ** y for x, y in zip(xs.tolist(), ys.tolist())],
-                                        dtype=float)
-                else:
-                    for a, fails, error in steps:
-                        for x in r[a].tolist():
-                            if fails(x):
-                                raise error(x)
-            elif kind == CALL:
-                for o, a, fn in steps:
-                    r[o] = fn(r[a])
-            elif kind == POW:
-                for o, a, b in steps:
-                    r[o] = r[a] ** r[b]
-            else:
-                for a, fails, error in steps:
-                    if fails(r[a]):
-                        raise error(r[a])
-        for o, a in self._copies:
-            r[o] = r[a]
-        return r[self._start :]
 
 
 def taped_expansion(fn: Callable, dim: int, order: int) -> Callable[[np.ndarray], Taylor] | None:

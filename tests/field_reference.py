@@ -4,21 +4,40 @@ its reads in their final layout: a reference for the tests.
 `pontryagin._reads` returned L's order-2 coefficients and each
 constraint's value and gradient; `unpack` and `order2_from` re-laid them
 out as arrays, and `field` formed D, the coefficient template, the SVD
-and C, and concatenated the coefficient vector.  The momentum side read
-L's order-2 data by `Taylor.gradient`, `Taylor.hessian_block` and
-`read_order2`, and the velocity lift took the momenta from L's
+and C, and concatenated the coefficient vector.  The momentum side's
+Newton lift read L's order-2 data by `Taylor.gradient`, `hessian_block`
+and `read_order2`, and the velocity lift took the momenta from L's
 expansion at 1 + the deepest generation.  Here all of it runs live,
 point by point, on a fresh workspace.  The tests assert that the package
 gives the same arrays, bit for bit.
+
+`implicit_C` is the momentum side's own formula for C from before every
+description shared the tail: an independent check of the tail's C there.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from cocontact.dynamics import FIELDS, HamiltonianField, NonInvertibleLegendre
-from cocontact.jets import CoordinateSpace, _strides
+from cocontact.dynamics import FIELDS, NonInvertibleLegendre
+from cocontact.jets import CoordinateSpace, Taylor, _strides
 from cocontact.pontryagin import AlgorithmOptions, NumericalBreakdown, ZCoefficients, _Workspace
+
+
+def hessian_block(t: Taylor, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+    """Second partials d2f/dx_i dx_j of t for i in rows, j in cols, read
+    off the degree-2 coefficients (order >= 2)."""
+    if t.order < 2:
+        raise ValueError("a Hessian needs truncation order >= 2")
+    strides = _strides(max(max(rows), max(cols)) + 1)
+    out = np.empty((len(rows), len(cols)))
+    for a, i in enumerate(rows):
+        for b, j in enumerate(cols):
+            c = t.terms.get(strides[i] + strides[j], 0.0)
+            out[a, b] = 2.0 * c if i == j else c
+    return out
 
 
 def order2_keys(space: CoordinateSpace) -> tuple[int, ...]:
@@ -110,7 +129,7 @@ def legendre_invert(L, y, v0=None, tol: float = 1e-12, max_iter: int = 60):
         F = expansion.gradient(1 + 2 * n)[vs] - p
         if np.max(np.abs(F)) <= tol:
             return w[vs].copy(), expansion
-        U, sigma, Vt = np.linalg.svd(expansion.hessian_block(vi, vi))
+        U, sigma, Vt = np.linalg.svd(hessian_block(expansion, vi, vi))
         if sigma[-1] <= 1e-12 * max(sigma[0], 1.0):
             raise NonInvertibleLegendre(
                 f"velocity Hessian is singular (sigma_min = {sigma[-1]:.2e})"
@@ -121,46 +140,35 @@ def legendre_invert(L, y, v0=None, tol: float = 1e-12, max_iter: int = 60):
     )
 
 
-class ReferenceHamiltonianField(HamiltonianField):
-    def _lift(self, y):
-        n = self.L.n
-        v, expansion = legendre_invert(self.L, y, v0=self._last_v)
-        self._last_v = v
-        return np.concatenate((y[: 1 + n], v, y[1 + n : 1 + 2 * n], y[-1:])), expansion
-
-    def lift(self, y):
-        return self._lift(y)[0]
-
-    def _evaluate(self, state):
-        n = self.L.n
-        w, expansion = self._lift(state)
-        v = w[1 + n : 1 + 2 * n]
-        p = w[1 + 2 * n : 1 + 3 * n]
-        qs, vs = slice(1, 1 + n), slice(1 + n, 1 + 2 * n)
-        grad, H, L_data = read_order2(expansion, CoordinateSpace.unified(n))
-        D = grad[qs] + p * grad[-1]
-        E = L_data[0]
-        rhs = D - (H[0] + v @ H[qs] + E * H[-1])
-        try:
-            C = np.linalg.solve(H[vs], rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NonInvertibleLegendre("velocity Hessian is singular") from exc
-        coeffs = np.concatenate(([1.0], v, C, D, [E]))
-        return self.drop(coeffs), coeffs, w, p - grad[vs], L_data
+def implicit_C(L, w) -> np.ndarray:
+    """C at a momentum-side lift w, from implicit differentiation of
+    dL/dv = p along the lifted curve: d2L/dv dv C = D - d2L/dv dx . x' for
+    x = (t, q, s), x' = (1, v, E)."""
+    n = L.n
+    space = CoordinateSpace.unified(n)
+    v, p = w[1 + n : 1 + 2 * n], w[1 + 2 * n : 1 + 3 * n]
+    qs, vs = slice(1, 1 + n), slice(1 + n, 1 + 2 * n)
+    grad, H, L_data = read_order2(L.taylor_on(space, w, 2), space)
+    D = grad[qs] + p * grad[-1]
+    rhs = D - (H[0] + v @ H[qs] + L_data[0] * H[-1])
+    return np.linalg.solve(H[vs], rhs)
 
 
 def reference_field(kind: str):
     """The description's field class with the tail above, each evaluation
     expanding L afresh; the velocity lift takes the momenta from L's
-    expansion at 1 + the deepest generation."""
-    if kind == "hamiltonian":
-        return ReferenceHamiltonianField
+    expansion at 1 + the deepest generation, the momentum lift is the
+    Newton iteration above."""
 
     class Reference(FIELDS[kind]):
         def lift(self, state):
+            n = self.L.n
             if kind == "unified":
                 return state
-            n = self.L.n
+            if kind == "hamiltonian":
+                v, _ = legendre_invert(self.L, state, v0=self._last_v)
+                self._last_v = v
+                return np.concatenate((state[: 1 + n], v, state[1 + n : 1 + 2 * n], state[-1:]))
             w = np.concatenate((state[: 1 + 2 * n], np.zeros(n), state[-1:]))
             order = 1 + max(c.generation for c in self.ladder.active())
             expansion = self.L.taylor_on(CoordinateSpace.unified(n), w, order)

@@ -7,6 +7,7 @@ momentum-side evolution equations applied to the induced Hamiltonian.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -797,3 +798,18 @@ def test_json_export(tmp_path):
     assert len(doc["states"][0]) == 4
     assert len(doc["lifted"][0]) == 5
     assert set(doc["residuals"]) == {"holonomy", "sdot", "herglotz", "constraint"}
+
+
+@pytest.mark.parametrize("bad", ["y", "v0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_legendre_invert_refuses_a_non_finite_input_before_any_replay(bad, value, monkeypatch):
+    L = preset_by_name("drag").system
+    y, v0 = np.array([0.4, 1.1, 0.9, 0.2]), np.array([0.5])
+    (y if bad == "y" else v0)[-1] = value
+    replays = []
+    monkeypatch.setattr(_ClosedReads, "__call__", lambda self, w: replays.append(w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonInvertibleLegendre, match=f"non-finite .* {bad}$"):
+            legendre_invert(L, y, v0=v0)
+    assert replays == []

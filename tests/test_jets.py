@@ -13,11 +13,13 @@ from cocontact.jets import (
     Jet,
     JetDomainError,
     ScalarField,
+    Tape,
     Taylor,
     cos,
     eval_jet,
     exp,
     expand,
+    guard,
     jet_from_taylor,
     ln,
     powf,
@@ -250,16 +252,6 @@ def test_partial_and_truncation():
         low.truncated(3)
 
 
-def test_hessian_block_matches_jet_hessian():
-    x = [Taylor.variable(3, i, c) for i, c in enumerate((0.3, -1.2, 0.7, 2.0))]
-    f = sin(x[0] * x[1]) + x[2] ** 2 * x[3] + exp(x[1]) * x[3] ** 2
-    hess = jet_from_taylor(f, 4, 2).hess
-    rows, cols = [0, 1, 3], [1, 2, 3]
-    assert np.array_equal(f.hessian_block(rows, cols), hess[np.ix_(rows, cols)])
-    with pytest.raises(ValueError):
-        f.truncated(1).hessian_block(rows, cols)
-
-
 def test_reciprocal_series():
     # 1/(2+x): k-th Taylor coefficient is (-1)^k / 2^(k+1)
     x = Taylor.variable(5, 0, 0.0)
@@ -454,3 +446,41 @@ def test_elementary_functions_form_no_products(monkeypatch):
     assert calls == []
     x * x  # the counter sees products
     assert calls == [1]
+
+
+# -- the replay's outputs ----------------------------------------------------
+
+
+def _outputs_build(x):
+    # a guard and a division nothing reads: a live build raises there
+    guard(x[0], lambda v: v < 0.0, lambda v: JetDomainError(f"negative {v}"))
+    _ = x[0] / x[1]
+    y = x[0] * x[1]
+    # an input, one result twice, constants (a signed zero, an int)
+    return [x[1], y, y, 0.0, -0.0, 3, y + 1.0]
+
+
+def _same_outputs(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_a_replay_returns_what_the_live_build_returns_and_raises_where_it_raises():
+    tape = Tape.record(_outputs_build, 2)
+    assert tape is not None
+    points = [[0.5, -2.0], [3.0, 0.25], [0.0, 1.5]]
+    for x in points:
+        got, want = tape(x), _outputs_build(x)
+        assert _same_outputs(got, want)
+        assert [type(g) for g in got] == [type(w) for w in want]
+    stacked = tape(np.array(points).T)
+    assert all(isinstance(c, np.ndarray) and c.shape == (3,) for c in stacked)
+    assert _same_outputs(np.array(stacked).T, [_outputs_build(x) for x in points])
+    for bad, error, match in (([-1.0, 2.0], JetDomainError, "negative -1.0"),
+                              ([1.0, 0.0], ZeroDivisionError, "division")):
+        with pytest.raises(error, match=match):
+            _outputs_build(bad)
+        with pytest.raises(error, match=match):
+            tape(bad)
+        with pytest.raises(error, match=match):
+            tape(np.array([points[0], bad]).T)
