@@ -188,7 +188,11 @@ class UnifiedField:
     eval and drift are written once in terms of them and of _read: here
     one replay of the ladder's tape, L's expansion included.  Every
     description evaluates as _read, then the numpy tail pontryagin._field,
-    the one assemble_Z and discovery run.
+    the one assemble_Z and discovery run.  On a ladder closed with full
+    rank the read carries C already (pontryagin._solve) and the tail is
+    slices; a state where the C-system has lost rank raises
+    NumericalBreakdown naming the pivot margin, compared against
+    opts.rank_tol.
 
     eval(state) -> (derivative, coefficient vector on the mixed space,
     lifted mixed-space state, constraint values at the lift in
@@ -197,8 +201,10 @@ class UnifiedField:
     data come out of the evaluation itself, never from a second pass.  The
     last evaluation is kept, keyed by the state's bytes, and drift reads
     it too: the drift check at an accepted state and the eval that follows
-    share one evaluation.  Callers must not modify the returned arrays in
-    place.  One instance drives one trajectory at a time.
+    share one evaluation.  A reprojection leaves its own there when the
+    eval that follows would replay its last read.  Callers must not modify
+    the returned arrays in place.  One instance drives one trajectory at a
+    time.
     """
 
     L: LagrangianSystem
@@ -221,11 +227,14 @@ class UnifiedField:
         w = self.lift(state)
         return w, _ladder_reads(self.L, self.ladder)(w)
 
-    def _evaluate(self, state: np.ndarray):
-        w, raw = self._read(state)
+    def _tail(self, w: np.ndarray, raw: np.ndarray) -> tuple:
         # exact: the reads' template sets A = 1.0 and B = v
-        Z = _field(raw, len(self.ladder.active()), self.L.n, self.opts)[0]
+        n = self.L.n
+        Z = _field(raw, len(self.ladder.active()), n, self.opts, self.ladder.rank == n)[0]
         return self.drop(Z.coeffs), Z.coeffs, w, Z.constraint_values, Z.L_data
+
+    def _evaluate(self, state: np.ndarray):
+        return self._tail(*self._read(state))
 
     def _evaluation(self, state) -> tuple:
         state = np.asarray(state, dtype=float)
@@ -246,7 +255,9 @@ class UnifiedField:
         starting, as project_onto does, at the lift with p = dL/dv: a state
         with a p of its own is read again once it is filled in, or, where
         its own p breaks the reads down, read on the velocity side.  The
-        mixed-space tape is recorded when Gauss-Newton first moves."""
+        mixed-space tape is recorded when Gauss-Newton first moves.  Where
+        the eval at the projected state would replay the projection's last
+        read, that read's evaluation is kept for it."""
         n, reads = self.L.n, _ladder_reads(self.L, self.ladder)
         try:
             w, raw = self._read(state)
@@ -256,7 +267,18 @@ class UnifiedField:
         if p.tobytes() != w[1 + 2 * n : 1 + 3 * n].tobytes():
             w = np.concatenate((w[: 1 + 2 * n], p, w[1 + 3 * n :]))
             raw = reads(w)
-        return self.drop(_project(reads, w, raw, reads.active, self.opts))
+        w, last = _project(reads, w, raw, reads.active, self.opts)
+        out = self.drop(w)
+        if self._replays(moved=last is not raw):
+            self._last = (out.tobytes(), self._tail(w, last))
+        return out
+
+    def _replays(self, moved: bool) -> bool:
+        """Whether an eval at a projected state would read what the
+        projection read last, the same tape at the same input: here
+        always, every read being of the mixed-space tape, or, from the
+        velocity-side fallback, its bits."""
+        return True
 
     def drift(self, state: np.ndarray) -> float:
         vals = self._evaluation(state)[3]
@@ -283,6 +305,10 @@ class LagrangianField(UnifiedField):
         p = raw[_layout(len(self.ladder.active()), n)[2]][2 + n : 2 + 2 * n]
         return np.concatenate((x[: 1 + 2 * n], p, x[-1:])), raw
 
+    def _replays(self, moved: bool) -> bool:
+        # a projection that moved read the mixed-space tape last
+        return not moved
+
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval
     drift = UnifiedField.drift
@@ -296,7 +322,8 @@ class HamiltonianField(UnifiedField):
     momentum constraints p - dL/dv alone, so the reads the Newton
     iteration converged with are the ladder's reads at the lift, and the
     evaluation is the other descriptions' tail (pontryagin._field) on
-    them."""
+    them.  Where a projection does not move, its last read is where the
+    next lift converges at once."""
 
     kind = "hamiltonian"
     _last_v: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -314,6 +341,8 @@ class HamiltonianField(UnifiedField):
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return hamiltonian_part(w, self.L.n)
+
+    _replays = LagrangianField._replays
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval

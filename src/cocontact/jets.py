@@ -157,7 +157,8 @@ def _division_by_zero(v) -> JetDomainError:
 
 
 def _math(fn: Callable[[float], float], x):
-    """fn(x) for a math-module function, recorded on a recorded x."""
+    """fn(x) for a function of one float (math.exp, say), recorded on a
+    recorded x."""
     return x.tape.call(fn, x) if isinstance(x, _Coef) else fn(x)
 
 

@@ -43,8 +43,14 @@ frozen pivots, down to the order-1 values and gradients and L's order-2
 data the tangency conditions read) on one jets.Tape whose only input is
 the point, and later calls replay it, skipping every coefficient of L that
 no read needs.  The frozen-pivot test is a guard, so a replay raises
-NumericalBreakdown where a live evaluation would.  Both paths end in one
-numpy tail: an array build, a matrix-vector product and one SVD.
+NumericalBreakdown where a live evaluation would.  The tape then solves
+the tangency conditions for C by plain float arithmetic too (the normal
+equations, by Gauss-Jordan elimination), and emits the pivot margins.  A
+ladder that closed with full rank (rank n, no undetermined direction:
+every preset's) takes that C, and the numpy tail is slices and a test of
+the smallest margin against opts.rank_tol, so a rank change raises
+NumericalBreakdown.  An SVD runs only where the rank is not known:
+discovery's rank decision, and ladders with undetermined directions.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import ORDER_CAP, CoordinateSpace, Jet, Tape, Taylor, _strides, expand, guard, jet_from_taylor
+from .jets import (ORDER_CAP, CoordinateSpace, Jet, Tape, Taylor, _math, _strides, expand, guard,
+                   jet_from_taylor)
 from .mechanics import LagrangianSystem, classify_velocity_hessian, order2_gather, order2_parts
 
 __all__ = [
@@ -110,7 +117,10 @@ class ZCoefficients:
     A, B, C, D and E read it.  undetermined holds an orthonormal basis
     (columns) of the C-directions the tangency conditions leave free; C
     itself carries the minimum-norm choice, i.e. zero component along
-    those directions.  constraint_values holds the value of every ladder
+    those directions.  On a ladder closed with full rank there are none
+    (shape (n, 0)) and C is the least-squares solution of the tangency
+    conditions, from their normal equations (_solve); elsewhere C comes
+    from an SVD.  constraint_values holds the value of every ladder
     constraint at the point, in ladder.active() order, and L_data L's
     order-2 data at the point's velocity side (t, q, v, s), flat as
     mechanics.read_order2 returns it: the assembly expands both anyway, so
@@ -415,7 +425,19 @@ class AlgorithmOptions:
     max_generations: int = ORDER_CAP - 2
     tol: float = 1e-8  # feasibility and new-constraint value detection
     grad_tol: float = 1e-6  # transversality threshold, relative
-    rank_tol: float = 1e-9  # relative rank threshold for rows and SVD
+    # relative rank threshold: for discovery's rows and its SVD, which
+    # keeps the singular values sigma > rank_tol * sigma_max; and for the
+    # full-rank solve, whose field raises NumericalBreakdown once the
+    # smallest pivot margin (a pivot of M^T M over its column's squared
+    # norm: the squared sine of the angle between that column of M and
+    # the earlier ones) is at or below rank_tol: when a column's sine
+    # falls to sqrt(rank_tol), 3e-5 at the default, far above the
+    # margins' rounding floor (about 1e-16)
+    rank_tol: float = 1e-9
+    # caps sigma_max / sigma_min of the kept singular values; the kept
+    # ones satisfy sigma > rank_tol * sigma_max, so the condition stays
+    # below 1 / rank_tol (1e9 at the defaults) and the cap can fire only
+    # when rank_tol < 1 / cond_cap
     cond_cap: float = 1e12
     project: bool = True
     project_tol: float = 1e-11
@@ -503,22 +525,100 @@ def _reads(ws: _Workspace, constraints: Sequence[ConstraintFn]) -> list:
     return out
 
 
-def _layout(R: int, n: int) -> tuple[slice, slice, slice]:
+def _layout(R: int, n: int) -> tuple[slice, slice, slice, slice]:
     """Where _reads puts the R constraints' gradients, the coefficient
-    template and L's order-2 data, after the R values."""
+    template and L's order-2 data, after the R values; and where _solve
+    appends the n pivot margins."""
     z = R + R * (3 * n + 2)
-    return slice(R, z), slice(z, z + 3 * n + 2), slice(z + 3 * n + 2, None)
+    data = z + 3 * n + 2
+    margins = data + 1 + (2 * n + 2) * (n + 1)
+    return slice(R, z), slice(z, data), slice(data, margins), slice(margins, margins + n)
 
 
-def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCoefficients, int]:
+def _pinv(x: float) -> float:
+    """A scalar's pseudo-inverse: 1/x, and 0 for 0."""
+    return 1.0 / x if x != 0.0 else 0.0
+
+
+def _solve(reads: list, R: int, n: int) -> list:
+    """_reads' list with C in the template's zero block and the n pivot
+    margins appended.
+
+    C solves the tangency conditions M C = -g in the least-squares sense,
+    with g = grads . z and M the gradients' velocity block, through the
+    normal equations M^T M C = -M^T g, by Gauss-Jordan elimination with
+    diagonal pivots: for full column rank, the C an SVD gives, to
+    rounding.  Plain float operations, written once: a closed ladder's tape
+    records them after the reads, and discovery runs them on floats, so
+    both give the same bits.  Pivot k's margin is the pivot over column
+    k's squared norm, 1 for orthogonal columns and 0 for a column in the
+    span of the earlier ones.  Each division is by a pseudo-inverse
+    (_pinv), so a zero pivot divides nothing and nothing here raises: a
+    singular L's momentum constraints are read through the same tape.
+    _field tests the smallest margin against opts.rank_tol."""
+    dim = 3 * n + 2
+    t = R + R * dim  # where the template z starts
+    out = list(reads)
+    z = out[t : t + dim]
+    rows = [out[R + r * dim : R + r * dim + dim] for r in range(R)]
+    # g = grads . z; the C block of z is zero and stays out of it
+    fixed = [*range(1, 1 + n), *range(1 + 2 * n, dim)]
+    g = []
+    for row in rows:
+        acc = row[0] * z[0]
+        for j in fixed:
+            acc = acc + row[j] * z[j]
+        g.append(acc)
+    cols = [[row[j] for row in rows] for j in range(1 + n, 1 + 2 * n)]
+
+    def dot(a, b):
+        acc = a[0] * b[0]
+        for r in range(1, R):
+            acc = acc + a[r] * b[r]
+        return acc
+
+    A = [[dot(ci, ck) for ck in cols] for ci in cols]
+    b = [dot(ci, g) for ci in cols]
+    norms = [A[k][k] for k in range(n)]  # the columns' squared norms
+    margins = []
+    for k in range(n):
+        pivot = A[k][k]
+        margins.append(pivot * _math(_pinv, norms[k]))
+        inv = _math(_pinv, pivot)
+        Ak = A[k] = [a * inv for a in A[k]]
+        bk = b[k] = b[k] * inv
+        for r in range(n):
+            if r != k:
+                f = A[r][k]
+                A[r] = [a - f * ak for a, ak in zip(A[r], Ak)]
+                b[r] = b[r] - f * bk
+    out[t + 1 + n : t + 1 + 2 * n] = [-x for x in b]
+    return out + margins
+
+
+def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions,
+           solved: bool) -> tuple[ZCoefficients, int]:
     """The field fixed by the tangency conditions of R constraints, and the
-    rank of their C-system, from _reads' numbers as one float array:
-    fixed slices, one matrix-vector product and one SVD.  C goes into the
-    template's zero block, which makes the template the coefficient
-    vector."""
-    grads_at, template, data = _layout(R, n)
-    grads = raw[grads_at].reshape(R, 3 * n + 2)
+    rank of their C-system, from _reads' numbers as one float array.
+
+    `solved`: the constraints close with full rank and raw is _solve's,
+    C in the template, which makes the template the coefficient vector.
+    The field is then slices, once the smallest pivot margin is above
+    opts.rank_tol; at or below it the C-system is losing rank, and
+    NumericalBreakdown names the margin.  Otherwise, where the rank is not
+    known, one matrix-vector product and one SVD: the rank, the
+    condition-cap test and the minimum-norm C."""
+    grads_at, template, data, margins = _layout(R, n)
     coeffs = raw[template]
+    if solved:
+        margin = min(raw[margins].tolist())
+        if margin <= opts.rank_tol:
+            raise NumericalBreakdown(f"C-system pivot margin {margin:.3e} at or below "
+                                     f"rank_tol {opts.rank_tol:.1e}; the tangency "
+                                     "conditions lost rank")
+        return ZCoefficients(coeffs, np.zeros((n, 0)), raw[:R], raw[data]), n
+    grads = raw[grads_at].reshape(R, 3 * n + 2)
+    coeffs[1 + n : 1 + 2 * n] = 0.0  # a tape's read holds _solve's C there
     # row r: grad(xi_r) . Z = g[r] + M[r] . C
     g = grads @ coeffs
     U, sigma, Vt = np.linalg.svd(grads[:, 1 + n : 1 + 2 * n], full_matrices=True)
@@ -538,16 +638,18 @@ def _tangency(
     ws: _Workspace,
     constraints: list[ConstraintFn],
     opts: AlgorithmOptions,
-    discover: bool,
 ) -> tuple[ZCoefficients, int, list[ConstraintFn], ConstraintFn | None]:
-    """The field at the workspace's point, fixed by the tangency conditions
-    of `constraints`, and the rank of their C-system.  With `discover`,
-    also the obstructions that are new constraints and the incompatible
-    one, if any (else an empty list and None)."""
+    """One pass of discovery at the workspace's point: the field fixed by
+    the tangency conditions of `constraints`, the rank of their C-system,
+    the obstructions that are new constraints and the incompatible one, if
+    any (else an empty list and None).  The rank comes from an SVD; a pass
+    that closes the ladder with full rank takes C from _solve on the same
+    reads, as the closed ladder's tape does."""
     n = ws.n
     dim = ws.space.dim
     R = len(constraints)
-    raw = np.array(_reads(ws, constraints), dtype=float)
+    reads = _reads(ws, constraints)
+    raw = np.array(reads, dtype=float)
     grads = raw[_layout(R, n)[0]].reshape(R, dim)
     M = grads[:, 1 + n : 1 + 2 * n]
     row_scale = max(float(np.max(np.linalg.norm(M, axis=1))), 1e-300)
@@ -555,40 +657,41 @@ def _tangency(
 
     new_constraints: list[ConstraintFn] = []
     incompatible: ConstraintFn | None = None
-    if discover:
-        basis_idx: list[int] = []
-        ortho: list[np.ndarray] = []
-        generation = max(c.generation for c in constraints) + 1
-        span = grads.T  # active gradients as columns, for transversality
-        for r in range(len(M)):
-            row = M[r].copy()
-            for u in ortho:
-                row -= (row @ u) * u
-            norm = np.linalg.norm(row)
-            if norm > thresh:
-                basis_idx.append(r)
-                ortho.append(row / norm)
-                continue
-            # dependent row: build the obstruction scalar
-            basis_rows = [constraints[i] for i in basis_idx]
-            cols = _pick_columns(M[basis_idx]) if basis_idx else []
-            cand = _DerivedConstraint(
-                ws.L, generation, constraints[r], basis_rows, cols, opts.rank_tol * row_scale
-            )
-            ct = cand.taylor(ws, 1)
-            value = ct.value
-            cgrad = ct.gradient(dim)
-            gnorm = float(np.linalg.norm(cgrad))
-            if abs(value) > opts.tol:
-                if gnorm <= opts.rank_tol * max(1.0, abs(value)):
-                    incompatible = cand
-                    break
-                new_constraints.append(cand)
-                continue
-            if _span_residual(cgrad, span) > opts.grad_tol * max(1.0, gnorm):
-                new_constraints.append(cand)
+    basis_idx: list[int] = []
+    ortho: list[np.ndarray] = []
+    generation = max(c.generation for c in constraints) + 1
+    span = grads.T  # active gradients as columns, for transversality
+    for r in range(len(M)):
+        row = M[r].copy()
+        for u in ortho:
+            row -= (row @ u) * u
+        norm = np.linalg.norm(row)
+        if norm > thresh:
+            basis_idx.append(r)
+            ortho.append(row / norm)
+            continue
+        # dependent row: build the obstruction scalar
+        basis_rows = [constraints[i] for i in basis_idx]
+        cols = _pick_columns(M[basis_idx]) if basis_idx else []
+        cand = _DerivedConstraint(
+            ws.L, generation, constraints[r], basis_rows, cols, opts.rank_tol * row_scale
+        )
+        ct = cand.taylor(ws, 1)
+        value = ct.value
+        cgrad = ct.gradient(dim)
+        gnorm = float(np.linalg.norm(cgrad))
+        if abs(value) > opts.tol:
+            if gnorm <= opts.rank_tol * max(1.0, abs(value)):
+                incompatible = cand
+                break
+            new_constraints.append(cand)
+            continue
+        if _span_residual(cgrad, span) > opts.grad_tol * max(1.0, gnorm):
+            new_constraints.append(cand)
 
-    Z, rank = _field(raw, R, n, opts)
+    Z, rank = _field(raw, R, n, opts, False)
+    if rank == n and not new_constraints and incompatible is None:
+        Z = _field(np.array(_solve(reads, R, n)), R, n, opts, True)[0]
     return Z, rank, new_constraints, incompatible
 
 
@@ -641,7 +744,7 @@ def project_onto(
     """
     constraints = list(constraints)
     reads = _LiveReads(L, constraints, _as_wvec(L.n, w))
-    return _project(reads, reads.w, reads.raw, constraints, opts)
+    return _project(reads, reads.w, reads.raw, constraints, opts)[0]
 
 
 class _LiveReads:
@@ -664,15 +767,17 @@ class _LiveReads:
 
 
 def _project(reads, w: np.ndarray, raw: np.ndarray, constraints: list[ConstraintFn],
-             opts: AlgorithmOptions | None) -> np.ndarray:
+             opts: AlgorithmOptions | None) -> tuple[np.ndarray, np.ndarray]:
     """project_onto's point, from w, whose p is dL/dv, and raw, the _reads
-    of `constraints` there; reads gives them elsewhere (live, or a tape)."""
+    of `constraints` there; reads gives them elsewhere (live, or a tape).
+    Returns the point and the reads there: raw itself when Gauss-Newton
+    did not move."""
     opts = opts or AlgorithmOptions()
     w = np.array(w, dtype=float)
     n, R = (len(w) - 2) // 3, len(constraints)
     if not constraints:
-        return w
-    grads_at, _, data = _layout(R, n)
+        return w, raw
+    grads_at, _, data, _ = _layout(R, n)
     H = order2_parts(raw[data], n)[1][1 + n : 1 + 2 * n]  # d2L/dv dv
     dirs = sorted(set(range(1 + n, 1 + 3 * n)) | {1 + j for j in _kernel_q_indices(H)})
 
@@ -683,21 +788,22 @@ def _project(reads, w: np.ndarray, raw: np.ndarray, constraints: list[Constraint
     for _ in range(opts.max_project_iter):
         worst = float(np.max(np.abs(vals)))
         if worst <= opts.project_tol:
-            return w
+            return w, raw
         step, *_ = np.linalg.lstsq(grads, -vals, rcond=None)
         lam = 1.0
         for _ in range(9):
             trial = w.copy()
             trial[dirs] += lam * step
-            tvals, tgrads = residuals(reads(trial))
+            traw = reads(trial)
+            tvals, tgrads = residuals(traw)
             if np.max(np.abs(tvals)) < worst:
-                w, vals, grads = trial, tvals, tgrads
+                w, raw, vals, grads = trial, traw, tvals, tgrads
                 break
             lam *= 0.5
         else:
             break
     if float(np.max(np.abs(vals))) <= opts.project_tol:
-        return w
+        return w, raw
     worst_i = int(np.argmax(np.abs(vals)))
     stall = (f"projection stalled at |{constraints[worst_i].label}| = "
              f"{abs(vals[worst_i]):.3e} (needs <= {opts.project_tol:.1e})")
@@ -733,7 +839,7 @@ def run_constraint_algorithm(
     def project(expansion=None):
         # the point, and the projection's last workspace: at that point
         reads = _LiveReads(L, active, wvec, expansion)
-        return _project(reads, reads.w, reads.raw, active, opts), reads.ws
+        return _project(reads, reads.w, reads.raw, active, opts)[0], reads.ws
 
     if opts.project:
         wvec, ws = project()
@@ -748,7 +854,7 @@ def run_constraint_algorithm(
     status = "MaxIterations"
     Z, rank = None, 0
     for _ in range(min(opts.max_generations, ORDER_CAP - 2)):
-        Z, rank, new, incompatible = _tangency(ws, active, opts, discover=True)
+        Z, rank, new, incompatible = _tangency(ws, active, opts)
         if incompatible is not None:
             status = "Incompatible"
             generations.append(new + [incompatible])
@@ -778,10 +884,12 @@ class _ClosedReads:
     alone, at one point or at a (B, dim) stack (one row of reads per
     point): of the mixed-space point, or with `lift` of the velocity side
     (t, q, v, s), whose momenta p = dL/dv it fills in from its own
-    expansion of L before the reads.
+    expansion of L before the reads.  The reads come solved (_solve): C
+    in the template and the pivot margins after L's data, which _field
+    uses where the constraints closed with full rank.
 
     One recording (jets.Tape) runs L's expansion, to 1 plus the deepest
-    generation, and the reads, so the replay program drops every
+    generation, the reads and the solve, so the replay program drops every
     coefficient of L that nothing reads.  L's parameter values are
     constants in it: the tape is stamped with them, as L's own tapes are,
     and recorded afresh after any of them changes.  A refused recording
@@ -802,7 +910,7 @@ class _ClosedReads:
             # L does not read p: its expansion at p = 0 serves the lifted point
             w[1 + 2 * n : 1 + 3 * n] = [expansion.terms.get(k, 0.0)
                                         for k in _strides(unified.dim)[1 + n : 1 + 2 * n]]
-        return _reads(_Workspace(L, w, active, 1, expansion), active)
+        return _solve(_reads(_Workspace(L, w, active, 1, expansion), active), len(active), n)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         params = tuple(self.L.params.items())
@@ -850,14 +958,19 @@ def assemble_Z(
 
     No feasibility check is performed here: integrator stages evaluate the
     field slightly off the submanifold by design, and the coefficients
-    extend smoothly.  C is the minimum-norm choice (zero along the
-    undetermined directions).  The ladder's Taylor work, L's expansion
-    included, is recorded at the first call and replayed after it, once
-    for a whole stack (_ClosedReads); the numpy tail (_field) is the one
-    discovery runs, once per point.
+    extend smoothly.  The ladder's Taylor work, L's expansion included, is
+    recorded at the first call and replayed after it, once for a whole
+    stack (_ClosedReads); the numpy tail (_field) is the one discovery
+    runs, once per point.  On a ladder closed with full rank the tape
+    solves for C as well (_solve), the tail is slices, and a point where
+    the C-system has lost rank raises NumericalBreakdown naming the pivot
+    margin; otherwise C is the minimum-norm choice from an SVD (zero along
+    the undetermined directions).
     """
     reads = _ladder_reads(L, ladder)
     opts = opts or AlgorithmOptions(tol=ladder.tolerance)
     wvec = _as_wvec(L.n, w, stacked=True)
-    Zs = [_field(rb, len(reads.active), L.n, opts)[0] for rb in np.atleast_2d(reads(wvec))]
+    solved = ladder.rank == L.n
+    Zs = [_field(rb, len(reads.active), L.n, opts, solved)[0]
+          for rb in np.atleast_2d(reads(wvec))]
     return Zs[0] if wvec.ndim == 1 else Zs

@@ -462,20 +462,22 @@ def test_no_velocity_side_expansion_in_integrate(name, make, reproject, monkeypa
 def test_a_reprojected_state_is_evaluated_once(name, kind, monkeypatch):
     # the evaluation at a reprojected state is the next step's first stage:
     # a reprojected run evaluates the field as often as a monitored one, 4
-    # times per step plus once.  Its projections replay the ladder's
-    # mixed-space tape besides, and neither run calls taylor_on
+    # times per step plus once, the projection's last read serving that
+    # stage where it is the read the stage would replay.  Its projections
+    # replay the ladder's mixed-space tape besides, and neither run calls
+    # taylor_on
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
     make = cocontact.dynamics.FIELDS[kind]
     evaluated, orders, points = [], [], []
-    evaluate = make._evaluate
+    tail = make._tail
 
-    def counting(self, state):
-        evaluated.append(state.tobytes())
-        return evaluate(self, state)
+    def counting(self, w, raw):
+        evaluated.append(self.drop(w).tobytes())
+        return tail(self, w, raw)
 
-    monkeypatch.setattr(make, "_evaluate", counting)
+    monkeypatch.setattr(make, "_tail", counting)
     _counting_taylor_on(monkeypatch, orders)
     _counting_replays(monkeypatch, points)
     replays = {}
@@ -492,7 +494,37 @@ def test_a_reprojected_state_is_evaluated_once(name, kind, monkeypatch):
             for state in traj.states:
                 assert evaluated.count(state.tobytes()) == 1
     assert orders == []
-    assert replays[True] > replays[False] >= 41
+    # a reprojected run's projections replay besides, less the reads its
+    # evaluations take from them
+    assert replays[True] >= replays[False] >= 41
+
+
+@pytest.mark.parametrize("name, kind", [("duffing", "unified"), ("duffing", "lagrangian"),
+                                        ("duffing", "hamiltonian"),
+                                        ("charged_particle", "unified"),
+                                        ("charged_particle", "lagrangian")])
+def test_a_projected_state_is_not_read_twice(name, kind, monkeypatch):
+    # the evaluation at a projected state (prepare's, every reprojected
+    # step's) takes the projection's last read wherever it would replay the
+    # same tape at the same input, so no replay repeats the one before it
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder = closed_ladder(L, pre.initial)
+    calls = []
+    replay = _ClosedReads.__call__
+
+    def counting(self, x):
+        calls.append((id(self), np.asarray(x).tobytes()))
+        return replay(self, x)
+
+    monkeypatch.setattr(_ClosedReads, "__call__", counting)
+    for reproject in (True, False):
+        calls.clear()
+        fld = cocontact.dynamics.FIELDS[kind](L, ladder, OPTS)
+        integrate(fld, fld.drop(ladder.probe),
+                  IntegratorConfig(step=1e-2, t_end=0.1, reproject=reproject))
+        assert len(calls) >= 41
+        assert sum(a == b for a, b in zip(calls, calls[1:])) == 0
 
 
 def test_momentum_eval_expands_once_per_newton_iterate(monkeypatch):

@@ -7,6 +7,7 @@ differences on the discovered constraint functions.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from cocontact.pontryagin import (
     LadderNotClosed,
     NumericalBreakdown,
     ZCoefficients,
+    _ClosedReads,
+    _layout,
     _solve_frozen,
     _Workspace,
     assemble_Z,
@@ -233,6 +236,72 @@ def test_field_C_matches_the_row_by_row_least_squares_solve(name):
             g.append(sum(float(a * b) for a, b in zip(grad, known)))
         C, *_ = np.linalg.lstsq(np.array(M), -np.array(g), rcond=AlgorithmOptions().rank_tol)
         np.testing.assert_allclose(Z.C, C, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_taped_C_is_the_least_squares_C(name):
+    # every preset's ladder closes with full rank, and its tape solves the
+    # normal equations of the tangency conditions: on and off the
+    # constraint set, their C is lstsq's to rounding
+    pre = preset_by_name(name)
+    L, n = pre.system, pre.n
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
+    assert ladder.rank == n
+    rng = np.random.default_rng(2)
+    W = np.array([pre.sample_feasible(rng) for _ in range(200)])
+    W = np.concatenate((W, W + 1e-6 * rng.uniform(-1.0, 1.0, W.shape)))
+    R = len(ladder.active())
+    grads_at, template, _, _ = _layout(R, n)
+    for raw, Z in zip(_ClosedReads(L, ladder.active())(W), assemble_Z(L, W, ladder)):
+        grads = raw[grads_at].reshape(R, 3 * n + 2)
+        z = raw[template].copy()
+        z[1 + n : 1 + 2 * n] = 0.0
+        g = grads @ z
+        C, *_ = np.linalg.lstsq(grads[:, 1 + n : 1 + 2 * n], -g, rcond=None)
+        assert Z.undetermined.shape == (n, 0)
+        assert np.max(np.abs(Z.C - C)) <= 1e-14 * np.max(np.abs(Z.coeffs))
+
+
+def _rank_one_ladder():
+    # p = q1 v1: the C-system's one entry is -q1, so the rank drops at q1 = 0
+    L = LagrangianSystem.from_expr(dsl.parse("0.5*q1*v1^2", 1))
+    ladder, _ = run_constraint_algorithm(L, np.array([0.0, 1.0, 0.5, 0.0, 0.0]))
+    assert (ladder.status, ladder.rank, ladder.undetermined_dim) == ("Closed", 1, 0)
+    return L, ladder
+
+
+def test_a_rank_drop_raises_where_it_was_silent():
+    # an SVD counted rank 0 here and returned C = 0 with a free direction;
+    # the full-rank solve's margin test names the margin instead, and no
+    # division meets the zero pivot
+    L, ladder = _rank_one_ladder()
+    w = ladder.probe.copy()
+    w[1] = 0.0
+    message = re.escape("C-system pivot margin 0.000e+00 at or below rank_tol 1.0e-09")
+    with pytest.raises(NumericalBreakdown, match=message):
+        assemble_Z(L, w, ladder)
+    with pytest.raises(NumericalBreakdown, match=message):
+        assemble_Z(L, np.array([ladder.probe, w]), ladder)
+    fld = UnifiedField(L, ladder)
+    fld.eval(ladder.probe)
+    with pytest.raises(NumericalBreakdown, match=message):
+        fld.eval(w)
+
+
+def test_the_pivot_margin_is_tested_against_the_callers_rank_tol():
+    # d2L/dv dv = [[1, q1], [q1, 1]] loses rank at q1 = 1: near it the
+    # second pivot margin is about (1 - q1^2)^2 / 4
+    L = LagrangianSystem.from_expr(dsl.parse("0.5*v1^2 + 0.5*v2^2 + q1*v1*v2", 2))
+    ladder, _ = run_constraint_algorithm(L, np.array([0.0, 0.3, 0.0, 0.5, 0.2, 0, 0, 0.0]))
+    assert (ladder.n_generations, ladder.rank) == (1, 2)
+    w = ladder.probe.copy()
+    w[1] = 1.0 - 1e-6
+    with pytest.raises(NumericalBreakdown, match=r"margin 9\.998e-13 at or below rank_tol 1\.0e-09"):
+        assemble_Z(L, w, ladder)
+    Z = assemble_Z(L, w, ladder, AlgorithmOptions(rank_tol=1e-15))
+    assert np.all(np.isfinite(Z.coeffs))
+    with pytest.raises(NumericalBreakdown, match="margin"):
+        assemble_Z(L, w, ladder, AlgorithmOptions(rank_tol=1e-11))
 
 
 def test_assembled_field_carries_the_constraint_values():

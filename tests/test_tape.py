@@ -33,6 +33,7 @@ from cocontact.pontryagin import (
     NumericalBreakdown,
     _field,
     _reads,
+    _solve,
     _Workspace,
     assemble_Z,
     run_constraint_algorithm,
@@ -70,12 +71,13 @@ def live_taylor(L, space, x, order):
 def live_reads(L, w, active):
     order = 1 + max(c.generation for c in active)
     expansion = live_taylor(L, CoordinateSpace.unified(L.n), w, order)
-    return np.array(_reads(_Workspace(L, w, active, 1, expansion), active))
+    reads = _reads(_Workspace(L, w, active, 1, expansion), active)
+    return np.array(_solve(reads, len(active), L.n))
 
 
 def live_Z(L, w, ladder):
     active = ladder.active()
-    return _field(live_reads(L, w, active), len(active), L.n, OPTS)[0]
+    return _field(live_reads(L, w, active), len(active), L.n, OPTS, ladder.rank == L.n)[0]
 
 
 def assert_same_taylor(got, want):
