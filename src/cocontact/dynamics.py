@@ -212,6 +212,10 @@ class UnifiedField:
     opts: AlgorithmOptions = field(default_factory=AlgorithmOptions)
     _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     kind = "unified"
+    # whether eval reads the mixed-space tape, as a projection that moved
+    # did last; where it does not, reproject keeps its evaluation only if
+    # Gauss-Newton did not move, its last read being eval's own
+    _reads_mixed_space = True
 
     def lift(self, state: np.ndarray) -> np.ndarray:
         return state
@@ -229,8 +233,7 @@ class UnifiedField:
 
     def _tail(self, w: np.ndarray, raw: np.ndarray) -> tuple:
         # exact: the reads' template sets A = 1.0 and B = v
-        n = self.L.n
-        Z = _field(raw, len(self.ladder.active()), n, self.opts, self.ladder.rank == n)[0]
+        Z = _field(raw, len(self.ladder.active()), self.L.n, self.opts)[0]
         return self.drop(Z.coeffs), Z.coeffs, w, Z.constraint_values, Z.L_data
 
     def _evaluate(self, state: np.ndarray):
@@ -269,16 +272,9 @@ class UnifiedField:
             raw = reads(w)
         w, last = _project(reads, w, raw, reads.active, self.opts)
         out = self.drop(w)
-        if self._replays(moved=last is not raw):
+        if self._reads_mixed_space or last is raw:
             self._last = (out.tobytes(), self._tail(w, last))
         return out
-
-    def _replays(self, moved: bool) -> bool:
-        """Whether an eval at a projected state would read what the
-        projection read last, the same tape at the same input: here
-        always, every read being of the mixed-space tape, or, from the
-        velocity-side fallback, its bits."""
-        return True
 
     def drift(self, state: np.ndarray) -> float:
         vals = self._evaluation(state)[3]
@@ -291,6 +287,7 @@ class LagrangianField(UnifiedField):
     before the constraints read the point; the lift reads them back."""
 
     kind = "lagrangian"
+    _reads_mixed_space = False
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """(t, q, v, dL/dv, s): one replay of the velocity-side tape."""
@@ -304,10 +301,6 @@ class LagrangianField(UnifiedField):
         raw = _ladder_reads(self.L, self.ladder, lift=True)(x)
         p = raw[_layout(len(self.ladder.active()), n)[2]][2 + n : 2 + 2 * n]
         return np.concatenate((x[: 1 + 2 * n], p, x[-1:])), raw
-
-    def _replays(self, moved: bool) -> bool:
-        # a projection that moved read the mixed-space tape last
-        return not moved
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval
@@ -326,6 +319,7 @@ class HamiltonianField(UnifiedField):
     next lift converges at once."""
 
     kind = "hamiltonian"
+    _reads_mixed_space = False
     _last_v: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def _read(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,8 +335,6 @@ class HamiltonianField(UnifiedField):
 
     def drop(self, w: np.ndarray) -> np.ndarray:
         return hamiltonian_part(w, self.L.n)
-
-    _replays = LagrangianField._replays
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval

@@ -43,18 +43,19 @@ frozen pivots, down to the order-1 values and gradients and L's order-2
 data the tangency conditions read) on one jets.Tape whose only input is
 the point, and later calls replay it, skipping every coefficient of L that
 no read needs.  The frozen-pivot test is a guard, so a replay raises
-NumericalBreakdown where a live evaluation would.  The tape then solves
-the tangency conditions for C by plain float arithmetic too (the normal
-equations, by Gauss-Jordan elimination), and emits the pivot margins.  A
-ladder that closed with full rank (rank n, no undetermined direction:
-every preset's) takes that C, and the numpy tail is slices and a test of
-the smallest margin against opts.rank_tol, so a rank change raises
-NumericalBreakdown.  An SVD runs only where the rank is not known:
-discovery's rank decision, and ladders with undetermined directions.
+NumericalBreakdown where a live evaluation would.  The tape of a ladder
+that closed with full rank (rank n, no undetermined direction: every
+preset's) then solves the tangency conditions for C by plain float
+arithmetic too (a QR factorisation by modified Gram-Schmidt), and emits
+the pivot margins; the numpy tail is slices and a test of the smallest
+margin against opts.rank_tol, so a rank change raises NumericalBreakdown.
+An SVD runs only where the rank is not known: discovery's rank decision,
+and ladders with undetermined directions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -119,8 +120,8 @@ class ZCoefficients:
     itself carries the minimum-norm choice, i.e. zero component along
     those directions.  On a ladder closed with full rank there are none
     (shape (n, 0)) and C is the least-squares solution of the tangency
-    conditions, from their normal equations (_solve); elsewhere C comes
-    from an SVD.  constraint_values holds the value of every ladder
+    conditions, from a QR factorisation (_solve); elsewhere C comes from
+    an SVD.  constraint_values holds the value of every ladder
     constraint at the point, in ladder.active() order, and L_data L's
     order-2 data at the point's velocity side (t, q, v, s), flat as
     mechanics.read_order2 returns it: the assembly expands both anyway, so
@@ -428,16 +429,16 @@ class AlgorithmOptions:
     # relative rank threshold: for discovery's rows and its SVD, which
     # keeps the singular values sigma > rank_tol * sigma_max; and for the
     # full-rank solve, whose field raises NumericalBreakdown once the
-    # smallest pivot margin (a pivot of M^T M over its column's squared
-    # norm: the squared sine of the angle between that column of M and
-    # the earlier ones) is at or below rank_tol: when a column's sine
-    # falls to sqrt(rank_tol), 3e-5 at the default, far above the
-    # margins' rounding floor (about 1e-16)
+    # smallest pivot margin (R_kk of the QR of the C-system's matrix M
+    # over the norm of M's column k: the sine of the angle between that
+    # column and the earlier ones) is at or below rank_tol.  A margin is
+    # at least sigma_min / sigma_max, so the solve refuses no point where
+    # the SVD keeps rank n
     rank_tol: float = 1e-9
-    # caps sigma_max / sigma_min of the kept singular values; the kept
-    # ones satisfy sigma > rank_tol * sigma_max, so the condition stays
-    # below 1 / rank_tol (1e9 at the defaults) and the cap can fire only
-    # when rank_tol < 1 / cond_cap
+    # caps sigma_max / sigma_min of the SVD's kept singular values; the
+    # kept ones satisfy sigma > rank_tol * sigma_max, so the condition
+    # stays below 1 / rank_tol (1e9 at the defaults) and the cap can fire
+    # only when rank_tol < 1 / cond_cap
     cond_cap: float = 1e12
     project: bool = True
     project_tol: float = 1e-11
@@ -528,7 +529,7 @@ def _reads(ws: _Workspace, constraints: Sequence[ConstraintFn]) -> list:
 def _layout(R: int, n: int) -> tuple[slice, slice, slice, slice]:
     """Where _reads puts the R constraints' gradients, the coefficient
     template and L's order-2 data, after the R values; and where _solve
-    appends the n pivot margins."""
+    appends the n pivot margins, squared."""
     z = R + R * (3 * n + 2)
     data = z + 3 * n + 2
     margins = data + 1 + (2 * n + 2) * (n + 1)
@@ -545,17 +546,21 @@ def _solve(reads: list, R: int, n: int) -> list:
     margins appended.
 
     C solves the tangency conditions M C = -g in the least-squares sense,
-    with g = grads . z and M the gradients' velocity block, through the
-    normal equations M^T M C = -M^T g, by Gauss-Jordan elimination with
-    diagonal pivots: for full column rank, the C an SVD gives, to
-    rounding.  Plain float operations, written once: a closed ladder's tape
-    records them after the reads, and discovery runs them on floats, so
-    both give the same bits.  Pivot k's margin is the pivot over column
-    k's squared norm, 1 for orthogonal columns and 0 for a column in the
-    span of the earlier ones.  Each division is by a pseudo-inverse
-    (_pinv), so a zero pivot divides nothing and nothing here raises: a
-    singular L's momentum constraints are read through the same tape.
-    _field tests the smallest margin against opts.rank_tol."""
+    with g = grads . z and M the gradients' velocity block, by modified
+    Gram-Schmidt without normalisation: M = V U, V's columns v_k
+    orthogonal and U unit upper triangular, with g carried along as a last
+    column (h_k = v_k . g / |v_k|^2), then U C = -h by back substitution.
+    That is the QR factorisation M = QR with R's diagonal moved into Q, so
+    no square root is taken; for full column rank it gives the C an SVD
+    gives, to within cond(M) times the rounding unit (normal equations
+    would square cond(M)).  Plain float operations, written once: a
+    full-rank ladder's tape records them after the reads, and discovery
+    runs them on floats, so both give the same bits.  Pivot k's margin is
+    |v_k| = R_kk over the norm of M's column k, 1 for orthogonal columns
+    and 0 for a column in the span of the earlier ones; the list holds the
+    margins squared.  Each division is by a pseudo-inverse (_pinv), so a
+    zero pivot divides nothing and nothing here raises.  _field tests the
+    smallest margin against opts.rank_tol."""
     dim = 3 * n + 2
     t = R + R * dim  # where the template z starts
     out = list(reads)
@@ -577,48 +582,55 @@ def _solve(reads: list, R: int, n: int) -> list:
             acc = acc + a[r] * b[r]
         return acc
 
-    A = [[dot(ci, ck) for ck in cols] for ci in cols]
-    b = [dot(ci, g) for ci in cols]
-    norms = [A[k][k] for k in range(n)]  # the columns' squared norms
-    margins = []
+    def minus(a, f, q):  # a - f q
+        return [x - f * y for x, y in zip(a, q)]
+
+    norms = [dot(c, c) for c in cols]  # squared
+    upper, h, margins = [], [], []
     for k in range(n):
-        pivot = A[k][k]
-        margins.append(pivot * _math(_pinv, norms[k]))
-        inv = _math(_pinv, pivot)
-        Ak = A[k] = [a * inv for a in A[k]]
-        bk = b[k] = b[k] * inv
-        for r in range(n):
-            if r != k:
-                f = A[r][k]
-                A[r] = [a - f * ak for a, ak in zip(A[r], Ak)]
-                b[r] = b[r] - f * bk
-    out[t + 1 + n : t + 1 + 2 * n] = [-x for x in b]
+        v = cols[k]  # orthogonal to the earlier v's
+        vv = dot(v, v)  # R_kk squared
+        margins.append(vv * _math(_pinv, norms[k]))
+        inv = _math(_pinv, vv)
+        row = [dot(v, cols[j]) * inv for j in range(k + 1, n)]
+        for j, f in enumerate(row, k + 1):
+            cols[j] = minus(cols[j], f, v)
+        hk = dot(v, g) * inv
+        g = minus(g, hk, v)
+        upper.append(row)
+        h.append(hk)
+    C = [0.0] * n
+    for k in reversed(range(n)):
+        acc = -h[k]
+        for j, f in enumerate(upper[k], k + 1):
+            acc = acc - f * C[j]
+        C[k] = acc
+    out[t + 1 + n : t + 1 + 2 * n] = C
     return out + margins
 
 
-def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions,
-           solved: bool) -> tuple[ZCoefficients, int]:
+def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCoefficients, int]:
     """The field fixed by the tangency conditions of R constraints, and the
     rank of their C-system, from _reads' numbers as one float array.
 
-    `solved`: the constraints close with full rank and raw is _solve's,
-    C in the template, which makes the template the coefficient vector.
-    The field is then slices, once the smallest pivot margin is above
-    opts.rank_tol; at or below it the C-system is losing rank, and
-    NumericalBreakdown names the margin.  Otherwise, where the rank is not
-    known, one matrix-vector product and one SVD: the rank, the
-    condition-cap test and the minimum-norm C."""
+    A read that carries the pivot margins is _solve's (the tape of a
+    ladder that closed with full rank, or discovery's closing pass): C is
+    in the template, which makes the template the coefficient vector, and
+    the field is slices once the smallest margin is above opts.rank_tol;
+    at or below it the C-system is losing rank, and NumericalBreakdown
+    names the margin.  Otherwise, where the rank is not known, one
+    matrix-vector product and one SVD: the rank, the condition-cap test
+    and the minimum-norm C."""
     grads_at, template, data, margins = _layout(R, n)
     coeffs = raw[template]
-    if solved:
-        margin = min(raw[margins].tolist())
-        if margin <= opts.rank_tol:
+    if len(raw) > margins.start:
+        margin = math.sqrt(min(raw[margins].tolist()))
+        if not margin > opts.rank_tol:  # a NaN margin too
             raise NumericalBreakdown(f"C-system pivot margin {margin:.3e} at or below "
                                      f"rank_tol {opts.rank_tol:.1e}; the tangency "
                                      "conditions lost rank")
         return ZCoefficients(coeffs, np.zeros((n, 0)), raw[:R], raw[data]), n
     grads = raw[grads_at].reshape(R, 3 * n + 2)
-    coeffs[1 + n : 1 + 2 * n] = 0.0  # a tape's read holds _solve's C there
     # row r: grad(xi_r) . Z = g[r] + M[r] . C
     g = grads @ coeffs
     U, sigma, Vt = np.linalg.svd(grads[:, 1 + n : 1 + 2 * n], full_matrices=True)
@@ -689,9 +701,9 @@ def _tangency(
         if _span_residual(cgrad, span) > opts.grad_tol * max(1.0, gnorm):
             new_constraints.append(cand)
 
-    Z, rank = _field(raw, R, n, opts, False)
+    Z, rank = _field(raw, R, n, opts)
     if rank == n and not new_constraints and incompatible is None:
-        Z = _field(np.array(_solve(reads, R, n)), R, n, opts, True)[0]
+        Z = _field(np.array(_solve(reads, R, n)), R, n, opts)[0]
     return Z, rank, new_constraints, incompatible
 
 
@@ -884,9 +896,9 @@ class _ClosedReads:
     alone, at one point or at a (B, dim) stack (one row of reads per
     point): of the mixed-space point, or with `lift` of the velocity side
     (t, q, v, s), whose momenta p = dL/dv it fills in from its own
-    expansion of L before the reads.  The reads come solved (_solve): C
-    in the template and the pivot margins after L's data, which _field
-    uses where the constraints closed with full rank.
+    expansion of L before the reads.  With `solve` (constraints that
+    closed with full rank) the reads come solved (_solve): C in the
+    template and the pivot margins after L's data.
 
     One recording (jets.Tape) runs L's expansion, to 1 plus the deepest
     generation, the reads and the solve, so the replay program drops every
@@ -895,8 +907,9 @@ class _ClosedReads:
     and recorded afresh after any of them changes.  A refused recording
     runs live."""
 
-    def __init__(self, L: LagrangianSystem, active: list[ConstraintFn], lift: bool = False):
-        self.L, self.active, self.lift = L, active, lift
+    def __init__(self, L: LagrangianSystem, active: list[ConstraintFn], lift: bool = False,
+                 solve: bool = True):
+        self.L, self.active, self.lift, self.solve = L, active, lift, solve
         self.params: tuple | None = None  # L's parameter values when recorded
         self.tape: Tape | None = None
 
@@ -910,7 +923,8 @@ class _ClosedReads:
             # L does not read p: its expansion at p = 0 serves the lifted point
             w[1 + 2 * n : 1 + 3 * n] = [expansion.terms.get(k, 0.0)
                                         for k in _strides(unified.dim)[1 + n : 1 + 2 * n]]
-        return _solve(_reads(_Workspace(L, w, active, 1, expansion), active), len(active), n)
+        reads = _reads(_Workspace(L, w, active, 1, expansion), active)
+        return _solve(reads, len(active), n) if self.solve else reads
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         params = tuple(self.L.params.items())
@@ -928,21 +942,25 @@ class _ClosedReads:
 def momentum_reads(L: LagrangianSystem) -> _ClosedReads:
     """The _ClosedReads of L's momentum constraints alone, the whole ladder
     of a regular L, held on L: legendre_invert replays it at every Newton
-    iterate, and a one-generation ladder replays it as its own."""
+    iterate, and a one-generation ladder of full rank replays it as its
+    own.  It solves for C: the momentum constraints of a regular L have
+    full rank."""
     if L._momentum_reads is None:
         L._momentum_reads = _ClosedReads(L, [_PrimaryConstraint(L, j) for j in range(L.n)])
     return L._momentum_reads
 
 
 def _ladder_reads(L: LagrangianSystem, ladder: ConstraintLadder, lift: bool = False):
-    """The closed ladder's _ClosedReads (with `lift`, of the velocity side);
-    a one-generation ladder's is momentum_reads(L)."""
+    """The closed ladder's _ClosedReads (with `lift`, of the velocity side),
+    solving for C if it closed with full rank; a one-generation ladder's
+    of full rank is momentum_reads(L)."""
     if ladder.status != "Closed":
         raise LadderNotClosed(f"ladder status is {ladder.status}")
     reads = ladder._reads.get(lift)
     if reads is None or reads.L is not L:
-        one = ladder.n_generations == 1 and not lift
-        reads = momentum_reads(L) if one else _ClosedReads(L, ladder.active(), lift)
+        full = ladder.rank == L.n
+        one = ladder.n_generations == 1 and not lift and full
+        reads = momentum_reads(L) if one else _ClosedReads(L, ladder.active(), lift, full)
         ladder._reads[lift] = reads
     return reads
 
@@ -970,7 +988,6 @@ def assemble_Z(
     reads = _ladder_reads(L, ladder)
     opts = opts or AlgorithmOptions(tol=ladder.tolerance)
     wvec = _as_wvec(L.n, w, stacked=True)
-    solved = ladder.rank == L.n
-    Zs = [_field(rb, len(reads.active), L.n, opts, solved)[0]
+    Zs = [_field(rb, len(reads.active), L.n, opts)[0]
           for rb in np.atleast_2d(reads(wvec))]
     return Zs[0] if wvec.ndim == 1 else Zs

@@ -527,6 +527,34 @@ def test_a_projected_state_is_not_read_twice(name, kind, monkeypatch):
         assert sum(a == b for a, b in zip(calls, calls[1:])) == 0
 
 
+@pytest.mark.parametrize("name, kind", [("duffing", "unified"), ("duffing", "lagrangian"),
+                                        ("duffing", "hamiltonian"),
+                                        ("charged_particle", "unified"),
+                                        ("charged_particle", "lagrangian")])
+def test_the_evaluation_a_projection_keeps_is_a_fresh_one(name, kind, monkeypatch):
+    # off the charged particle's constraint set Gauss-Newton moves, and the
+    # unified side keeps the evaluation from the projection's last read;
+    # on Duffing it does not move (p = dL/dv is the whole ladder)
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder = closed_ladder(L, pre.initial)
+    make = cocontact.dynamics.FIELDS[kind]
+    fld = make(L, ladder, OPTS)
+    n = L.n
+    state = fld.drop(ladder.probe).copy()
+    state[2 * n] += 1e-4  # the last velocity
+    out = fld.reproject(state)
+    moved = not np.array_equal(out[1 + n : 1 + 2 * n], state[1 + n : 1 + 2 * n])  # v
+    assert moved == (name == "charged_particle")
+    points = []
+    _counting_replays(monkeypatch, points)
+    kept = fld.eval(out)
+    assert (len(points) == 0) == (kind == "unified" or name == "duffing")
+    fresh = make(L, ladder, OPTS).eval(out)
+    for a, b in zip(kept, fresh):
+        assert np.array_equal(a, b)
+
+
 def test_momentum_eval_expands_once_per_newton_iterate(monkeypatch):
     # every Newton iterate is one replay of the momentum constraints'
     # reads; the evaluation reads the ones the lift converged with, and

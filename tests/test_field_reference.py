@@ -7,10 +7,12 @@ every preset's runs in every description, rk4 and rk45, with reprojection
 on and off, at discovery's probe and at the points check_ladder
 assembles, the field's lift, A, B, D, E, constraint values, L data and
 undetermined directions equal the reference's exactly.  C does not: every
-preset's ladder closes with full rank, and the package solves for C by
-the normal equations of the tangency conditions where the reference runs
-an SVD, so the two agree to rounding, within 1e-14 of the largest
-coefficient.  Every description evaluates through one tail, assemble_Z's;
+preset's ladder closes with full rank, and the package solves for C by a
+QR factorisation of the tangency conditions where the reference runs an
+SVD, so the two agree to rounding, within 1e-14 of the largest
+coefficient; and so do the package's runs and the reference's runs, which
+part in the last bits from the first step on.  Every description
+evaluates through one tail, assemble_Z's;
 on the momentum side its C agrees with implicit differentiation of
 dL/dv = p to rounding.
 """
@@ -53,12 +55,17 @@ def assert_same_Z(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def run(name, kind, method, reproject):
+def run(name, kind, method, reproject, make=None):
     pre = preset_by_name(name)
     ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
-    fld = FIELDS[kind](pre.system, ladder, OPTS)
+    fld = (make or FIELDS[kind])(pre.system, ladder, OPTS)
     cfg = IntegratorConfig(method=method, step=1e-2, t_end=0.05, reproject=reproject)
     return pre.system, ladder, integrate(fld, fld.drop(ladder.probe), cfg)
+
+
+def assert_close(got, want, tol):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= tol
 
 
 @pytest.mark.parametrize("reproject", [False, True])
@@ -66,9 +73,17 @@ def run(name, kind, method, reproject):
 @pytest.mark.parametrize("name, kind",
                          [(name, kind) for name, kinds in KINDS.items() for kind in kinds])
 def test_every_sample_equals_the_reference(name, kind, method, reproject):
-    # at the package's own samples: C moves at rounding level, and the runs
-    # part in the last bits from the first step on
     L, ladder, traj = run(name, kind, method, reproject)
+    # the reference's own run, its lift and rk45's step control included
+    want = run(name, kind, method, reproject, reference_field(kind))[2]
+    for attr in ("times", "states", "lifted", "coeffs"):
+        expected = getattr(want, attr)
+        assert_close(getattr(traj, attr), expected, 1e-12 * np.max(np.abs(expected)))
+    for channel, values in want.residuals.items():
+        # finite-difference defects at step 1e-2: a rounding-level move of
+        # the states moves them by a few 1e-15
+        assert_close(traj.residuals[channel], values, 1e-13)
+    # at the package's own samples: C moves at rounding level
     ref = reference_field(kind)(L, ladder, OPTS)
     for state, w, coeffs in zip(traj.states, traj.lifted, traj.coeffs):
         if kind == "hamiltonian":

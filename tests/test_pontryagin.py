@@ -241,8 +241,8 @@ def test_field_C_matches_the_row_by_row_least_squares_solve(name):
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_taped_C_is_the_least_squares_C(name):
     # every preset's ladder closes with full rank, and its tape solves the
-    # normal equations of the tangency conditions: on and off the
-    # constraint set, their C is lstsq's to rounding
+    # tangency conditions by QR: on and off the constraint set, their C is
+    # lstsq's to rounding
     pre = preset_by_name(name)
     L, n = pre.system, pre.n
     ladder, _ = run_constraint_algorithm(L, pre.initial)
@@ -288,20 +288,42 @@ def test_a_rank_drop_raises_where_it_was_silent():
         fld.eval(w)
 
 
-def test_the_pivot_margin_is_tested_against_the_callers_rank_tol():
-    # d2L/dv dv = [[1, q1], [q1, 1]] loses rank at q1 = 1: near it the
-    # second pivot margin is about (1 - q1^2)^2 / 4
+def _near_singular(q1):
+    # d2L/dv dv = [[1, q1], [q1, 1]] loses rank at q1 = 1: the C-system's
+    # condition is (1 + q1) / (1 - q1) and its second pivot margin, the
+    # sine between M's columns, (1 - q1^2) / (1 + q1^2)
     L = LagrangianSystem.from_expr(dsl.parse("0.5*v1^2 + 0.5*v2^2 + q1*v1*v2", 2))
-    ladder, _ = run_constraint_algorithm(L, np.array([0.0, 0.3, 0.0, 0.5, 0.2, 0, 0, 0.0]))
-    assert (ladder.n_generations, ladder.rank) == (1, 2)
+    ladder, Z = run_constraint_algorithm(L, np.array([0.0, q1, 0.0, 0.5, 0.2, 0, 0, 0.0]))
+    return L, ladder, Z
+
+
+@pytest.mark.parametrize("q1", [0.9999, 1.0 - 1e-6])
+def test_discovery_closes_with_full_rank_wherever_the_svd_keeps_it(q1):
+    # the SVD keeps rank 2 up to condition 1 / rank_tol; the solve's margin
+    # test refuses none of it, and its C is lstsq's to cond(M) * eps
+    L, ladder, Z = _near_singular(q1)
+    assert (ladder.status, ladder.n_generations, ladder.rank) == ("Closed", 1, 2)
+    assert np.array_equal(assemble_Z(L, ladder.probe, ladder).coeffs, Z.coeffs)
+    raw = _ClosedReads(L, ladder.active(), solve=False)(ladder.probe)
+    grads_at, template, _, _ = _layout(2, 2)
+    grads = raw[grads_at].reshape(2, 8)
+    M = grads[:, 3:5]
+    C, *_ = np.linalg.lstsq(M, -grads @ raw[template], rcond=None)
+    cond = np.linalg.cond(M)
+    assert cond > 1e4
+    assert np.max(np.abs(Z.C - C)) <= cond * 1e-15 * np.max(np.abs(C))
+
+
+def test_the_pivot_margin_is_tested_against_the_callers_rank_tol():
+    L, ladder, _ = _near_singular(0.3)
     w = ladder.probe.copy()
     w[1] = 1.0 - 1e-6
-    with pytest.raises(NumericalBreakdown, match=r"margin 9\.998e-13 at or below rank_tol 1\.0e-09"):
+    assert np.all(np.isfinite(assemble_Z(L, w, ladder).coeffs))
+    with pytest.raises(NumericalBreakdown, match=r"margin 1\.000e-06 at or below rank_tol 1\.0e-05"):
+        assemble_Z(L, w, ladder, AlgorithmOptions(rank_tol=1e-5))
+    w[1] = 1.0
+    with pytest.raises(NumericalBreakdown, match=r"margin \S+ at or below rank_tol 1\.0e-09"):
         assemble_Z(L, w, ladder)
-    Z = assemble_Z(L, w, ladder, AlgorithmOptions(rank_tol=1e-15))
-    assert np.all(np.isfinite(Z.coeffs))
-    with pytest.raises(NumericalBreakdown, match="margin"):
-        assemble_Z(L, w, ladder, AlgorithmOptions(rank_tol=1e-11))
 
 
 def test_assembled_field_carries_the_constraint_values():
