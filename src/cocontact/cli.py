@@ -325,12 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand gets only the flags it reads
     def common(p, integrator=False):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--preset", choices=PRESET_NAMES,
                        help="built-in system with default initial data")
-        p.add_argument("--out", help="output path (resolved in $COCONTACT_OUT_DIR)")
-        p.add_argument("--seed", type=int, default=42, help="random probe seed")
         if integrator:
             p.add_argument("--space", choices=tuple(FIELDS),
                            default="unified", help="description to integrate")
@@ -339,14 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constraints", help="run the constraint algorithm, report the ladder")
     common(p)
+    p.add_argument("--out", help="output path (resolved in $COCONTACT_OUT_DIR)")
     p.set_defaults(fn=cmd_constraints)
 
     p = sub.add_parser("simulate", help="integrate a trajectory and export it")
     common(p, integrator=True)
+    p.add_argument("--out", help="output path (resolved in $COCONTACT_OUT_DIR)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the identity checks for a preset")
     common(p)
+    p.add_argument("--seed", type=int, default=42, help="random probe seed")
     p.add_argument("--tol", type=float, default=None,
                    help="override every value-comparison tolerance")
     p.set_defaults(fn=cmd_verify)

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .jets import CoordinateSpace, JetDomainError
-from .mechanics import LagrangianSystem, herglotz_defect, order2_parts
+from .mechanics import DEFAULT_RANK_TOL, LagrangianSystem, herglotz_defect
 from .pontryagin import (
     AlgorithmOptions,
     ConstraintLadder,
@@ -48,6 +48,7 @@ from .pontryagin import (
     _ladder_reads,
     _layout,
     _project,
+    _test_margins,
     hamiltonian_part,
     lagrangian_part,
     momentum_reads,
@@ -138,15 +139,19 @@ def legendre_invert(
     (zeros by default); for Lagrangians whose fibre derivative is affine in
     v one step is exact.  Each iterate is one replay of the momentum
     constraints' reads at the mixed-space point (t, q, v, p, s)
-    (pontryagin.momentum_reads) and takes dL/dv and d2L/dv dv from L's
-    order-2 data in them.  Returns v and the reads at the converged point,
-    the ones the convergence test read.
+    (pontryagin.momentum_reads): its QR solve of M = -d2L/dv dv gives the
+    step M dv = -(p - dL/dv) and the pivot margins the field tests, here
+    against mechanics.DEFAULT_RANK_TOL (NonInvertibleLegendre).  Returns v
+    and the reads at the converged point, the ones the convergence test
+    read.
     """
     n = L.n
     yvec = np.asarray(y, dtype=float)
     if yvec.shape != (2 * n + 2,):
         raise ValueError(f"expected a momentum-space point of length {2 * n + 2}")
     v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"expected a velocity seed v0 of length {n}, got shape {v.shape}")
     w = np.concatenate((yvec[: 1 + n], v, yvec[1 + n :]))
     # Newton cannot converge from a non-finite point; it would spend every iteration
     if not all(map(math.isfinite, w.tolist())):
@@ -155,21 +160,14 @@ def legendre_invert(
             f"non-finite {'velocity seed v0' if finite_y else 'momentum-space point y'}"
         )
     vs = slice(1 + n, 1 + 2 * n)
-    p = w[1 + 2 * n : 1 + 3 * n]
-    reads, L_data = momentum_reads(L), _layout(n, n)[2]
+    reads, (margins, step) = momentum_reads(L), _layout(n, n)[3:]
     for _ in range(max_iter):
         raw = reads(w)
-        grad, H = order2_parts(raw[L_data], n)
-        F = grad[vs] - p
-        if np.abs(F).max() <= tol:
+        if np.abs(raw[:n]).max() <= tol:
             return w[vs].copy(), raw
-        # one factorisation serves the singularity test and the step
-        U, sigma, Vt = np.linalg.svd(H[vs])
-        if sigma[-1] <= 1e-12 * max(sigma[0], 1.0):
-            raise NonInvertibleLegendre(
-                f"velocity Hessian is singular (sigma_min = {sigma[-1]:.2e})"
-            )
-        w[vs] -= Vt.T @ ((U.T @ F) / sigma)
+        _test_margins(raw[margins], DEFAULT_RANK_TOL, NonInvertibleLegendre,
+                      "velocity Hessian", "the fibre derivative is not invertible")
+        w[vs] += raw[step]
     raise NonInvertibleLegendre(
         f"velocity recovery did not converge within {max_iter} iterations"
     )
@@ -313,18 +311,16 @@ class HamiltonianField(UnifiedField):
     the velocities by inverting the fibre derivative (regular Lagrangians
     only), warm-started from the previous lift.  A regular ladder is the
     momentum constraints p - dL/dv alone, so the reads the Newton
-    iteration converged with are the ladder's reads at the lift, and the
-    evaluation is the other descriptions' tail (pontryagin._field) on
-    them.  Where a projection does not move, its last read is where the
-    next lift converges at once."""
+    iteration converged with, whose one QR gave each step and gives C, are
+    the ladder's reads at the lift, and the evaluation is the other
+    descriptions' tail (pontryagin._field) on them.  Where a projection
+    does not move, its last read is where the next lift converges at once."""
 
     kind = "hamiltonian"
     _reads_mixed_space = False
     _last_v: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def _read(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The lift of y and legendre_invert's reads there: a regular L's
-        ladder is the momentum constraints alone, so they are its reads."""
         n = self.L.n
         v, raw = legendre_invert(self.L, y, v0=self._last_v)
         self._last_v = v

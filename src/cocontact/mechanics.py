@@ -29,6 +29,8 @@ __all__ = [
     "herglotz_residual",
 ]
 
+# relative rank threshold: classify_velocity_hessian's, AlgorithmOptions.rank_tol's
+# default and the pivot-margin floor of legendre_invert's Newton iteration
 DEFAULT_RANK_TOL = 1e-9
 
 

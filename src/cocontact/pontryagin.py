@@ -63,7 +63,8 @@ import numpy as np
 
 from .jets import (ORDER_CAP, CoordinateSpace, Jet, Tape, Taylor, _math, _strides, expand, guard,
                    jet_from_taylor)
-from .mechanics import LagrangianSystem, classify_velocity_hessian, order2_gather, order2_parts
+from .mechanics import (DEFAULT_RANK_TOL, LagrangianSystem, classify_velocity_hessian,
+                        order2_gather, order2_parts)
 
 __all__ = [
     "lagrangian_part",
@@ -429,12 +430,10 @@ class AlgorithmOptions:
     # relative rank threshold: for discovery's rows and its SVD, which
     # keeps the singular values sigma > rank_tol * sigma_max; and for the
     # full-rank solve, whose field raises NumericalBreakdown once the
-    # smallest pivot margin (R_kk of the QR of the C-system's matrix M
-    # over the norm of M's column k: the sine of the angle between that
-    # column and the earlier ones) is at or below rank_tol.  A margin is
+    # smallest pivot margin (_solve) is at or below rank_tol.  A margin is
     # at least sigma_min / sigma_max, so the solve refuses no point where
-    # the SVD keeps rank n
-    rank_tol: float = 1e-9
+    # the SVD keeps rank n.  legendre_invert tests the default
+    rank_tol: float = DEFAULT_RANK_TOL
     # caps sigma_max / sigma_min of the SVD's kept singular values; the
     # kept ones satisfy sigma > rank_tol * sigma_max, so the condition
     # stays below 1 / rank_tol (1e9 at the defaults) and the cap can fire
@@ -526,14 +525,15 @@ def _reads(ws: _Workspace, constraints: Sequence[ConstraintFn]) -> list:
     return out
 
 
-def _layout(R: int, n: int) -> tuple[slice, slice, slice, slice]:
+def _layout(R: int, n: int) -> tuple[slice, slice, slice, slice, slice]:
     """Where _reads puts the R constraints' gradients, the coefficient
     template and L's order-2 data, after the R values; and where _solve
-    appends the n pivot margins, squared."""
+    appends the n pivot margins, squared, then Newton's step (R == n only)."""
     z = R + R * (3 * n + 2)
     data = z + 3 * n + 2
     margins = data + 1 + (2 * n + 2) * (n + 1)
-    return slice(R, z), slice(z, data), slice(data, margins), slice(margins, margins + n)
+    return (slice(R, z), slice(z, data), slice(data, margins), slice(margins, margins + n),
+            slice(margins + n, None))
 
 
 def _pinv(x: float) -> float:
@@ -543,7 +543,7 @@ def _pinv(x: float) -> float:
 
 def _solve(reads: list, R: int, n: int) -> list:
     """_reads' list with C in the template's zero block and the n pivot
-    margins appended.
+    margins appended, then, for a square C-system (R == n), Newton's step.
 
     C solves the tangency conditions M C = -g in the least-squares sense,
     with g = grads . z and M the gradients' velocity block, by modified
@@ -553,14 +553,15 @@ def _solve(reads: list, R: int, n: int) -> list:
     That is the QR factorisation M = QR with R's diagonal moved into Q, so
     no square root is taken; for full column rank it gives the C an SVD
     gives, to within cond(M) times the rounding unit (normal equations
-    would square cond(M)).  Plain float operations, written once: a
-    full-rank ladder's tape records them after the reads, and discovery
-    runs them on floats, so both give the same bits.  Pivot k's margin is
-    |v_k| = R_kk over the norm of M's column k, 1 for orthogonal columns
-    and 0 for a column in the span of the earlier ones; the list holds the
-    margins squared.  Each division is by a pseudo-inverse (_pinv), so a
-    zero pivot divides nothing and nothing here raises.  _field tests the
-    smallest margin against opts.rank_tol."""
+    would square cond(M)).  A square system (the momentum constraints,
+    M = -d2L/dv dv) carries their values xi as one more column: dv with
+    M dv = -xi is the Newton step of dL/dv = p (legendre_invert).  Plain
+    float operations, written once: a full-rank ladder's tape records
+    them after the reads, and discovery runs them on floats, so both give
+    the same bits.  Pivot k's margin is |v_k| = R_kk over the norm of M's
+    column k, 1 for orthogonal columns and 0 for a column in the span of
+    the earlier ones; the list holds the margins squared.  Each division
+    is by a pseudo-inverse (_pinv), so nothing here raises."""
     dim = 3 * n + 2
     t = R + R * dim  # where the template z starts
     out = list(reads)
@@ -575,6 +576,7 @@ def _solve(reads: list, R: int, n: int) -> list:
             acc = acc + row[j] * z[j]
         g.append(acc)
     cols = [[row[j] for row in rows] for j in range(1 + n, 1 + 2 * n)]
+    cols += [g, out[:R]] if R == n else [g]
 
     def dot(a, b):
         acc = a[0] * b[0]
@@ -585,28 +587,34 @@ def _solve(reads: list, R: int, n: int) -> list:
     def minus(a, f, q):  # a - f q
         return [x - f * y for x, y in zip(a, q)]
 
-    norms = [dot(c, c) for c in cols]  # squared
-    upper, h, margins = [], [], []
+    norms = [dot(c, c) for c in cols[:n]]  # squared
+    upper, margins = [], []
     for k in range(n):
         v = cols[k]  # orthogonal to the earlier v's
         vv = dot(v, v)  # R_kk squared
         margins.append(vv * _math(_pinv, norms[k]))
         inv = _math(_pinv, vv)
-        row = [dot(v, cols[j]) * inv for j in range(k + 1, n)]
+        row = [dot(v, cols[j]) * inv for j in range(k + 1, len(cols))]  # U's row, then h_k
         for j, f in enumerate(row, k + 1):
             cols[j] = minus(cols[j], f, v)
-        hk = dot(v, g) * inv
-        g = minus(g, hk, v)
         upper.append(row)
-        h.append(hk)
-    C = [0.0] * n
-    for k in reversed(range(n)):
-        acc = -h[k]
-        for j, f in enumerate(upper[k], k + 1):
-            acc = acc - f * C[j]
-        C[k] = acc
+    C, *step = [[0.0] * n for _ in cols[n:]]
+    for c, x in enumerate([C, *step], n):
+        for k in reversed(range(n)):
+            acc = -upper[k][c - k - 1]
+            for j, f in enumerate(upper[k][: n - k - 1], k + 1):
+                acc = acc - f * x[j]
+            x[k] = acc
     out[t + 1 + n : t + 1 + 2 * n] = C
-    return out + margins
+    return out + margins + [d for x in step for d in x]
+
+
+def _test_margins(squared: np.ndarray, rank_tol: float, error: type, what: str, lost: str) -> None:
+    """Raise error naming the smallest pivot margin (_solve lists them
+    squared) unless it is above rank_tol; a NaN margin is not."""
+    margin = math.sqrt(min(squared.tolist()))
+    if not margin > rank_tol:
+        raise error(f"{what} pivot margin {margin:.3e} at or below rank_tol {rank_tol:.1e}; {lost}")
 
 
 def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCoefficients, int]:
@@ -621,14 +629,11 @@ def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCo
     names the margin.  Otherwise, where the rank is not known, one
     matrix-vector product and one SVD: the rank, the condition-cap test
     and the minimum-norm C."""
-    grads_at, template, data, margins = _layout(R, n)
+    grads_at, template, data, margins, _ = _layout(R, n)
     coeffs = raw[template]
     if len(raw) > margins.start:
-        margin = math.sqrt(min(raw[margins].tolist()))
-        if not margin > opts.rank_tol:  # a NaN margin too
-            raise NumericalBreakdown(f"C-system pivot margin {margin:.3e} at or below "
-                                     f"rank_tol {opts.rank_tol:.1e}; the tangency "
-                                     "conditions lost rank")
+        _test_margins(raw[margins], opts.rank_tol, NumericalBreakdown, "C-system",
+                      "the tangency conditions lost rank")
         return ZCoefficients(coeffs, np.zeros((n, 0)), raw[:R], raw[data]), n
     grads = raw[grads_at].reshape(R, 3 * n + 2)
     # row r: grad(xi_r) . Z = g[r] + M[r] . C
@@ -789,7 +794,7 @@ def _project(reads, w: np.ndarray, raw: np.ndarray, constraints: list[Constraint
     n, R = (len(w) - 2) // 3, len(constraints)
     if not constraints:
         return w, raw
-    grads_at, _, data, _ = _layout(R, n)
+    grads_at, _, data, _, _ = _layout(R, n)
     H = order2_parts(raw[data], n)[1][1 + n : 1 + 2 * n]  # d2L/dv dv
     dirs = sorted(set(range(1 + n, 1 + 3 * n)) | {1 + j for j in _kernel_q_indices(H)})
 

@@ -596,3 +596,17 @@ def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["constraints", "--preset", "duffing", "--seed", "3"],
+    ["simulate", "--preset", "duffing", "--seed", "3"],
+    ["sweep", "--preset", "duffing", "--seed", "3"],
+    ["verify", "--preset", "duffing", "--out", "x"],
+    ["sweep", "--preset", "duffing", "--out", "x"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err

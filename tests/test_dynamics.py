@@ -47,6 +47,7 @@ from cocontact.dynamics import (
     unified_field,
 )
 from cocontact.systems import PRESET_NAMES, preset_by_name
+import field_reference
 from hamiltonian_reference import cocontact_hamiltonian_field, hamiltonian_from_lagrangian
 
 OPTS = AlgorithmOptions()
@@ -212,6 +213,77 @@ def test_legendre_invert_rejects_singular_fibre_map():
     degen = LagrangianSystem(1, lambda t, q, v, s, P: v[0] * s)
     with pytest.raises(NonInvertibleLegendre):
         legendre_invert(degen, np.array([0.0, 0.0, 0.5, 1.0]))
+
+
+REGULAR = ("duffing", "variable_mass_drag")
+
+
+@pytest.mark.parametrize("name", REGULAR)
+def test_legendre_invert_factors_nothing_in_numpy(name, monkeypatch):
+    # each Newton step and the singularity test come from the momentum
+    # tape's QR: no SVD, solve or lstsq runs, whatever the seed
+    pre = preset_by_name(name)
+    L, n = pre.system, pre.n
+    rng = np.random.default_rng(5)
+    W = [pre.sample_feasible(rng) for _ in range(50)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for fn in ("svd", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, fn, refuse)
+    for w in W:
+        v, _ = legendre_invert(L, hamiltonian_part(w, n), v0=w[1 + n : 1 + 2 * n] + 1e-3)
+        assert np.max(np.abs(v - w[1 + n : 1 + 2 * n])) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+
+
+@pytest.mark.parametrize("name", REGULAR)
+def test_legendre_invert_agrees_with_the_svd_newton_iteration(name):
+    pre = preset_by_name(name)
+    L, n = pre.system, pre.n
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        y = hamiltonian_part(pre.sample_feasible(rng), n)
+        v, _ = legendre_invert(L, y)
+        ref, _ = field_reference.legendre_invert(L, y)
+        assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _coupled(q1):
+    # d2L/dv dv = [[1, q1], [q1, 1]] loses rank at q1 = 1, where the
+    # second pivot margin, (1 - q1^2) / (1 + q1^2), is 0: the boundary
+    # tests/test_pontryagin.py pins for the field
+    L = LagrangianSystem.from_expr(dsl.parse("0.5*v1^2 + 0.5*v2^2 + q1*v1*v2", 2))
+    v = np.array([0.5, 0.2])
+    return L, np.array([0.0, q1, 0.0, v[0] + q1 * v[1], v[1] + q1 * v[0], 0.0]), v
+
+
+def test_legendre_invert_tests_the_pivot_margin_the_field_tests():
+    L, y, v = _coupled(1.0 - 1e-6)
+    got, _ = legendre_invert(L, y)
+    assert np.max(np.abs(got - v)) <= 1e-8
+    L, y, _ = _coupled(1.0)
+    with pytest.raises(NonInvertibleLegendre, match=r"velocity Hessian pivot margin 0\.000e\+00 "
+                                                    r"at or below rank_tol 1\.0e-09"):
+        legendre_invert(L, y)
+
+
+def test_a_uniformly_small_velocity_hessian_is_inverted():
+    # d2L/dv dv = 1e-13 is regular: the margin test is scale-free, where
+    # an absolute floor on the smallest singular value refused it
+    L = LagrangianSystem(1, lambda t, q, v, s, P: 0.5e-13 * v[0] * v[0])
+    v, _ = legendre_invert(L, np.array([0.0, 0.0, 1e-11, 0.0]))
+    assert abs(v[0] - 100.0) <= 1e-12
+
+
+@pytest.mark.parametrize("v0", [np.zeros(2), np.zeros(0), np.zeros((1, 1))])
+def test_legendre_invert_refuses_a_wrong_shape_seed_before_any_replay(v0, monkeypatch):
+    L = preset_by_name("drag").system
+    replays = []
+    monkeypatch.setattr(_ClosedReads, "__call__", lambda self, w: replays.append(w))
+    with pytest.raises(ValueError, match=r"velocity seed v0 of length 1, got shape"):
+        legendre_invert(L, np.array([0.4, 1.1, 0.9, 0.2]), v0=v0)
+    assert replays == []
 
 
 def test_momentum_description_unavailable_for_singular_system():

@@ -251,7 +251,7 @@ def test_taped_C_is_the_least_squares_C(name):
     W = np.array([pre.sample_feasible(rng) for _ in range(200)])
     W = np.concatenate((W, W + 1e-6 * rng.uniform(-1.0, 1.0, W.shape)))
     R = len(ladder.active())
-    grads_at, template, _, _ = _layout(R, n)
+    grads_at, template, *_ = _layout(R, n)
     for raw, Z in zip(_ClosedReads(L, ladder.active())(W), assemble_Z(L, W, ladder)):
         grads = raw[grads_at].reshape(R, 3 * n + 2)
         z = raw[template].copy()
@@ -305,7 +305,7 @@ def test_discovery_closes_with_full_rank_wherever_the_svd_keeps_it(q1):
     assert (ladder.status, ladder.n_generations, ladder.rank) == ("Closed", 1, 2)
     assert np.array_equal(assemble_Z(L, ladder.probe, ladder).coeffs, Z.coeffs)
     raw = _ClosedReads(L, ladder.active(), solve=False)(ladder.probe)
-    grads_at, template, _, _ = _layout(2, 2)
+    grads_at, template, *_ = _layout(2, 2)
     grads = raw[grads_at].reshape(2, 8)
     M = grads[:, 3:5]
     C, *_ = np.linalg.lstsq(M, -grads @ raw[template], rcond=None)
