@@ -30,10 +30,13 @@ coordinate never accumulates roundoff.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -97,8 +100,8 @@ class LadderLost(RuntimeError):
 class IntegratorConfig:
     """Integration settings.
 
-    method "rk4" is fixed-step; "rk45" is adaptive with `step` as the
-    initial trial.  reproject pulls the state back onto the constraint set
+    method "rk4" is fixed-step, at most MAX_STEPS steps; "rk45" adapts
+    from `step`.  reproject pulls the state back onto the constraint set
     after every accepted step; with it off, drift is only monitored.
     """
 
@@ -126,48 +129,54 @@ class IntegratorConfig:
 # -- velocity <-> momentum conversions ----------------------------------
 
 
-def legendre_invert(
-    L: LagrangianSystem,
-    y,
-    v0=None,
-    tol: float = 1e-12,
-    max_iter: int = 60,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve dL/dv(t, q, v, s) = p for v by Newton iteration.
+def _floats(x, length: int, what: str) -> list:
+    """x as a list of `length` floats; a list of that length passes as it is."""
+    if type(x) is list and len(x) == length:
+        return x
+    if np.shape(x) != (length,):
+        raise ValueError(f"expected {what} of length {length}, got shape {np.shape(x)}")
+    return np.asarray(x, dtype=float).tolist()
+
+
+def _max_abs(xs) -> float:
+    """max |x| as numpy's max gives it: NaN if any x is NaN; 0 for none."""
+    a = list(map(abs, xs))
+    total = sum(a)  # NaN exactly when some |x| is: inf + inf is inf
+    return max(a, default=0.0) if total == total else math.nan
+
+
+def legendre_invert(L: LagrangianSystem, y, v0=None, tol: float = 1e-12, max_iter: int = 60,
+                    replay: Callable[[list], list] | None = None) -> tuple[list, list]:
+    """Solve dL/dv(t, q, v, s) = p for v by Newton iteration, on floats.
 
     y is a momentum-space point (t, q, p, s).  v0 seeds the iteration
     (zeros by default); for Lagrangians whose fibre derivative is affine in
     v one step is exact.  Each iterate is one replay of the momentum
-    constraints' reads at the mixed-space point (t, q, v, p, s)
-    (pontryagin.momentum_reads): its QR solve of M = -d2L/dv dv gives the
-    step M dv = -(p - dL/dv) and the pivot margins the field tests, here
-    against mechanics.DEFAULT_RANK_TOL (NonInvertibleLegendre).  Returns v
-    and the reads at the converged point, the ones the convergence test
-    read.
+    constraints' reads at (t, q, v, p, s) (pontryagin.momentum_reads, or a
+    run's `replay` of them): its QR solve of M = -d2L/dv dv gives the step
+    M dv = -(p - dL/dv) and the pivot margins, tested against
+    mechanics.DEFAULT_RANK_TOL (NonInvertibleLegendre).  Converged once
+    max |p - dL/dv| <= tol * max(1, max |p|).  Returns v and the reads the
+    convergence test read, as lists of floats.
     """
     n = L.n
-    yvec = np.asarray(y, dtype=float)
-    if yvec.shape != (2 * n + 2,):
-        raise ValueError(f"expected a momentum-space point of length {2 * n + 2}")
-    v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"expected a velocity seed v0 of length {n}, got shape {v.shape}")
-    w = np.concatenate((yvec[: 1 + n], v, yvec[1 + n :]))
+    y = _floats(y, 2 * n + 2, "a momentum-space point")
+    v = [0.0] * n if v0 is None else _floats(v0, n, "a velocity seed v0")
+    w = y[: 1 + n] + v + y[1 + n :]
     # Newton cannot converge from a non-finite point; it would spend every iteration
-    if not all(map(math.isfinite, w.tolist())):
-        finite_y = all(map(math.isfinite, yvec.tolist()))
-        raise NonInvertibleLegendre(
-            f"non-finite {'velocity seed v0' if finite_y else 'momentum-space point y'}"
-        )
-    vs = slice(1 + n, 1 + 2 * n)
-    reads, (margins, step) = momentum_reads(L), _layout(n, n)[3:]
+    if not all(map(math.isfinite, w)):
+        bad = "velocity seed v0" if all(map(math.isfinite, y)) else "momentum-space point y"
+        raise NonInvertibleLegendre(f"non-finite {bad}")
+    replay = replay or momentum_reads(L).resolve()
+    within = (tol * max(1.0, *map(abs, y[1 + n : 1 + 2 * n]))).__ge__  # False for NaN
+    vs, (margins, step) = slice(1 + n, 1 + 2 * n), _layout(n, n)[3:]
     for _ in range(max_iter):
-        raw = reads(w)
-        if np.abs(raw[:n]).max() <= tol:
-            return w[vs].copy(), raw
+        raw = replay(w)
+        if all(map(within, map(abs, raw[:n]))):
+            return w[vs], raw
         _test_margins(raw[margins], DEFAULT_RANK_TOL, NonInvertibleLegendre,
                       "velocity Hessian", "the fibre derivative is not invertible")
-        w[vs] += raw[step]
+        w[vs] = map(operator.add, w[vs], raw[step])
     raise NonInvertibleLegendre(
         f"velocity recovery did not converge within {max_iter} iterations"
     )
@@ -180,103 +189,97 @@ def legendre_invert(
 class UnifiedField:
     """The dynamical field on the mixed space, states (t, q, v, p, s).
 
-    Each description supplies two maps between its own states and the
-    mixed space: lift(state) -> w, the mixed-space point, and
-    drop(w) -> state; here both are the identity.  prepare, reproject,
-    eval and drift are written once in terms of them and of _read: here
-    one replay of the ladder's tape, L's expansion included.  Every
-    description evaluates as _read, then the numpy tail pontryagin._field,
-    the one assemble_Z and discovery run.  On a ladder closed with full
-    rank the read carries C already (pontryagin._solve) and the tail is
-    slices; a state where the C-system has lost rank raises
-    NumericalBreakdown naming the pivot margin, compared against
-    opts.rank_tol.
-
-    eval(state) -> (derivative, coefficient vector on the mixed space,
-    lifted mixed-space state, constraint values at the lift in
-    ladder.active() order, L's order-2 data at the lift's velocity side as
-    mechanics.read_order2 returns it).  The constraint values and the L
-    data come out of the evaluation itself, never from a second pass.  The
-    last evaluation is kept, keyed by the state's bytes, and drift reads
-    it too: the drift check at an accepted state and the eval that follows
-    share one evaluation.  A reprojection leaves its own there when the
-    eval that follows would replay its last read.  Callers must not modify
-    the returned arrays in place.  One instance drives one trajectory at a
-    time.
+    Each description reads its states its own way: _read takes a state, a
+    list of floats, to its lift w to the mixed space and the ladder's
+    reads there (pontryagin._reads' layout), both lists; here one replay
+    of the ladder's tape.  _drop takes a mixed-space list back to the
+    description's layout.  eval(state) is _read, then the tail discovery
+    and assemble_Z run (pontryagin._field): a ladder closed with full rank
+    reads C already (pontryagin._solve), and its pivot margins are tested
+    against opts.rank_tol (NumericalBreakdown); otherwise an SVD writes C
+    into the reads' template.  It returns (derivative, w, reads), lists:
+    the coefficient vector, constraint values and L's order-2 data are
+    slices of the reads (pontryagin._layout).  drift(evaluation) is max
+    |xi| over an evaluation's constraint values.  The tapes are resolved
+    (_ClosedReads.resolve) when a field is made and at every prepare: a
+    parameter change takes effect at the next run.  One instance drives
+    one trajectory at a time.
     """
 
     L: LagrangianSystem
     ladder: ConstraintLadder
     opts: AlgorithmOptions = field(default_factory=AlgorithmOptions)
-    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _replay: Callable = field(default=None, init=False, repr=False, compare=False)
     kind = "unified"
-    # whether eval reads the mixed-space tape, as a projection that moved
-    # did last; where it does not, reproject keeps its evaluation only if
-    # Gauss-Newton did not move, its last read being eval's own
-    _reads_mixed_space = True
 
-    def lift(self, state: np.ndarray) -> np.ndarray:
-        return state
+    def __post_init__(self):
+        n, self._R = self.L.n, len(self.ladder.active())
+        _, self._template, data, self._margins, _ = _layout(self._R, n)
+        self._p = slice(data.start + 2 + n, data.start + 2 + 2 * n)  # dL/dv in L's data
+        self._replay = self._reads().resolve()
 
-    def drop(self, w: np.ndarray) -> np.ndarray:
+    def _reads(self):
+        return _ladder_reads(self.L, self.ladder)
+
+    def _read(self, state: list) -> tuple[list, list]:
+        return state, self._replay(state)
+
+    def _drop(self, w: list) -> list:
         return w
 
-    def __call__(self, state: np.ndarray) -> np.ndarray:
-        return self.eval(state)[0]
+    def lift(self, state) -> np.ndarray:
+        return np.asarray(state, dtype=float)
 
-    def _read(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The lift of a state and the ladder's reads there (pontryagin._reads)."""
-        w = self.lift(state)
-        return w, _ladder_reads(self.L, self.ladder)(w)
+    def drop(self, w) -> np.ndarray:
+        return np.array(self._drop(np.asarray(w, dtype=float).tolist()))
 
-    def _tail(self, w: np.ndarray, raw: np.ndarray) -> tuple:
-        # exact: the reads' template sets A = 1.0 and B = v
-        Z = _field(raw, len(self.ladder.active()), self.L.n, self.opts)[0]
-        return self.drop(Z.coeffs), Z.coeffs, w, Z.constraint_values, Z.L_data
+    def __call__(self, state) -> np.ndarray:
+        return np.array(self.eval(state)[0])
 
-    def _evaluate(self, state: np.ndarray):
-        return self._tail(*self._read(state))
+    def eval(self, state) -> tuple[list, list, list]:
+        if type(state) is not list:
+            state = np.asarray(state, dtype=float).tolist()
+        w, raw = self._read(state)
+        if len(raw) > self._margins.start:
+            _test_margins(raw[self._margins], self.opts.rank_tol, NumericalBreakdown,
+                          "C-system", "the tangency conditions lost rank")
+        else:
+            solved = np.array(raw, dtype=float)
+            _field(solved, self._R, self.L.n, self.opts)
+            raw = solved.tolist()
+        return self._drop(raw[self._template]), w, raw
 
-    def _evaluation(self, state) -> tuple:
-        state = np.asarray(state, dtype=float)
-        key = state.tobytes()
-        if self._last[0] != key:
-            self._last = (key, self._evaluate(state))
-        return self._last[1]
-
-    def eval(self, state):
-        return self._evaluation(state)
+    def drift(self, evaluation: tuple) -> float:
+        return _max_abs(evaluation[2][: self._R])
 
     def prepare(self, x0) -> np.ndarray:
-        """Project an initial state onto the constraint set."""
-        return self.reproject(np.asarray(x0, dtype=float))
+        """Project an initial state onto the constraint set; a run starts."""
+        self._replay = self._reads().resolve()
+        return self.reproject(x0)
 
-    def reproject(self, state: np.ndarray) -> np.ndarray:
+    def reproject(self, state) -> np.ndarray:
         """Project a state back onto the constraint set after a step,
         starting, as project_onto does, at the lift with p = dL/dv: a state
         with a p of its own is read again once it is filled in, or, where
         its own p breaks the reads down, read on the velocity side.  The
-        mixed-space tape is recorded when Gauss-Newton first moves.  Where
-        the eval at the projected state would replay the projection's last
-        read, that read's evaluation is kept for it."""
+        mixed-space tape is recorded when Gauss-Newton first moves."""
         n, reads = self.L.n, _ladder_reads(self.L, self.ladder)
         try:
-            w, raw = self._read(state)
+            w, raw = self._read(np.asarray(state, dtype=float).tolist())
         except (NumericalBreakdown, JetDomainError):
-            w, raw = LagrangianField._read(self, lagrangian_part(self.lift(state), n))
-        p = raw[_layout(len(reads.active), n)[2]][2 + n : 2 + 2 * n]  # dL/dv in L's data
+            x = lagrangian_part(self.lift(state), n).tolist()
+            w, raw = LagrangianField(self.L, self.ladder, self.opts)._read(x)
+        w, raw = np.array(w, dtype=float), np.array(raw, dtype=float)
+        p = raw[self._p]
         if p.tobytes() != w[1 + 2 * n : 1 + 3 * n].tobytes():
             w = np.concatenate((w[: 1 + 2 * n], p, w[1 + 3 * n :]))
             raw = reads(w)
-        w, last = _project(reads, w, raw, reads.active, self.opts)
-        out = self.drop(w)
-        if self._reads_mixed_space or last is raw:
-            self._last = (out.tobytes(), self._tail(w, last))
-        return out
+        return self.drop(_project(reads, w, raw, reads.active, self.opts)[0])
 
-    def drift(self, state: np.ndarray) -> float:
-        vals = self._evaluation(state)[3]
-        return float(np.max(np.abs(vals))) if len(vals) else 0.0
+
+def _lift_by_read(self, state) -> np.ndarray:
+    """The w the description's read gives: a replay, a new array each call."""
+    return np.array(self._read(np.asarray(state, dtype=float).tolist())[0])
 
 
 class LagrangianField(UnifiedField):
@@ -285,20 +288,17 @@ class LagrangianField(UnifiedField):
     before the constraints read the point; the lift reads them back."""
 
     kind = "lagrangian"
-    _reads_mixed_space = False
+    lift = _lift_by_read
 
-    def lift(self, x: np.ndarray) -> np.ndarray:
-        """(t, q, v, dL/dv, s): one replay of the velocity-side tape."""
-        return self._read(x)[0]
+    def _reads(self):
+        return _ladder_reads(self.L, self.ladder, lift=True)
 
-    def drop(self, w: np.ndarray) -> np.ndarray:
-        return lagrangian_part(w, self.L.n)
+    def _read(self, x: list) -> tuple[list, list]:
+        raw = self._replay(x)
+        return x[:-1] + raw[self._p] + x[-1:], raw
 
-    def _read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.L.n
-        raw = _ladder_reads(self.L, self.ladder, lift=True)(x)
-        p = raw[_layout(len(self.ladder.active()), n)[2]][2 + n : 2 + 2 * n]
-        return np.concatenate((x[: 1 + 2 * n], p, x[-1:])), raw
+    def _drop(self, w: list) -> list:
+        return w[: 1 + 2 * self.L.n] + w[-1:]
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval
@@ -310,27 +310,25 @@ class HamiltonianField(UnifiedField):
     """Momentum-side description: states (t, q, p, s); the lift recovers
     the velocities by inverting the fibre derivative (regular Lagrangians
     only), warm-started from the previous lift.  A regular ladder is the
-    momentum constraints p - dL/dv alone, so the reads the Newton
-    iteration converged with, whose one QR gave each step and gives C, are
-    the ladder's reads at the lift, and the evaluation is the other
-    descriptions' tail (pontryagin._field) on them.  Where a projection
-    does not move, its last read is where the next lift converges at once."""
+    momentum constraints alone: the reads Newton converged with are the
+    ladder's at the lift, and the tail reads them."""
 
     kind = "hamiltonian"
-    _reads_mixed_space = False
-    _last_v: np.ndarray | None = field(default=None, init=False, repr=False)
+    _last_v: list | None = field(default=None, init=False, repr=False)
+    lift = _lift_by_read
 
-    def _read(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _reads(self):
+        return momentum_reads(self.L)
+
+    def _read(self, y: list) -> tuple[list, list]:
         n = self.L.n
-        v, raw = legendre_invert(self.L, y, v0=self._last_v)
+        v, raw = legendre_invert(self.L, y, self._last_v, replay=self._replay)
         self._last_v = v
-        return np.concatenate((y[: 1 + n], v, y[1 + n : 1 + 2 * n], y[-1:])), raw
+        return y[: 1 + n] + v + y[1 + n :], raw
 
-    def lift(self, y: np.ndarray) -> np.ndarray:
-        return self._read(y)[0]
-
-    def drop(self, w: np.ndarray) -> np.ndarray:
-        return hamiltonian_part(w, self.L.n)
+    def _drop(self, w: list) -> list:
+        n = self.L.n
+        return w[: 1 + n] + w[1 + 2 * n : 1 + 3 * n] + w[-1:]
 
     # entries of their own: bench/tracer.py wraps eval and drift per class __dict__
     eval = UnifiedField.eval
@@ -470,13 +468,7 @@ def residual_channels(
 
 # -- integrators --------------------------------------------------------
 
-
-def _rk4_step(f: Callable, y: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+MAX_STEPS = 1_000_000  # the most steps an rk4 run may take
 
 # Fehlberg 4(5) tableau
 _RKF_A = (
@@ -491,117 +483,116 @@ _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 
-def _rkf45_step(f: Callable, y: np.ndarray, h: float, k1: np.ndarray):
-    ks = [k1]
-    for row in _RKF_A[1:]:
-        yk = y + h * sum(a * k for a, k in zip(row, ks))
-        ks.append(f(yk))
-    y5 = y + h * sum(b * k for b, k in zip(_RKF_B5, ks))
-    y4 = y + h * sum(b * k for b, k in zip(_RKF_B4, ks))
-    return y5, np.abs(y5 - y4)
+def _combine(y: list, h: float, coefs: tuple, ks: list) -> list:
+    """y + h * (a_1 k_1 + a_2 k_2 + ...) per component, summed from 0 in
+    the tableau's order."""
+    return [yi + h * functools.reduce(operator.add, map(operator.mul, coefs, col), 0)
+            for yi, *col in zip(y, *ks)]
+
+
+def _rk4_steps(t0: float, cfg: IntegratorConfig) -> Iterator[tuple[float, float]]:
+    """(step, exact time after it): the full steps, then the remainder, one
+    at a time once their count is checked against MAX_STEPS."""
+    h, span = cfg.step, cfg.t_end - t0
+    if not span / h <= MAX_STEPS:
+        raise ValueError(f"step {h:.3g} over [{t0:.6g}, {cfg.t_end:.6g}] would take "
+                         f"{span / h:.3g} steps, more than MAX_STEPS = {MAX_STEPS}")
+    n_full = math.floor(span / h + 1e-12)
+    rem = span - n_full * h
+    steps = ((h, t0 + (k + 1) * h) for k in range(n_full))
+    if rem > 1e-12 * max(1.0, abs(cfg.t_end)):
+        return itertools.chain(steps, [(rem, cfg.t_end)])
+    return steps
 
 
 def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate a field from an initial state.
+    """Integrate a field from an initial state, projected onto the
+    admissible set first.  For fixed-step runs each sample time is assigned
+    exactly as t0 + k * step, and a run of more than MAX_STEPS steps
+    raises ValueError before the field is evaluated.  With cfg.reproject
+    the state is pulled back onto the constraint set after every accepted
+    step, and a stalled reprojection raises InfeasiblePoint naming the
+    step's time; otherwise drift beyond 10x the feasibility tolerance
+    raises LadderLost.  A non-finite accepted state raises StepFailure.
 
-    The initial state is projected onto the admissible set first.  For
-    fixed-step runs each sample time is assigned exactly as t0 + k * step.
-    With cfg.reproject the state is pulled back onto the constraint set
-    after every accepted step, and a reprojection that stalls raises
-    InfeasiblePoint naming the step's time; otherwise drift is monitored
-    and exceeding 10x the feasibility tolerance raises LadderLost.  A
-    non-finite accepted state raises StepFailure; numpy's floating-point
-    warnings from the steps that led there are silenced.  The residual
-    pass reads the constraint values and L's order-2 data each accepted
-    state's evaluation returned, so it expands nothing.
+    The steps run on lists of Python floats, in numpy's order of
+    operations: the bits of array arithmetic.  Each stage is one
+    field.eval; an accepted state's eval serves its drift check and the
+    next step's first stage.  The accepted states' lifts and reads become
+    arrays once, at the end, and the residual pass reads the constraint
+    values and L's order-2 data there, so it expands nothing.
     """
-    y = field.prepare(x0)
-    t0 = float(y[0])
-    if cfg.t_end <= t0:
+    y = field.prepare(x0).tolist()
+    t0 = y[0]
+    if not cfg.t_end > t0:
         raise ValueError(f"t_end = {cfg.t_end} does not lie beyond t0 = {t0}")
-
+    steps = _rk4_steps(t0, cfg) if cfg.method == "rk4" else None
     drift_cap = 10.0 * field.opts.tol
-    times = [t0]
-    states = [y.copy()]
-    # (coeffs, lifted, constraint values, L data) at each accepted state,
-    # packed as one row: the evaluation's arrays are views of the buffer
-    # its reads came in, which holds the constraint gradients too
-    samples = []
+    evaluate = field.eval
+    times, states, evals = [t0], [y], []
 
-    def accept(ynew, t_exact):
-        ynew[0] = t_exact
-        if not np.isfinite(ynew).all():
+    def accept(y: list, t_exact: float) -> tuple:
+        y[0] = t_exact
+        if not all(map(math.isfinite, y)):
             raise StepFailure(f"non-finite state at t = {t_exact:.6g}")
         if cfg.reproject:
             try:
-                ynew = field.reproject(ynew)
+                y = field.reproject(y).tolist()
             except InfeasiblePoint as exc:
                 # the advice on initial points would mislead mid-run
                 raise InfeasiblePoint(f"reprojection failed at t = {t_exact:.6g}: "
                                       f"{exc.stall or exc} (reduce the step)") from exc
-            ynew[0] = t_exact
-        else:
-            # evaluates the field at ynew; the eval that follows reuses it
-            d = field.drift(ynew)
-            if d > drift_cap:
-                raise LadderLost(
-                    f"constraint drift {d:.3e} exceeds {drift_cap:.1e} "
-                    f"at t = {t_exact:.6g} (enable reprojection or reduce the step)"
-                )
+            y[0] = t_exact
+        ev = evaluate(y)
+        d = 0.0 if cfg.reproject else field.drift(ev)
+        if d > drift_cap:
+            raise LadderLost(f"constraint drift {d:.3e} exceeds {drift_cap:.1e} at t = "
+                             f"{t_exact:.6g} (enable reprojection or reduce the step)")
         times.append(t_exact)
-        states.append(ynew)
-        return ynew
+        states.append(y)
+        evals.append(ev)
+        return y, ev
 
-    # an overflowing step fills its stage states with inf and nan; accept
-    # names the failure, so numpy's warnings on the way there are noise
+    # numpy runs at the edges only (projections, an SVD tail); an
+    # overflowing step reaches them with inf and nan, and accept names the
+    # failure, so numpy's warnings on the way there are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        deriv, *sample = field.eval(y)
-        if cfg.method == "rk4":
-            h = cfg.step
-            span = cfg.t_end - t0
-            n_full = int(np.floor(span / h + 1e-12))
-            rem = span - n_full * h
-            # (step, exact time after it): the full steps, then the remainder
-            steps = [(h, t0 + (k + 1) * h) for k in range(n_full)]
-            if rem > 1e-12 * max(1.0, abs(cfg.t_end)):
-                steps.append((rem, cfg.t_end))
-            for dt, t_exact in steps:
-                samples.append(np.concatenate(sample))
-                y = _rk4_step(field, y, dt, deriv)
-                y = accept(y, t_exact)
-                deriv, *sample = field.eval(y)
+        ev = evaluate(y)
+        evals.append(ev)
+        if steps is not None:
+            for h, t_exact in steps:
+                k1, c = ev[0], 0.5 * h
+                k2 = evaluate([a + c * b for a, b in zip(y, k1)])[0]
+                k3 = evaluate([a + c * b for a, b in zip(y, k2)])[0]
+                k4 = evaluate([a + h * b for a, b in zip(y, k3)])[0]
+                c = h / 6.0
+                y, ev = accept([a + c * (b + 2.0 * d2 + 2.0 * d3 + d4)
+                                for a, b, d2, d3, d4 in zip(y, k1, k2, k3, k4)], t_exact)
         else:
-            h = cfg.step
-            t = t0
+            h, t = cfg.step, t0
             while t < cfg.t_end - 1e-12 * max(1.0, abs(cfg.t_end)):
                 h = min(h, cfg.t_end - t)
                 if h < 1e-13 * max(1.0, abs(t)):
                     raise StepFailure(f"step size underflow at t = {t:.6g}")
-                y5, err = _rkf45_step(field, y, h, deriv)
-                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-                ratio = float(np.max(err / scale))
+                ks = [ev[0]]
+                for row in _RKF_A[1:]:
+                    ks.append(evaluate(_combine(y, h, row, ks))[0])
+                y5 = _combine(y, h, _RKF_B5, ks)
+                ratio = _max_abs([abs(a - b) / (cfg.abs_tol + cfg.rel_tol * max(abs(c), abs(a)))
+                                  for a, b, c in zip(y5, _combine(y, h, _RKF_B4, ks), y)])
                 if ratio <= 1.0:
-                    samples.append(np.concatenate(sample))
                     t = t + h
-                    y = accept(y5, t)
-                    deriv, *sample = field.eval(y)
-                    growth = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.2)
-                    h = h * max(0.2, growth)
+                    y, ev = accept(y5, t)
+                    h = h * max(0.2, 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.2))
                 else:
                     h = h * max(0.2, 0.9 * ratio ** -0.2)
 
-    # field data at the final accepted sample
-    samples.append(np.concatenate(sample))
-
-    times_arr = np.array(times)
-    states_arr = np.vstack(states)
-    cuts = np.cumsum([len(part) for part in sample[:3]])
-    coeffs_arr, lifted_arr, xi_arr, L_data = (np.ascontiguousarray(col)
-                                              for col in np.split(np.vstack(samples), cuts, axis=1))
-    residuals = residual_channels(field.L, times_arr, lifted_arr, field.ladder, xi_arr, L_data)
-    return Trajectory(
-        field.kind, field.L.n, times_arr, states_arr, lifted_arr, coeffs_arr, residuals
-    )
+    times_arr, lifted = np.array(times), np.array([ev[1] for ev in evals], dtype=float)
+    R, n = len(field.ladder.active()), field.L.n
+    rows = np.array([ev[2] for ev in evals], dtype=float)
+    coeffs, L_data, xi = (np.ascontiguousarray(rows[:, c]) for c in (*_layout(R, n)[1:3], slice(R)))
+    residuals = residual_channels(field.L, times_arr, lifted, field.ladder, xi, L_data)
+    return Trajectory(field.kind, n, times_arr, np.array(states), lifted, coeffs, residuals)
 
 
 def residual_report(L: LagrangianSystem, traj: Trajectory) -> dict[str, dict[str, float]]:

@@ -55,9 +55,10 @@ and ladders with undetermined directions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -525,10 +526,11 @@ def _reads(ws: _Workspace, constraints: Sequence[ConstraintFn]) -> list:
     return out
 
 
+@functools.cache
 def _layout(R: int, n: int) -> tuple[slice, slice, slice, slice, slice]:
     """Where _reads puts the R constraints' gradients, the coefficient
     template and L's order-2 data, after the R values; and where _solve
-    appends the n pivot margins, squared, then Newton's step (R == n only)."""
+    appends the n pivot margins, squared, then Newton's step (if asked)."""
     z = R + R * (3 * n + 2)
     data = z + 3 * n + 2
     margins = data + 1 + (2 * n + 2) * (n + 1)
@@ -541,9 +543,9 @@ def _pinv(x: float) -> float:
     return 1.0 / x if x != 0.0 else 0.0
 
 
-def _solve(reads: list, R: int, n: int) -> list:
+def _solve(reads: list, R: int, n: int, newton: bool = False) -> list:
     """_reads' list with C in the template's zero block and the n pivot
-    margins appended, then, for a square C-system (R == n), Newton's step.
+    margins appended, then, with `newton` (R == n), Newton's step.
 
     C solves the tangency conditions M C = -g in the least-squares sense,
     with g = grads . z and M the gradients' velocity block, by modified
@@ -553,8 +555,8 @@ def _solve(reads: list, R: int, n: int) -> list:
     That is the QR factorisation M = QR with R's diagonal moved into Q, so
     no square root is taken; for full column rank it gives the C an SVD
     gives, to within cond(M) times the rounding unit (normal equations
-    would square cond(M)).  A square system (the momentum constraints,
-    M = -d2L/dv dv) carries their values xi as one more column: dv with
+    would square cond(M)).  With `newton` the momentum constraints' system
+    (M = -d2L/dv dv) carries their values xi as one more column: dv with
     M dv = -xi is the Newton step of dL/dv = p (legendre_invert).  Plain
     float operations, written once: a full-rank ladder's tape records
     them after the reads, and discovery runs them on floats, so both give
@@ -576,7 +578,7 @@ def _solve(reads: list, R: int, n: int) -> list:
             acc = acc + row[j] * z[j]
         g.append(acc)
     cols = [[row[j] for row in rows] for j in range(1 + n, 1 + 2 * n)]
-    cols += [g, out[:R]] if R == n else [g]
+    cols += [g, out[:R]] if newton else [g]
 
     def dot(a, b):
         acc = a[0] * b[0]
@@ -609,10 +611,11 @@ def _solve(reads: list, R: int, n: int) -> list:
     return out + margins + [d for x in step for d in x]
 
 
-def _test_margins(squared: np.ndarray, rank_tol: float, error: type, what: str, lost: str) -> None:
+def _test_margins(squared: list, rank_tol: float, error: type, what: str, lost: str) -> None:
     """Raise error naming the smallest pivot margin (_solve lists them
-    squared) unless it is above rank_tol; a NaN margin is not."""
-    margin = math.sqrt(min(squared.tolist()))
+    squared, >= 0) unless it is above rank_tol; a NaN one, anywhere, is not."""
+    total = sum(squared)  # NaN just when a margin is: inf + inf is inf
+    margin = math.sqrt(min(squared)) if total == total else math.nan
     if not margin > rank_tol:
         raise error(f"{what} pivot margin {margin:.3e} at or below rank_tol {rank_tol:.1e}; {lost}")
 
@@ -632,7 +635,7 @@ def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCo
     grads_at, template, data, margins, _ = _layout(R, n)
     coeffs = raw[template]
     if len(raw) > margins.start:
-        _test_margins(raw[margins], opts.rank_tol, NumericalBreakdown, "C-system",
+        _test_margins(raw[margins].tolist(), opts.rank_tol, NumericalBreakdown, "C-system",
                       "the tangency conditions lost rank")
         return ZCoefficients(coeffs, np.zeros((n, 0)), raw[:R], raw[data]), n
     grads = raw[grads_at].reshape(R, 3 * n + 2)
@@ -903,14 +906,14 @@ class _ClosedReads:
     (t, q, v, s), whose momenta p = dL/dv it fills in from its own
     expansion of L before the reads.  With `solve` (constraints that
     closed with full rank) the reads come solved (_solve): C in the
-    template and the pivot margins after L's data.
+    template, the pivot margins after L's data, then Newton's step (_solve).
 
     One recording (jets.Tape) runs L's expansion, to 1 plus the deepest
     generation, the reads and the solve, so the replay program drops every
     coefficient of L that nothing reads.  L's parameter values are
     constants in it: the tape is stamped with them, as L's own tapes are,
     and recorded afresh after any of them changes.  A refused recording
-    runs live."""
+    runs live.  A call checks the parameters, resolve() once for a run."""
 
     def __init__(self, L: LagrangianSystem, active: list[ConstraintFn], lift: bool = False,
                  solve: bool = True):
@@ -929,18 +932,24 @@ class _ClosedReads:
             w[1 + 2 * n : 1 + 3 * n] = [expansion.terms.get(k, 0.0)
                                         for k in _strides(unified.dim)[1 + n : 1 + 2 * n]]
         reads = _reads(_Workspace(L, w, active, 1, expansion), active)
-        return _solve(reads, len(active), n) if self.solve else reads
+        newton = len(active) == n and not self.lift  # the momentum constraints' (legendre_invert)
+        return _solve(reads, len(active), n, newton) if self.solve else reads
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def resolve(self) -> Callable[[list], list]:
+        """The reads at one point, a list of floats in and out: the tape's
+        replay, recorded first if L's parameters changed, or the live reads."""
         params = tuple(self.L.params.items())
         if self.params != params:
             dim = (2 if self.lift else 3) * self.L.n + 2
             self.params, self.tape = params, Tape.record(self._build, dim)
-        if self.tape is None:
-            return np.array(self._build(x) if x.ndim == 1 else [self._build(xb) for xb in x],
-                            dtype=float)
+        return self._build if self.tape is None else self.tape._point
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        replay = self.resolve()
         if x.ndim == 1:
-            return np.array(self.tape(x.tolist()), dtype=float)
+            return np.array(replay(x.tolist()), dtype=float)
+        if self.tape is None:
+            return np.array([self._build(xb) for xb in x], dtype=float)
         return np.stack(self.tape(x.T), axis=1)
 
 

@@ -158,7 +158,7 @@ def reference_field(kind: str):
     """The description's field class with the tail above, each evaluation
     expanding L afresh; the velocity lift takes the momenta from L's
     expansion at 1 + the deepest generation, the momentum lift is the
-    Newton iteration above."""
+    Newton iteration above.  Projections are the package's."""
 
     class Reference(FIELDS[kind]):
         def lift(self, state):
@@ -175,9 +175,13 @@ def reference_field(kind: str):
             w[1 + 2 * n : 1 + 3 * n] = expansion.gradient(1 + 2 * n)[1 + n :]
             return w
 
-        def _evaluate(self, state):
-            w = self.lift(state)
+        def eval(self, state):
+            # the reads in the tail's layout, as far as an integrator reads
+            # them: constraint values, coefficient vector and L data
+            w = self.lift(np.asarray(state, dtype=float))
             Z = reference_Z(self.L, w, self.ladder, self.opts)
-            return self.drop(Z.coeffs), Z.coeffs, w, Z.constraint_values, Z.L_data
+            xi = Z.constraint_values.tolist()
+            raw = [*xi, *[0.0] * (len(xi) * len(w)), *Z.coeffs.tolist(), *Z.L_data.tolist()]
+            return self._drop(Z.coeffs.tolist()), w.tolist(), raw
 
     return Reference

@@ -345,6 +345,26 @@ def test_simulate_overflowing_state_exits_four(capsys, tmp_path, monkeypatch):
     assert err == "error: StepFailure: non-finite state at t = 0.01\n"
 
 
+def test_simulate_over_the_step_cap_exits_one_before_any_evaluation(capsys, tmp_path,
+                                                                   monkeypatch):
+    # step 1e-300 over [0, 1] would be 1e300 rk4 steps: refused before the
+    # field is evaluated, in one line
+    from cocontact.dynamics import FIELDS, MAX_STEPS
+
+    def refuse(self, state):
+        raise AssertionError("the field was evaluated")
+
+    monkeypatch.setattr(FIELDS["unified"], "eval", refuse)
+    monkeypatch.setenv("COCONTACT_OUT_DIR", str(tmp_path))
+    cfg = write_config(tmp_path, {"system": "duffing",
+                                  "integrator": {"step": 1e-300, "t_end": 1}})
+    rc, out, err = run(capsys, ["simulate", "--config", cfg])
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ValueError: ")
+    assert f"more than MAX_STEPS = {MAX_STEPS}" in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_simulate_incompatible_system_exit_two(capsys, tmp_path):
     cfg = write_config(tmp_path, {
         "system": {"n": 1, "lagrangian": "q1"},

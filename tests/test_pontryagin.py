@@ -25,6 +25,7 @@ from cocontact.pontryagin import (
     _ClosedReads,
     _layout,
     _solve_frozen,
+    _test_margins,
     _Workspace,
     assemble_Z,
     constraint_values,
@@ -268,6 +269,15 @@ def _rank_one_ladder():
     ladder, _ = run_constraint_algorithm(L, np.array([0.0, 1.0, 0.5, 0.0, 0.0]))
     assert (ladder.status, ladder.rank, ladder.undetermined_dim) == ("Closed", 1, 0)
     return L, ladder
+
+
+@pytest.mark.parametrize("squared", [[math.nan, 1.0], [1.0, math.nan], [4.0, math.nan, 1.0]])
+def test_a_nan_pivot_margin_fails_wherever_it_is_listed(squared):
+    # min() keeps its first argument against a NaN: a NaN after the first
+    # margin once passed the test
+    with pytest.raises(NumericalBreakdown, match=r"C-system pivot margin nan at or below"):
+        _test_margins(squared, 1e-9, NumericalBreakdown, "C-system", "lost")
+    _test_margins([4.0, 1.0], 1e-9, NumericalBreakdown, "C-system", "lost")
 
 
 def test_a_rank_drop_raises_where_it_was_silent():

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cocontact import dsl
+from cocontact import dsl, jets
 from cocontact.dynamics import FIELDS, IntegratorConfig, LadderLost, integrate
 from cocontact.jets import (
     CoordinateSpace,
@@ -32,10 +32,13 @@ from cocontact.pontryagin import (
     AlgorithmOptions,
     NumericalBreakdown,
     _field,
+    _ladder_reads,
+    _layout,
     _reads,
     _solve,
     _Workspace,
     assemble_Z,
+    lagrangian_part,
     run_constraint_algorithm,
 )
 from cocontact.systems import (
@@ -522,6 +525,33 @@ def test_a_single_point_never_records_and_a_stack_records_at_once(monkeypatch):
     assert len(calls) == 1
     assert_same_stack(L.taylor_on(space, W, 4), [live_taylor(L, space, w, 4) for w in W])
     assert len(calls) == 2 and list(L._tapes) == [(space.dim, 4)]
+
+
+@pytest.mark.parametrize("name, statements", [("duffing", 41), ("variable_mass_drag", 56)])
+def test_only_the_momentum_constraints_tape_carries_newtons_step(name, statements, monkeypatch):
+    # a one-generation ladder's mixed-space tape is the momentum
+    # constraints', whose Newton column legendre_invert reads; the
+    # velocity side's tape solves for C alone, and is that much shorter
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(jets, "compile", spy, raising=False)
+    pre = preset_by_name(name)
+    L = pre.system
+    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+    n = L.n
+    counts = {}
+    for lift in (False, True):
+        sources.clear()
+        reads = _ladder_reads(L, ladder, lift=lift)
+        raw = reads(lagrangian_part(ladder.probe, n) if lift else ladder.probe)
+        # the replay's statements, less the inputs' unpacking and the return
+        counts[lift] = sum(line.startswith(" " * 8) for line in sources[-1].splitlines()) - 2
+        assert len(raw) == _layout(n, n)[3].stop + (0 if lift else n)
+    assert counts == {False: statements, True: statements - (2 if name == "duffing" else 3)}
 
 
 # -- the tape itself -------------------------------------------------------
