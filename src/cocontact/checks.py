@@ -78,24 +78,30 @@ def check_ad_vs_fd(
     rng = np.random.default_rng(seed)
     dim = 2 * pre.n + 2
     tols = {k: (tol if tol is not None else FD_TOLS[k]) for k in (1, 2, 3)}
-    # one stack of points: each jet below is one batched expansion
     X = np.array([_domain_point(pre, rng) for _ in range(points)]).reshape(points, dim)
+
+    def differences(k: int, evaluate) -> list[np.ndarray]:
+        """Per coordinate i, the central difference quotient of evaluate at
+        step FD_STEPS[k] along i, from one call on a stack of all the
+        shifted points: X + e_i, then X - e_i, for each i in turn."""
+        shifts = FD_STEPS[k] * np.eye(dim)
+        rows = np.split(evaluate(np.concatenate([Y for e in shifts for Y in (X + e, X - e)])), 2 * dim)
+        return [(rows[2 * i] - rows[2 * i + 1]) / (2 * FD_STEPS[k]) for i in range(dim)]
+
+    # each order's differences from one batched call, the largest (order
+    # 3's, Hessians at 2 dim points points) while nothing else is held.
+    # Order 1's come from L's float evaluations (a replay of fn, bit for
+    # bit L.value's): a replayed expansion's value may differ from them in
+    # the last bit, and at this step the difference quotient would show it
+    fd3 = differences(3, lambda S: L.jet(S, 2).hess)
+    fd2 = differences(2, lambda S: L.jet(S, 1).grad)
+    fd1 = differences(1, L.value)
     j3 = L.jet(X, 3)
     info = {1: 0.0, 2: 0.0, 3: 0.0}
     for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = FD_STEPS[1]
-        # the order-1 differences from float evaluations of L: a replayed
-        # value may differ from them in the last bit, and at this step the
-        # difference quotient would show it
-        fd = np.array([L.value(x + e) - L.value(x - e) for x in X]) / (2 * FD_STEPS[1])
-        _fold(info, 1, np.abs(j3.grad[:, i] - fd) / (1 + np.abs(fd)))
-        e[i] = FD_STEPS[2]
-        fd = (L.jet(X + e, 1).grad - L.jet(X - e, 1).grad) / (2 * FD_STEPS[2])
-        _fold(info, 2, _deviation(j3.hess[:, i], fd))
-        e[i] = FD_STEPS[3]
-        fd = (L.jet(X + e, 2).hess - L.jet(X - e, 2).hess) / (2 * FD_STEPS[3])
-        _fold(info, 3, _deviation(j3.third[:, i], fd))
+        _fold(info, 1, np.abs(j3.grad[:, i] - fd1[i]) / (1 + np.abs(fd1[i])))
+        _fold(info, 2, _deviation(j3.hess[:, i], fd2[i]))
+        _fold(info, 3, _deviation(j3.third[:, i], fd3[i]))
     worst = max(info[k] / tols[k] for k in (1, 2, 3))
     detail = ", ".join(f"order {k}: {info[k]:.1e} vs {tols[k]:.0e}" for k in (1, 2, 3))
     return CheckResult(f"ad-vs-fd[{pre.label}]", worst <= 1.0, worst, 1.0, detail)
@@ -138,17 +144,27 @@ def check_ladder(
         )
 
     rng = np.random.default_rng(seed)
-    W = np.array([pre.sample_feasible(rng) for _ in range(points)]).reshape(points, 3 * pre.n + 2)
+    # each point's closed forms right after it is drawn, while the
+    # preset's memo of its last point's work (the charged particle's phi
+    # jet) still holds it
+    W, closed = [], []
+    for _ in range(points):
+        w = pre.sample_feasible(rng)
+        W.append(w)
+        closed.append(([want(w) for want in pre.ladder_closures],
+                       None if pre.expected_C is None else pre.expected_C(w),
+                       None if pre.expected_D is None else pre.expected_D(w)))
+    W = np.array(W).reshape(points, 3 * pre.n + 2)
     worst = 0.0
-    for w, Zw in zip(W, assemble_Z(pre.system, W, ladder, opts)):
+    for Zw, (closures, C, D) in zip(assemble_Z(pre.system, W, ladder, opts), closed):
         vals = Zw.constraint_values
         worst = max(worst, float(np.max(np.abs(vals))))
-        for got, want in zip(vals[pre.n :], pre.ladder_closures):
-            worst = max(worst, abs(got - want(w)))
-        if pre.expected_C is not None:
-            worst = max(worst, float(np.max(np.abs(Zw.C - pre.expected_C(w)))))
-        if pre.expected_D is not None:
-            worst = max(worst, float(np.max(np.abs(Zw.D - pre.expected_D(w)))))
+        for got, want in zip(vals[pre.n :], closures):
+            worst = max(worst, abs(got - want))
+        if C is not None:
+            worst = max(worst, float(np.max(np.abs(Zw.C - C))))
+        if D is not None:
+            worst = max(worst, float(np.max(np.abs(Zw.D - D))))
     detail = f"{len(sizes)} generations, {points} feasible points"
     return CheckResult(name, worst <= tol, worst, tol, detail)
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import types
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -77,6 +78,7 @@ __all__ = [
     "JetDomainError",
     "DimensionMismatch",
     "ORDER_CAP",
+    "CODE_CACHE_SIZE",
 ]
 
 _BASE = 10
@@ -613,6 +615,19 @@ def _any(fails: Callable[[float], bool]) -> Callable:
     return lambda xs: any(map(fails, xs.tolist()))
 
 
+# The most tape sources that stay compiled in a process, the least
+# recently used going first.  Tapes with equal sources (one ladder
+# discovered from two points, parameters that differ in value alone)
+# share one code object.
+CODE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _code(source: str) -> types.CodeType:
+    """A tape's generated source, compiled."""
+    return compile(source, "<tape>", "exec")
+
+
 class Tape:
     """The float operations of one computation, recorded once, replayed as
     often as needed.
@@ -627,11 +642,13 @@ class Tape:
     shares repeated ones, and folds x*1 to x.  The replay program drops
     what nothing reads (except the kinds that may raise, so a replay
     raises where a live evaluation would) and is generated as one
-    straight-line Python function, compiled once: a statement per
-    operation in recording order, the registers its locals.  Its source
-    holds generated names and operator symbols only.  Constants and the
-    recorded callables are bound to their names twice: as they are, for
-    single points, and as element-by-element wrappers, for stacks.
+    straight-line Python function: a statement per operation in recording
+    order, the registers its locals.  Its source holds generated names and
+    operator symbols only, and is compiled once per process while it stays
+    among the last CODE_CACHE_SIZE sources used.  Constants and the
+    recorded callables are bound to their names per tape, twice: as they
+    are, for single points, and as element-by-element wrappers, for
+    stacks.
     """
 
     def __init__(self):
@@ -765,7 +782,7 @@ class Tape:
             "    return replay",
         ]
         namespace: dict = {"__builtins__": {}}
-        exec(compile("\n".join(lines), "<tape>", "exec"), namespace)
+        exec(_code("\n".join(lines)), namespace)
         bind = namespace["bind"]
         self._point = bind([value for _, value, _ in bound])
         self._stack = bind([value for _, _, value in bound])

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dsl as _dsl
-from .jets import (CoordinateSpace, Jet, Taylor, _strides, expand, jet_from_taylor, stack,
+from .jets import (CoordinateSpace, Jet, Tape, Taylor, _strides, expand, jet_from_taylor, stack,
                    taped_expansion)
 
 __all__ = [
@@ -62,8 +62,9 @@ class LagrangianSystem:
         self.params = params if isinstance(params, _dsl.ParamTable) else _dsl.ParamTable(params or {})
         self.label = label
         self.space = CoordinateSpace.lagrangian(n)
-        # (dim, order) -> (params when recorded, replayable expansion or None)
-        self._tapes: dict[tuple[int, int], tuple] = {}
+        # (dim, order), or "value" for fn itself, -> (params when recorded,
+        # the replay or None)
+        self._tapes: dict = {}
         # the reads of the momentum constraints alone, which legendre_invert
         # and a one-generation ladder replay (pontryagin.momentum_reads)
         self._momentum_reads = None
@@ -89,13 +90,20 @@ class LagrangianSystem:
             raise ValueError(f"point has shape {x.shape}, expected ({dim},) or (B, {dim})")
         if x.ndim == 1:
             return expand(self._on(space), x, order)
-        params = tuple(self.params.items())
-        held = self._tapes.get((dim, order))
-        if held is None or held[0] != params:
-            held = self._tapes[dim, order] = (params, taped_expansion(self._on(space), dim, order))
-        if held[1] is None:
+        taped = self._held((dim, order), lambda: taped_expansion(self._on(space), dim, order))
+        if taped is None:
             return stack([expand(self._on(space), xb, order) for xb in x])
-        return held[1](x.T)
+        return taped(x.T)
+
+    def _held(self, key, record: Callable):
+        """The replay held under key, or None for a refused recording;
+        record() makes it afresh when L's parameter values differ from
+        those it was made with."""
+        params = tuple(self.params.items())
+        held = self._tapes.get(key)
+        if held is None or held[0] != params:
+            held = self._tapes[key] = (params, record())
+        return held[1]
 
     def _on(self, space: CoordinateSpace) -> Callable:
         """fn as a function of one point of `space`."""
@@ -111,7 +119,27 @@ class LagrangianSystem:
         axis on every entry)."""
         return jet_from_taylor(self.taylor(x, order), self.space.dim, order)
 
-    def value(self, x: Sequence[float]) -> float:
+    def value(self, x: Sequence[float]) -> float | np.ndarray:
+        """L at a point (t, q, v, s), a float from fn on floats; or at a
+        (B, dim) stack of points, a (B,) array, each entry the point's bit
+        for bit.  A stack replays a recording of fn (jets.Tape), the float
+        operations a point performs, stamped and recorded afresh as
+        taylor_on's tapes are.  An fn that refuses recording, or a stack
+        whose replay raises, runs live point by point, so a stack raises
+        what its first failing point raises."""
+        if np.ndim(x) == 2:
+            X = np.asarray(x, dtype=float)
+            dim = self.space.dim
+            if X.shape[1] != dim:
+                raise ValueError(f"points have shape {X.shape}, expected (B, {dim})")
+            on = self._on(self.space)
+            tape = self._held("value", lambda: Tape.record(lambda z: [on(z)], dim))
+            if tape is not None:
+                try:
+                    return tape(X.T)[0]
+                except Exception:
+                    pass  # the live run below raises what a point raises
+            return np.array([self.value(xb) for xb in X], dtype=float)
         n = self.n
         q = [float(c) for c in x[1 : 1 + n]]
         v = [float(c) for c in x[1 + n : 1 + 2 * n]]

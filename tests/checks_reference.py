@@ -1,9 +1,10 @@
 """The pointwise checks, one point at a time: a reference for the tests.
 
 `cocontact.checks` runs check_ad_vs_fd and check_ladder on stacks of
-points, one batched expansion per jet order and one batched assemble_Z.
-These are the same checks written as a loop over the points, each point
-expanded on its own, in the order the batched checks draw them.  The tests
+points: one stacked replay of L's value and one batched expansion per jet
+order over all shifted points, and one batched assemble_Z.  These are the
+same checks written as a loop over the points, each point evaluated on
+its own, in the order the batched checks draw them.  The tests
 assert that both give equal CheckResults.
 """
 

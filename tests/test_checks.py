@@ -45,6 +45,42 @@ def test_batched_checks_equal_the_pointwise_loops(name, seed, points):
             == check_ladder_pointwise(preset_by_name(name), seed, points))
 
 
+def test_ad_vs_fd_evaluates_each_order_once(monkeypatch):
+    # one stack of all shifts per order, the largest first (L's jets at
+    # orders 2 and 1, then the values for order 1's differences), then
+    # the point stack's jet
+    pre = preset_by_name("charged")
+    L = pre.system
+    values, orders = [], []
+    value, taylor_on = L.value, L.taylor_on
+    monkeypatch.setattr(L, "value", lambda x: values.append(np.shape(x)) or value(x))
+    monkeypatch.setattr(L, "taylor_on",
+                        lambda space, x, order: orders.append((order, len(x))) or taylor_on(space, x, order))
+    dim = 2 * pre.n + 2
+    assert check_ad_vs_fd(pre, points=7).passed
+    assert values == [(2 * dim * 7, dim)]
+    assert orders == [(2, 2 * dim * 7), (1, 2 * dim * 7), (3, 7)]
+
+
+def test_ladder_check_builds_one_phi_jet_per_point(monkeypatch):
+    # each point's closed forms run right after it is drawn, so all six
+    # read the phi jet its sampler built
+    from cocontact import systems
+
+    phi = []
+    eval_jet = systems.eval_jet
+
+    def counting(f, x, order):
+        if f.label == "phi":
+            phi.append(order)
+        return eval_jet(f, x, order)
+
+    monkeypatch.setattr(systems, "eval_jet", counting)
+    pre = preset_by_name("charged")
+    assert check_ladder(pre, points=12).passed
+    assert phi == [3] * 12
+
+
 def test_run_all_checks_duffing_passes():
     results = run_all_checks("duffing", seed=42)
     assert [r.name.split("[")[0] for r in results] == list(CHECK_NAMES)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from cocontact import dsl, jets
+from cocontact.checks import _domain_point
 from cocontact.dynamics import FIELDS, IntegratorConfig, LadderLost, integrate
 from cocontact.jets import (
     CoordinateSpace,
@@ -531,7 +532,9 @@ def test_a_single_point_never_records_and_a_stack_records_at_once(monkeypatch):
 def test_only_the_momentum_constraints_tape_carries_newtons_step(name, statements, monkeypatch):
     # a one-generation ladder's mixed-space tape is the momentum
     # constraints', whose Newton column legendre_invert reads; the
-    # velocity side's tape solves for C alone, and is that much shorter
+    # velocity side's tape solves for C alone, and is that much shorter.
+    # A source compiled before (by another test) comes from the code
+    # cache, so the cache is emptied before each recording
     sources = []
 
     def spy(source, *args):
@@ -546,12 +549,143 @@ def test_only_the_momentum_constraints_tape_carries_newtons_step(name, statement
     counts = {}
     for lift in (False, True):
         sources.clear()
+        jets._code.cache_clear()
         reads = _ladder_reads(L, ladder, lift=lift)
         raw = reads(lagrangian_part(ladder.probe, n) if lift else ladder.probe)
         # the replay's statements, less the inputs' unpacking and the return
         counts[lift] = sum(line.startswith(" " * 8) for line in sources[-1].splitlines()) - 2
         assert len(raw) == _layout(n, n)[3].stop + (0 if lift else n)
     assert counts == {False: statements, True: statements - (2 if name == "duffing" else 3)}
+
+
+# -- L's value on stacks ----------------------------------------------------
+
+# an inline expression-language L with every elementary function, a real
+# power and a division
+INLINE_L = ("0.5*v1^2 + 0.25*exp(-q1)*v2^2 - sin(q2)*q1^3 + s*cos(t)"
+            " - q1/(2 + q2^2) + sqrt(1 + v1^2) + ln(2 + q2^2)^1.5")
+
+
+def _value_stacks(rng, count=40):
+    """(L, a stack of its points) for every preset and the inline L."""
+    for name in PRESET_NAMES:
+        pre = preset_by_name(name)
+        yield pre.system, np.array([_domain_point(pre, rng) for _ in range(count)])
+    L = LagrangianSystem.from_expr(dsl.parse(INLINE_L, 2))
+    yield L, rng.uniform(-1.5, 1.5, (count, L.space.dim))
+
+
+def _point_values(L, X) -> np.ndarray:
+    return np.array([L.value(x) for x in X])
+
+
+def test_a_stacked_value_is_its_points_bit_for_bit():
+    for L, X in _value_stacks(np.random.default_rng(11)):
+        got = L.value(X)
+        assert got.shape == (len(X),)
+        assert np.array_equal(got.view(np.int64), _point_values(L, X).view(np.int64)), L.label
+        assert L._tapes["value"][1] is not None
+
+
+def test_a_refused_fn_values_a_stack_point_by_point(monkeypatch):
+    L = LagrangianSystem(1, _frozen_stiffness)
+    X = np.random.default_rng(2).uniform(-1.0, 1.0, (6, 4))
+    calls = _counting_records(monkeypatch)
+    for _ in range(2):
+        assert np.array_equal(L.value(X), _point_values(L, X))
+    assert len(calls) == 1 and L._tapes["value"][1] is None
+
+
+def test_a_stacked_value_with_a_float_exception_runs_point_by_point():
+    # 0.5*v*v overflows in the last point: numpy raises on the batch, the
+    # points run one at a time and give inf, as a point call does
+    L = preset_by_name("duffing").system
+    X = np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 1.0, 1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = L.value(X)
+    assert np.array_equal(got, _point_values(L, X)) and got[1] == math.inf
+    # a division by a zero coordinate raises, on the stack, what the
+    # expression language raises at that point
+    L = LagrangianSystem.from_expr(dsl.parse("v1^2/2 - 1/q1", 1))
+    X = np.array([[0.0, 0.5, 0.2, 0.0], [0.0, 0.0, 0.2, 0.0]])
+    got = _stack_raises_as_the_point(L.value, X, X[1])
+    assert got == (JetDomainError, "division by zero")
+
+
+def test_a_parameter_change_records_the_value_tape_anew(monkeypatch):
+    L = preset_by_name("duffing").system
+    X = np.array([[0.3, 1.1, -0.4, 0.2], [0.1, -0.7, 0.5, 0.0]])
+    calls = _counting_records(monkeypatch)
+    before = L.value(X)
+    L.value(X)
+    assert len(calls) == 1
+    L.params["beta"] = 0.0
+    after = L.value(X)
+    assert len(calls) == 2
+    assert np.array_equal(after, _point_values(L, X))
+    assert not np.array_equal(after, before)
+    assert list(L._tapes) == ["value"]
+
+
+# -- one compile per tape source --------------------------------------------
+
+
+def _counting_compiles(monkeypatch):
+    """The sources that reach builtin compile from here on, the code cache
+    emptied first."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(jets, "compile", spy, raising=False)
+    jets._code.cache_clear()
+    return sources
+
+
+def test_a_repeated_source_is_compiled_once_and_bound_per_tape(monkeypatch):
+    sources = _counting_compiles(monkeypatch)
+    # the constants differ, the operations do not: one source
+    tapes = [Tape.record(lambda x, c=c: [x[0] * c + x[1]], 2) for c in (3.0, 5.0)]
+    assert len(sources) == 1
+    assert tapes[0]._point.__code__ is tapes[1]._point.__code__
+    assert tapes[0]([2.0, 1.0]) == [7.0] and tapes[1]([2.0, 1.0]) == [11.0]
+
+
+def test_two_charged_ladders_share_one_code_object(monkeypatch):
+    sources = _counting_compiles(monkeypatch)
+    held = []
+    for k in (2e-4, 5e-4):
+        pre = charged_particle(k=k)
+        L = pre.system
+        ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+        reads = _ladder_reads(L, ladder)
+        w = pre.sample_feasible(np.random.default_rng(4))
+        assert np.array_equal(reads(w), live_reads(L, w, ladder))
+        held.append((reads.tape, reads(w)))
+    (a, raw_a), (b, raw_b) = held
+    assert a._point.__code__ is b._point.__code__
+    assert not np.array_equal(raw_a, raw_b)
+    # the ladder's source reached compile once, for the first ladder
+    assert len(sources) == len(set(sources))
+
+
+def test_the_code_cache_stays_within_its_bound(monkeypatch):
+    sources = _counting_compiles(monkeypatch)
+    size = jets.CODE_CACHE_SIZE
+    # sources of 1 to size + 5 additions, all different
+    builds = [lambda x, m=m: [sum([x[0]] * m, x[1])] for m in range(1, size + 6)]
+    for build in builds:
+        assert Tape.record(build, 2)([1.0, 0.5]) == [len(sources) + 0.5]
+    assert len(sources) == size + 5
+    assert jets._code.cache_info().currsize == size
+    # the oldest source left the cache: it is compiled again, the newest not
+    Tape.record(builds[-1], 2)
+    assert len(sources) == size + 5
+    Tape.record(builds[0], 2)
+    assert len(sources) == size + 6
 
 
 # -- the tape itself -------------------------------------------------------
