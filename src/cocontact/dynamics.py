@@ -193,8 +193,7 @@ class UnifiedField:
     list of floats, to its lift w to the mixed space and the ladder's
     reads there (pontryagin._reads' layout), both lists; here one replay
     of the ladder's tape.  _drop takes a mixed-space list back to the
-    description's layout.  eval(state) is _read, or the read a projection
-    handed on for that very list (_reproject), then the tail discovery
+    description's layout.  eval(state) is _read, then the tail discovery
     and assemble_Z run (pontryagin._field): a ladder closed with full rank
     reads C already (pontryagin._solve), and its pivot margins are tested
     against opts.rank_tol (NumericalBreakdown); otherwise an SVD writes C
@@ -211,12 +210,7 @@ class UnifiedField:
     ladder: ConstraintLadder
     opts: AlgorithmOptions = field(default_factory=AlgorithmOptions)
     _replay: Callable = field(default=None, init=False, repr=False, compare=False)
-    # the last projection's (state, reads), for the next eval of that state
-    _handed: tuple | None = field(default=None, init=False, repr=False, compare=False)
     kind = "unified"
-    # whether _read replays the mixed-space tape at the state itself, as a
-    # projection does
-    _reads_as_projection = True
 
     def __post_init__(self):
         n, self._R = self.L.n, len(self.ladder.active())
@@ -245,8 +239,7 @@ class UnifiedField:
     def eval(self, state) -> tuple[list, list, list]:
         if type(state) is not list:
             state = np.asarray(state, dtype=float).tolist()
-        read, self._handed = self._handed, None
-        w, raw = read if read is not None and read[0] is state else self._read(state)
+        w, raw = self._read(state)
         if len(raw) > self._margins.start:
             _test_margins(raw[self._margins], self.opts.rank_tol, NumericalBreakdown,
                           "C-system", "the tangency conditions lost rank")
@@ -261,12 +254,8 @@ class UnifiedField:
 
     def prepare(self, x0) -> np.ndarray:
         """Project an initial state onto the constraint set; a run starts."""
-        return np.array(self._start(x0))
-
-    def _start(self, x0) -> list:
-        """prepare's state as a list, its read handed on (_reproject)."""
         self._replay = self._reads().resolve()
-        return self._reproject(x0)
+        return self.reproject(x0)
 
     def reproject(self, state) -> np.ndarray:
         """Project a state back onto the constraint set after a step,
@@ -274,32 +263,18 @@ class UnifiedField:
         with a p of its own is read again once it is filled in, or, where
         its own p breaks the reads down, read on the velocity side.  The
         mixed-space tape is recorded when Gauss-Newton first moves."""
-        return np.array(self._reproject(state))
-
-    def _reproject(self, state) -> list:
-        """reproject's state as a list.  Where the projection's last read is
-        eval's read of that state, the mixed-space tape's in a description
-        that reads its states there, it is handed on: eval(the same list)
-        takes it in place of a replay."""
         n, reads = self.L.n, _ladder_reads(self.L, self.ladder)
         try:
             w, raw = self._read(np.asarray(state, dtype=float).tolist())
-            mixed = self._reads_as_projection  # raw is the mixed-space tape's
         except (NumericalBreakdown, JetDomainError):
             x = lagrangian_part(self.lift(state), n).tolist()
             w, raw = LagrangianField(self.L, self.ladder, self.opts)._read(x)
-            mixed = False
         w, raw = np.array(w, dtype=float), np.array(raw, dtype=float)
         p = raw[self._p]
         if p.tobytes() != w[1 + 2 * n : 1 + 3 * n].tobytes():
             w = np.concatenate((w[: 1 + 2 * n], p, w[1 + 3 * n :]))
             raw = reads(w)
-            mixed = True
-        w, last = _project(reads, w, raw, reads.active, self.opts)
-        state = self._drop(w.tolist())
-        mixed = mixed or last is not raw  # where Gauss-Newton moved, it read the tape
-        self._handed = (state, last.tolist()) if mixed and self._reads_as_projection else None
-        return state
+        return self.drop(_project(reads, w, raw, reads.active, self.opts)[0])
 
 
 def _lift_by_read(self, state) -> np.ndarray:
@@ -313,7 +288,6 @@ class LagrangianField(UnifiedField):
     before the constraints read the point; the lift reads them back."""
 
     kind = "lagrangian"
-    _reads_as_projection = False
     lift = _lift_by_read
 
     def _reads(self):
@@ -341,7 +315,6 @@ class HamiltonianField(UnifiedField):
 
     kind = "hamiltonian"
     _last_v: list | None = field(default=None, init=False, repr=False)
-    _reads_as_projection = False
     lift = _lift_by_read
 
     def _reads(self):
@@ -549,7 +522,7 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
     arrays once, at the end, and the residual pass reads the constraint
     values and L's order-2 data there, so it expands nothing.
     """
-    y = field._start(x0)
+    y = field.prepare(x0).tolist()
     t0 = y[0]
     if not cfg.t_end > t0:
         raise ValueError(f"t_end = {cfg.t_end} does not lie beyond t0 = {t0}")
@@ -564,7 +537,7 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
             raise StepFailure(f"non-finite state at t = {t_exact:.6g}")
         if cfg.reproject:
             try:
-                y = field._reproject(y)
+                y = field.reproject(y).tolist()
             except InfeasiblePoint as exc:
                 # the advice on initial points would mislead mid-run
                 raise InfeasiblePoint(f"reprojection failed at t = {t_exact:.6g}: "

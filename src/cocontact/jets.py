@@ -78,7 +78,6 @@ __all__ = [
     "JetDomainError",
     "DimensionMismatch",
     "ORDER_CAP",
-    "CODE_CACHE_SIZE",
 ]
 
 _BASE = 10
@@ -619,10 +618,10 @@ def _any(fails: Callable[[float], bool]) -> Callable:
 # recently used going first.  Tapes with equal sources (one ladder
 # discovered from two points, parameters that differ in value alone)
 # share one code object.
-CODE_CACHE_SIZE = 32
+_CODE_CACHE_SIZE = 32
 
 
-@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
 def _code(source: str) -> types.CodeType:
     """A tape's generated source, compiled."""
     return compile(source, "<tape>", "exec")
@@ -645,10 +644,9 @@ class Tape:
     straight-line Python function: a statement per operation in recording
     order, the registers its locals.  Its source holds generated names and
     operator symbols only, and is compiled once per process while it stays
-    among the last CODE_CACHE_SIZE sources used.  Constants and the
-    recorded callables are bound to their names per tape, twice: as they
-    are, for single points, and as element-by-element wrappers, for
-    stacks.
+    among the last 32 sources used.  Constants and the recorded callables
+    are bound to their names per tape, twice: as they are, for single
+    points, and as element-by-element wrappers, for stacks.
     """
 
     def __init__(self):

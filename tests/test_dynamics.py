@@ -554,10 +554,7 @@ def test_a_reprojected_state_is_evaluated_once(name, kind, monkeypatch):
     # the evaluation at an accepted state, reprojected or not, is the next
     # step's first stage: a run evaluates the field 4 times per step plus
     # once, each accepted state once.  A reprojected run's projections
-    # replay the ladder's tapes besides, and neither run calls taylor_on.
-    # A unified projection hands its last read on to the evaluation there:
-    # on Duffing, whose steps keep p = dL/dv = v bit for bit, so that no
-    # projection refills p or moves, that read is its only one
+    # replay the ladder's tapes besides, and neither run calls taylor_on
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
@@ -584,10 +581,7 @@ def test_a_reprojected_state_is_evaluated_once(name, kind, monkeypatch):
             assert evaluated.count(state.tobytes()) == 1
         replays[reproject] = len(points)
     assert orders == []
-    if (name, kind) == ("duffing", "unified"):
-        assert replays[True] == replays[False] >= 41
-    else:
-        assert replays[True] > replays[False] >= 41
+    assert replays[True] > replays[False] >= 41
 
 
 @pytest.mark.parametrize("name, kind", [("duffing", "unified"), ("duffing", "lagrangian"),
@@ -597,9 +591,7 @@ def test_a_reprojected_state_is_evaluated_once(name, kind, monkeypatch):
 def test_a_state_is_read_twice_only_right_after_a_projection(name, kind, monkeypatch):
     # no replay repeats the one before it, but for the evaluation at a
     # projected state (prepare's, every reprojected step's), which reads
-    # afresh where the projection's last read was of the same tape.  The
-    # unified description reads on the projection's own tape, and its
-    # evaluation takes the projection's last read instead: no repeat
+    # afresh where the projection's last read was of the same tape
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
@@ -622,8 +614,7 @@ def test_a_state_is_read_twice_only_right_after_a_projection(name, kind, monkeyp
         integrate(fld, fld.drop(ladder.probe),
                   IntegratorConfig(step=1e-2, t_end=0.1, reproject=reproject))
         assert len(calls) >= 41
-        bound = 0 if kind == "unified" else 11 if reproject else 1
-        assert sum(a == b for a, b in zip(calls, calls[1:])) <= bound
+        assert sum(a == b for a, b in zip(calls, calls[1:])) <= (11 if reproject else 1)
 
 
 @pytest.mark.parametrize("name, kind", [("duffing", "unified"), ("duffing", "lagrangian"),

@@ -674,7 +674,7 @@ def test_two_charged_ladders_share_one_code_object(monkeypatch):
 
 def test_the_code_cache_stays_within_its_bound(monkeypatch):
     sources = _counting_compiles(monkeypatch)
-    size = jets.CODE_CACHE_SIZE
+    size = jets._code.cache_info().maxsize
     # sources of 1 to size + 5 additions, all different
     builds = [lambda x, m=m: [sum([x[0]] * m, x[1])] for m in range(1, size + 6)]
     for build in builds:
