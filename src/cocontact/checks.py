@@ -171,7 +171,6 @@ def check_ladder(
 
 def check_equivalence(
     pre: SystemPreset,
-    seed: int = 42,
     step: float = 1e-2,
     t_end: float = 1.0,
     tol: float | None = None,
@@ -193,12 +192,13 @@ def check_equivalence(
     return CheckResult(name, eq.max_deviation <= tol, eq.max_deviation, tol, detail)
 
 
-def check_residual_order(
-    pre: SystemPreset,
-    t_end: float = 2.5,
-    band: tuple[float, float] = (12.0, 20.0),
-) -> CheckResult:
-    """Halving the step must cut every residual channel by about 2^4.
+RESIDUAL_ORDER_T_END = 2.5
+RESIDUAL_ORDER_BAND = (12.0, 20.0)
+
+
+def check_residual_order(pre: SystemPreset) -> CheckResult:
+    """Halving the step must cut every residual channel by about 2^4
+    (a ratio within RESIDUAL_ORDER_BAND over RESIDUAL_ORDER_T_END).
 
     Channels that are exactly zero at both steps (structurally preserved
     quantities) are vacuous and skipped.  Deep singular ladders are
@@ -213,7 +213,7 @@ def check_residual_order(
                            "skipped: deep ladder, cost out of scale for verify")
     maxima = {}
     for h in (1e-2, 5e-3):
-        cfg = IntegratorConfig(method="rk4", step=h, t_end=t_end)
+        cfg = IntegratorConfig(method="rk4", step=h, t_end=RESIDUAL_ORDER_T_END)
         traj = integrate(unified_field(pre.system, ladder, opts), ladder.probe, cfg)
         maxima[h] = {k: traj.channel_max(k) for k in traj.residuals}
     ratios = {}
@@ -222,10 +222,9 @@ def check_residual_order(
         if hi == 0.0 and lo == 0.0:
             continue
         ratios[ch] = hi / lo if lo else float("inf")
-    ok = all(band[0] <= r <= band[1] for r in ratios.values())
-    worst = max(
-        (max(band[0] / r, r / band[1]) for r in ratios.values()), default=0.0
-    )
+    low, high = RESIDUAL_ORDER_BAND
+    ok = all(low <= r <= high for r in ratios.values())
+    worst = max((max(low / r, r / high) for r in ratios.values()), default=0.0)
     detail = ", ".join(f"{ch} x{r:.1f}" for ch, r in sorted(ratios.items()))
     return CheckResult(name, ok, worst, 1.0, detail or "all channels vacuous")
 
@@ -248,7 +247,7 @@ def run_all_checks(
     if "ladder" in subset:
         out.append(check_ladder(pre, seed=seed, tol=tol))
     if "equivalence" in subset:
-        out.append(check_equivalence(pre, seed=seed, tol=tol))
+        out.append(check_equivalence(pre, tol=tol))
     if "residual-order" in subset:
         out.append(check_residual_order(pre))
     return out

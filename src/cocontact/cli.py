@@ -24,9 +24,9 @@ Momenta are never part of the input; initial states are projected onto
 the constraint set.  Relative output paths resolve inside $COCONTACT_OUT_DIR
 (default: current directory).
 
-Exit codes: 0 success; 1 configuration error or failed verification;
-2 incompatible constraint ladder; 3 constraint algorithm hit its
-generation cap; 4 integrator failure.  Errors print one line (EXIT_CODES).
+Exit codes: 0 success; 1 configuration error, unwritable output or failed
+verification; 2 incompatible constraint ladder; 3 constraint algorithm hit
+its generation cap; 4 integrator failure.  Errors print one line (EXIT_CODES).
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ EXIT_CODES = (
     (JetDomainError, EXIT_INTEGRATOR),
     (NumericalBreakdown, EXIT_INTEGRATOR),
     (OverflowError, EXIT_INTEGRATOR),
+    (OSError, EXIT_CONFIG),  # an output path that cannot be written
 )
 
 

@@ -346,8 +346,8 @@ def _eval_node(nd: Node, seeds: Sequence, params: dict):
     if nd.op == "*":
         return a * b
     if nd.op == "/":
-        if isinstance(b, (int, float)) and b == 0:
-            raise jets.JetDomainError("division by zero")
+        if not isinstance(b, Taylor):  # a Taylor divisor tests itself
+            jets.guard(b, jets._is_zero, jets._division_by_zero)
         return a / b
     return _apply_pow(a, b)
 

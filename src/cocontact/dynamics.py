@@ -145,7 +145,11 @@ def _max_abs(xs) -> float:
     return max(a, default=0.0) if total == total else math.nan
 
 
-def legendre_invert(L: LagrangianSystem, y, v0=None, tol: float = 1e-12, max_iter: int = 60,
+LEGENDRE_TOL = 1e-12  # legendre_invert's convergence threshold, relative
+LEGENDRE_MAX_ITER = 60
+
+
+def legendre_invert(L: LagrangianSystem, y, v0=None,
                     replay: Callable[[list], list] | None = None) -> tuple[list, list]:
     """Solve dL/dv(t, q, v, s) = p for v by Newton iteration, on floats.
 
@@ -156,8 +160,8 @@ def legendre_invert(L: LagrangianSystem, y, v0=None, tol: float = 1e-12, max_ite
     run's `replay` of them): its QR solve of M = -d2L/dv dv gives the step
     M dv = -(p - dL/dv) and the pivot margins, tested against
     mechanics.DEFAULT_RANK_TOL (NonInvertibleLegendre).  Converged once
-    max |p - dL/dv| <= tol * max(1, max |p|).  Returns v and the reads the
-    convergence test read, as lists of floats.
+    max |p - dL/dv| <= LEGENDRE_TOL * max(1, max |p|).  Returns v and the
+    reads the convergence test read, as lists of floats.
     """
     n = L.n
     y = _floats(y, 2 * n + 2, "a momentum-space point")
@@ -168,9 +172,9 @@ def legendre_invert(L: LagrangianSystem, y, v0=None, tol: float = 1e-12, max_ite
         bad = "velocity seed v0" if all(map(math.isfinite, y)) else "momentum-space point y"
         raise NonInvertibleLegendre(f"non-finite {bad}")
     replay = replay or momentum_reads(L).resolve()
-    within = (tol * max(1.0, *map(abs, y[1 + n : 1 + 2 * n]))).__ge__  # False for NaN
+    within = (LEGENDRE_TOL * max(1.0, *map(abs, y[1 + n : 1 + 2 * n]))).__ge__  # False for NaN
     vs, (margins, step) = slice(1 + n, 1 + 2 * n), _layout(n, n)[3:]
-    for _ in range(max_iter):
+    for _ in range(LEGENDRE_MAX_ITER):
         raw = replay(w)
         if all(map(within, map(abs, raw[:n]))):
             return w[vs], raw
@@ -178,7 +182,7 @@ def legendre_invert(L: LagrangianSystem, y, v0=None, tol: float = 1e-12, max_ite
                       "velocity Hessian", "the fibre derivative is not invertible")
         w[vs] = map(operator.add, w[vs], raw[step])
     raise NonInvertibleLegendre(
-        f"velocity recovery did not converge within {max_iter} iterations"
+        f"velocity recovery did not converge within {LEGENDRE_MAX_ITER} iterations"
     )
 
 
@@ -274,7 +278,7 @@ class UnifiedField:
         if p.tobytes() != w[1 + 2 * n : 1 + 3 * n].tobytes():
             w = np.concatenate((w[: 1 + 2 * n], p, w[1 + 3 * n :]))
             raw = reads(w)
-        return self.drop(_project(reads, w, raw, reads.active, self.opts)[0])
+        return self.drop(_project(reads, w, raw, reads.active)[0])
 
 
 def _lift_by_read(self, state) -> np.ndarray:

@@ -524,6 +524,7 @@ def powf(x, e):
         return x**e
     if isinstance(e, int):
         return (x if isinstance(x, _Coef) else float(x)) ** e
+    e = float(e)  # a recorded exponent refuses: its value picks the branch
     guard(x, _nonpositive, lambda v: JetDomainError(f"real power of nonpositive base {v}"))
     return _math(math.exp, e * _math(math.log, x))
 

@@ -124,9 +124,9 @@ class LagrangianSystem:
         (B, dim) stack of points, a (B,) array, each entry the point's bit
         for bit.  A stack replays a recording of fn (jets.Tape), the float
         operations a point performs, stamped and recorded afresh as
-        taylor_on's tapes are.  An fn that refuses recording, or a stack
-        whose replay raises, runs live point by point, so a stack raises
-        what its first failing point raises."""
+        taylor_on's tapes are; a replay that raises on the stack replays
+        point by point, so a stack raises what its first failing point
+        raises.  An fn that refuses recording runs live point by point."""
         if np.ndim(x) == 2:
             X = np.asarray(x, dtype=float)
             dim = self.space.dim
@@ -135,10 +135,7 @@ class LagrangianSystem:
             on = self._on(self.space)
             tape = self._held("value", lambda: Tape.record(lambda z: [on(z)], dim))
             if tape is not None:
-                try:
-                    return tape(X.T)[0]
-                except Exception:
-                    pass  # the live run below raises what a point raises
+                return tape(X.T)[0]
             return np.array([self.value(xb) for xb in X], dtype=float)
         n = self.n
         q = [float(c) for c in x[1 : 1 + n]]

@@ -421,13 +421,17 @@ def constraint_values(L: LagrangianSystem, w, constraints: Sequence[ConstraintFn
 # -- the algorithm ------------------------------------------------------
 
 
+GRAD_TOL = 1e-6  # discovery's transversality threshold, relative
+PROJECT_TOL = 1e-11  # a projection ends once every constraint is this small
+MAX_PROJECT_ITER = 40  # or raises InfeasiblePoint after this many steps
+
+
 @dataclass(frozen=True)
 class AlgorithmOptions:
     # pass k of the algorithm expands L to order k + 2, so no more than
     # ORDER_CAP - 2 passes can run
     max_generations: int = ORDER_CAP - 2
     tol: float = 1e-8  # feasibility and new-constraint value detection
-    grad_tol: float = 1e-6  # transversality threshold, relative
     # relative rank threshold: for discovery's rows and its SVD, which
     # keeps the singular values sigma > rank_tol * sigma_max; and for the
     # full-rank solve, whose field raises NumericalBreakdown once the
@@ -441,8 +445,6 @@ class AlgorithmOptions:
     # only when rank_tol < 1 / cond_cap
     cond_cap: float = 1e12
     project: bool = True
-    project_tol: float = 1e-11
-    max_project_iter: int = 40
 
 
 @dataclass
@@ -706,7 +708,7 @@ def _tangency(
                 break
             new_constraints.append(cand)
             continue
-        if _span_residual(cgrad, span) > opts.grad_tol * max(1.0, gnorm):
+        if _span_residual(cgrad, span) > GRAD_TOL * max(1.0, gnorm):
             new_constraints.append(cand)
 
     Z, rank = _field(raw, R, n, opts)
@@ -744,12 +746,7 @@ def _kernel_q_indices(W: np.ndarray) -> list[int]:
     return sorted(set(out))
 
 
-def project_onto(
-    L: LagrangianSystem,
-    w,
-    constraints: Sequence[ConstraintFn],
-    opts: AlgorithmOptions | None = None,
-) -> np.ndarray:
+def project_onto(L: LagrangianSystem, w, constraints: Sequence[ConstraintFn]) -> np.ndarray:
     """Move a point onto the zero set of the given constraints.
 
     Adjustable directions: all velocities, all momenta, and the
@@ -764,7 +761,7 @@ def project_onto(
     """
     constraints = list(constraints)
     reads = _LiveReads(L, constraints, _as_wvec(L.n, w))
-    return _project(reads, reads.w, reads.raw, constraints, opts)[0]
+    return _project(reads, reads.w, reads.raw, constraints)[0]
 
 
 class _LiveReads:
@@ -786,13 +783,12 @@ class _LiveReads:
         return np.array(_reads(self.ws, self.constraints), dtype=float)
 
 
-def _project(reads, w: np.ndarray, raw: np.ndarray, constraints: list[ConstraintFn],
-             opts: AlgorithmOptions | None) -> tuple[np.ndarray, np.ndarray]:
+def _project(reads, w: np.ndarray, raw: np.ndarray,
+             constraints: list[ConstraintFn]) -> tuple[np.ndarray, np.ndarray]:
     """project_onto's point, from w, whose p is dL/dv, and raw, the _reads
     of `constraints` there; reads gives them elsewhere (live, or a tape).
     Returns the point and the reads there: raw itself when Gauss-Newton
     did not move."""
-    opts = opts or AlgorithmOptions()
     w = np.array(w, dtype=float)
     n, R = (len(w) - 2) // 3, len(constraints)
     if not constraints:
@@ -805,9 +801,9 @@ def _project(reads, w: np.ndarray, raw: np.ndarray, constraints: list[Constraint
         return raw[:R], raw[grads_at].reshape(R, 3 * n + 2)[:, dirs]
 
     vals, grads = residuals(raw)
-    for _ in range(opts.max_project_iter):
+    for _ in range(MAX_PROJECT_ITER):
         worst = float(np.max(np.abs(vals)))
-        if worst <= opts.project_tol:
+        if worst <= PROJECT_TOL:
             return w, raw
         step, *_ = np.linalg.lstsq(grads, -vals, rcond=None)
         lam = 1.0
@@ -822,11 +818,11 @@ def _project(reads, w: np.ndarray, raw: np.ndarray, constraints: list[Constraint
             lam *= 0.5
         else:
             break
-    if float(np.max(np.abs(vals))) <= opts.project_tol:
+    if float(np.max(np.abs(vals))) <= PROJECT_TOL:
         return w, raw
     worst_i = int(np.argmax(np.abs(vals)))
     stall = (f"projection stalled at |{constraints[worst_i].label}| = "
-             f"{abs(vals[worst_i]):.3e} (needs <= {opts.project_tol:.1e})")
+             f"{abs(vals[worst_i]):.3e} (needs <= {PROJECT_TOL:.1e})")
     exc = InfeasiblePoint(f"{stall}; the initial point is off the admissible set in a "
                           "direction the projection may not adjust")
     exc.stall = stall
@@ -859,7 +855,7 @@ def run_constraint_algorithm(
     def project(expansion=None):
         # the point, and the projection's last workspace: at that point
         reads = _LiveReads(L, active, wvec, expansion)
-        return _project(reads, reads.w, reads.raw, active, opts)[0], reads.ws
+        return _project(reads, reads.w, reads.raw, active)[0], reads.ws
 
     if opts.project:
         wvec, ws = project()
@@ -1000,7 +996,7 @@ def assemble_Z(
     the undetermined directions).
     """
     reads = _ladder_reads(L, ladder)
-    opts = opts or AlgorithmOptions(tol=ladder.tolerance)
+    opts = opts or AlgorithmOptions()
     wvec = _as_wvec(L.n, w, stacked=True)
     Zs = [_field(rb, len(reads.active), L.n, opts)[0]
           for rb in np.atleast_2d(reads(wvec))]

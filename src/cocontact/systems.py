@@ -448,23 +448,16 @@ PRESET_NAMES = ("duffing", "variable_mass_drag", "charged_particle")
 
 
 def preset_by_name(name: str, overrides: dict | None = None) -> SystemPreset:
-    """Look up a preset factory by name and apply keyword overrides.
-
-    Overrides matching factory keywords (e.g. alpha, m_expr) go to the
-    factory; the rest update the parameter table afterwards.
-    """
+    """Look up a preset factory by name and call it with keyword overrides
+    (e.g. alpha, m_expr): every preset parameter is a factory keyword."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         ) from None
-    overrides = dict(overrides or {})
-    accepted = set(inspect.signature(factory).parameters)
-    kw = {k: overrides.pop(k) for k in list(overrides) if k in accepted}
-    preset = factory(**kw)
-    unknown = set(overrides) - set(preset.params)
+    overrides = overrides or {}
+    unknown = set(overrides) - set(inspect.signature(factory).parameters)
     if unknown:
         raise KeyError(f"unknown parameters for {name!r}: {sorted(unknown)}")
-    preset.params.update(overrides)
-    return preset
+    return factory(**overrides)

@@ -296,6 +296,19 @@ def test_simulate_default_output_name(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["files"] == [str(tmp_path / "duffing_lagrangian.csv")]
 
 
+def test_simulate_into_a_missing_directory_exits_one(capsys, tmp_path, monkeypatch):
+    # an output path that cannot be opened is one line and exit 1, not a
+    # FileNotFoundError traceback after the run
+    monkeypatch.setenv("COCONTACT_OUT_DIR", str(tmp_path))
+    rc, out, err = run(capsys, ["simulate", "--preset", "duffing", "--step", "0.05",
+                                "--t-end", "0.2", "--out", "nodir/x.csv"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: FileNotFoundError: ") and "nodir" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_simulate_spaces_agree(capsys, tmp_path):
     # same system, three descriptions: exported samples must coincide
     tables = {}

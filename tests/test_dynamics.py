@@ -845,7 +845,7 @@ def test_a_velocity_projection_reads_nothing_before_the_momenta():
         assemble_Z(L, at_zero_p, ladder)
     # both sides start where project_onto does, from p = dL/dv
     fld = lagrangian_field(L, ladder, OPTS)
-    want = project_onto(L, at_zero_p, ladder.active(), OPTS)
+    want = project_onto(L, at_zero_p, ladder.active())
     assert np.array_equal(fld.reproject(x), lagrangian_part(want, L.n))
     assert np.array_equal(unified_field(L, ladder, OPTS).reproject(at_zero_p), want)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05, reproject=True)

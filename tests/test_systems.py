@@ -479,10 +479,15 @@ def test_preset_factory_kwarg_override():
 
 
 def test_preset_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as exc:
         preset_by_name("pendulum")
+    assert exc.value.args == (
+        "unknown preset 'pendulum'; available: duffing, variable_mass_drag, charged_particle",)
 
 
 def test_preset_unknown_override():
-    with pytest.raises(KeyError):
-        preset_by_name("duffing", {"zeta": 1.0})
+    overrides = {"zeta": 1.0, "alpha": 2.0, "eta": 0.0}
+    with pytest.raises(KeyError) as exc:
+        preset_by_name("duffing", overrides)
+    assert exc.value.args == ("unknown parameters for 'duffing': ['eta', 'zeta']",)
+    assert overrides == {"zeta": 1.0, "alpha": 2.0, "eta": 0.0}  # not consumed

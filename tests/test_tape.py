@@ -608,9 +608,21 @@ def test_a_stacked_value_with_a_float_exception_runs_point_by_point():
     # a division by a zero coordinate raises, on the stack, what the
     # expression language raises at that point
     L = LagrangianSystem.from_expr(dsl.parse("v1^2/2 - 1/q1", 1))
+    fn, times = L.fn, []
+
+    def spy(t, q, v, s, par):
+        times.append(t)
+        return fn(t, q, v, s, par)
+
+    L.fn = spy
     X = np.array([[0.0, 0.5, 0.2, 0.0], [0.0, 0.0, 0.2, 0.0]])
     got = _stack_raises_as_the_point(L.value, X, X[1])
     assert got == (JetDomainError, "division by zero")
+    # the tape holds the divisor's test (jets.guard) and raises from its
+    # point-by-point replay: the stack ran fn once, on recorded
+    # coefficients, and never on a float point; the point call, once more
+    assert L._tapes["value"][1] is not None
+    assert [isinstance(t, float) for t in times] == [False, True]
 
 
 def test_a_parameter_change_records_the_value_tape_anew(monkeypatch):
@@ -626,6 +638,16 @@ def test_a_parameter_change_records_the_value_tape_anew(monkeypatch):
     assert np.array_equal(after, _point_values(L, X))
     assert not np.array_equal(after, before)
     assert list(L._tapes) == ["value"]
+
+
+def test_a_recorded_real_exponent_values_a_stack_by_points():
+    # q1^t: the exponent's value picks x**3 at t = 3.0, so a recording,
+    # which cannot see it, refuses and the stack runs live
+    L = LagrangianSystem.from_expr(dsl.parse("v1^2/2 + q1^t", 1))
+    X = np.array([[3.0, 1.3, 0.7, 0.0], [3.0, 1.2, 0.5, 0.1], [2.5, 1.2, 0.5, 0.1]])
+    got = L.value(X)
+    assert np.array_equal(got.view(np.int64), _point_values(L, X).view(np.int64))
+    assert L._tapes["value"][1] is None
 
 
 # -- one compile per tape source --------------------------------------------
