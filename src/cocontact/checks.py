@@ -9,6 +9,7 @@ watch the right check fail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +239,8 @@ def run_all_checks(
     tol: float | None = None,
     subset: tuple[str, ...] | None = None,
 ) -> list[CheckResult]:
+    if tol is not None and not 0 < tol < math.inf:
+        raise ValueError(f"a tolerance override must be finite and positive, got {tol}")
     if isinstance(pre, str):
         pre = preset_by_name(pre)
     subset = subset or CHECK_NAMES

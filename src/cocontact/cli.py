@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -82,6 +83,7 @@ EXIT_CODES = (
     (JetDomainError, EXIT_INTEGRATOR),
     (NumericalBreakdown, EXIT_INTEGRATOR),
     (OverflowError, EXIT_INTEGRATOR),
+    (FloatingPointError, EXIT_INTEGRATOR),  # numpy's, raised by main's errstate
     (OSError, EXIT_CONFIG),  # an output path that cannot be written
 )
 
@@ -121,7 +123,7 @@ def _build_system(config: dict):
     if isinstance(spec, str):
         try:
             pre = preset_by_name(spec, _block(config, "params"))
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         return pre.system, pre
     if isinstance(spec, dict):
@@ -182,13 +184,15 @@ def _integrator_config(config: dict, args) -> IntegratorConfig:
         raise ConfigError(f"bad integrator block: {exc}") from exc
 
 
-def _out_dir() -> Path:
-    return Path(os.environ.get("COCONTACT_OUT_DIR", "."))
-
-
-def _resolve(path: str | Path) -> Path:
-    path = Path(path)
-    return path if path.is_absolute() else _out_dir() / path
+def _output(path: str | Path) -> Path:
+    """An output path, resolved, once a file can be written there: checked
+    before any run, an unwritable one fails at once (OSError, exit 1)."""
+    path = Path(os.environ.get("COCONTACT_OUT_DIR", "."), path)  # an absolute path stays
+    error = (errno.ENOENT if not path.parent.is_dir() else errno.EISDIR if path.is_dir()
+             else 0 if os.access(path.parent, os.W_OK) else errno.EACCES)
+    if error:  # OSError picks the subclass: FileNotFoundError for ENOENT
+        raise OSError(error, os.strerror(error), str(path))
+    return path
 
 
 def _ladder_exit(status: str) -> int:
@@ -200,12 +204,13 @@ def cmd_constraints(args) -> int:
     config = _load_config(args)
     L, pre = _build_system(config)
     w0 = _initial_state(config, L, pre)
+    out = _output(args.out) if args.out else None
     ladder, _ = run_constraint_algorithm(L, w0, AlgorithmOptions())
     report = ladder.report()
     report["system"] = L.label
     text = json.dumps(report, indent=1)
-    if args.out:
-        _resolve(args.out).write_text(text + "\n")
+    if out:
+        out.write_text(text + "\n")
     else:
         print(text)
     return _ladder_exit(ladder.status)
@@ -223,6 +228,9 @@ def cmd_simulate(args) -> int:
     bad = set(channels) - set(RESIDUAL_CHANNELS)
     if bad:
         raise ConfigError(f"unknown residual channels: {sorted(bad)}")
+    paths = [_output(args.out or outputs.get("csv") or f"{L.label}_{args.space}.csv")]
+    if outputs.get("json"):
+        paths.append(_output(outputs["json"]))
 
     opts = AlgorithmOptions()
     ladder, _ = run_constraint_algorithm(L, w0, opts)
@@ -232,15 +240,9 @@ def cmd_simulate(args) -> int:
 
     field = FIELDS[args.space](L, ladder, opts)
     traj = integrate(field, field.drop(ladder.probe), cfg)
-
-    csv_path = args.out or outputs.get("csv") or f"{L.label}_{args.space}.csv"
-    csv_path = _resolve(csv_path)
-    trajectory_to_csv(traj, csv_path)
-    written = [str(csv_path)]
-    if outputs.get("json"):
-        jpath = _resolve(outputs["json"])
-        trajectory_to_json(traj, jpath)
-        written.append(str(jpath))
+    trajectory_to_csv(traj, paths[0])
+    if len(paths) > 1:
+        trajectory_to_json(traj, paths[1])
 
     rep = residual_report(L, traj)
     summary = {
@@ -248,7 +250,7 @@ def cmd_simulate(args) -> int:
         "space": args.space,
         "samples": len(traj),
         "t_final": traj.times[-1],
-        "files": written,
+        "files": list(map(str, paths)),
         "residuals": {k: rep[k] for k in channels},
     }
     print(json.dumps(summary, indent=1))
@@ -288,14 +290,15 @@ def cmd_sweep(args) -> int:
     if clashes:
         raise ConfigError(f"sweep values share output file names: {', '.join(clashes)}")
     cfg = _integrator_config(config, args)
+    try:
+        presets = [preset_by_name(name, {**_block(config, "params"), param: x}) for x in values]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(exc.args[0]) from exc
+    paths = [_output(f"{pre.system.label}_{param}_{tag}.csv") for pre, tag in zip(presets, tags)]
 
     opts = AlgorithmOptions()
     rows = []
-    for value, tag in zip(values, tags):
-        try:
-            pre = preset_by_name(name, {**_block(config, "params"), param: value})
-        except KeyError as exc:
-            raise ConfigError(exc.args[0]) from exc
+    for value, tag, pre, path in zip(values, tags, presets, paths):
         L = pre.system
         ladder, _ = run_constraint_algorithm(L, _initial_state(config, L, pre), opts)
         if ladder.status != "Closed":
@@ -304,7 +307,6 @@ def cmd_sweep(args) -> int:
             return _ladder_exit(ladder.status)
         field = FIELDS[args.space](L, ladder, opts)
         traj = integrate(field, field.drop(ladder.probe), cfg)
-        path = _resolve(f"{L.label}_{param}_{tag}.csv")
         trajectory_to_csv(traj, path)
         rep = residual_report(L, traj)
         rows.append({
@@ -365,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # a numpy floating-point warning would print lines of its own: raised, it is exit 4
+        with np.errstate(all="raise", under="ignore"):
+            return args.fn(args)
     except Exception as exc:
         for kind, code in EXIT_CODES:
             if isinstance(exc, kind):

@@ -22,11 +22,14 @@ from a ParamTable at evaluation time.
 
 All reported error offsets are 0-based character positions into the input
 string; errors raised while parsing are always DslError, never anything
-internal.
+internal.  Parsing, evaluation and printing recurse once per level, so an
+expression nests at most MAX_NESTING levels, in its text and its tree.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,6 +49,7 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
+MAX_NESTING = 100
 
 
 class DslError(ValueError):
@@ -62,7 +66,20 @@ class UnknownParameterError(ValueError):
 
 
 class ParamTable(dict):
-    """Mapping of parameter names to float values."""
+    """Mapping of parameter names to finite real values, fixed when it is
+    made: a system's constants hold for its life, so its recordings do
+    too.  Lookups are a dict's; every write raises TypeError."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name, x in self.items():
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+                raise ValueError(f"parameter {name} must be a finite number, got {x!r}")
+
+    def _fixed(self, *args, **kwargs):
+        raise TypeError("a parameter table is fixed when its system is built")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _fixed
 
 
 # -- syntax tree --------------------------------------------------------
@@ -188,6 +205,8 @@ class _Parser:
         self.i = 0
         self.n = n
         self.allow_p = allow_p
+        self.level = 0  # factors open on the parser's own stack
+        self.depth = 0  # tree depth of the node a method last returned
 
     @property
     def cur(self) -> _Token:
@@ -202,6 +221,13 @@ class _Parser:
         tok = self.cur
         self.i += 1
         return tok
+
+    def _node(self, tok: _Token, node: Node, *depths: int) -> Node:
+        """node, built at tok over subtrees `depths` deep."""
+        self.depth = 1 + max(depths)
+        if self.depth > MAX_NESTING:
+            raise DslError(f"expression nested deeper than {MAX_NESTING} levels", tok.start)
+        return node
 
     def expect_op(self, op: str, what: str) -> None:
         if self.cur.kind == "op" and self.cur.text == op:
@@ -218,32 +244,40 @@ class _Parser:
     def expr(self) -> Node:
         node = self.term()
         while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
+            op, left = self.advance(), self.depth
+            node = self._node(op, BinOp(op.text, node, self.term()), left, self.depth)
         return node
 
     def term(self) -> Node:
         node = self.factor()
         while self.cur.kind == "op" and self.cur.text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.factor())
+            op, left = self.advance(), self.depth
+            node = self._node(op, BinOp(op.text, node, self.factor()), left, self.depth)
         return node
 
     def factor(self) -> Node:
+        # every nesting in the text passes here: stop before the stack runs out
+        self.level += 1
+        if self.level > MAX_NESTING:
+            raise self._fail_here(f"expression nested deeper than {MAX_NESTING} levels")
         if self.cur.kind == "op" and self.cur.text == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
+            tok = self.advance()
+            node = self._node(tok, Neg(self.factor()), self.depth)
+        else:
+            node = self.power()
+        self.level -= 1
+        return node
 
     def power(self) -> Node:
         node = self.atom()
         if self.cur.kind == "op" and self.cur.text == "^":
-            self.advance()
-            node = BinOp("^", node, self.factor())
+            op, left = self.advance(), self.depth
+            node = self._node(op, BinOp("^", node, self.factor()), left, self.depth)
         return node
 
     def atom(self) -> Node:
         tok = self.cur
+        self.depth = 1
         if tok.kind == "number":
             self.advance()
             return Const(float(tok.text))
@@ -267,7 +301,7 @@ class _Parser:
             if self.cur.kind == "op" and self.cur.text == ",":
                 raise DslError(f"function {name!r} takes exactly one argument", self.cur.start)
             self.expect_op(")", "')'")
-            return Call(name, arg)
+            return self._node(tok, Call(name, arg), self.depth)
         if name == "t":
             return Var("t", 0)
         if name == "s":
@@ -292,8 +326,11 @@ class _Parser:
 def parse(text: str, n: int, allow_p: bool = False) -> Expr:
     """Parse an expression over (t, q, v[, p], s) with n degrees of freedom.
 
-    Raises DslError with a character offset on any malformed input.
+    Raises DslError with a character offset on any malformed input, and on
+    nesting deeper than MAX_NESTING.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"expected expression text, got {text!r}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     tokens = _tokenize(text)

@@ -171,7 +171,7 @@ def legendre_invert(L: LagrangianSystem, y, v0=None,
     if not all(map(math.isfinite, w)):
         bad = "velocity seed v0" if all(map(math.isfinite, y)) else "momentum-space point y"
         raise NonInvertibleLegendre(f"non-finite {bad}")
-    replay = replay or momentum_reads(L).resolve()
+    replay = replay or momentum_reads(L).point
     within = (LEGENDRE_TOL * max(1.0, *map(abs, y[1 + n : 1 + 2 * n]))).__ge__  # False for NaN
     vs, (margins, step) = slice(1 + n, 1 + 2 * n), _layout(n, n)[3:]
     for _ in range(LEGENDRE_MAX_ITER):
@@ -204,10 +204,9 @@ class UnifiedField:
     into the reads' template.  It returns (derivative, w, reads), lists:
     the coefficient vector, constraint values and L's order-2 data are
     slices of the reads (pontryagin._layout).  drift(evaluation) is max
-    |xi| over an evaluation's constraint values.  The tapes are resolved
-    (_ClosedReads.resolve) when a field is made and at every prepare: a
-    parameter change takes effect at the next run.  One instance drives
-    one trajectory at a time.
+    |xi| over an evaluation's constraint values.  The tape a field reads
+    is recorded when the field is made.  One instance drives one
+    trajectory at a time.
     """
 
     L: LagrangianSystem
@@ -220,7 +219,7 @@ class UnifiedField:
         n, self._R = self.L.n, len(self.ladder.active())
         _, self._template, data, self._margins, _ = _layout(self._R, n)
         self._p = slice(data.start + 2 + n, data.start + 2 + 2 * n)  # dL/dv in L's data
-        self._replay = self._reads().resolve()
+        self._replay = self._reads().point
 
     def _reads(self):
         return _ladder_reads(self.L, self.ladder)
@@ -256,17 +255,13 @@ class UnifiedField:
     def drift(self, evaluation: tuple) -> float:
         return _max_abs(evaluation[2][: self._R])
 
-    def prepare(self, x0) -> np.ndarray:
-        """Project an initial state onto the constraint set; a run starts."""
-        self._replay = self._reads().resolve()
-        return self.reproject(x0)
-
     def reproject(self, state) -> np.ndarray:
-        """Project a state back onto the constraint set after a step,
-        starting, as project_onto does, at the lift with p = dL/dv: a state
-        with a p of its own is read again once it is filled in, or, where
-        its own p breaks the reads down, read on the velocity side.  The
-        mixed-space tape is recorded when Gauss-Newton first moves."""
+        """Project a state onto the constraint set: a run's initial state,
+        and each step's with reprojection on.  It starts, as project_onto
+        does, at the lift with p = dL/dv: a state with a p of its own is
+        read again once it is filled in, or, where its own p breaks the
+        reads down, read on the velocity side.  The mixed-space tape is
+        recorded when Gauss-Newton first moves."""
         n, reads = self.L.n, _ladder_reads(self.L, self.ladder)
         try:
             w, raw = self._read(np.asarray(state, dtype=float).tolist())
@@ -526,12 +521,12 @@ def integrate(field: UnifiedField, x0, cfg: IntegratorConfig) -> Trajectory:
     arrays once, at the end, and the residual pass reads the constraint
     values and L's order-2 data there, so it expands nothing.
     """
-    y = field.prepare(x0).tolist()
+    y = field.reproject(x0).tolist()
     t0 = y[0]
     if not cfg.t_end > t0:
         raise ValueError(f"t_end = {cfg.t_end} does not lie beyond t0 = {t0}")
     steps = _rk4_steps(t0, cfg) if cfg.method == "rk4" else None
-    drift_cap = 10.0 * field.opts.tol
+    drift_cap = 10.0 * field.ladder.tolerance
     evaluate = field.eval
     times, states, evals = [t0], [y], []
 

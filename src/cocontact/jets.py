@@ -33,9 +33,9 @@ tapes of operator-overloading AD), and generates from the log one
 straight-line Python function that replays it on new inputs.  The engine
 tests a coefficient's value only through `guard`, which a tape records and
 makes again at every replay; any other test of a recorded coefficient (a
-branch, a comparison, float()) refuses the recording, and that computation
-runs live instead.  A replay performs the operations of a live evaluation in
-the same order, so its results are the same bits.
+branch, a comparison, float()) refuses the recording, and the tape it gives
+runs that computation live instead.  A replay performs the operations of a
+live evaluation in the same order, so its results are the same bits.
 
 Batches: a tape also replays B points at once, each register a (B,)
 array, so one call of the same generated code serves them all.  The
@@ -636,7 +636,10 @@ class Tape:
     build runs the engine and returns the list of coefficients it wants
     (recorded ones, or plain numbers).  Calling the tape on n floats
     returns those outputs as computed from them.  A recording that meets a
-    value test, or fails in any way, gives None: the caller runs live.
+    value test, or fails in any way, gives a live tape (`live`): it runs
+    build itself on the floats, at one point as it is and on a stack
+    point by point.  `point` is the replay at one point, a list of floats
+    in and out, with no checks.
 
     Recording keeps every operation in the order the engine made it,
     shares repeated ones, and folds x*1 to x.  The replay program drops
@@ -650,6 +653,8 @@ class Tape:
     points, and as element-by-element wrappers, for stacks.
     """
 
+    live = False
+
     def __init__(self):
         self._code: list[tuple] = []  # (kind, out, a, b) in recording order
         self._n = 0  # registers allocated
@@ -659,17 +664,19 @@ class Tape:
         self._inputs: list[int] = []
 
     @classmethod
-    def record(cls, build: Callable[[list], Sequence], n: int) -> "Tape | None":
+    def record(cls, build: Callable[[list], Sequence], n: int) -> "Tape":
         tape = cls()
         try:
             inputs = [tape._new() for _ in range(n)]
             tape._inputs = [x.i for x in inputs]
             tape._compile(build(inputs))
         # besides a refusal, an fn may fail only on placeholders (a numpy
-        # call on a coefficient, say); the live run that follows raises
-        # whatever a float evaluation raises
+        # call on a coefficient, say); the live runs raise whatever a
+        # float evaluation raises.  A live tape keeps none of the recording
         except (_Refused, Exception):
-            return None
+            tape = cls.__new__(cls)
+            tape.live, tape.point = True, build
+        tape._width = n
         return tape
 
     # -- recording -----------------------------------------------------
@@ -783,9 +790,8 @@ class Tape:
         namespace: dict = {"__builtins__": {}}
         exec(_code("\n".join(lines)), namespace)
         bind = namespace["bind"]
-        self._point = bind([value for _, value, _ in bound])
+        self.point = bind([value for _, value, _ in bound])
         self._stack = bind([value for _, _, value in bound])
-        self._width = len(self._inputs)
         del self._code, self._memo, self._const_of, self._const
 
     def __call__(self, inputs) -> list:
@@ -797,29 +803,32 @@ class Tape:
         whole rows, the recorded calls, powers and guards one element at a
         time, and anything that raises on the batch (a guard, a floating
         point exception) replays it point by point instead, which raises
-        what the first failing point raises."""
+        what the first failing point raises; a live tape's always does."""
         if len(inputs) != self._width:
             raise DimensionMismatch(f"tape expects {self._width} inputs, got {len(inputs)}")
         if not isinstance(inputs, np.ndarray) or inputs.ndim != 2:
-            return self._point(inputs)
+            return self.point(inputs)
         inputs = np.ascontiguousarray(inputs, dtype=float)
-        try:
-            # an exception that a float operation would not raise (0/0,
-            # overflow) leaves the batch; underflow rounds alike in both
-            with np.errstate(all="raise", under="ignore"):
-                out = self._stack(inputs)
-        except Exception:
-            points = [self._point(x) for x in inputs.T.tolist()]
-            return [np.array(col, dtype=float) for col in zip(*points)]
-        B = inputs.shape[1]
-        return [o if isinstance(o, np.ndarray) else np.full(B, float(o)) for o in out]
+        if not self.live:
+            try:
+                # an exception that a float operation would not raise (0/0,
+                # overflow) leaves the batch; underflow rounds alike in both
+                with np.errstate(all="raise", under="ignore"):
+                    out = self._stack(inputs)
+                B = inputs.shape[1]
+                return [o if isinstance(o, np.ndarray) else np.full(B, float(o)) for o in out]
+            except Exception:
+                pass  # replayed point by point
+        points = [self.point(x) for x in inputs.T.tolist()]
+        return [np.array(col, dtype=float) for col in zip(*points)]
 
 
-def taped_expansion(fn: Callable, dim: int, order: int) -> Callable[[np.ndarray], Taylor] | None:
+def taped_expansion(fn: Callable, dim: int, order: int) -> Callable[[np.ndarray], Taylor]:
     """expand(fn, ., order) as a replayed tape: a function of a (dim, B)
     array of B points giving the polynomial whose coefficients are (B,)
     arrays, each the one a live expand gives at its point, key for key and
-    bit for bit.  None when fn refuses to be recorded."""
+    bit for bit.  An fn that refuses recording expands live, point by point
+    (a branching fn may hold other keys at other points), and is stacked."""
     keys: list[int] = []
 
     def build(seeds):
@@ -828,8 +837,8 @@ def taped_expansion(fn: Callable, dim: int, order: int) -> Callable[[np.ndarray]
         return list(out.terms.values())
 
     tape = Tape.record(build, dim)
-    if tape is None:
-        return None
+    if tape.live:
+        return lambda x: stack([expand(fn, xb, order) for xb in x.T])
     return lambda x: Taylor(order, dict(zip(keys, tape(x))))
 
 

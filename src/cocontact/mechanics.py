@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dsl as _dsl
-from .jets import (CoordinateSpace, Jet, Tape, Taylor, _strides, expand, jet_from_taylor, stack,
+from .jets import (CoordinateSpace, Jet, Tape, Taylor, _strides, expand, jet_from_taylor,
                    taped_expansion)
 
 __all__ = [
@@ -57,17 +57,14 @@ class LagrangianSystem:
         if self.n < 1:
             raise ValueError(f"n must be positive, got {n}")
         self.fn = fn
-        # a table handed in is kept, not copied: a preset's closed forms
-        # and its Lagrangian read the same values
+        # fixed when built, so a recording of fn holds for the system's
+        # life; a table handed in is kept: a preset's params is its L's
         self.params = params if isinstance(params, _dsl.ParamTable) else _dsl.ParamTable(params or {})
         self.label = label
         self.space = CoordinateSpace.lagrangian(n)
-        # (dim, order), or "value" for fn itself, -> (params when recorded,
-        # the replay or None)
+        # recorded once, replayed after: (dim, order) -> a stack's expansion,
+        # "value" -> fn's tape, "momentum" -> pontryagin.momentum_reads(L)
         self._tapes: dict = {}
-        # the reads of the momentum constraints alone, which legendre_invert
-        # and a one-generation ladder replay (pontryagin.momentum_reads)
-        self._momentum_reads = None
 
     def taylor_on(self, space: CoordinateSpace, x, order: int) -> Taylor:
         """Evaluate on any layout whose leading slots are (t, q, v) with s
@@ -79,31 +76,22 @@ class LagrangianSystem:
 
         A single point runs live: the pointwise work on a closed ladder
         replays the ladder's own tape (pontryagin._ClosedReads).  The first
-        stack per (layout, order) records the engine's work (jets.Tape), and
-        later ones replay it.  A tape is stamped with the parameter values
-        it was recorded with and recorded afresh after any of them changes,
-        so one is held per (layout, order).  An fn that refuses recording
-        runs live, point by point."""
+        stack per (layout, order) records the engine's work
+        (jets.taped_expansion), and later ones replay it; an fn that
+        refuses recording runs live, point by point."""
         dim = space.dim
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != dim:
             raise ValueError(f"point has shape {x.shape}, expected ({dim},) or (B, {dim})")
         if x.ndim == 1:
             return expand(self._on(space), x, order)
-        taped = self._held((dim, order), lambda: taped_expansion(self._on(space), dim, order))
-        if taped is None:
-            return stack([expand(self._on(space), xb, order) for xb in x])
-        return taped(x.T)
+        return self._held((dim, order), lambda: taped_expansion(self._on(space), dim, order))(x.T)
 
-    def _held(self, key, record: Callable):
-        """The replay held under key, or None for a refused recording;
-        record() makes it afresh when L's parameter values differ from
-        those it was made with."""
-        params = tuple(self.params.items())
-        held = self._tapes.get(key)
-        if held is None or held[0] != params:
-            held = self._tapes[key] = (params, record())
-        return held[1]
+    def _held(self, key, make: Callable):
+        """What make() gives, made at the first call per key and held."""
+        if key not in self._tapes:
+            self._tapes[key] = make()
+        return self._tapes[key]
 
     def _on(self, space: CoordinateSpace) -> Callable:
         """fn as a function of one point of `space`."""
@@ -123,24 +111,18 @@ class LagrangianSystem:
         """L at a point (t, q, v, s), a float from fn on floats; or at a
         (B, dim) stack of points, a (B,) array, each entry the point's bit
         for bit.  A stack replays a recording of fn (jets.Tape), the float
-        operations a point performs, stamped and recorded afresh as
-        taylor_on's tapes are; a replay that raises on the stack replays
-        point by point, so a stack raises what its first failing point
-        raises.  An fn that refuses recording runs live point by point."""
+        operations a point performs; a replay that raises on the stack
+        replays point by point, so a stack raises what its first failing
+        point raises.  An fn that refuses recording runs live point by
+        point."""
+        on = self._on(self.space)
         if np.ndim(x) == 2:
             X = np.asarray(x, dtype=float)
             dim = self.space.dim
             if X.shape[1] != dim:
                 raise ValueError(f"points have shape {X.shape}, expected (B, {dim})")
-            on = self._on(self.space)
-            tape = self._held("value", lambda: Tape.record(lambda z: [on(z)], dim))
-            if tape is not None:
-                return tape(X.T)[0]
-            return np.array([self.value(xb) for xb in X], dtype=float)
-        n = self.n
-        q = [float(c) for c in x[1 : 1 + n]]
-        v = [float(c) for c in x[1 + n : 1 + 2 * n]]
-        out = self.fn(float(x[0]), q, v, float(x[len(x) - 1]), self.params)
+            return self._held("value", lambda: Tape.record(lambda z: [on(z)], dim))(X.T)[0]
+        out = on([float(c) for c in x])
         return out.value if isinstance(out, Taylor) else float(out)
 
     @staticmethod
@@ -148,9 +130,8 @@ class LagrangianSystem:
         """Build a system from a parsed (t, q, v, s) expression.
 
         Every parameter of the expression needs a value in `params`
-        (UnknownParameterError otherwise).  Parameters stay late-bound: the
-        system's own table is consulted at every evaluation, so updates to
-        it take effect immediately.
+        (UnknownParameterError otherwise).  The system reads them from its
+        own table, fixed from then on.
         """
         if isinstance(expr, str):
             raise TypeError("pass a parsed expression; use dsl.parse first")

@@ -421,6 +421,7 @@ def constraint_values(L: LagrangianSystem, w, constraints: Sequence[ConstraintFn
 # -- the algorithm ------------------------------------------------------
 
 
+TOL = 1e-8  # feasibility and new-constraint value detection, absolute
 GRAD_TOL = 1e-6  # discovery's transversality threshold, relative
 PROJECT_TOL = 1e-11  # a projection ends once every constraint is this small
 MAX_PROJECT_ITER = 40  # or raises InfeasiblePoint after this many steps
@@ -431,7 +432,6 @@ class AlgorithmOptions:
     # pass k of the algorithm expands L to order k + 2, so no more than
     # ORDER_CAP - 2 passes can run
     max_generations: int = ORDER_CAP - 2
-    tol: float = 1e-8  # feasibility and new-constraint value detection
     # relative rank threshold: for discovery's rows and its SVD, which
     # keeps the singular values sigma > rank_tol * sigma_max; and for the
     # full-rank solve, whose field raises NumericalBreakdown once the
@@ -456,7 +456,7 @@ class ConstraintLadder:
     probe: np.ndarray
     rank: int
     undetermined_dim: int
-    tolerance: float
+    tolerance: float  # TOL, for the report and integrate's drift cap (10x)
     _reads: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by lift
 
     def active(self) -> list[ConstraintFn]:
@@ -622,6 +622,13 @@ def _test_margins(squared: list, rank_tol: float, error: type, what: str, lost: 
         raise error(f"{what} pivot margin {margin:.3e} at or below rank_tol {rank_tol:.1e}; {lost}")
 
 
+def _finite(M: np.ndarray, what: str) -> np.ndarray:
+    """M, once it is finite: LAPACK's SVD (np.linalg.svd, lstsq) may hang on inf."""
+    if not np.isfinite(M).all():
+        raise NumericalBreakdown(f"non-finite {what}")
+    return M
+
+
 def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCoefficients, int]:
     """The field fixed by the tangency conditions of R constraints, and the
     rank of their C-system, from _reads' numbers as one float array.
@@ -643,7 +650,8 @@ def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCo
     grads = raw[grads_at].reshape(R, 3 * n + 2)
     # row r: grad(xi_r) . Z = g[r] + M[r] . C
     g = grads @ coeffs
-    U, sigma, Vt = np.linalg.svd(grads[:, 1 + n : 1 + 2 * n], full_matrices=True)
+    U, sigma, Vt = np.linalg.svd(_finite(grads[:, 1 + n : 1 + 2 * n], "C-system"),
+                                 full_matrices=True)
     smax = sigma[0] if len(sigma) else 0.0
     rank = int(np.count_nonzero(sigma > opts.rank_tol * smax)) if smax > 0 else 0
     if rank and smax / sigma[rank - 1] > opts.cond_cap:
@@ -672,7 +680,7 @@ def _tangency(
     R = len(constraints)
     reads = _reads(ws, constraints)
     raw = np.array(reads, dtype=float)
-    grads = raw[_layout(R, n)[0]].reshape(R, dim)
+    grads = _finite(raw[_layout(R, n)[0]].reshape(R, dim), "constraint gradients")
     M = grads[:, 1 + n : 1 + 2 * n]
     row_scale = max(float(np.max(np.linalg.norm(M, axis=1))), 1e-300)
     thresh = opts.rank_tol * row_scale
@@ -702,7 +710,7 @@ def _tangency(
         value = ct.value
         cgrad = ct.gradient(dim)
         gnorm = float(np.linalg.norm(cgrad))
-        if abs(value) > opts.tol:
+        if abs(value) > TOL:
             if gnorm <= opts.rank_tol * max(1.0, abs(value)):
                 incompatible = cand
                 break
@@ -738,7 +746,7 @@ def _kernel_q_indices(W: np.ndarray) -> list[int]:
     """Configuration coordinates paired with the kernel of the velocity
     Hessian W = d2L/dv dv; these act as multipliers and may be adjusted
     during projection."""
-    rep = classify_velocity_hessian(W)
+    rep = classify_velocity_hessian(_finite(W, "velocity Hessian"))
     out = []
     for k in range(rep.nullspace.shape[1]):
         u = np.abs(rep.nullspace[:, k])
@@ -805,7 +813,7 @@ def _project(reads, w: np.ndarray, raw: np.ndarray,
         worst = float(np.max(np.abs(vals)))
         if worst <= PROJECT_TOL:
             return w, raw
-        step, *_ = np.linalg.lstsq(grads, -vals, rcond=None)
+        step, *_ = np.linalg.lstsq(_finite(grads, "constraint gradients"), -vals, rcond=None)
         lam = 1.0
         for _ in range(9):
             trial = w.copy()
@@ -861,7 +869,7 @@ def run_constraint_algorithm(
         wvec, ws = project()
     else:
         vals = primary_constraints(L, wvec)
-        if np.max(np.abs(vals)) > opts.tol:
+        if np.max(np.abs(vals)) > TOL:
             raise InfeasiblePoint(
                 f"momentum constraints violated by {np.max(np.abs(vals)):.3e}"
             )
@@ -885,13 +893,13 @@ def run_constraint_algorithm(
             wvec, ws = project(ws.L_taylor(1 + len(generations)))
         else:
             worst = max(abs(c.taylor(ws, 0).value) for c in new)
-            if worst > opts.tol:
+            if worst > TOL:
                 raise InfeasiblePoint(
                     f"new generation violated by {worst:.3e} and projection is off"
                 )
 
     kdim = Z.undetermined.shape[1] if Z is not None else 0
-    ladder = ConstraintLadder(generations, status, wvec, rank, kdim, opts.tol)
+    ladder = ConstraintLadder(generations, status, wvec, rank, kdim, TOL)
     return ladder, Z if status == "Closed" else None
 
 
@@ -904,18 +912,24 @@ class _ClosedReads:
     closed with full rank) the reads come solved (_solve): C in the
     template, the pivot margins after L's data, then Newton's step (_solve).
 
-    One recording (jets.Tape) runs L's expansion, to 1 plus the deepest
-    generation, the reads and the solve, so the replay program drops every
-    coefficient of L that nothing reads.  L's parameter values are
-    constants in it: the tape is stamped with them, as L's own tapes are,
-    and recorded afresh after any of them changes.  A refused recording
-    runs live.  A call checks the parameters, resolve() once for a run."""
+    One recording (jets.Tape), made at the first read, runs L's expansion,
+    to 1 plus the deepest generation, the reads and the solve, so the
+    replay program drops every coefficient of L that nothing reads.  L's
+    parameter values, fixed with L, are constants in it.  `point` is the
+    replay at one point, a list of floats in and out; a refused recording
+    runs live."""
 
     def __init__(self, L: LagrangianSystem, active: list[ConstraintFn], lift: bool = False,
                  solve: bool = True):
         self.L, self.active, self.lift, self.solve = L, active, lift, solve
-        self.params: tuple | None = None  # L's parameter values when recorded
-        self.tape: Tape | None = None
+
+    @functools.cached_property
+    def tape(self) -> Tape:
+        return Tape.record(self._build, (2 if self.lift else 3) * self.L.n + 2)
+
+    @property
+    def point(self) -> Callable[[list], list]:
+        return self.tape.point
 
     def _build(self, x) -> list:
         L, active, n = self.L, self.active, self.L.n
@@ -931,21 +945,9 @@ class _ClosedReads:
         newton = len(active) == n and not self.lift  # the momentum constraints' (legendre_invert)
         return _solve(reads, len(active), n, newton) if self.solve else reads
 
-    def resolve(self) -> Callable[[list], list]:
-        """The reads at one point, a list of floats in and out: the tape's
-        replay, recorded first if L's parameters changed, or the live reads."""
-        params = tuple(self.L.params.items())
-        if self.params != params:
-            dim = (2 if self.lift else 3) * self.L.n + 2
-            self.params, self.tape = params, Tape.record(self._build, dim)
-        return self._build if self.tape is None else self.tape._point
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        replay = self.resolve()
         if x.ndim == 1:
-            return np.array(replay(x.tolist()), dtype=float)
-        if self.tape is None:
-            return np.array([self._build(xb) for xb in x], dtype=float)
+            return np.array(self.point(x.tolist()), dtype=float)
         return np.stack(self.tape(x.T), axis=1)
 
 
@@ -955,9 +957,8 @@ def momentum_reads(L: LagrangianSystem) -> _ClosedReads:
     iterate, and a one-generation ladder of full rank replays it as its
     own.  It solves for C: the momentum constraints of a regular L have
     full rank."""
-    if L._momentum_reads is None:
-        L._momentum_reads = _ClosedReads(L, [_PrimaryConstraint(L, j) for j in range(L.n)])
-    return L._momentum_reads
+    return L._held("momentum",
+                   lambda: _ClosedReads(L, [_PrimaryConstraint(L, j) for j in range(L.n)]))
 
 
 def _ladder_reads(L: LagrangianSystem, ladder: ConstraintLadder, lift: bool = False):

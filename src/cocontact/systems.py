@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 
-class NonpositiveMassError(ValueError):
-    """The mass law m(t) evaluated to a nonpositive value."""
+class NonpositiveMassError(JetDomainError):
+    """The mass law m(t) evaluated to a nonpositive value: a point outside L's domain."""
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,13 @@ def duffing(
 
     def expected_C(w):
         t, q, v, p, s = _unified_parts(w, 1)
-        a, b, g, d, om = (params[k] for k in ("alpha", "beta", "gamma", "delta", "omega"))
-        return np.array([-a * q[0] - b * q[0] ** 3 - d * v[0] + g * math.cos(om * t)])
+        return np.array([-alpha * q[0] - beta * q[0] ** 3 - delta * v[0]
+                         + gamma * math.cos(omega * t)])
 
     def expected_D(w):
         t, q, v, p, s = _unified_parts(w, 1)
-        a, b, g, d, om = (params[k] for k in ("alpha", "beta", "gamma", "delta", "omega"))
-        return np.array([-a * q[0] - b * q[0] ** 3 - d * p[0] + g * math.cos(om * t)])
+        return np.array([-alpha * q[0] - beta * q[0] ** 3 - delta * p[0]
+                         + gamma * math.cos(omega * t)])
 
     def sample_feasible(rng: np.random.Generator) -> np.ndarray:
         t, x, v, s = rng.uniform(-2, 2, size=4)
@@ -174,7 +174,7 @@ def variable_mass_drag(
     """
     if gamma == 0:
         raise ValueError("gamma must be nonzero for the drag preset")
-    m_ast = _dsl.parse(m_expr, n=1) if isinstance(m_expr, str) else m_expr
+    m_ast = m_expr if isinstance(m_expr, _dsl.Expr) else _dsl.parse(m_expr, n=1)
     m_text = m_expr if isinstance(m_expr, str) else _dsl.to_text(m_ast)
     params = _dsl.ParamTable(gamma=gamma, F=F, g=g)
 
@@ -207,23 +207,21 @@ def variable_mass_drag(
 
     def expected_C(w):
         t, q, v, p, s = _unified_parts(w, 1)
-        gam = params["gamma"]
         m = _mval(t)
         mdot = mass_rate(t, params)
-        return np.array([params["F"] / m - gam * v[0] ** 2 - (mdot / m) * v[0] - params["g"]])
+        return np.array([F / m - gamma * v[0] ** 2 - (mdot / m) * v[0] - g])
 
     def expected_D(w):
         t, q, v, p, s = _unified_parts(w, 1)
-        gam = params["gamma"]
         m = _mval(t)
-        return np.array([-m * params["g"] * math.exp(-2 * gam * q[0]) - 2 * gam * v[0] * p[0]])
+        return np.array([-m * g * math.exp(-2 * gamma * q[0]) - 2 * gamma * v[0] * p[0]])
 
     def sample_feasible(rng: np.random.Generator) -> np.ndarray:
         t = rng.uniform(0, 3)
         y = rng.uniform(-1, 1)
         v = rng.uniform(-3, 3)
         s = rng.uniform(-1, 1)
-        p = _mval(t) * v - 2 * params["gamma"] * s
+        p = _mval(t) * v - 2 * gamma * s
         return np.array([t, y, v, p, s])
 
     text = (
@@ -273,16 +271,16 @@ def charged_particle(
     of a point charge -2e-4 at the origin (guarded below r = 1e-6) and
     f = z - t, a plane moving upward at unit speed.
     """
-    if m <= 0:
-        raise NonpositiveMassError(f"mass {m} must be positive")
     params = _dsl.ParamTable(m=m, k=k, gamma=gamma)
+    if not m > 0:
+        raise ValueError(f"mass {m} must be positive")
 
     custom_f = f_expr is not None
     if phi_expr is None:
         phi_eval = _default_phi
         phi_text = f"({SOURCE_CHARGE!r}/sqrt(q1^2 + q2^2 + q3^2))"
     else:
-        phi_ast = _dsl.parse(phi_expr, n=3) if isinstance(phi_expr, str) else phi_expr
+        phi_ast = phi_expr if isinstance(phi_expr, _dsl.Expr) else _dsl.parse(phi_expr, n=3)
         phi_text = f"({_dsl.to_text(phi_ast)})"
 
         def phi_eval(x, y, z):
@@ -292,7 +290,7 @@ def charged_particle(
         f_eval = lambda t, x, y, z: z - t  # noqa: E731
         f_text = "(q3 - t)"
     else:
-        f_ast = _dsl.parse(f_expr, n=3) if isinstance(f_expr, str) else f_expr
+        f_ast = f_expr if isinstance(f_expr, _dsl.Expr) else _dsl.parse(f_expr, n=3)
         f_text = f"({_dsl.to_text(f_ast)})"
 
         def f_eval(t, x, y, z):
@@ -313,7 +311,7 @@ def charged_particle(
     phi_memo: list = [None, None]
 
     def _phi_jets(q):
-        key = (np.asarray(q[:3], dtype=float).tobytes(), tuple(params.items()))
+        key = np.asarray(q[:3], dtype=float).tobytes()
         if phi_memo[0] != key:
             phi_memo[:] = key, eval_jet(phi_field, q[:3], 3)
         return phi_memo[1]
@@ -322,10 +320,9 @@ def charged_particle(
         t, q, v, p, s = _unified_parts(w, 4)
         pj = _phi_jets(q)
         fj = eval_jet(f_field, [t, q[0], q[1], q[2]], 1)
-        lam, gam, kk = q[3], params["gamma"], params["k"]
         out = np.empty(4)
-        out[:3] = lam * fj.grad[1:] - kk * pj.grad - gam * p[:3]
-        out[3] = fj.value - gam * p[3]
+        out[:3] = q[3] * fj.grad[1:] - k * pj.grad - gamma * p[:3]
+        out[3] = fj.value - gamma * p[3]
         return out
 
     expected_C = None
@@ -340,10 +337,10 @@ def charged_particle(
         # coefficients whose vanishing the earlier generations enforce.
         def _dz(t, q, v, p):
             pj = _phi_jets(q)
-            return q[3] - params["k"] * pj.grad[2] - params["gamma"] * p[2]
+            return q[3] - k * pj.grad[2] - gamma * p[2]
 
         def _dlam(t, q, p):
-            return (q[2] - t) - params["gamma"] * p[3]
+            return (q[2] - t) - gamma * p[3]
 
         def xi2(w):
             t, q, v, p, s = _unified_parts(w, 4)
@@ -351,26 +348,23 @@ def charged_particle(
 
         def xi3(w):
             t, q, v, p, s = _unified_parts(w, 4)
-            gam = params["gamma"]
-            return v[2] - 1.0 - gam * _dlam(t, q, p)
+            return v[2] - 1.0 - gamma * _dlam(t, q, p)
 
         def xi4(w):
             t, q, v, p, s = _unified_parts(w, 4)
-            gam, mm = params["gamma"], params["m"]
-            return gam * (1.0 - v[2]) + gam**2 * _dlam(t, q, p) + _dz(t, q, v, p) / mm
+            return gamma * (1.0 - v[2]) + gamma**2 * _dlam(t, q, p) + _dz(t, q, v, p) / m
 
         def xi5(w):
             t, q, v, p, s = _unified_parts(w, 4)
-            gam, mm, kk = params["gamma"], params["m"], params["k"]
             pj = _phi_jets(q)
-            coupled = v[3] - kk * (
+            coupled = v[3] - k * (
                 pj.hess[0, 2] * v[0] + pj.hess[1, 2] * v[1] + pj.hess[2, 2] * v[2]
             )
             return (
-                -(gam**2) * (1.0 - v[2])
-                + coupled / mm
-                - (2 * gam / mm) * _dz(t, q, v, p)
-                - gam**3 * _dlam(t, q, p)
+                -(gamma**2) * (1.0 - v[2])
+                + coupled / m
+                - (2 * gamma / m) * _dz(t, q, v, p)
+                - gamma**3 * _dlam(t, q, p)
             )
 
         ladder_labels = (
@@ -383,15 +377,14 @@ def charged_particle(
 
         def expected_C(w):  # noqa: F811 - deliberate rebind for default f
             t, q, v, p, s = _unified_parts(w, 4)
-            gam, mm, kk = params["gamma"], params["m"], params["k"]
             pj = _phi_jets(q)
             out = np.empty(4)
-            out[:3] = (-kk * pj.grad - gam * p[:3]) / mm
-            out[2] = (q[3] - kk * pj.grad[2] - gam * p[2]) / mm
+            out[:3] = (-k * pj.grad - gamma * p[:3]) / m
+            out[2] = (q[3] - k * pj.grad[2] - gamma * p[2]) / m
             # rate of the coupled-velocity relation along the flow:
             # third derivatives of phi plus curvature feedback
             third = pj.third[:, :, 2]
-            out[3] = kk * (v[:3] @ third @ v[:3] + pj.hess[:, 2] @ out[:3])
+            out[3] = k * (v[:3] @ third @ v[:3] + pj.hess[:, 2] @ out[:3])
             return out
 
     def sample_feasible(rng: np.random.Generator) -> np.ndarray:
@@ -402,11 +395,9 @@ def charged_particle(
         s = rng.uniform(-1, 1)
         q = np.array([x, y, z, 0.0])
         pj = _phi_jets(q)
-        lam = params["k"] * pj.grad[2] + params["gamma"] * params["m"]
-        vlam = params["k"] * (pj.hess[0, 2] * vx + pj.hess[1, 2] * vy + pj.hess[2, 2])
-        q[3] = lam
-        v = np.array([vx, vy, 1.0, vlam])
-        p = np.concatenate((params["m"] * v[:3], [0.0]))
+        q[3] = k * pj.grad[2] + gamma * m
+        v = np.array([vx, vy, 1.0, k * (pj.hess[0, 2] * vx + pj.hess[1, 2] * vy + pj.hess[2, 2])])
+        p = np.concatenate((m * v[:3], [0.0]))
         return np.concatenate(([t], q, v, p, [s]))
 
     text = (

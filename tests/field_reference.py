@@ -107,7 +107,7 @@ def field(w, values, grads, L_grad, L_data, opts: AlgorithmOptions) -> ZCoeffici
 
 def reference_Z(L, w, ladder, opts: AlgorithmOptions | None = None) -> ZCoefficients:
     """assemble_Z at one point, its reads live on a fresh workspace."""
-    opts = opts or AlgorithmOptions(tol=ladder.tolerance)
+    opts = opts or AlgorithmOptions()
     active = ladder.active()
     space = CoordinateSpace.unified(L.n)
     order = 1 + max(c.generation for c in active)

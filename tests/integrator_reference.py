@@ -55,9 +55,6 @@ class ArrayField:
     def __call__(self, state):
         return self.eval(state)[0]
 
-    def prepare(self, x0):
-        return self.field.prepare(x0)
-
     def reproject(self, state):
         return self.field.reproject(state)
 
@@ -97,12 +94,12 @@ def _rkf45_step(f, y, h, k1):
 
 def integrate(package_field, x0, cfg) -> Trajectory:
     field = ArrayField(package_field)
-    y = field.prepare(x0)
+    y = field.reproject(x0)
     t0 = float(y[0])
     if cfg.t_end <= t0:
         raise ValueError(f"t_end = {cfg.t_end} does not lie beyond t0 = {t0}")
 
-    drift_cap = 10.0 * field.opts.tol
+    drift_cap = 10.0 * field.ladder.tolerance
     times = [t0]
     states = [y.copy()]
     samples = []

@@ -14,6 +14,7 @@ from cocontact import cli
 from cocontact.dynamics import RESIDUAL_CHANNELS, LadderLost, NonInvertibleLegendre, StepFailure
 from cocontact.jets import JetDomainError
 from cocontact.pontryagin import InfeasiblePoint, NumericalBreakdown
+from cocontact.systems import NonpositiveMassError
 
 HEADER_1D = "t,q1,v1,p1,s,res_holonomy,res_sdot,res_herglotz,res_constraint"
 CHAIN = "q4*(v1 - q2) + q5*(v2 - q3) + v3^2/2 + q6*q1"
@@ -309,6 +310,29 @@ def test_simulate_into_a_missing_directory_exits_one(capsys, tmp_path, monkeypat
     assert not (tmp_path / "nodir").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "charged_particle", "--out", "nodir/x.csv"],
+    ["simulate", "--preset", "duffing", "--out", "x.csv"],
+    ["sweep", "--preset", "duffing", "--param", "alpha", "--values", "1,2"],
+    ["constraints", "--preset", "duffing", "--out", "x.json"],
+])
+def test_an_output_path_is_checked_before_any_run(argv, capsys, tmp_path, monkeypatch):
+    # the second and later cases write into a missing $COCONTACT_OUT_DIR
+    out_dir = tmp_path if "nodir/x.csv" in argv else tmp_path / "missing"
+    monkeypatch.setenv("COCONTACT_OUT_DIR", str(out_dir))
+
+    def spy(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "integrate", spy)
+    monkeypatch.setattr(cli, "run_constraint_algorithm", spy)
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: FileNotFoundError: ") and err.count("\n") == 1
+    assert not (tmp_path / "nodir").exists() and not (tmp_path / "missing").exists()
+
+
 def test_simulate_spaces_agree(capsys, tmp_path):
     # same system, three descriptions: exported samples must coincide
     tables = {}
@@ -579,6 +603,41 @@ def test_domain_error_in_lagrangian_exits_four(capsys, tmp_path, command):
     assert err.count("\n") == 1
 
 
+def test_a_mass_law_that_reaches_zero_mid_run_exits_four(capsys, tmp_path, monkeypatch):
+    # m(t) = 0.5 - t leaves the Lagrangian's domain at t = 0.5: a domain
+    # error, as a sqrt of a negative value is
+    monkeypatch.setenv("COCONTACT_OUT_DIR", str(tmp_path))
+    cfg = write_config(tmp_path, {"system": "variable_mass_drag", "params": {"m_expr": "0.5 - t"},
+                                  "integrator": {"step": 0.01, "t_end": 1.0}})
+    rc, out, err = run(capsys, ["simulate", "--config", cfg])
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error: NonpositiveMassError: m(t) = ")
+    assert err.endswith(" is nonpositive\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m", [0, -1.0])
+def test_a_nonpositive_charged_mass_is_a_configuration_error(m, capsys, tmp_path):
+    # refused when the preset is built, before any point is evaluated
+    cfg = write_config(tmp_path, {"system": "charged_particle", "params": {"m": m}})
+    rc, out, err = run(capsys, ["constraints", "--config", cfg])
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: ValueError: mass {m} must be positive\n"
+
+
+def test_an_inline_lagrangian_nested_too_deep_exits_one(capsys, tmp_path):
+    text = "(" * 3000 + "v1^2/2" + ")" * 3000
+    cfg = write_config(tmp_path, {"system": {"n": 1, "lagrangian": text},
+                                  "initial": {"q": [0.0], "v": [1.0]}})
+    rc, out, err = run(capsys, ["constraints", "--config", cfg])
+    assert rc == 1
+    assert out == ""
+    assert err == ("error: ConfigError: bad inline Lagrangian: expression nested deeper than "
+                   "100 levels (offset 100)\n")
+
+
 @pytest.mark.parametrize("exc, code", [
     (cli.ConfigError("bad block"), 1),
     (InfeasiblePoint("projection stalled"), 4),
@@ -587,6 +646,7 @@ def test_domain_error_in_lagrangian_exits_four(capsys, tmp_path, command):
     (LadderLost("constraint drift"), 4),
     (NonInvertibleLegendre("velocity Hessian is singular"), 4),
     (JetDomainError("sqrt of a negative value"), 4),
+    (NonpositiveMassError("m(t) = 0.0 is nonpositive"), 4),
     (NumericalBreakdown("frozen pivot collapsed"), 4),
     (OverflowError("math range error"), 4),
 ])

@@ -227,3 +227,37 @@ def test_garbage_fuzz_never_crashes():
             pass
     # sanity: the alphabet does produce some valid expressions
     assert ok > 0
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("(" * 3000 + "q1" + ")" * 3000, dsl.MAX_NESTING),
+    ("-" * 3000 + "q1", dsl.MAX_NESTING),
+    ("sin(" * 3000 + "q1" + ")" * 3000, 4 * dsl.MAX_NESTING),
+    ("q1" + "^q1" * 3000, 3 * dsl.MAX_NESTING),
+    # a chain nests in the tree alone: the operator that makes it too deep
+    ("q1" + " + q1" * 3000, 5 * dsl.MAX_NESTING - 2),
+    ("q1" + "*q1" * dsl.MAX_NESTING, 3 * dsl.MAX_NESTING - 1),
+])
+def test_nesting_past_the_limit_is_a_dsl_error(text, offset):
+    # parsing, evaluating and printing recurse once per level: past the
+    # limit the text is refused, with an offset, before anything recurses
+    with pytest.raises(DslError, match=f"nested deeper than {dsl.MAX_NESTING} levels") as err:
+        parse(text, n=1)
+    assert err.value.offset == offset
+
+
+def test_nesting_at_the_limit_parses_evaluates_and_prints():
+    point = [0.1, 0.5, 0.2, 0.0]
+    for text in ("(" * (dsl.MAX_NESTING - 1) + "q1" + ")" * (dsl.MAX_NESTING - 1),
+                 "q1" + "*q1" * (dsl.MAX_NESTING - 1), "-" * (dsl.MAX_NESTING - 1) + "q1"):
+        e = parse(text, n=1)
+        assert parse(to_text(e), n=1).node == e.node
+        assert evaluate(e, point, order=2).value == evaluate(e, point)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "2", True, None, [1.0]])
+def test_a_parameter_value_must_be_a_finite_number(value):
+    with pytest.raises(ValueError) as err:
+        ParamTable({"b": 2, "a": value})
+    assert str(err.value) == f"parameter a must be a finite number, got {value!r}"
+    assert ParamTable(a=1e300, b=-3) == {"a": 1e300, "b": -3}

@@ -304,7 +304,7 @@ def test_momentum_description_unavailable_for_singular_system():
     ladder = closed_ladder(L, pre.initial)
     y0 = hamiltonian_part(ladder.probe, 4)
     with pytest.raises(NonInvertibleLegendre):
-        hamiltonian_field(L, ladder, OPTS).prepare(y0)
+        hamiltonian_field(L, ladder, OPTS).reproject(y0)
 
 
 # -- trajectory structure ----------------------------------------------
@@ -468,12 +468,12 @@ def _counting_replays(monkeypatch, points):
     """Record the point of every replay of a closed set of constraints'
     reads at one point: a ladder's (evaluations, projections, the velocity
     side's evaluations), and legendre_invert's momentum constraints'.  All
-    replay what _ClosedReads.resolve returns, fields what it returned when
-    they were made or prepared: count a field made after this."""
-    resolve = _ClosedReads.resolve
+    replay what _ClosedReads.point gives, fields what it gave when they
+    were made: count a field made after this."""
+    point = _ClosedReads.point.fget
 
-    def counting_resolve(self):
-        replay = resolve(self)
+    def counting_point(self):
+        replay = point(self)
 
         def counted(x):
             points.append(np.array(x))
@@ -481,7 +481,7 @@ def _counting_replays(monkeypatch, points):
 
         return counted
 
-    monkeypatch.setattr(_ClosedReads, "resolve", counting_resolve)
+    monkeypatch.setattr(_ClosedReads, "point", property(counting_point))
 
 
 @pytest.mark.parametrize("name, make", DESCRIPTIONS)
@@ -532,7 +532,7 @@ def test_velocity_eval_expands_L_once_on_the_mixed_space(name, monkeypatch):
 @pytest.mark.parametrize("reproject", [False, True])
 @pytest.mark.parametrize("name, make", DESCRIPTIONS)
 def test_no_velocity_side_expansion_in_integrate(name, make, reproject, monkeypatch):
-    # prepare (inside integrate), reproject and every evaluation replay the
+    # the initial projection, reproject and every evaluation replay the
     # ladder's tapes: once a ladder has closed, a run makes no taylor_on
     # call at a single point, on any side
     pre = preset_by_name(name)
@@ -590,16 +590,16 @@ def test_a_reprojected_state_is_evaluated_once(name, kind, monkeypatch):
                                         ("charged_particle", "lagrangian")])
 def test_a_state_is_read_twice_only_right_after_a_projection(name, kind, monkeypatch):
     # no replay repeats the one before it, but for the evaluation at a
-    # projected state (prepare's, every reprojected step's), which reads
+    # projected state (the initial one, every reprojected step's), which reads
     # afresh where the projection's last read was of the same tape
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
     calls = []
-    resolve = _ClosedReads.resolve
+    point = _ClosedReads.point.fget
 
-    def counting_resolve(self):
-        replay = resolve(self)
+    def counting_point(self):
+        replay = point(self)
 
         def counted(x):
             calls.append((id(self), np.asarray(x).tobytes()))
@@ -607,7 +607,7 @@ def test_a_state_is_read_twice_only_right_after_a_projection(name, kind, monkeyp
 
         return counted
 
-    monkeypatch.setattr(_ClosedReads, "resolve", counting_resolve)
+    monkeypatch.setattr(_ClosedReads, "point", property(counting_point))
     for reproject in (True, False):
         calls.clear()
         fld = cocontact.dynamics.FIELDS[kind](L, ladder, OPTS)

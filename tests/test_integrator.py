@@ -6,12 +6,10 @@ arrays.  On every preset, in every description it supports, with rk4 and
 rk45, reprojection on and off, and an rk4 run that ends on a remainder
 step, the two give the same times, states, lifts, coefficients and
 residual channels, bit for bit.  The loop keeps calling each description's
-own eval and drift entries, as bench/tracer.py wraps them, checks its step
-count before the field is evaluated, and replays the tapes each run's
-prepare resolved.
+own eval and drift entries, as bench/tracer.py wraps them, and checks its
+step count before the field is evaluated.
 """
 
-import numpy as np
 import pytest
 
 import integrator_reference
@@ -114,22 +112,3 @@ def test_a_run_over_the_step_cap_raises_before_any_evaluation(step, t_end, monke
     with pytest.raises(ValueError, match=f"more than MAX_STEPS = {MAX_STEPS}"):
         integrate(fld, ladder.probe, IntegratorConfig(step=step, t_end=t_end))
 
-
-# -- a run resolves its tape once -------------------------------------------
-
-
-@pytest.mark.parametrize("kind", KINDS["duffing"])
-def test_a_parameter_change_between_runs_records_the_tape_anew(kind):
-    # a field replays the tape its prepare resolved; the next run's
-    # prepare sees the changed parameter, as a fresh field does
-    pre = preset_by_name("duffing")
-    L = pre.system
-    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
-    cfg = IntegratorConfig(step=1e-2, t_end=0.05)
-    fld = FIELDS[kind](L, ladder, OPTS)
-    before = integrate(fld, fld.drop(ladder.probe), cfg)
-    L.params["beta"] = 0.5 * L.params["beta"]
-    after = integrate(fld, fld.drop(ladder.probe), cfg)
-    fresh = FIELDS[kind](L, ladder, OPTS)
-    assert not np.array_equal(before.states, after.states)
-    assert_same_bits(after, integrate(fresh, fresh.drop(ladder.probe), cfg))

@@ -285,11 +285,3 @@ def test_unified_layout_evaluation():
     assert abs(g[2] - jl.grad[2]) <= 1e-14  # dL/dv
     assert g[3] == 0.0  # no p dependence
     assert abs(g[4] - jl.grad[3]) <= 1e-14  # dL/ds
-
-
-def test_late_bound_parameters():
-    L = _duffing()
-    v0 = L.value([0.0, 1.0, 0.0, 0.0])
-    L.params["beta"] = 0.0
-    v1 = L.value([0.0, 1.0, 0.0, 0.0])
-    assert abs((v0 - v1) + 0.25 * BETA) <= 1e-14

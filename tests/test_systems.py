@@ -16,6 +16,7 @@ from cocontact import systems
 from cocontact.checks import CheckResult, check_ladder
 from cocontact.dsl import DslError, parse
 from cocontact.jets import JetDomainError, eval_jet
+from cocontact.mechanics import LagrangianSystem
 from cocontact.systems import (
     PRESET_NAMES,
     SOURCE_CHARGE,
@@ -94,13 +95,28 @@ def test_duffing_defaults():
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_a_preset_and_its_lagrangian_share_one_parameter_table(name):
+def test_a_parameter_table_is_fixed_when_its_system_is_built(name):
+    # a preset, its closed forms and its L read one table, which no write
+    # reaches: new values are a new system (sweep builds one per value)
     pre = preset_by_name(name)
     assert pre.system.params is pre.params
-    # a changed value reaches the closed forms and L alike
+    before = dict(pre.params)
     key = next(iter(pre.params))
-    pre.params[key] *= 1.5
-    assert check_ladder(pre, points=5).passed
+    writes = [lambda t: t.__setitem__(key, 1.5), lambda t: t.update({key: 1.5}),
+              lambda t: t.pop(key), lambda t: t.setdefault("new", 1.0), lambda t: t.clear()]
+    for write in writes:
+        with pytest.raises(TypeError, match="fixed when its system is built"):
+            write(pre.params)
+    with pytest.raises(TypeError):
+        pre.params[key] *= 1.5
+    assert pre.params == before
+    # an expression-language L copies the dict it is given
+    given = {"alpha": 2.0}
+    L = LagrangianSystem.from_expr(parse("v1^2/2 - alpha*q1^2/2", 1), given)
+    given["alpha"] = 3.0
+    with pytest.raises(TypeError):
+        L.params["alpha"] = 3.0
+    assert L.params == {"alpha": 2.0}
 
 
 def test_duffing_expected_coefficients():
@@ -234,9 +250,13 @@ def test_charged_defaults():
     assert len(pre.ladder_labels) == 4
 
 
-def test_charged_nonpositive_mass():
-    with pytest.raises(NonpositiveMassError):
-        charged_particle(m=-2.0)
+@pytest.mark.parametrize("m", [-2.0, 0.0])
+def test_charged_nonpositive_mass(m):
+    # a parameter refused when the preset is built (CLI exit 1), not a
+    # point outside L's domain (NonpositiveMassError, exit 4)
+    with pytest.raises(ValueError, match=f"mass {m} must be positive") as err:
+        charged_particle(m=m)
+    assert not isinstance(err.value, JetDomainError)
 
 
 def test_charged_guard_near_origin():
@@ -378,19 +398,6 @@ def test_charged_closed_forms_share_one_phi_jet_per_point(monkeypatch, seed, wor
     assert len(calls) <= 3 * 80
     assert got == CheckResult("ladder[charged_particle]", True, worst, 1e-10,
                               "5 generations, 80 feasible points")
-
-
-def test_charged_phi_jet_follows_the_parameter_table():
-    # a custom phi may read the table: a changed value expands afresh
-    phi = "gamma*(q1^2 + q2^2 + q3^2)"
-    pre = charged_particle(phi_expr=phi)
-    w = pre.initial.copy()
-    w[2] = 0.5
-    before = pre.expected_D(w)
-    pre.params["gamma"] = 0.5
-    after = pre.expected_D(w)
-    assert np.array_equal(after, charged_particle(phi_expr=phi, gamma=0.5).expected_D(w))
-    assert not np.array_equal(after, before)
 
 
 def test_charged_custom_potential_keeps_ladder():

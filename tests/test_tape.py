@@ -64,8 +64,11 @@ STALLING_START = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
 
 
 def refuse_recording(monkeypatch):
-    """From here on every recording is refused: everything runs live."""
-    monkeypatch.setattr(Tape, "record", classmethod(lambda cls, build, n: None))
+    """From here on every recording is refused: every tape is a live one."""
+    def refuse(self, outputs):
+        raise jets._Refused("refused by refuse_recording")
+
+    monkeypatch.setattr(Tape, "_compile", refuse)
 
 
 def live_taylor(L, space, x, order):
@@ -107,10 +110,11 @@ def stalling_system():
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_taped_evaluation_equals_live_at_every_sample(name):
+def test_taped_evaluation_equals_live_at_every_sample(name, monkeypatch):
     pre = preset_by_name(name)
     L = pre.system
     ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+    tapes = _counting_records(monkeypatch)
     n = L.n
     deepest = max(c.generation for c in ladder.active())
     unified = CoordinateSpace.unified(n)
@@ -129,8 +133,7 @@ def test_taped_evaluation_equals_live_at_every_sample(name):
                               [live_taylor(L, unified, w, order) for w in W])
         for order in (1, 2, 3):
             assert_same_stack(L.taylor(X, order), [live_taylor(L, L.space, x, order) for x in X])
-    assert all(reads.tape is not None for reads in ladder._reads.values())
-    assert all(tape is not None for _, tape in L._tapes.values())
+    assert tapes and not any(tape.live for tape in tapes)
 
 
 def _runs(name, kind):
@@ -250,7 +253,7 @@ def test_radius_guard_fires_on_replay():
     ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
     w = pre.sample_feasible(np.random.default_rng(1))
     assemble_Z(L, w, ladder)  # records
-    assert ladder._reads[False].tape is not None
+    assert not ladder._reads[False].tape.live
     w[1:4] = [1e-7, 0.0, 0.0]
     got = _raised(lambda: assemble_Z(L, w, ladder))
     assert got == _raised(lambda: live_Z(L, w, ladder))
@@ -261,7 +264,7 @@ def test_mass_guard_fires_on_replay():
     L = variable_mass_drag(m_expr="1 - t").system
     ladder, _ = run_constraint_algorithm(L, np.array([0.5, 0.1, 0.2, 0.0, 0.0]), OPTS)
     assemble_Z(L, ladder.probe, ladder)  # records at m = 0.5
-    assert ladder._reads[False].tape is not None
+    assert not ladder._reads[False].tape.live
     w = np.array([2.0, 0.1, 0.2, 0.0, 0.0])
     got = _raised(lambda: assemble_Z(L, w, ladder))
     assert got == _raised(lambda: live_Z(L, w, ladder))
@@ -271,7 +274,7 @@ def test_mass_guard_fires_on_replay():
 def test_pivot_guard_fires_on_replay():
     L, ladder = stalling_system()
     assemble_Z(L, ladder.probe, ladder)  # records
-    assert ladder._reads[False].tape is not None
+    assert not ladder._reads[False].tape.live
     w = ladder.probe.copy()
     w[2] = math.pi / 2  # q2: the frozen pivot cos(q2) vanishes
     got = _raised(lambda: assemble_Z(L, w, ladder))
@@ -321,7 +324,7 @@ def test_a_stack_with_a_point_below_the_radius_guard():
     got = _stack_raises_as_the_point(lambda w: assemble_Z(L, w, ladder), W, W[2])
     assert got == _raised(lambda: live_Z(L, W[2], ladder))
     assert got == (JetDomainError, "radius below guard 1e-06")
-    assert ladder._reads[False].tape is not None
+    assert not ladder._reads[False].tape.live
 
 
 def test_a_stack_with_a_nonpositive_mass():
@@ -355,19 +358,20 @@ def test_a_batch_with_a_float_exception_is_replayed_point_by_point():
     assert got == _raised(lambda: 0.0 / 0.0)
 
 
-# -- refusal and re-recording ---------------------------------------------
+# -- refusal and one recording ---------------------------------------------
 
 
 def _counting_records(monkeypatch):
-    calls = []
+    """The tapes recorded from here on, in order."""
+    tapes = []
     record = Tape.record.__func__
 
     def counting(cls, build, n):
-        calls.append(n)
-        return record(cls, build, n)
+        tapes.append(record(cls, build, n))
+        return tapes[-1]
 
     monkeypatch.setattr(Tape, "record", classmethod(counting))
-    return calls
+    return tapes
 
 
 @pytest.mark.parametrize("reproject", [False, True])
@@ -385,7 +389,7 @@ def test_a_run_records_one_tape(name, kind, reproject, monkeypatch):
     calls = _counting_records(monkeypatch)
     fld = FIELDS[kind](L, ladder, OPTS)
     integrate(fld, fld.drop(ladder.probe), IntegratorConfig(step=1e-2, t_end=0.05, reproject=reproject))
-    assert calls == [(2 if kind == "lagrangian" else 3) * L.n + 2]
+    assert [tape._width for tape in calls] == [(2 if kind == "lagrangian" else 3) * L.n + 2]
 
 
 def test_an_fn_that_branches_on_a_value_is_refused_once(monkeypatch):
@@ -402,8 +406,7 @@ def test_an_fn_that_branches_on_a_value_is_refused_once(monkeypatch):
     # its recording is refused, and the next without another attempt
     for _ in range(2):
         assert_same_stack(L.taylor_on(space, W, 2), [live_taylor(L, space, w, 2) for w in W])
-    assert len(calls) == 1
-    assert L._tapes[(space.dim, 2)][1] is None
+    assert len(calls) == 1 and calls[0].live
     # the refused fn still drives a field: the ladder's recording, which
     # runs fn too, is refused as well, once, and its reads run live
     ladder, _ = run_constraint_algorithm(L, np.array([0.0, 0.5, 0.3, 0.0, 0.0]), OPTS)
@@ -411,7 +414,7 @@ def test_an_fn_that_branches_on_a_value_is_refused_once(monkeypatch):
         w = np.array([0.0, q, 0.3, 0.3, 0.0])
         assert_same_Z(assemble_Z(L, w, ladder), live_Z(L, w, ladder))
     assert len(calls) == 2
-    assert ladder._reads[False].tape is None
+    assert ladder._reads[False].tape.live
 
 
 def _frozen_stiffness(t, q, v, s, par):
@@ -438,9 +441,10 @@ def test_an_fn_that_calls_float_runs_live_in_every_description(kind):
         assert np.array_equal(got.residuals[channel], values), channel
     # every recording made was refused; a velocity run whose projection
     # does not move makes none on the mixed space
-    held = [reads for reads in (L._momentum_reads, *ladder._reads.values()) if reads is not None]
-    assert all(reads.tape is None for reads in held)
-    assert any(reads.params == () for reads in held)
+    held = [reads for reads in (L._tapes.get("momentum"), *ladder._reads.values())
+            if reads is not None]
+    recorded = [reads for reads in held if "tape" in vars(reads)]
+    assert recorded and all(reads.tape.live for reads in recorded)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -462,7 +466,7 @@ def test_the_velocity_lift_momenta_are_the_deep_expansions(name):
         assert np.array_equal(fld.lift(fld.drop(w))[1 + 2 * n : 1 + 3 * n], deep)
 
 
-def test_a_guarded_fn_is_taped():
+def test_a_guarded_fn_is_taped(monkeypatch):
     def fn(t, q, v, s, par):
         guard(q[0].value, lambda x: x < -1.0, lambda x: ValueError(f"q1 = {x} below -1"))
         return 0.5 * v[0] * v[0] - 0.5 * q[0] * q[0]
@@ -470,44 +474,12 @@ def test_a_guarded_fn_is_taped():
     L = LagrangianSystem(1, fn)
     space = CoordinateSpace.unified(1)
     W = np.array([[0.0, q, 0.3, 0.0, 0.0] for q in (0.5, -0.5)])
+    calls = _counting_records(monkeypatch)
     assert_same_stack(L.taylor_on(space, W, 2), [live_taylor(L, space, w, 2) for w in W])
-    assert L._tapes[(space.dim, 2)][1] is not None
+    assert len(calls) == 1 and not calls[0].live
     W[1, 1] = -2.0
     got = _stack_raises_as_the_point(lambda w: L.taylor_on(space, w, 2), W, W[1])
     assert got == (ValueError, "q1 = -2.0 below -1")
-
-
-def test_a_parameter_change_records_anew_and_keeps_one_tape(monkeypatch):
-    pre = preset_by_name("duffing")
-    L = pre.system
-    space = CoordinateSpace.unified(1)
-    W = np.array([[0.3, 1.1, -0.4, 0.0, 0.2], [0.1, -0.7, 0.5, 0.0, 0.0]])
-    calls = _counting_records(monkeypatch)
-    before = L.taylor_on(space, W, 2)
-    L.taylor_on(space, W, 2)
-    assert len(calls) == 1
-    L.params["beta"] = 0.0
-    after = L.taylor_on(space, W, 2)
-    assert len(calls) == 2
-    assert_same_stack(after, [live_taylor(L, space, w, 2) for w in W])
-    assert not np.array_equal(after.value, before.value)
-    assert list(L._tapes) == [(space.dim, 2)]
-
-
-def test_a_parameter_change_records_the_ladder_anew():
-    pre = charged_particle()
-    L = pre.system
-    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
-    w = pre.sample_feasible(np.random.default_rng(5))
-    before = assemble_Z(L, w, ladder)
-    tape = ladder._reads[False].tape
-    assert tape is not None
-    L.params["gamma"] = 0.5 * L.params["gamma"]
-    after = assemble_Z(L, w, ladder)
-    assert ladder._reads[False].tape is not None and ladder._reads[False].tape is not tape
-    assert np.array_equal(ladder._reads[False](w), live_reads(L, w, ladder))
-    assert_same_Z(after, live_Z(L, w, ladder))
-    assert not np.array_equal(after.coeffs, before.coeffs)
 
 
 def test_a_single_point_never_records_and_a_stack_records_at_once(monkeypatch):
@@ -518,14 +490,11 @@ def test_a_single_point_never_records_and_a_stack_records_at_once(monkeypatch):
     for w in W:
         assert_same_taylor(L.taylor_on(space, w, 4), live_taylor(L, space, w, 4))
     assert calls == [] and L._tapes == {}
-    L.taylor_on(space, W, 4)
-    assert len(calls) == 1 and L._tapes[(space.dim, 4)][1] is not None
-    # a changed parameter records the stack's tape again, at the next stack
-    L.params["gamma"] = 0.5
-    L.taylor_on(space, W[0], 4)
-    assert len(calls) == 1
     assert_same_stack(L.taylor_on(space, W, 4), [live_taylor(L, space, w, 4) for w in W])
-    assert len(calls) == 2 and list(L._tapes) == [(space.dim, 4)]
+    assert len(calls) == 1 and not calls[0].live
+    # the next stack replays it
+    L.taylor_on(space, W[::-1], 4)
+    assert len(calls) == 1 and list(L._tapes) == [(space.dim, 4)]
 
 
 @pytest.mark.parametrize("name, statements", [("duffing", 41), ("variable_mass_drag", 56)])
@@ -584,7 +553,7 @@ def test_a_stacked_value_is_its_points_bit_for_bit():
         got = L.value(X)
         assert got.shape == (len(X),)
         assert np.array_equal(got.view(np.int64), _point_values(L, X).view(np.int64)), L.label
-        assert L._tapes["value"][1] is not None
+        assert not L._tapes["value"].live
 
 
 def test_a_refused_fn_values_a_stack_point_by_point(monkeypatch):
@@ -593,7 +562,7 @@ def test_a_refused_fn_values_a_stack_point_by_point(monkeypatch):
     calls = _counting_records(monkeypatch)
     for _ in range(2):
         assert np.array_equal(L.value(X), _point_values(L, X))
-    assert len(calls) == 1 and L._tapes["value"][1] is None
+    assert len(calls) == 1 and L._tapes["value"].live
 
 
 def test_a_stacked_value_with_a_float_exception_runs_point_by_point():
@@ -621,23 +590,8 @@ def test_a_stacked_value_with_a_float_exception_runs_point_by_point():
     # the tape holds the divisor's test (jets.guard) and raises from its
     # point-by-point replay: the stack ran fn once, on recorded
     # coefficients, and never on a float point; the point call, once more
-    assert L._tapes["value"][1] is not None
+    assert not L._tapes["value"].live
     assert [isinstance(t, float) for t in times] == [False, True]
-
-
-def test_a_parameter_change_records_the_value_tape_anew(monkeypatch):
-    L = preset_by_name("duffing").system
-    X = np.array([[0.3, 1.1, -0.4, 0.2], [0.1, -0.7, 0.5, 0.0]])
-    calls = _counting_records(monkeypatch)
-    before = L.value(X)
-    L.value(X)
-    assert len(calls) == 1
-    L.params["beta"] = 0.0
-    after = L.value(X)
-    assert len(calls) == 2
-    assert np.array_equal(after, _point_values(L, X))
-    assert not np.array_equal(after, before)
-    assert list(L._tapes) == ["value"]
 
 
 def test_a_recorded_real_exponent_values_a_stack_by_points():
@@ -647,7 +601,7 @@ def test_a_recorded_real_exponent_values_a_stack_by_points():
     X = np.array([[3.0, 1.3, 0.7, 0.0], [3.0, 1.2, 0.5, 0.1], [2.5, 1.2, 0.5, 0.1]])
     got = L.value(X)
     assert np.array_equal(got.view(np.int64), _point_values(L, X).view(np.int64))
-    assert L._tapes["value"][1] is None
+    assert L._tapes["value"].live
 
 
 # -- one compile per tape source --------------------------------------------
@@ -672,7 +626,7 @@ def test_a_repeated_source_is_compiled_once_and_bound_per_tape(monkeypatch):
     # the constants differ, the operations do not: one source
     tapes = [Tape.record(lambda x, c=c: [x[0] * c + x[1]], 2) for c in (3.0, 5.0)]
     assert len(sources) == 1
-    assert tapes[0]._point.__code__ is tapes[1]._point.__code__
+    assert tapes[0].point.__code__ is tapes[1].point.__code__
     assert tapes[0]([2.0, 1.0]) == [7.0] and tapes[1]([2.0, 1.0]) == [11.0]
 
 
@@ -688,7 +642,7 @@ def test_two_charged_ladders_share_one_code_object(monkeypatch):
         assert np.array_equal(reads(w), live_reads(L, w, ladder))
         held.append((reads.tape, reads(w)))
     (a, raw_a), (b, raw_b) = held
-    assert a._point.__code__ is b._point.__code__
+    assert a.point.__code__ is b.point.__code__
     assert not np.array_equal(raw_a, raw_b)
     # the ladder's source reached compile once, for the first ladder
     assert len(sources) == len(set(sources))
@@ -730,11 +684,11 @@ def test_tape_replays_the_recorded_operations():
 
 
 def test_tape_refuses_a_value_test():
-    assert Tape.record(lambda x: [x[0] if x[0] > 0.0 else -x[0]], 1) is None
-    assert Tape.record(lambda x: [float(x[0])], 1) is None
-    assert Tape.record(lambda x: [x[0] * 2.0 if x[0] else 0.0], 1) is None
-    assert Tape.record(lambda x: [abs(x[0])], 1) is None
-    assert Tape.record(lambda x: [x[0] * 2.0 if x[0] == x[1] else 0.0], 2) is None
+    assert Tape.record(lambda x: [x[0] if x[0] > 0.0 else -x[0]], 1).live
+    assert Tape.record(lambda x: [float(x[0])], 1).live
+    assert Tape.record(lambda x: [x[0] * 2.0 if x[0] else 0.0], 1).live
+    assert Tape.record(lambda x: [abs(x[0])], 1).live
+    assert Tape.record(lambda x: [x[0] * 2.0 if x[0] == x[1] else 0.0], 2).live
 
 
 def test_structural_zeros_keep_their_keys():
