@@ -29,7 +29,6 @@ from .dsl import (  # noqa: F401
 )
 from .mechanics import (  # noqa: F401
     LagrangianSystem,
-    RegularityReport,
     herglotz_residual,
 )
 from .pontryagin import (  # noqa: F401

@@ -124,7 +124,7 @@ def _build_system(config: dict):
         try:
             pre = preset_by_name(spec, _block(config, "params"))
         except (KeyError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(exc.args[0]) from exc  # str() would quote a KeyError's
         return pre.system, pre
     if isinstance(spec, dict):
         if _block(config, "params"):
@@ -262,6 +262,8 @@ def cmd_verify(args) -> int:
     L, pre = _build_system(config)
     if pre is None:
         raise ConfigError("verify needs a preset system (its closed forms are the oracle)")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     results = run_all_checks(pre, seed=args.seed, tol=args.tol)
     for r in results:
         print(r.line())
@@ -320,8 +322,20 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading as a value any negative number float() accepts:
+    its own pattern has no exponent, inf or nan ("--t-end -1e+300")."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+            return None
+        except ValueError:
+            return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cocontact",
         description="Constraint algorithm, trajectories, and identity checks "
                     "for time-dependent contact Lagrangian systems.",

@@ -273,7 +273,7 @@ class UnifiedField:
         if p.tobytes() != w[1 + 2 * n : 1 + 3 * n].tobytes():
             w = np.concatenate((w[: 1 + 2 * n], p, w[1 + 3 * n :]))
             raw = reads(w)
-        return self.drop(_project(reads, w, raw, reads.active)[0])
+        return self.drop(_project(reads, w, raw, reads.active, self.ladder.directions)[0])
 
 
 def _lift_by_read(self, state) -> np.ndarray:

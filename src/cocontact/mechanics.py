@@ -14,7 +14,6 @@ image of the fibre derivative p = dL/dv.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,12 +24,13 @@ from .jets import (CoordinateSpace, Jet, Tape, Taylor, _strides, expand, jet_fro
 
 __all__ = [
     "LagrangianSystem",
-    "RegularityReport",
     "herglotz_residual",
 ]
 
-# relative rank threshold: classify_velocity_hessian's, AlgorithmOptions.rank_tol's
-# default and the pivot-margin floor of legendre_invert's Newton iteration
+# relative rank threshold: AlgorithmOptions.rank_tol's default, the floor
+# below which the column-pivoted Gram-Schmidt of d2L/dv dv takes no more
+# columns (pontryagin._directions), and the pivot-margin floor of
+# legendre_invert's Newton iteration
 DEFAULT_RANK_TOL = 1e-9
 
 
@@ -147,35 +147,11 @@ class LagrangianSystem:
         return sys
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Rank analysis of the velocity Hessian W = d2L/dv dv at a point.
-
-    nullspace columns are orthonormal and satisfy |W u| <= tol * |W|.
-    """
-
-    verdict: str  # "Regular" | "Singular"
-    rank: int
-    nullspace: np.ndarray  # shape (n, n - rank)
-    tolerance: float
-    singular_values: np.ndarray
-
-
 def _as_lvec(L: LagrangianSystem, x) -> np.ndarray:
     vec = np.asarray(x, dtype=float)
     if vec.shape != (2 * L.n + 2,):
         raise ValueError(f"expected a point of length {2 * L.n + 2}")
     return vec
-
-
-def classify_velocity_hessian(W: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RegularityReport:
-    """The regularity report of a velocity Hessian W already in hand."""
-    U, sigma, Vt = np.linalg.svd(np.array(W))
-    smax = sigma[0] if len(sigma) else 0.0
-    rank = int(np.sum(sigma > tol * smax)) if smax > 0 else 0
-    nullspace = Vt[rank:].T.copy()
-    verdict = "Regular" if rank == len(W) else "Singular"
-    return RegularityReport(verdict, rank, nullspace, tol, sigma)
 
 
 @functools.cache

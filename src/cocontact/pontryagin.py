@@ -49,8 +49,10 @@ preset's) then solves the tangency conditions for C by plain float
 arithmetic too (a QR factorisation by modified Gram-Schmidt), and emits
 the pivot margins; the numpy tail is slices and a test of the smallest
 margin against opts.rank_tol, so a rank change raises NumericalBreakdown.
-An SVD runs only where the rank is not known: discovery's rank decision,
-and ladders with undetermined directions.
+One column-pivoted Gram-Schmidt (_pivots) picks each recipe's pivot
+columns and, once per ladder, the coordinates its projections move.  An
+SVD runs only where the rank is not known: discovery's rank decision, and
+ladders with undetermined directions.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ import numpy as np
 
 from .jets import (ORDER_CAP, CoordinateSpace, Jet, Tape, Taylor, _math, _strides, expand, guard,
                    jet_from_taylor)
-from .mechanics import (DEFAULT_RANK_TOL, LagrangianSystem, classify_velocity_hessian,
-                        order2_gather, order2_parts)
+from .mechanics import (DEFAULT_RANK_TOL, LagrangianSystem, order2_gather, order2_parts,
+                        read_order2)
 
 __all__ = [
     "lagrangian_part",
@@ -457,6 +459,7 @@ class ConstraintLadder:
     rank: int
     undetermined_dim: int
     tolerance: float  # TOL, for the report and integrate's drift cap (10x)
+    directions: list[int]  # the coordinates every projection moves (_directions)
     _reads: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by lift
 
     def active(self) -> list[ConstraintFn]:
@@ -702,7 +705,7 @@ def _tangency(
             continue
         # dependent row: build the obstruction scalar
         basis_rows = [constraints[i] for i in basis_idx]
-        cols = _pick_columns(M[basis_idx]) if basis_idx else []
+        cols = _pivots(M[basis_idx])[0]
         cand = _DerivedConstraint(
             ws.L, generation, constraints[r], basis_rows, cols, opts.rank_tol * row_scale
         )
@@ -725,43 +728,50 @@ def _tangency(
     return Z, rank, new_constraints, incompatible
 
 
-def _pick_columns(A: np.ndarray) -> list[int]:
-    """Greedy well-conditioned column subset making A[:, cols] square."""
-    m, n = A.shape
-    cols: list[int] = []
-    for _ in range(m):
-        best, best_sv = None, -1.0
-        for j in range(n):
-            if j in cols:
-                continue
-            sub = A[:, cols + [j]]
-            sv = np.linalg.svd(sub, compute_uv=False)[-1]
-            if sv > best_sv:
-                best, best_sv = j, sv
-        cols.append(best)
-    return cols
+def _pivots(A: np.ndarray, tol: float = 0.0) -> tuple[list[int], list[int]]:
+    """Column-pivoted modified Gram-Schmidt on A's columns, on floats
+    (Businger & Golub, Numer. Math. 7, 1965; Golub & Van Loan, 5.4.2): the
+    pivots in order, each the column of largest remaining norm (the lowest
+    index on a tie), and the columns not taken, in index order.  It stops
+    at one pivot per row, or once that norm is at or below tol times A's
+    largest column norm."""
+    cols = dict(enumerate(np.asarray(A, dtype=float).T.tolist()))
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    floor = tol * tol * max((dot(c, c) for c in cols.values()), default=0.0)
+    pivots: list[int] = []
+    while len(pivots) < len(A) and cols:
+        norms = {j: dot(c, c) for j, c in cols.items()}  # squared
+        k = max(norms, key=norms.get)
+        if norms[k] <= floor:
+            break
+        pivots.append(k)
+        v = cols.pop(k)
+        for j, c in cols.items():
+            f = dot(v, c) / norms[k]
+            cols[j] = [x - f * y for x, y in zip(c, v)]
+    return pivots, sorted(cols)
 
 
-def _kernel_q_indices(W: np.ndarray) -> list[int]:
-    """Configuration coordinates paired with the kernel of the velocity
-    Hessian W = d2L/dv dv; these act as multipliers and may be adjusted
-    during projection."""
-    rep = classify_velocity_hessian(_finite(W, "velocity Hessian"))
-    out = []
-    for k in range(rep.nullspace.shape[1]):
-        u = np.abs(rep.nullspace[:, k])
-        out.append(int(np.argmax(u)))
-    return sorted(set(out))
+def _directions(L_data: np.ndarray, n: int) -> list[int]:
+    """The coordinates a projection moves, from L's flat order-2 data: the
+    q's paired with the columns of d2L/dv dv that _pivots leaves
+    (multiplier-like coordinates), then every velocity and momentum."""
+    H = order2_parts(L_data, n)[1][1 + n : 1 + 2 * n]  # d2L/dv dv
+    rest = _pivots(_finite(H, "velocity Hessian"), DEFAULT_RANK_TOL)[1]
+    return [1 + j for j in rest] + list(range(1 + n, 1 + 3 * n))
 
 
 def project_onto(L: LagrangianSystem, w, constraints: Sequence[ConstraintFn]) -> np.ndarray:
     """Move a point onto the zero set of the given constraints.
 
-    Adjustable directions: all velocities, all momenta, and the
-    configuration coordinates paired with the degenerate directions of
-    d2L/dv dv (multiplier-like coordinates).  Time, the remaining
-    configuration coordinates and s are never touched.  Damped
-    Gauss-Newton; raises InfeasiblePoint when it cannot reach the
+    Adjustable directions (_directions, from d2L/dv dv at the point): all
+    velocities, all momenta, and the configuration coordinates paired with
+    the degenerate directions of d2L/dv dv (multiplier-like coordinates).
+    Time, the remaining configuration coordinates and s are never touched.
+    Damped Gauss-Newton; raises InfeasiblePoint when it cannot reach the
     constraint set, which signals an initial condition off the admissible
     submanifold.
     It runs live, from one expansion of L for the momenta p = dL/dv and
@@ -769,7 +779,8 @@ def project_onto(L: LagrangianSystem, w, constraints: Sequence[ConstraintFn]) ->
     """
     constraints = list(constraints)
     reads = _LiveReads(L, constraints, _as_wvec(L.n, w))
-    return _project(reads, reads.w, reads.raw, constraints)[0]
+    directions = _directions(reads.raw[_layout(len(constraints), L.n)[2]], L.n)
+    return _project(reads, reads.w, reads.raw, constraints, directions)[0]
 
 
 class _LiveReads:
@@ -791,19 +802,17 @@ class _LiveReads:
         return np.array(_reads(self.ws, self.constraints), dtype=float)
 
 
-def _project(reads, w: np.ndarray, raw: np.ndarray,
-             constraints: list[ConstraintFn]) -> tuple[np.ndarray, np.ndarray]:
+def _project(reads, w: np.ndarray, raw: np.ndarray, constraints: list[ConstraintFn],
+             dirs: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """project_onto's point, from w, whose p is dL/dv, and raw, the _reads
-    of `constraints` there; reads gives them elsewhere (live, or a tape).
-    Returns the point and the reads there: raw itself when Gauss-Newton
-    did not move."""
+    of `constraints` there, moving the coordinates `dirs` (_directions);
+    reads gives them elsewhere (live, or a tape).  Returns the point and
+    the reads there: raw itself when Gauss-Newton did not move."""
     w = np.array(w, dtype=float)
     n, R = (len(w) - 2) // 3, len(constraints)
     if not constraints:
         return w, raw
-    grads_at, _, data, _, _ = _layout(R, n)
-    H = order2_parts(raw[data], n)[1][1 + n : 1 + 2 * n]  # d2L/dv dv
-    dirs = sorted(set(range(1 + n, 1 + 3 * n)) | {1 + j for j in _kernel_q_indices(H)})
+    grads_at = _layout(R, n)[0]
 
     def residuals(raw):
         return raw[:R], raw[grads_at].reshape(R, 3 * n + 2)[:, dirs]
@@ -860,20 +869,21 @@ def run_constraint_algorithm(
     generations: list[list[ConstraintFn]] = [primaries]
     active = list(primaries)
 
-    def project(expansion=None):
+    def project(expansion):
         # the point, and the projection's last workspace: at that point
         reads = _LiveReads(L, active, wvec, expansion)
-        return _project(reads, reads.w, reads.raw, active)[0], reads.ws
+        return _project(reads, reads.w, reads.raw, active, directions)[0], reads.ws
 
-    if opts.project:
-        wvec, ws = project()
-    else:
+    if not opts.project:
         vals = primary_constraints(L, wvec)
         if np.max(np.abs(vals)) > TOL:
-            raise InfeasiblePoint(
-                f"momentum constraints violated by {np.max(np.abs(vals)):.3e}"
-            )
-        ws = _Workspace(L, wvec, active, 1)
+            raise InfeasiblePoint(f"momentum constraints violated by {np.max(np.abs(vals)):.3e}")
+    ws = _Workspace(L, wvec, active, 1)
+    # every projection's directions, from the start; L reads no p, so the
+    # expansion serves the first projection too
+    directions = _directions(read_order2(ws.L_taylor(2), ws.space), n)
+    if opts.project:
+        wvec, ws = project(ws.L_taylor(2))
 
     status = "MaxIterations"
     Z, rank = None, 0
@@ -899,7 +909,7 @@ def run_constraint_algorithm(
                 )
 
     kdim = Z.undetermined.shape[1] if Z is not None else 0
-    ladder = ConstraintLadder(generations, status, wvec, rank, kdim, TOL)
+    ladder = ConstraintLadder(generations, status, wvec, rank, kdim, TOL, directions)
     return ladder, Z if status == "Closed" else None
 
 

@@ -13,6 +13,12 @@ gives the same arrays, bit for bit.
 
 `implicit_C` is the momentum side's own formula for C from before every
 description shared the tail: an independent check of the tail's C there.
+
+`pick_columns` and `kernel_q_indices` are the two SVD-based choices that
+discovery and the projection made before one column-pivoted Gram-Schmidt
+(pontryagin._pivots) made both: the greedy column subset that maximises
+the smallest singular value, one SVD per candidate, and the
+configuration coordinates paired with the SVD nullspace of d2L/dv dv.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import numpy as np
 from cocontact.dynamics import FIELDS, NonInvertibleLegendre
 from cocontact.jets import CoordinateSpace, Taylor, _strides
 from cocontact.pontryagin import AlgorithmOptions, NumericalBreakdown, ZCoefficients, _Workspace
+from lagrangian_reference import classify_velocity_hessian
 
 
 def hessian_block(t: Taylor, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
@@ -185,3 +192,26 @@ def reference_field(kind: str):
             return self._drop(Z.coeffs.tolist()), w.tolist(), raw
 
     return Reference
+
+
+def pick_columns(A: np.ndarray) -> list[int]:
+    """Greedy well-conditioned column subset making A[:, cols] square."""
+    m, n = A.shape
+    cols: list[int] = []
+    for _ in range(m):
+        best, best_sv = None, -1.0
+        for j in range(n):
+            if j in cols:
+                continue
+            sv = np.linalg.svd(A[:, cols + [j]], compute_uv=False)[-1]
+            if sv > best_sv:
+                best, best_sv = j, sv
+        cols.append(best)
+    return cols
+
+
+def kernel_q_indices(W: np.ndarray) -> list[int]:
+    """Configuration coordinates paired with the kernel of the velocity
+    Hessian W = d2L/dv dv: for each nullspace vector, its largest entry."""
+    nullspace = classify_velocity_hessian(W).nullspace
+    return sorted({int(np.argmax(np.abs(nullspace[:, k]))) for k in range(nullspace.shape[1])})

@@ -3,20 +3,43 @@
 The energy, the fibre map and the regularity verdict of a Lagrangian at a
 velocity-side point x = (t, q, v, s), each from one jet of L.  The package
 itself reads these quantities off the expansions its pipeline already
-makes; the tests use the helpers as independent references.
+makes; the tests use the helpers as independent references.  The
+regularity verdict comes from an SVD of the velocity Hessian
+(classify_velocity_hessian), which the package once ran per projection
+to find the multiplier-like coordinates.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from cocontact.mechanics import (
-    DEFAULT_RANK_TOL,
-    LagrangianSystem,
-    RegularityReport,
-    _as_lvec,
-    classify_velocity_hessian,
-)
+from cocontact.mechanics import DEFAULT_RANK_TOL, LagrangianSystem, _as_lvec
+
+
+@dataclass(frozen=True)
+class RegularityReport:
+    """Rank analysis of the velocity Hessian W = d2L/dv dv at a point.
+
+    nullspace columns are orthonormal and satisfy |W u| <= tol * |W|.
+    """
+
+    verdict: str  # "Regular" | "Singular"
+    rank: int
+    nullspace: np.ndarray  # shape (n, n - rank)
+    tolerance: float
+    singular_values: np.ndarray
+
+
+def classify_velocity_hessian(W: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RegularityReport:
+    """The regularity report of a velocity Hessian W already in hand."""
+    U, sigma, Vt = np.linalg.svd(np.array(W))
+    smax = sigma[0] if len(sigma) else 0.0
+    rank = int(np.sum(sigma > tol * smax)) if smax > 0 else 0
+    nullspace = Vt[rank:].T.copy()
+    verdict = "Regular" if rank == len(W) else "Singular"
+    return RegularityReport(verdict, rank, nullspace, tol, sigma)
 
 
 def lagrangian_energy(L: LagrangianSystem, x) -> float:

@@ -477,6 +477,14 @@ def test_verify_tight_tolerance_fails(capsys):
     assert not lines[-1].startswith("4/")
 
 
+def test_verify_refuses_a_negative_seed_before_any_check(capsys, monkeypatch):
+    # numpy's generator refused it mid-run with its own message
+    monkeypatch.setattr(cli, "run_all_checks", lambda *args, **kwargs: pytest.fail("a check ran"))
+    rc, out, err = run(capsys, ["verify", "--preset", "duffing", "--seed", "-3"])
+    assert (rc, out) == (1, "")
+    assert err == "error: ConfigError: --seed must be a non-negative integer, got -3\n"
+
+
 def test_verify_rejects_inline_systems(capsys, tmp_path):
     cfg = write_config(tmp_path, {
         "system": {"n": 1, "lagrangian": "v1^2/2"},
@@ -552,6 +560,23 @@ def test_sweep_unknown_param_exit_one(capsys, tmp_path, monkeypatch):
                               "--step", "0.01", "--t-end", "0.1"])
     assert rc == 1
     assert "nope" in err
+
+
+@pytest.mark.parametrize("doc", [{"system": "nope"},
+                                 {"system": "duffing", "params": {"nope": 1.0}}])
+def test_a_preset_lookup_failure_reads_alike_in_simulate_and_sweep(capsys, tmp_path, monkeypatch,
+                                                                   doc):
+    # a KeyError's str() quotes its message; one subcommand once printed it so
+    monkeypatch.setenv("COCONTACT_OUT_DIR", str(tmp_path))
+    cfg = write_config(tmp_path, doc)
+    errs = []
+    for argv in (["simulate", "--config", cfg],
+                 ["sweep", "--config", cfg, "--param", "alpha", "--values", "1"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (1, "")
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: ConfigError: unknown ") and '"' not in errs[0]
 
 
 def test_sweep_rejects_unparsable_values(capsys):
@@ -689,6 +714,23 @@ def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "duffing", "--t-end", "-1e+300"],
+    ["simulate", "--preset", "duffing", "--t-end", "-inf"],
+    ["simulate", "--preset", "duffing", "--step", "-1E-3"],
+    ["sweep", "--preset", "duffing", "--param", "alpha", "--values", "1", "--t-end", "-.5e1"],
+    ["verify", "--preset", "duffing", "--tol", "-1e-300"],
+])
+def test_a_negative_number_after_a_space_is_read_as_after_an_equals_sign(argv, capsys, tmp_path,
+                                                                         monkeypatch):
+    # argparse's own negative-number pattern has no exponent, inf or nan
+    monkeypatch.setenv("COCONTACT_OUT_DIR", str(tmp_path))
+    spaced = run(capsys, argv)
+    joined = run(capsys, [*argv[:-2], f"{argv[-2]}={argv[-1]}"])
+    assert spaced == joined
+    assert spaced[0] == 1 and spaced[2].startswith("error: ") and spaced[2].count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

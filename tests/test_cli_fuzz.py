@@ -141,9 +141,21 @@ def outputs_blocks(draw):
     })
 
 
-def _flag(name: str, value) -> list:
-    # --name=value: argparse reads "-1e+300" after a space as a flag
-    return [] if value is None else [f"{name}={value}"]
+def _flag(name: str, value, spaced: bool) -> list:
+    # "--name value" or "--name=value": a negative number such as -1e+300
+    # is a value in either form
+    if value is None:
+        return []
+    return [name, str(value)] if spaced else [f"{name}={value}"]
+
+
+def _flags(argv: list) -> dict:
+    """argv's flags and their values, given in either form."""
+    out, args = {}, iter(argv[1:])
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        out[name] = value if eq else next(args, None)
+    return out
 
 
 @st.composite
@@ -162,27 +174,32 @@ def invocations(draw):
         "outputs": draw(_maybe(outputs_blocks())),
     })
     argv = [command]
+    spaced = draw(st.booleans())
+
+    def flag(name, value):
+        return _flag(name, value, spaced)
+
     if name in cli.PRESET_NAMES and draw(st.booleans()):
         argv += ["--preset", system]
         doc = None
     if command in ("simulate", "sweep"):
-        argv += _flag("--space", draw(_maybe(st.sampled_from(["unified", "lagrangian",
-                                                              "hamiltonian"]))))
-        argv += _flag("--step", draw(FLAG_STEPS))
-        argv += _flag("--t-end", draw(FLAG_T_ENDS))
+        argv += flag("--space", draw(_maybe(st.sampled_from(["unified", "lagrangian",
+                                                             "hamiltonian"]))))
+        argv += flag("--step", draw(FLAG_STEPS))
+        argv += flag("--t-end", draw(FLAG_T_ENDS))
     if command in ("constraints", "simulate"):
-        argv += _flag("--out", draw(_mostly([None, "out.csv"], ["nodir/out.csv", "."])))
+        argv += flag("--out", draw(_mostly([None, "out.csv"], ["nodir/out.csv", "."])))
     if command == "sweep":
         names = list(PRESET_PARAMS.get(name, ("alpha",)))
         param = draw(_mostly([name for name in names if not name.endswith("_expr")],
                              [None, "nope", "m_expr"]))
         values = draw(_mostly(["1,2", "0.5", "0.25,3"], [None, "1,1.0", "nan,inf", "x", "0,-1"]))
-        argv += _flag("--param", param) + _flag("--values", values)
+        argv += flag("--param", param) + flag("--values", values)
         if doc is not None and draw(st.booleans()):
             doc["sweep"] = {"param": param, "values": values}
     if command == "verify":
-        argv += _flag("--seed", draw(_maybe(st.sampled_from([0, 7, -3]))))
-        argv += _flag("--tol", draw(_mostly([None, 1e-18, 1.0], EXTREME)))
+        argv += flag("--seed", draw(_maybe(st.sampled_from([0, 7, -3]))))
+        argv += flag("--tol", draw(_mostly([None, 1e-18, 1.0], EXTREME)))
     return argv, doc
 
 
@@ -208,7 +225,7 @@ def _run_steps(argv: list, doc: dict | None) -> float:
     step = _float(block.get("step"), 1e-3)
     t_end = _float(block.get("t_end"), 10.0)
     t0 = _float(initial.get("t0") if isinstance(initial, dict) else None, 0.0)
-    flags = dict(arg.split("=", 1) for arg in argv[1:] if "=" in arg)
+    flags = _flags(argv)
     step = _float(flags.get("--step"), step)
     t_end = _float(flags.get("--t-end"), t_end)
     if not (math.isfinite(step) and step > 0 and math.isfinite(t_end) and math.isfinite(t0)):

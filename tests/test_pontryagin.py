@@ -12,10 +12,10 @@ import re
 import numpy as np
 import pytest
 
-from cocontact import dsl
-from cocontact.dynamics import LagrangianField, UnifiedField
+from cocontact import dsl, pontryagin
+from cocontact.dynamics import IntegratorConfig, LagrangianField, UnifiedField, integrate
 from cocontact.jets import ORDER_CAP, Taylor
-from cocontact.mechanics import LagrangianSystem
+from cocontact.mechanics import DEFAULT_RANK_TOL, LagrangianSystem
 from cocontact.pontryagin import (
     AlgorithmOptions,
     InfeasiblePoint,
@@ -24,6 +24,7 @@ from cocontact.pontryagin import (
     ZCoefficients,
     _ClosedReads,
     _layout,
+    _pivots,
     _solve_frozen,
     _test_margins,
     _Workspace,
@@ -42,6 +43,7 @@ from cocontact.systems import (
     preset_by_name,
     variable_mass_drag,
 )
+from field_reference import kernel_q_indices, pick_columns
 from lagrangian_reference import order2_reference
 
 
@@ -486,6 +488,120 @@ def test_solve_frozen_picks_then_follows_the_pivot_sequence():
     # a frozen pivot below the floor means the pattern no longer holds here
     with pytest.raises(NumericalBreakdown):
         _solve_frozen(G, rhs, [0, 1], 2.0)
+
+
+# -- the pivoted Gram-Schmidt behind the recipes' columns and the projection's directions
+
+
+def test_pivots_of_a_full_row_rank_matrix_are_one_per_row():
+    A = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 5))
+    pivots, rest = _pivots(A)
+    assert len(pivots) == 3 and sorted(pivots + rest) == list(range(5))
+    assert rest == sorted(rest)
+    assert pivots[0] == int(np.argmax(np.linalg.norm(A, axis=0)))
+    assert abs(np.linalg.det(A[:, pivots])) > 0.0
+
+
+def test_pivots_stop_at_the_rank():
+    # rank 1: after the largest column the others leave rounding, at or
+    # below tol times the largest column norm
+    A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+    assert _pivots(A, DEFAULT_RANK_TOL) == ([2], [0, 1])
+    assert _pivots(np.zeros((2, 3))) == ([], [0, 1, 2])
+    assert _pivots(np.zeros((2, 3)), DEFAULT_RANK_TOL) == ([], [0, 1, 2])
+    assert _pivots(np.zeros((0, 3))) == ([], [0, 1, 2])
+    # the charged particle's d2L/dv dv: the multiplier's column is left
+    assert _pivots(np.diag([2.0, 2.0, 2.0, 0.0]), DEFAULT_RANK_TOL) == ([0, 1, 2], [3])
+
+
+def test_pivots_break_a_tie_towards_the_lowest_index():
+    assert _pivots(np.eye(3)) == ([0, 1, 2], [])
+    assert _pivots(np.array([[1.0, 0.0, -1.0]])) == ([0], [1, 2])
+    assert _pivots(np.array([[0.0, 3.0, 4.0], [0.0, 4.0, -3.0]])) == ([1, 2], [0])
+
+
+def _infinite_L():
+    return LagrangianSystem(1, lambda t, q, v, s, par: math.inf * v[0] * v[0], label="inf")
+
+
+def test_a_non_finite_velocity_hessian_breaks_a_projection_down():
+    L, w = _infinite_L(), np.array([0.0, 0.5, 0.2, 0.0, 0.0])
+    for project in (lambda: project_onto(L, w, [pontryagin._PrimaryConstraint(L, 0)]),
+                    lambda: run_constraint_algorithm(L, w)):
+        # p = dL/dv is infinite too: the reads meet inf * 0 before the test
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalBreakdown,
+                                                          match="non-finite velocity Hessian"):
+            project()
+    with pytest.raises(NumericalBreakdown, match="non-finite velocity Hessian"):
+        pontryagin._directions(np.full(1 + 4 * 2, np.nan), 1)
+
+
+def _inline(text, n):
+    return LagrangianSystem.from_expr(dsl.parse(text, n))
+
+
+# the systems of this file: presets, inline Lagrangians and the stalling L
+CHOICE_SYSTEMS = {
+    **{name: (lambda name=name: (preset_by_name(name).system, preset_by_name(name).initial))
+       for name in PRESET_NAMES},
+    "rank-one": lambda: (_inline("0.5*q1*v1^2", 1), np.array([0.0, 1.0, 0.5, 0.0, 0.0])),
+    **{f"near-singular-{q1}": (lambda q1=q1: (_inline("0.5*v1^2 + 0.5*v2^2 + q1*v1*v2", 2),
+                                              np.array([0.0, q1, 0.0, 0.5, 0.2, 0, 0, 0.0])))
+       for q1 in (0.3, 0.9999, 1.0 - 1e-6)},
+    "v s": lambda: (LagrangianSystem(1, lambda t, q, v, s, par: v[0] * s, label="vs"),
+                    np.array([0.3, 0.7, 1.2, 0.0, 0.4])),
+    "q": lambda: (LagrangianSystem(1, lambda t, q, v, s, par: q[0], label="q"),
+                  np.array([0.0, 0.5, 0.2, 0.0, 0.0])),
+    "chain": lambda: (LagrangianSystem(6, _multiplier_chain, label="chain"), np.zeros(20)),
+    "stalling": lambda: (_inline(STALLING_L, 3), STALLING_START),
+}
+
+
+@pytest.mark.parametrize("name", CHOICE_SYSTEMS)
+def test_pivots_make_the_choices_the_svds_made(name, monkeypatch):
+    # the recipes' pivot columns are the greedy SVD pick on the basis rows
+    # at birth, and the ladder's directions the q's of the SVD nullspace of
+    # d2L/dv dv at the start, then every v and p; that nullspace is the
+    # same at the probe, where the last projection started
+    L, w = CHOICE_SYSTEMS[name]()
+    calls = []
+    pivots = pontryagin._pivots
+
+    def spy(A, tol=0.0):
+        out = pivots(A, tol)
+        calls.append((np.array(A), tol, out))
+        return out
+
+    monkeypatch.setattr(pontryagin, "_pivots", spy)
+    ladder, _ = run_constraint_algorithm(L, w)
+    monkeypatch.undo()
+    n = L.n
+    (H, tol, (_, rest)), *picks = calls
+    assert tol == DEFAULT_RANK_TOL and rest == kernel_q_indices(H)
+    assert ladder.directions == [1 + j for j in rest] + list(range(1 + n, 1 + 3 * n))
+    vs = slice(1 + n, 1 + 2 * n)
+    at_probe = L.jet(lagrangian_part(ladder.probe, n), 2).hess[vs, vs]
+    assert kernel_q_indices(at_probe) == rest
+    for A, tol, (cols, _) in picks:
+        assert tol == 0.0 and cols == pick_columns(A)
+    derived = [c for gen in ladder.generations[1:] for c in gen]
+    assert all(any(c.pivot_cols is cols for _, _, (cols, _) in picks) for c in derived)
+    assert len(picks) >= len(derived)
+
+
+@pytest.mark.parametrize("name", ["duffing", "charged_particle"])
+def test_a_reprojected_run_factors_nothing_after_discovery(name, monkeypatch):
+    # the directions are the ladder's, so a reprojected step runs no SVD;
+    # choosing them per projection took one per step
+    pre = preset_by_name(name)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
+    fld = UnifiedField(pre.system, ladder)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    traj = integrate(fld, ladder.probe, IntegratorConfig(method="rk4", step=1e-2, t_end=1.0,
+                                                         reproject=True))
+    assert len(traj) == 101 and calls == []
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
