@@ -10,6 +10,7 @@ watch the right check fail.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,111 @@ class CheckResult:
         return out
 
 
-def _domain_point(pre: SystemPreset, rng: np.random.Generator) -> np.ndarray:
+# -- the checks' points -------------------------------------------------
+#
+# np.random.default_rng(seed)'s draws, in Python: SeedSequence hashes the
+# seed into PCG64's 128-bit state and increment, and each draw is the
+# XSL-RR output of one LCG step (O'Neill, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", HMC-CS-2014-0905).  Drawn here, a check's points do not
+# depend on the numpy installed (numpy gives its Generator streams no
+# guarantee across versions), and a check never imports numpy.random,
+# whose import loads secrets, hmac and OpenSSL's _hashlib.
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """SeedSequence(seed).generate_state(4, np.uint64): the seed's 32-bit
+    words hashed into a pool of 4, the pool hashed out into 8 words."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class PCG64:
+    """The draws of np.random.default_rng(seed), bit for bit: `uniform`,
+    and `choice` of two items (with replacement, equal weights), as a
+    numpy Generator makes them.  A negative seed raises ValueError, as
+    numpy's does."""
+
+    def __init__(self, seed: int):
+        s_hi, s_lo, i_hi, i_lo = _seed_words(seed)
+        # pcg_setseq_128_srandom_r
+        self._inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        self._state = 0
+        self._next64()
+        self._state = (self._state + (s_hi << 64 | s_lo)) & _M128
+        self._next64()
+        self._half: int | None = None  # the high half of a u64 drawn for 32 bits
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, r = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> r | x << (64 - r)) & _M64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            out, self._half = self._half, None
+            return out
+        u = self._next64()
+        self._half = u >> 32
+        return u & _M32
+
+    def _double(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def uniform(self, low: float, high: float, size: int | None = None):
+        span = high - low
+        if size is None:
+            return low + span * self._double()
+        return np.array([low + span * self._double() for _ in range(size)])
+
+    def choice(self, seq, size: int) -> np.ndarray:
+        """Of two items: Lemire's bounded draw on a 32-bit word, for a
+        range of 2 its top bit."""
+        if len(seq) != 2:
+            raise ValueError(f"choice draws from two items, got {len(seq)}")
+        return np.asarray(seq)[[self._next32() >> 31 for _ in range(size)]]
+
+
+def _domain_point(pre: SystemPreset, rng: PCG64) -> np.ndarray:
     """A random smooth-domain point of the Lagrangian's (t, q, v, s) space."""
     n = pre.n
     x = rng.uniform(-1.5, 1.5, 2 * n + 2)
@@ -76,7 +181,7 @@ def check_ad_vs_fd(
     three per-order tolerances).
     """
     L = pre.system
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     dim = 2 * pre.n + 2
     tols = {k: (tol if tol is not None else FD_TOLS[k]) for k in (1, 2, 3)}
     X = np.array([_domain_point(pre, rng) for _ in range(points)]).reshape(points, dim)
@@ -144,7 +249,7 @@ def check_ladder(
             name, False, float("inf"), tol, f"generations {sizes}, expected {want_sizes}"
         )
 
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     # each point's closed forms right after it is drawn, while the
     # preset's memo of its last point's work (the charged particle's phi
     # jet) still holds it

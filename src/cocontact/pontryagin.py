@@ -197,7 +197,9 @@ class _Workspace:
                  expansion: Taylor | None = None):
         self.L = L
         self.n = L.n
-        self.w = wvec
+        # Python floats, as a tape's are: inf * 0.0 is then a silent NaN,
+        # as it is on a tape, not a numpy warning
+        self.w = wvec.tolist() if isinstance(wvec, np.ndarray) else wvec
         self.space = CoordinateSpace.unified(L.n)
         self._seeds: dict[int, list[Taylor]] = {}
         self._L: dict[int, Taylor] = {}
@@ -792,13 +794,14 @@ class _LiveReads:
     def __init__(self, L: LagrangianSystem, constraints: list[ConstraintFn], w,
                  expansion: Taylor | None = None):
         n, self.L, self.constraints = L.n, L, constraints
-        self.w = np.array(w, dtype=float)
-        self.ws = _Workspace(L, self.w, constraints, 1, expansion)
-        self.w[1 + 2 * n : 1 + 3 * n] = self.ws.L_taylor(1).gradient(1 + 2 * n)[1 + n :]
+        self.ws = _Workspace(L, np.asarray(w, dtype=float), constraints, 1, expansion)
+        # p into the list of floats the workspace reads
+        self.ws.w[1 + 2 * n : 1 + 3 * n] = self.ws.L_taylor(1).gradient(1 + 2 * n)[1 + n :].tolist()
+        self.w = np.array(self.ws.w)
         self.raw = np.array(_reads(self.ws, constraints), dtype=float)
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        self.ws = _Workspace(self.L, w.copy(), self.constraints, 1)
+        self.ws = _Workspace(self.L, w, self.constraints, 1)
         return np.array(_reads(self.ws, self.constraints), dtype=float)
 
 

@@ -58,6 +58,9 @@ class SystemPreset:
     (beyond the primary p = dL/dv generation); they are valid at arbitrary
     points of the unified space, not just feasible ones.  initial is the
     default start on the mixed space, (t, q, v, p = 0, s), read-only.
+    sample_feasible draws a feasible point from any generator with the
+    `uniform` and `choice` of a numpy Generator: checks.PCG64 in the
+    checks, a numpy Generator in the tests, with the same points.
     """
 
     label: str

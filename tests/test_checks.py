@@ -6,13 +6,19 @@ tolerance override must propagate into every value comparison.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from cocontact.checks import (
     CHECK_NAMES,
+    PCG64,
     CheckResult,
+    _domain_point,
     check_ad_vs_fd,
     check_equivalence,
     check_ladder,
@@ -175,3 +181,78 @@ def test_residual_order_measures_fourth_order_band():
     assert result.passed
     assert result.worst <= 1.0
     assert "herglotz" in result.detail
+
+
+# -- the checks' points --------------------------------------------------
+
+STREAM_SEEDS = [*range(296), 2**32, 2**64 + 1, 10**30, 2**128 + 7]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_the_point_stream_is_numpys_default_rng(seed):
+    ours, numpys = PCG64(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got, want = ours.uniform(-1.5, 1.5), numpys.uniform(-1.5, 1.5)
+        assert type(got) is float and got == want
+        assert np.array_equal(ours.uniform(0.0, 2.0, 5), numpys.uniform(0.0, 2.0, 5))
+        assert np.array_equal(ours.choice([-1.0, 1.0], size=2), numpys.choice([-1.0, 1.0], size=2))
+    # an odd count of 32-bit draws leaves half a word for the next
+    for size in (1, 3, 1, 2):
+        assert np.array_equal(ours.choice([0.5, 2.0], size), numpys.choice([0.5, 2.0], size))
+        assert ours.uniform(0.0, 1.0) == numpys.uniform(0.0, 1.0)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_the_presets_points_from_the_stream_are_numpys(name):
+    pre = preset_by_name(name)
+    for seed in STREAM_SEEDS[::10]:
+        ours, numpys = PCG64(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            assert np.array_equal(pre.sample_feasible(ours), pre.sample_feasible(numpys))
+            assert np.array_equal(_domain_point(pre, ours), _domain_point(pre, numpys))
+
+
+def test_the_point_stream_is_pinned():
+    # the first draws, as literals: the checks' points stay where they are
+    # whatever a later numpy does to its own stream
+    for seed, first, pair, signs in (
+        (0, 0.6369616873214543, [-0.6906398587083891, -1.3770794281914158], [-1.0, -1.0]),
+        (42, 0.7739560485559633, [-0.18336468074384316, 1.0757937597341476], [-1.0, 1.0]),
+    ):
+        rng = PCG64(seed)
+        assert rng.uniform(0.0, 1.0) == first
+        assert rng.uniform(-1.5, 1.5, 2).tolist() == pair
+        assert rng.choice([-1.0, 1.0], 2).tolist() == signs
+
+
+def test_a_negative_seed_raises_as_numpys_does():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        PCG64(-1)
+
+
+def test_the_stream_chooses_from_two_items_only():
+    with pytest.raises(ValueError, match="two items"):
+        PCG64(0).choice([1.0, 2.0, 3.0], 2)
+
+
+def test_the_checks_and_verify_never_import_numpy_random():
+    script = textwrap.dedent("""
+        import sys
+        from cocontact import checks, cli
+        from cocontact.systems import PRESET_NAMES, preset_by_name
+        for name in PRESET_NAMES:
+            pre = preset_by_name(name)
+            assert checks.check_ad_vs_fd(pre).passed
+            assert checks.check_ladder(pre).passed
+        assert cli.main(["verify", "--preset", "charged_particle"]) == 0
+        print(sorted({"numpy.random", "_hashlib"} & set(sys.modules)))
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    # numpy 1.x imports numpy.random (and _hashlib behind it) with numpy
+    # itself; from numpy 2 on it is loaded only when first used
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert out.stdout.splitlines()[-1] == "[]"
