@@ -41,7 +41,6 @@ from .pontryagin import (  # noqa: F401
     ZCoefficients,
     assemble_Z,
     constraint_values,
-    primary_constraints,
     project_onto,
     run_constraint_algorithm,
 )

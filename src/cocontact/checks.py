@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import IntegratorConfig, cross_check_equivalence, integrate, unified_field
-from .pontryagin import AlgorithmOptions, assemble_Z, run_constraint_algorithm
+from .pontryagin import assemble_Z, run_constraint_algorithm
 from .systems import SystemPreset, preset_by_name
 
 __all__ = [
@@ -238,8 +238,7 @@ def check_ladder(
     """
     tol = 1e-10 if tol is None else tol
     name = f"ladder[{pre.label}]"
-    opts = AlgorithmOptions()
-    ladder, Z = run_constraint_algorithm(pre.system, pre.initial, opts)
+    ladder, Z = run_constraint_algorithm(pre.system, pre.initial)
     if ladder.status != "Closed":
         return CheckResult(name, False, float("inf"), tol, f"status {ladder.status}")
     sizes = [len(g) for g in ladder.generations]
@@ -262,7 +261,7 @@ def check_ladder(
                        None if pre.expected_D is None else pre.expected_D(w)))
     W = np.array(W).reshape(points, 3 * pre.n + 2)
     worst = 0.0
-    for Zw, (closures, C, D) in zip(assemble_Z(pre.system, W, ladder, opts), closed):
+    for Zw, (closures, C, D) in zip(assemble_Z(pre.system, W, ladder), closed):
         vals = Zw.constraint_values
         worst = max(worst, float(np.max(np.abs(vals))))
         for got, want in zip(vals[pre.n :], closures):
@@ -275,26 +274,26 @@ def check_ladder(
     return CheckResult(name, worst <= tol, worst, tol, detail)
 
 
-def check_equivalence(
-    pre: SystemPreset,
-    step: float = 1e-2,
-    t_end: float = 1.0,
-    tol: float | None = None,
-) -> CheckResult:
-    """Short cross-description run; all projections must agree.
+EQUIVALENCE_STEP = 1e-2
+EQUIVALENCE_T_END = 1.0
+
+
+def check_equivalence(pre: SystemPreset, tol: float | None = None) -> CheckResult:
+    """Short cross-description run (rk4 at EQUIVALENCE_STEP to
+    EQUIVALENCE_T_END); all projections must agree.
 
     For singular systems the momentum description is undefined, so only
     the mixed-vs-velocity comparison runs.
     """
     tol = 1e-6 if tol is None else tol
     name = f"equivalence[{pre.label}]"
-    cfg = IntegratorConfig(method="rk4", step=step, t_end=t_end)
-    eq = cross_check_equivalence(pre.system, pre.initial, cfg, AlgorithmOptions())
+    cfg = IntegratorConfig(method="rk4", step=EQUIVALENCE_STEP, t_end=EQUIVALENCE_T_END)
+    eq = cross_check_equivalence(pre.system, pre.initial, cfg)
     if eq.hamiltonian is None:
         detail = ("momentum description undefined (singular fibre map); "
-                  f"mixed-vs-velocity only, T={t_end}")
+                  f"mixed-vs-velocity only, T={EQUIVALENCE_T_END}")
     else:
-        detail = f"three descriptions, T={t_end}"
+        detail = f"three descriptions, T={EQUIVALENCE_T_END}"
     return CheckResult(name, eq.max_deviation <= tol, eq.max_deviation, tol, detail)
 
 
@@ -312,15 +311,14 @@ def check_residual_order(pre: SystemPreset) -> CheckResult:
     scale for a verify run.
     """
     name = f"residual-order[{pre.label}]"
-    opts = AlgorithmOptions()
-    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, opts)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     if ladder.n_generations > 1:
         return CheckResult(name, True, 0.0, 0.0,
                            "skipped: deep ladder, cost out of scale for verify")
     maxima = {}
     for h in (1e-2, 5e-3):
         cfg = IntegratorConfig(method="rk4", step=h, t_end=RESIDUAL_ORDER_T_END)
-        traj = integrate(unified_field(pre.system, ladder, opts), ladder.probe, cfg)
+        traj = integrate(unified_field(pre.system, ladder), ladder.probe, cfg)
         maxima[h] = {k: traj.channel_max(k) for k in traj.residuals}
     ratios = {}
     for ch in maxima[1e-2]:
@@ -338,24 +336,12 @@ def check_residual_order(pre: SystemPreset) -> CheckResult:
 CHECK_NAMES = ("ad-vs-fd", "ladder", "equivalence", "residual-order")
 
 
-def run_all_checks(
-    pre: SystemPreset | str,
-    seed: int = 42,
-    tol: float | None = None,
-    subset: tuple[str, ...] | None = None,
-) -> list[CheckResult]:
+def run_all_checks(pre: SystemPreset | str, seed: int = 42,
+                   tol: float | None = None) -> list[CheckResult]:
+    """Every check (CHECK_NAMES, in that order) on one preset."""
     if tol is not None and not 0 < tol < math.inf:
         raise ValueError(f"a tolerance override must be finite and positive, got {tol}")
     if isinstance(pre, str):
         pre = preset_by_name(pre)
-    subset = subset or CHECK_NAMES
-    out = []
-    if "ad-vs-fd" in subset:
-        out.append(check_ad_vs_fd(pre, seed=seed, tol=tol))
-    if "ladder" in subset:
-        out.append(check_ladder(pre, seed=seed, tol=tol))
-    if "equivalence" in subset:
-        out.append(check_equivalence(pre, tol=tol))
-    if "residual-order" in subset:
-        out.append(check_residual_order(pre))
-    return out
+    return [check_ad_vs_fd(pre, seed=seed, tol=tol), check_ladder(pre, seed=seed, tol=tol),
+            check_equivalence(pre, tol=tol), check_residual_order(pre)]

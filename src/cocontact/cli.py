@@ -35,6 +35,7 @@ import argparse
 import dataclasses
 import errno
 import json
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -57,8 +58,7 @@ from .dynamics import (
 from .checks import run_all_checks
 from .jets import JetDomainError
 from .mechanics import LagrangianSystem
-from .pontryagin import (AlgorithmOptions, InfeasiblePoint, NumericalBreakdown,
-                         run_constraint_algorithm)
+from .pontryagin import InfeasiblePoint, NumericalBreakdown, run_constraint_algorithm
 from .systems import PRESET_NAMES, preset_by_name
 
 EXIT_OK = 0
@@ -155,15 +155,18 @@ def _initial_state(config: dict, L, pre) -> np.ndarray:
         return pre.initial.copy()
     init = _block(config, "initial")
     try:
-        t0 = float(init.get("t0", 0.0))
-        q = np.asarray(init["q"], dtype=float)
-        v = np.asarray(init["v"], dtype=float)
-        s0 = float(init.get("s", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
+        t0, q, v, s0 = init.get("t0", 0.0), init["q"], init["v"], init.get("s", 0.0)
+    except KeyError as exc:
         raise ConfigError(f"bad initial block: {exc}") from exc
-    if q.shape != (L.n,) or v.shape != (L.n,):
+    if not (isinstance(q, list) and isinstance(v, list) and len(q) == len(v) == L.n):
         raise ConfigError(f"initial q and v must have length n = {L.n}")
-    w0 = np.concatenate(([t0], q, v, np.zeros(L.n), [s0]))
+    entries = {"t0": t0, **{f"q[{i}]": x for i, x in enumerate(q)},
+               **{f"v[{i}]": x for i, x in enumerate(v)}, "s": s0}
+    for name, x in entries.items():
+        # bool is an int subclass and float() reads "0.5": true would start at 1
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ConfigError(f"bad initial block: {name} must be a number, got {x!r}")
+    w0 = np.array([t0, *q, *v, *[0.0] * L.n, s0], dtype=float)
     if not np.isfinite(w0).all():
         raise ConfigError("initial t0, q, v and s must be finite")
     return w0
@@ -205,7 +208,7 @@ def cmd_constraints(args) -> int:
     L, pre = _build_system(config)
     w0 = _initial_state(config, L, pre)
     out = _output(args.out) if args.out else None
-    ladder, _ = run_constraint_algorithm(L, w0, AlgorithmOptions())
+    ladder, _ = run_constraint_algorithm(L, w0)
     report = ladder.report()
     report["system"] = L.label
     text = json.dumps(report, indent=1)
@@ -232,13 +235,12 @@ def cmd_simulate(args) -> int:
     if outputs.get("json"):
         paths.append(_output(outputs["json"]))
 
-    opts = AlgorithmOptions()
-    ladder, _ = run_constraint_algorithm(L, w0, opts)
+    ladder, _ = run_constraint_algorithm(L, w0)
     if ladder.status != "Closed":
         print(f"error: constraint algorithm ended {ladder.status}", file=sys.stderr)
         return _ladder_exit(ladder.status)
 
-    field = FIELDS[args.space](L, ladder, opts)
+    field = FIELDS[args.space](L, ladder)
     traj = integrate(field, field.drop(ladder.probe), cfg)
     trajectory_to_csv(traj, paths[0])
     if len(paths) > 1:
@@ -298,16 +300,15 @@ def cmd_sweep(args) -> int:
         raise ConfigError(exc.args[0]) from exc
     paths = [_output(f"{pre.system.label}_{param}_{tag}.csv") for pre, tag in zip(presets, tags)]
 
-    opts = AlgorithmOptions()
     rows = []
     for value, tag, pre, path in zip(values, tags, presets, paths):
         L = pre.system
-        ladder, _ = run_constraint_algorithm(L, _initial_state(config, L, pre), opts)
+        ladder, _ = run_constraint_algorithm(L, _initial_state(config, L, pre))
         if ladder.status != "Closed":
             print(f"error: {param}={tag}: constraint algorithm ended {ladder.status}",
                   file=sys.stderr)
             return _ladder_exit(ladder.status)
-        field = FIELDS[args.space](L, ladder, opts)
+        field = FIELDS[args.space](L, ladder)
         traj = integrate(field, field.drop(ladder.probe), cfg)
         trajectory_to_csv(traj, path)
         rep = residual_report(L, traj)

@@ -34,6 +34,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -41,7 +42,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .jets import CoordinateSpace, JetDomainError
-from .mechanics import DEFAULT_RANK_TOL, LagrangianSystem, herglotz_defect
+from .mechanics import LagrangianSystem, herglotz_defect
 from .pontryagin import (
     AlgorithmOptions,
     ConstraintLadder,
@@ -115,6 +116,11 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("step", "t_end", "abs_tol", "rel_tol"):
+            x = getattr(self, name)
+            # bool is an int subclass: "step": true would run at step 1.0
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ValueError(f"{name} must be a finite number, got {x!r}")
         if not math.isfinite(self.t_end):
             raise ValueError("t_end must be finite")
         if not 0 < self.step < math.inf:
@@ -159,7 +165,7 @@ def legendre_invert(L: LagrangianSystem, y, v0=None,
     constraints' reads at (t, q, v, p, s) (pontryagin.momentum_reads, or a
     run's `replay` of them): its QR solve of M = -d2L/dv dv gives the step
     M dv = -(p - dL/dv) and the pivot margins, tested against
-    mechanics.DEFAULT_RANK_TOL (NonInvertibleLegendre).  Converged once
+    pontryagin.RANK_TOL (NonInvertibleLegendre).  Converged once
     max |p - dL/dv| <= LEGENDRE_TOL * max(1, max |p|).  Returns v and the
     reads the convergence test read, as lists of floats.
     """
@@ -178,8 +184,8 @@ def legendre_invert(L: LagrangianSystem, y, v0=None,
         raw = replay(w)
         if all(map(within, map(abs, raw[:n]))):
             return w[vs], raw
-        _test_margins(raw[margins], DEFAULT_RANK_TOL, NonInvertibleLegendre,
-                      "velocity Hessian", "the fibre derivative is not invertible")
+        _test_margins(raw[margins], NonInvertibleLegendre, "velocity Hessian",
+                      "the fibre derivative is not invertible")
         w[vs] = map(operator.add, w[vs], raw[step])
     raise NonInvertibleLegendre(
         f"velocity recovery did not converge within {LEGENDRE_MAX_ITER} iterations"
@@ -200,10 +206,10 @@ class UnifiedField:
     description's layout.  eval(state) is _read, then the tail discovery
     and assemble_Z run (pontryagin._field): a ladder closed with full rank
     reads C already (pontryagin._solve), and its pivot margins are tested
-    against opts.rank_tol (NumericalBreakdown); otherwise an SVD writes C
-    into the reads' template.  It returns (derivative, w, reads), lists:
-    the coefficient vector, constraint values and L's order-2 data are
-    slices of the reads (pontryagin._layout).  drift(evaluation) is max
+    against pontryagin.RANK_TOL (NumericalBreakdown); otherwise an SVD
+    writes C into the reads' template.  It returns (derivative, w,
+    reads), lists: the coefficient vector, constraint values and L's
+    order-2 data are slices of the reads (pontryagin._layout).  drift(evaluation) is max
     |xi| over an evaluation's constraint values.  The tape a field reads
     is recorded when the field is made.  One instance drives one
     trajectory at a time.
@@ -211,7 +217,6 @@ class UnifiedField:
 
     L: LagrangianSystem
     ladder: ConstraintLadder
-    opts: AlgorithmOptions = field(default_factory=AlgorithmOptions)
     _replay: Callable = field(default=None, init=False, repr=False, compare=False)
     kind = "unified"
 
@@ -244,11 +249,11 @@ class UnifiedField:
             state = np.asarray(state, dtype=float).tolist()
         w, raw = self._read(state)
         if len(raw) > self._margins.start:
-            _test_margins(raw[self._margins], self.opts.rank_tol, NumericalBreakdown,
-                          "C-system", "the tangency conditions lost rank")
+            _test_margins(raw[self._margins], NumericalBreakdown, "C-system",
+                          "the tangency conditions lost rank")
         else:
             solved = np.array(raw, dtype=float)
-            _field(solved, self._R, self.L.n, self.opts)
+            _field(solved, self._R, self.L.n)
             raw = solved.tolist()
         return self._drop(raw[self._template]), w, raw
 
@@ -267,7 +272,7 @@ class UnifiedField:
             w, raw = self._read(np.asarray(state, dtype=float).tolist())
         except (NumericalBreakdown, JetDomainError):
             x = lagrangian_part(self.lift(state), n).tolist()
-            w, raw = LagrangianField(self.L, self.ladder, self.opts)._read(x)
+            w, raw = LagrangianField(self.L, self.ladder)._read(x)
         w, raw = np.array(w, dtype=float), np.array(raw, dtype=float)
         p = raw[self._p]
         if p.tobytes() != w[1 + 2 * n : 1 + 3 * n].tobytes():
@@ -334,7 +339,12 @@ class HamiltonianField(UnifiedField):
     drift = UnifiedField.drift
 
 
-unified_field = UnifiedField
+def unified_field(L: LagrangianSystem, ladder: ConstraintLadder,
+                  opts: AlgorithmOptions | None = None) -> UnifiedField:
+    """UnifiedField(L, ladder); opts is ignored (AlgorithmOptions has no fields)."""
+    return UnifiedField(L, ladder)
+
+
 lagrangian_field = LagrangianField
 hamiltonian_field = HamiltonianField
 
@@ -643,7 +653,6 @@ def cross_check_equivalence(
     L: LagrangianSystem,
     x0,
     cfg: IntegratorConfig,
-    opts: AlgorithmOptions | None = None,
 ) -> EquivalenceReport:
     """Run the same motion in all three descriptions and compare.
 
@@ -656,19 +665,18 @@ def cross_check_equivalence(
     """
     if cfg.method != "rk4":
         raise ValueError("cross-checking needs a shared fixed-step grid; use rk4")
-    opts = opts or AlgorithmOptions()
-    ladder, _ = run_constraint_algorithm(L, x0, opts)
+    ladder, _ = run_constraint_algorithm(L, x0)
     n = L.n
     w0 = ladder.probe
 
     # the momentum side first: a singular fibre map fails its lift before
     # the other two runs are spent
     try:
-        traj_y = integrate(HamiltonianField(L, ladder, opts), hamiltonian_part(w0, n), cfg)
+        traj_y = integrate(HamiltonianField(L, ladder), hamiltonian_part(w0, n), cfg)
     except NonInvertibleLegendre:
         traj_y = None
-    traj_z = integrate(UnifiedField(L, ladder, opts), w0, cfg)
-    traj_x = integrate(LagrangianField(L, ladder, opts), lagrangian_part(w0, n), cfg)
+    traj_z = integrate(UnifiedField(L, ladder), w0, cfg)
+    traj_x = integrate(LagrangianField(L, ladder), lagrangian_part(w0, n), cfg)
 
     if len({len(t) for t in (traj_z, traj_x, traj_y) if t is not None}) != 1:
         raise RuntimeError("description runs produced different grids")

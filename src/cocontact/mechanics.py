@@ -27,13 +27,6 @@ __all__ = [
     "herglotz_residual",
 ]
 
-# relative rank threshold: AlgorithmOptions.rank_tol's default, the floor
-# below which the column-pivoted Gram-Schmidt of d2L/dv dv takes no more
-# columns (pontryagin._directions), and the pivot-margin floor of
-# legendre_invert's Newton iteration
-DEFAULT_RANK_TOL = 1e-9
-
-
 def _vectorize(name: str, arr, n: int) -> np.ndarray:
     out = np.asarray(arr, dtype=float).reshape(-1)
     if out.shape != (n,):

@@ -48,7 +48,7 @@ that closed with full rank (rank n, no undetermined direction: every
 preset's) then solves the tangency conditions for C by plain float
 arithmetic too (a QR factorisation by modified Gram-Schmidt), and emits
 the pivot margins; the numpy tail is slices and a test of the smallest
-margin against opts.rank_tol, so a rank change raises NumericalBreakdown.
+margin against RANK_TOL, so a rank change raises NumericalBreakdown.
 One column-pivoted Gram-Schmidt (_pivots) picks each recipe's pivot
 columns and, once per ladder, the coordinates its projections move.  An
 SVD runs only where the rank is not known: discovery's rank decision, and
@@ -66,8 +66,7 @@ import numpy as np
 
 from .jets import (ORDER_CAP, CoordinateSpace, Jet, Tape, Taylor, _math, _strides, expand, guard,
                    jet_from_taylor)
-from .mechanics import (DEFAULT_RANK_TOL, LagrangianSystem, order2_gather, order2_parts,
-                        read_order2)
+from .mechanics import LagrangianSystem, order2_gather, order2_parts, read_order2
 
 __all__ = [
     "lagrangian_part",
@@ -79,7 +78,6 @@ __all__ = [
     "InfeasiblePoint",
     "NumericalBreakdown",
     "LadderNotClosed",
-    "primary_constraints",
     "constraint_values",
     "project_onto",
     "assemble_Z",
@@ -410,11 +408,6 @@ class _DerivedConstraint(ConstraintFn):
 # -- constraint values --------------------------------------------------
 
 
-def primary_constraints(L: LagrangianSystem, w) -> np.ndarray:
-    """Values of the momentum constraints p_j - dL/dv_j at a point."""
-    return constraint_values(L, w, [_PrimaryConstraint(L, j) for j in range(L.n)])
-
-
 def constraint_values(L: LagrangianSystem, w, constraints: Sequence[ConstraintFn]) -> np.ndarray:
     """Values of several constraints at one point, sharing one workspace
     (much cheaper than calling each constraint separately)."""
@@ -429,26 +422,26 @@ TOL = 1e-8  # feasibility and new-constraint value detection, absolute
 GRAD_TOL = 1e-6  # discovery's transversality threshold, relative
 PROJECT_TOL = 1e-11  # a projection ends once every constraint is this small
 MAX_PROJECT_ITER = 40  # or raises InfeasiblePoint after this many steps
+# pass k of the algorithm expands L to order k + 2, so no more than
+# ORDER_CAP - 2 passes can run; a ladder still open after them ends
+# MaxIterations
+MAX_GENERATIONS = ORDER_CAP - 2
+# relative rank threshold: for discovery's rows, its SVD (which keeps the
+# singular values sigma > RANK_TOL * sigma_max, so their condition stays
+# below 1 / RANK_TOL) and the derived constraints' frozen pivots; for the
+# Gram-Schmidt of d2L/dv dv that picks the projection's directions; and
+# for a full-rank solve, whose field raises NumericalBreakdown once the
+# smallest pivot margin (_solve) is at or below it, as legendre_invert
+# raises NonInvertibleLegendre.  A margin is at least sigma_min /
+# sigma_max, so the solve refuses no point where the SVD keeps rank n
+RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class AlgorithmOptions:
-    # pass k of the algorithm expands L to order k + 2, so no more than
-    # ORDER_CAP - 2 passes can run
-    max_generations: int = ORDER_CAP - 2
-    # relative rank threshold: for discovery's rows and its SVD, which
-    # keeps the singular values sigma > rank_tol * sigma_max; and for the
-    # full-rank solve, whose field raises NumericalBreakdown once the
-    # smallest pivot margin (_solve) is at or below rank_tol.  A margin is
-    # at least sigma_min / sigma_max, so the solve refuses no point where
-    # the SVD keeps rank n.  legendre_invert tests the default
-    rank_tol: float = DEFAULT_RANK_TOL
-    # caps sigma_max / sigma_min of the SVD's kept singular values; the
-    # kept ones satisfy sigma > rank_tol * sigma_max, so the condition
-    # stays below 1 / rank_tol (1e9 at the defaults) and the cap can fire
-    # only when rank_tol < 1 / cond_cap
-    cond_cap: float = 1e12
-    project: bool = True
+    """No settings: the algorithm's thresholds are the module constants.
+    It is kept, without fields, only for callers that still pass one to
+    run_constraint_algorithm or dynamics.unified_field, which ignore it."""
 
 
 @dataclass
@@ -618,13 +611,13 @@ def _solve(reads: list, R: int, n: int, newton: bool = False) -> list:
     return out + margins + [d for x in step for d in x]
 
 
-def _test_margins(squared: list, rank_tol: float, error: type, what: str, lost: str) -> None:
+def _test_margins(squared: list, error: type, what: str, lost: str) -> None:
     """Raise error naming the smallest pivot margin (_solve lists them
-    squared, >= 0) unless it is above rank_tol; a NaN one, anywhere, is not."""
+    squared, >= 0) unless it is above RANK_TOL; a NaN one, anywhere, is not."""
     total = sum(squared)  # NaN just when a margin is: inf + inf is inf
     margin = math.sqrt(min(squared)) if total == total else math.nan
-    if not margin > rank_tol:
-        raise error(f"{what} pivot margin {margin:.3e} at or below rank_tol {rank_tol:.1e}; {lost}")
+    if not margin > RANK_TOL:
+        raise error(f"{what} pivot margin {margin:.3e} at or below rank_tol {RANK_TOL:.1e}; {lost}")
 
 
 def _finite(M: np.ndarray, what: str) -> np.ndarray:
@@ -634,22 +627,21 @@ def _finite(M: np.ndarray, what: str) -> np.ndarray:
     return M
 
 
-def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCoefficients, int]:
+def _field(raw: np.ndarray, R: int, n: int) -> tuple[ZCoefficients, int]:
     """The field fixed by the tangency conditions of R constraints, and the
     rank of their C-system, from _reads' numbers as one float array.
 
     A read that carries the pivot margins is _solve's (the tape of a
     ladder that closed with full rank, or discovery's closing pass): C is
     in the template, which makes the template the coefficient vector, and
-    the field is slices once the smallest margin is above opts.rank_tol;
-    at or below it the C-system is losing rank, and NumericalBreakdown
-    names the margin.  Otherwise, where the rank is not known, one
-    matrix-vector product and one SVD: the rank, the condition-cap test
-    and the minimum-norm C."""
+    the field is slices once the smallest margin is above RANK_TOL; at or
+    below it the C-system is losing rank, and NumericalBreakdown names the
+    margin.  Otherwise, where the rank is not known, one matrix-vector
+    product and one SVD: the rank and the minimum-norm C."""
     grads_at, template, data, margins, _ = _layout(R, n)
     coeffs = raw[template]
     if len(raw) > margins.start:
-        _test_margins(raw[margins].tolist(), opts.rank_tol, NumericalBreakdown, "C-system",
+        _test_margins(raw[margins].tolist(), NumericalBreakdown, "C-system",
                       "the tangency conditions lost rank")
         return ZCoefficients(coeffs, np.zeros((n, 0)), raw[:R], raw[data]), n
     grads = raw[grads_at].reshape(R, 3 * n + 2)
@@ -658,12 +650,8 @@ def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCo
     U, sigma, Vt = np.linalg.svd(_finite(grads[:, 1 + n : 1 + 2 * n], "C-system"),
                                  full_matrices=True)
     smax = sigma[0] if len(sigma) else 0.0
-    rank = int(np.count_nonzero(sigma > opts.rank_tol * smax)) if smax > 0 else 0
-    if rank and smax / sigma[rank - 1] > opts.cond_cap:
-        raise NumericalBreakdown(
-            f"tangency system condition {smax / sigma[rank - 1]:.2e} beyond cap"
-        )
-    # minimum-norm solution of M C = -g, dropping lstsq's rcond=rank_tol set
+    rank = int(np.count_nonzero(sigma > RANK_TOL * smax)) if smax > 0 else 0
+    # minimum-norm solution of M C = -g, dropping lstsq's rcond=RANK_TOL set
     coeffs[1 + n : 1 + 2 * n] = -Vt[:rank].T @ ((U[:, :rank].T @ g) / sigma[:rank])
     Z = ZCoefficients(coeffs, Vt[rank:].T.copy(), raw[:R], raw[data])
     return Z, rank
@@ -672,7 +660,6 @@ def _field(raw: np.ndarray, R: int, n: int, opts: AlgorithmOptions) -> tuple[ZCo
 def _tangency(
     ws: _Workspace,
     constraints: list[ConstraintFn],
-    opts: AlgorithmOptions,
 ) -> tuple[ZCoefficients, int, list[ConstraintFn], ConstraintFn | None]:
     """One pass of discovery at the workspace's point: the field fixed by
     the tangency conditions of `constraints`, the rank of their C-system,
@@ -688,7 +675,7 @@ def _tangency(
     grads = _finite(raw[_layout(R, n)[0]].reshape(R, dim), "constraint gradients")
     M = grads[:, 1 + n : 1 + 2 * n]
     row_scale = max(float(np.max(np.linalg.norm(M, axis=1))), 1e-300)
-    thresh = opts.rank_tol * row_scale
+    thresh = RANK_TOL * row_scale
 
     new_constraints: list[ConstraintFn] = []
     incompatible: ConstraintFn | None = None
@@ -709,14 +696,14 @@ def _tangency(
         basis_rows = [constraints[i] for i in basis_idx]
         cols = _pivots(M[basis_idx])[0]
         cand = _DerivedConstraint(
-            ws.L, generation, constraints[r], basis_rows, cols, opts.rank_tol * row_scale
+            ws.L, generation, constraints[r], basis_rows, cols, thresh
         )
         ct = cand.taylor(ws, 1)
         value = ct.value
         cgrad = ct.gradient(dim)
         gnorm = float(np.linalg.norm(cgrad))
         if abs(value) > TOL:
-            if gnorm <= opts.rank_tol * max(1.0, abs(value)):
+            if gnorm <= RANK_TOL * max(1.0, abs(value)):
                 incompatible = cand
                 break
             new_constraints.append(cand)
@@ -724,9 +711,9 @@ def _tangency(
         if _span_residual(cgrad, span) > GRAD_TOL * max(1.0, gnorm):
             new_constraints.append(cand)
 
-    Z, rank = _field(raw, R, n, opts)
+    Z, rank = _field(raw, R, n)
     if rank == n and not new_constraints and incompatible is None:
-        Z = _field(np.array(_solve(reads, R, n)), R, n, opts)[0]
+        Z = _field(np.array(_solve(reads, R, n)), R, n)[0]
     return Z, rank, new_constraints, incompatible
 
 
@@ -762,7 +749,7 @@ def _directions(L_data: np.ndarray, n: int) -> list[int]:
     q's paired with the columns of d2L/dv dv that _pivots leaves
     (multiplier-like coordinates), then every velocity and momentum."""
     H = order2_parts(L_data, n)[1][1 + n : 1 + 2 * n]  # d2L/dv dv
-    rest = _pivots(_finite(H, "velocity Hessian"), DEFAULT_RANK_TOL)[1]
+    rest = _pivots(_finite(H, "velocity Hessian"), RANK_TOL)[1]
     return [1 + j for j in rest] + list(range(1 + n, 1 + 3 * n))
 
 
@@ -854,17 +841,16 @@ def run_constraint_algorithm(
 ) -> tuple[ConstraintLadder, ZCoefficients | None]:
     """Discover the full constraint ladder starting from a point.
 
-    With opts.project (default) the point is moved onto each new
-    generation as it appears, mirroring how initial conditions are
-    prepared for integration; with project=False the input must already
-    satisfy every constraint that arises, or InfeasiblePoint is raised.
+    The point is moved onto the momentum constraints and then onto each
+    new generation as it appears, mirroring how initial conditions are
+    prepared for integration (project_onto); a point it cannot move there
+    raises InfeasiblePoint.
 
     Returns the ladder and, when it closes, the field coefficients at the
     final (projected) point; otherwise the second element is None.  At
-    most min(opts.max_generations, ORDER_CAP - 2) passes run; a ladder
-    still open after them ends MaxIterations.
+    most MAX_GENERATIONS passes run; a ladder still open after them ends
+    MaxIterations.  opts is ignored (AlgorithmOptions has no fields).
     """
-    opts = opts or AlgorithmOptions()
     n = L.n
     wvec = _as_wvec(n, w).copy()
 
@@ -877,21 +863,16 @@ def run_constraint_algorithm(
         reads = _LiveReads(L, active, wvec, expansion)
         return _project(reads, reads.w, reads.raw, active, directions)[0], reads.ws
 
-    if not opts.project:
-        vals = primary_constraints(L, wvec)
-        if np.max(np.abs(vals)) > TOL:
-            raise InfeasiblePoint(f"momentum constraints violated by {np.max(np.abs(vals)):.3e}")
     ws = _Workspace(L, wvec, active, 1)
     # every projection's directions, from the start; L reads no p, so the
     # expansion serves the first projection too
     directions = _directions(read_order2(ws.L_taylor(2), ws.space), n)
-    if opts.project:
-        wvec, ws = project(ws.L_taylor(2))
+    wvec, ws = project(ws.L_taylor(2))
 
     status = "MaxIterations"
     Z, rank = None, 0
-    for _ in range(min(opts.max_generations, ORDER_CAP - 2)):
-        Z, rank, new, incompatible = _tangency(ws, active, opts)
+    for _ in range(MAX_GENERATIONS):
+        Z, rank, new, incompatible = _tangency(ws, active)
         if incompatible is not None:
             status = "Incompatible"
             generations.append(new + [incompatible])
@@ -901,15 +882,8 @@ def run_constraint_algorithm(
             break
         generations.append(new)
         active = active + new
-        if opts.project:
-            # the last workspace is at wvec, its expansion of L deep enough
-            wvec, ws = project(ws.L_taylor(1 + len(generations)))
-        else:
-            worst = max(abs(c.taylor(ws, 0).value) for c in new)
-            if worst > TOL:
-                raise InfeasiblePoint(
-                    f"new generation violated by {worst:.3e} and projection is off"
-                )
+        # the last workspace is at wvec, its expansion of L deep enough
+        wvec, ws = project(ws.L_taylor(1 + len(generations)))
 
     kdim = Z.undetermined.shape[1] if Z is not None else 0
     ladder = ConstraintLadder(generations, status, wvec, rank, kdim, TOL, directions)
@@ -989,12 +963,8 @@ def _ladder_reads(L: LagrangianSystem, ladder: ConstraintLadder, lift: bool = Fa
     return reads
 
 
-def assemble_Z(
-    L: LagrangianSystem,
-    w,
-    ladder: ConstraintLadder,
-    opts: AlgorithmOptions | None = None,
-) -> ZCoefficients | list[ZCoefficients]:
+def assemble_Z(L: LagrangianSystem, w,
+               ladder: ConstraintLadder) -> ZCoefficients | list[ZCoefficients]:
     """Field coefficients at a point, given an already-closed ladder; at a
     (B, dim) stack of points, the list of the B points' coefficients.
 
@@ -1010,8 +980,7 @@ def assemble_Z(
     the undetermined directions).
     """
     reads = _ladder_reads(L, ladder)
-    opts = opts or AlgorithmOptions()
     wvec = _as_wvec(L.n, w, stacked=True)
-    Zs = [_field(rb, len(reads.active), L.n, opts)[0]
+    Zs = [_field(rb, len(reads.active), L.n)[0]
           for rb in np.atleast_2d(reads(wvec))]
     return Zs[0] if wvec.ndim == 1 else Zs

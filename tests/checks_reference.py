@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from cocontact.checks import FD_STEPS, FD_TOLS, CheckResult, _domain_point
-from cocontact.pontryagin import AlgorithmOptions, assemble_Z, run_constraint_algorithm
+from cocontact.pontryagin import assemble_Z, run_constraint_algorithm
 from cocontact.systems import SystemPreset
 
 
@@ -50,8 +50,7 @@ def check_ladder_pointwise(pre: SystemPreset, seed: int = 42, points: int = 100,
                            tol: float | None = None) -> CheckResult:
     tol = 1e-10 if tol is None else tol
     name = f"ladder[{pre.label}]"
-    opts = AlgorithmOptions()
-    ladder, Z = run_constraint_algorithm(pre.system, pre.initial, opts)
+    ladder, Z = run_constraint_algorithm(pre.system, pre.initial)
     if ladder.status != "Closed":
         return CheckResult(name, False, float("inf"), tol, f"status {ladder.status}")
     sizes = [len(g) for g in ladder.generations]
@@ -65,7 +64,7 @@ def check_ladder_pointwise(pre: SystemPreset, seed: int = 42, points: int = 100,
     worst = 0.0
     for _ in range(points):
         w = pre.sample_feasible(rng)
-        Zw = assemble_Z(pre.system, w, ladder, opts)
+        Zw = assemble_Z(pre.system, w, ladder)
         vals = Zw.constraint_values
         worst = max(worst, float(np.max(np.abs(vals))))
         for got, want in zip(vals[pre.n :], pre.ladder_closures):

@@ -29,7 +29,7 @@ import numpy as np
 
 from cocontact.dynamics import FIELDS, NonInvertibleLegendre
 from cocontact.jets import CoordinateSpace, Taylor, _strides
-from cocontact.pontryagin import AlgorithmOptions, NumericalBreakdown, ZCoefficients, _Workspace
+from cocontact.pontryagin import RANK_TOL, ZCoefficients, _Workspace
 from lagrangian_reference import classify_velocity_hessian
 
 
@@ -94,7 +94,7 @@ def unpack(space: CoordinateSpace, raw, R: int):
     return xi[:, 0].copy(), xi[:, 1:].copy(), L_grad, L_data
 
 
-def field(w, values, grads, L_grad, L_data, opts: AlgorithmOptions) -> ZCoefficients:
+def field(w, values, grads, L_grad, L_data) -> ZCoefficients:
     n = (len(w) - 2) // 3
     D = L_grad[1 : 1 + n] + w[1 + 2 * n : 1 + 3 * n] * L_grad[-1]
     E = float(L_data[0])
@@ -102,24 +102,19 @@ def field(w, values, grads, L_grad, L_data, opts: AlgorithmOptions) -> ZCoeffici
     g = grads @ np.concatenate(([1.0], w[1 + n : 1 + 2 * n], np.zeros(n), D, [E]))
     U, sigma, Vt = np.linalg.svd(M, full_matrices=True)
     smax = sigma[0] if len(sigma) else 0.0
-    rank = int(np.sum(sigma > opts.rank_tol * smax)) if smax > 0 else 0
-    if rank and smax / sigma[rank - 1] > opts.cond_cap:
-        raise NumericalBreakdown(
-            f"tangency system condition {smax / sigma[rank - 1]:.2e} beyond cap"
-        )
+    rank = int(np.sum(sigma > RANK_TOL * smax)) if smax > 0 else 0
     C = -Vt[:rank].T @ ((U[:, :rank].T @ g) / sigma[:rank])
     coeffs = np.concatenate(([1.0], w[1 + n : 1 + 2 * n].copy(), C, D, [E]))
     return ZCoefficients(coeffs, Vt[rank:].T.copy(), values, L_data)
 
 
-def reference_Z(L, w, ladder, opts: AlgorithmOptions | None = None) -> ZCoefficients:
+def reference_Z(L, w, ladder) -> ZCoefficients:
     """assemble_Z at one point, its reads live on a fresh workspace."""
-    opts = opts or AlgorithmOptions()
     active = ladder.active()
     space = CoordinateSpace.unified(L.n)
     order = 1 + max(c.generation for c in active)
     ws = _Workspace(L, w, active, 1, L.taylor_on(space, w, order))
-    return field(w, *unpack(space, reads(ws, active), len(active)), opts)
+    return field(w, *unpack(space, reads(ws, active), len(active)))
 
 
 def legendre_invert(L, y, v0=None, tol: float = 1e-12, max_iter: int = 60):
@@ -186,7 +181,7 @@ def reference_field(kind: str):
             # the reads in the tail's layout, as far as an integrator reads
             # them: constraint values, coefficient vector and L data
             w = self.lift(np.asarray(state, dtype=float))
-            Z = reference_Z(self.L, w, self.ladder, self.opts)
+            Z = reference_Z(self.L, w, self.ladder)
             xi = Z.constraint_values.tolist()
             raw = [*xi, *[0.0] * (len(xi) * len(w)), *Z.coeffs.tolist(), *Z.L_data.tolist()]
             return self._drop(Z.coeffs.tolist()), w.tolist(), raw

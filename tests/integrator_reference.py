@@ -25,7 +25,7 @@ class ArrayField:
     """A package field seen through float64 arrays."""
 
     def __init__(self, field):
-        self.field, self.L, self.ladder, self.opts = field, field.L, field.ladder, field.opts
+        self.field, self.L, self.ladder = field, field.L, field.ladder
         self.kind = field.kind
         self._last = (None, None)
 
@@ -47,7 +47,7 @@ class ArrayField:
         key = state.tobytes()
         if self._last[0] != key:
             w, raw = self._read(state)
-            Z = _field(raw, len(self.ladder.active()), self.L.n, self.opts)[0]
+            Z = _field(raw, len(self.ladder.active()), self.L.n)[0]
             deriv = self.field.drop(Z.coeffs)
             self._last = (key, (deriv, Z.coeffs, w, Z.constraint_values, Z.L_data))
         return self._last[1]

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cocontact.mechanics import DEFAULT_RANK_TOL, LagrangianSystem, _as_lvec
+from cocontact.mechanics import LagrangianSystem, _as_lvec
+from cocontact.pontryagin import RANK_TOL
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class RegularityReport:
     singular_values: np.ndarray
 
 
-def classify_velocity_hessian(W: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RegularityReport:
+def classify_velocity_hessian(W: np.ndarray, tol: float = RANK_TOL) -> RegularityReport:
     """The regularity report of a velocity Hessian W already in hand."""
     U, sigma, Vt = np.linalg.svd(np.array(W))
     smax = sigma[0] if len(sigma) else 0.0
@@ -59,7 +60,7 @@ def legendre_map(L: LagrangianSystem, x) -> np.ndarray:
     return np.concatenate((vec[: 1 + n], p, vec[-1:]))
 
 
-def regularity(L: LagrangianSystem, x, tol: float = DEFAULT_RANK_TOL) -> RegularityReport:
+def regularity(L: LagrangianSystem, x, tol: float = RANK_TOL) -> RegularityReport:
     """Classify L at a point by the rank of W = d2L/dv dv.
 
     The rank threshold is relative: singular values below tol * sigma_max

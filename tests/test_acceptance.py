@@ -42,13 +42,10 @@ from cocontact.dynamics import (
     unified_field,
 )
 from cocontact.pontryagin import (
-    AlgorithmOptions,
     assemble_Z,
     run_constraint_algorithm,
 )
 from cocontact.systems import SOURCE_CHARGE, charged_particle, duffing, preset_by_name
-
-OPTS = AlgorithmOptions()
 
 
 def _verdict(num, label, ok, detail):
@@ -64,13 +61,13 @@ def test_criterion_1_regular_ladders_close_in_one_step():
     worst = 0.0
     for name in ("duffing", "variable_mass_drag"):
         pre = preset_by_name(name)
-        ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
+        ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
         assert ladder.status == "Closed"
         assert ladder.n_generations == 1, name
         rng = np.random.default_rng(3)
         for _ in range(100):
             w = pre.sample_feasible(rng)
-            Z = assemble_Z(pre.system, w, ladder, OPTS)
+            Z = assemble_Z(pre.system, w, ladder)
             worst = max(worst, float(np.max(np.abs(Z.C - pre.expected_C(w)))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 1.0
@@ -99,7 +96,7 @@ def test_criterion_2_singular_ladder_generations_and_closure():
     par = pre.params
     k, gam, m = par["k"], par["gamma"], par["m"]
 
-    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     # four momentum primaries, then one new constraint per generation,
     # then closure with nothing further
     assert ladder.status == "Closed"
@@ -142,9 +139,9 @@ def test_criterion_2_singular_ladder_generations_and_closure():
 
 def test_criterion_3_duffing_against_direct_ode():
     pre = preset_by_name("duffing")
-    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     traj = integrate(
-        lagrangian_field(pre.system, ladder, OPTS),
+        lagrangian_field(pre.system, ladder),
         np.concatenate((ladder.probe[:3], ladder.probe[-1:])),
         IntegratorConfig(step=1e-3, t_end=20.0),
     )
@@ -181,9 +178,9 @@ def test_criterion_3_duffing_against_direct_ode():
 def test_criterion_4_harmonic_limit_closed_form():
     alpha = 2.0
     pre = duffing(alpha=alpha, beta=0.0, gamma=0.0, delta=0.0)
-    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     traj = integrate(
-        lagrangian_field(pre.system, ladder, OPTS),
+        lagrangian_field(pre.system, ladder),
         np.concatenate((ladder.probe[:3], ladder.probe[-1:])),
         IntegratorConfig(step=1e-3, t_end=2 * np.pi),
     )
@@ -201,7 +198,7 @@ def test_criterion_5_three_descriptions_agree():
     worst = 0.0
     for name in ("duffing", "variable_mass_drag"):
         pre = preset_by_name(name)
-        eq = cross_check_equivalence(pre.system, pre.initial, cfg, OPTS)
+        eq = cross_check_equivalence(pre.system, pre.initial, cfg)
         worst = max(worst, eq.max_deviation)
     assert _verdict(5, "projections and fibre map agree", worst <= 1e-6,
                     f"worst {worst:.2e}")
@@ -215,10 +212,10 @@ def test_criterion_6_residual_channels_fourth_order():
     ratios = {}
     for name in ("duffing", "variable_mass_drag"):
         pre = preset_by_name(name)
-        ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
+        ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
         maxima = {}
         for h in (1e-2, 5e-3):
-            traj = integrate(unified_field(pre.system, ladder, OPTS),
+            traj = integrate(unified_field(pre.system, ladder),
                              ladder.probe, IntegratorConfig(step=h, t_end=5.0))
             maxima[h] = {ch: traj.channel_max(ch) for ch in traj.residuals}
         for ch, hi in maxima[1e-2].items():
@@ -242,8 +239,8 @@ def test_criterion_6_residual_channels_fourth_order():
 @pytest.fixture(scope="module")
 def charged_run():
     pre = preset_by_name("charged_particle")
-    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
-    traj = integrate(unified_field(pre.system, ladder, OPTS), ladder.probe,
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
+    traj = integrate(unified_field(pre.system, ladder), ladder.probe,
                      IntegratorConfig(step=1e-2, t_end=10.0))
     return pre, traj
 
@@ -314,10 +311,10 @@ def test_criterion_7_inward_spiral_with_binding_coupling():
         phi_expr=f"({kc * SOURCE_CHARGE!r}/sqrt(q1^2 + q2^2 + q3^2))",
         f_expr="q3",
     )
-    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     assert ladder.status == "Closed"
     assert [len(g) for g in ladder.generations] == [4, 1, 1, 1, 1]
-    traj = integrate(unified_field(pre.system, ladder, OPTS), ladder.probe,
+    traj = integrate(unified_field(pre.system, ladder), ladder.probe,
                      IntegratorConfig(step=1e-3, t_end=1.5, reproject=True))
     q = traj.lifted[:, 1:4]
     radius = np.hypot(q[:, 0], q[:, 1])

@@ -183,6 +183,18 @@ def test_malformed_json_config(capsys, tmp_path):
         # a non-empty string is truthy and would turn reprojection on
         ({"system": "duffing", "integrator": {"reproject": "no"}},
          "bad integrator block: reproject must be true or false"),
+        # float() would take true as 1 and read "0.5": the run would start
+        # somewhere the config does not say
+        ({"system": "duffing", "initial": {"t0": True, "q": [0.0], "v": [0.0]}},
+         "bad initial block: t0 must be a number, got True"),
+        ({"system": "duffing", "initial": {"t0": "0.5", "q": [0.0], "v": [0.0]}},
+         "bad initial block: t0 must be a number, got '0.5'"),
+        ({"system": "duffing", "initial": {"q": [True], "v": [0]}},
+         "bad initial block: q[0] must be a number, got True"),
+        ({"system": "duffing", "initial": {"q": [0.0], "v": ["1"]}},
+         "bad initial block: v[0] must be a number, got '1'"),
+        ({"system": "duffing", "initial": {"q": [0.0], "v": [0.0], "s": False}},
+         "bad initial block: s must be a number, got False"),
     ],
 )
 def test_bad_configs_exit_one(capsys, tmp_path, doc, fragment):
@@ -220,6 +232,12 @@ def test_bad_sweep_configs_exit_one(capsys, tmp_path, monkeypatch, doc, fragment
     ({"step": float("nan")}, "step must be finite and positive"),
     ({"method": "rk45", "abs_tol": float("inf")}, "tolerances must be finite and positive"),
     ({"method": "rk45", "rel_tol": float("nan")}, "tolerances must be finite and positive"),
+    # bool is an int subclass: true would run at step 1.0, or to t = 1
+    ({"step": True, "t_end": 2}, "step must be a finite number, got True"),
+    ({"t_end": True}, "t_end must be a finite number, got True"),
+    ({"t_end": "0.5"}, "t_end must be a finite number, got '0.5'"),
+    ({"abs_tol": True}, "abs_tol must be a finite number, got True"),
+    ({"rel_tol": "1e-9"}, "rel_tol must be a finite number, got '1e-9'"),
 ])
 def test_non_finite_integrator_settings_exit_one(capsys, tmp_path, monkeypatch,
                                                  integrator, fragment):

@@ -16,7 +16,6 @@ import cocontact.dynamics
 from cocontact.mechanics import LagrangianSystem
 from cocontact import dsl
 from cocontact.pontryagin import (
-    AlgorithmOptions,
     InfeasiblePoint,
     NumericalBreakdown,
     _ClosedReads,
@@ -50,11 +49,9 @@ from cocontact.systems import PRESET_NAMES, preset_by_name
 import field_reference
 from hamiltonian_reference import cocontact_hamiltonian_field, hamiltonian_from_lagrangian
 
-OPTS = AlgorithmOptions()
-
 
 def closed_ladder(L, w0):
-    ladder, Z = run_constraint_algorithm(L, w0, OPTS)
+    ladder, Z = run_constraint_algorithm(L, w0)
     assert ladder.status == "Closed"
     return ladder
 
@@ -78,6 +75,9 @@ def test_config_validation():
     ("step", math.inf), ("step", math.nan),
     ("abs_tol", math.inf), ("abs_tol", math.nan),
     ("rel_tol", math.inf), ("rel_tol", math.nan),
+    # bool is an int subclass: true would run at step 1.0
+    ("step", True), ("t_end", True), ("abs_tol", True), ("rel_tol", False),
+    ("step", "0.1"), ("t_end", "2"), ("abs_tol", None), ("rel_tol", "1e-9"),
 ])
 def test_config_rejects_non_finite_settings(field, value):
     with pytest.raises(ValueError, match="finite"):
@@ -100,7 +100,7 @@ def test_free_particle_exact():
     free = LagrangianSystem(1, lambda t, q, v, s, P: 0.5 * v[0] * v[0])
     ladder = closed_ladder(free, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
     cfg = IntegratorConfig(method="rk4", step=1e-3, t_end=1.0)
-    traj = integrate(unified_field(free, ladder, OPTS), ladder.probe, cfg)
+    traj = integrate(unified_field(free, ladder), ladder.probe, cfg)
     t, q, v, p, s = traj.states[-1]
     assert abs(q - 1.0) < 1e-10
     assert abs(s - 0.5) < 1e-10
@@ -115,7 +115,7 @@ def test_harmonic_oscillator_closed_form():
     ladder = closed_ladder(osc, np.array([0.0, q0, 0.0, 0.0, 0.0]))
     T = 1.3
     cfg = IntegratorConfig(method="rk4", step=1e-3, t_end=T)
-    traj = integrate(unified_field(osc, ladder, OPTS), ladder.probe, cfg)
+    traj = integrate(unified_field(osc, ladder), ladder.probe, cfg)
     want = q0 * math.cos(math.sqrt(alpha) * T)
     assert abs(traj.states[-1][1] - want) < 1e-9
 
@@ -144,7 +144,7 @@ def test_duffing_velocity_run_vs_reference_ode():
     ladder = closed_ladder(L, pre.initial)
     x0 = lagrangian_part(ladder.probe, 1)
     cfg = IntegratorConfig(method="rk4", step=1e-3, t_end=2.0)
-    traj = integrate(lagrangian_field(L, ladder, OPTS), x0, cfg)
+    traj = integrate(lagrangian_field(L, ladder), x0, cfg)
     y = x0.copy()
     dev = 0.0
     for k in range(len(traj) - 1):
@@ -162,7 +162,7 @@ def test_momentum_field_matches_generic_evolution_equations():
     pre = preset_by_name("duffing")
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
-    fld = hamiltonian_field(L, ladder, OPTS)
+    fld = hamiltonian_field(L, ladder)
     H = hamiltonian_from_lagrangian(L)
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -304,7 +304,7 @@ def test_momentum_description_unavailable_for_singular_system():
     ladder = closed_ladder(L, pre.initial)
     y0 = hamiltonian_part(ladder.probe, 4)
     with pytest.raises(NonInvertibleLegendre):
-        hamiltonian_field(L, ladder, OPTS).reproject(y0)
+        hamiltonian_field(L, ladder).reproject(y0)
 
 
 # -- trajectory structure ----------------------------------------------
@@ -315,13 +315,13 @@ def test_fixed_step_times_are_exact():
     ladder = closed_ladder(free, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
     h = 1.0 / 1024.0
     cfg = IntegratorConfig(method="rk4", step=h, t_end=1.0)
-    traj = integrate(unified_field(free, ladder, OPTS), ladder.probe, cfg)
+    traj = integrate(unified_field(free, ladder), ladder.probe, cfg)
     assert len(traj) == 1025
     for k in range(len(traj)):
         assert traj.times[k] == k * h  # bit-exact
     # a decimal step still lands every full step on t0 + k h exactly
     cfg = IntegratorConfig(method="rk4", step=1e-3, t_end=0.25)
-    traj = integrate(unified_field(free, ladder, OPTS), ladder.probe, cfg)
+    traj = integrate(unified_field(free, ladder), ladder.probe, cfg)
     for k in range(len(traj) - 1):
         assert traj.times[k] == k * 1e-3
     assert abs(traj.times[-1] - 0.25) < 1e-12
@@ -332,7 +332,7 @@ def test_trajectory_shape_and_samples():
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.1)
-    traj = integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
+    traj = integrate(unified_field(L, ladder), ladder.probe, cfg)
     assert traj.kind == "unified"
     assert traj.n == 1
     assert np.array_equal(traj.states[0], ladder.probe)
@@ -355,7 +355,7 @@ def test_projection_helpers_drop_the_right_block():
     pre = preset_by_name("duffing")
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
-    Z = assemble_Z(L, ladder.probe, ladder, OPTS)
+    Z = assemble_Z(L, ladder.probe, ladder)
     lag = lagrangian_part(Z.coeffs, L.n)
     ham = hamiltonian_part(Z.coeffs, L.n)
     np.testing.assert_array_equal(lag, np.concatenate(([Z.A], Z.B, Z.C, [Z.E])))
@@ -379,9 +379,9 @@ def test_description_field_is_drop_of_unified_field(name, make):
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
     w = ladder.probe
-    fld = make(L, ladder, OPTS)
+    fld = make(L, ladder)
     got = fld(fld.drop(w))
-    want = fld.drop(unified_field(L, ladder, OPTS)(w))
+    want = fld.drop(unified_field(L, ladder)(w))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
@@ -398,14 +398,14 @@ def test_drift_reads_the_evaluation_eval_returned(name, make, monkeypatch):
     ladder = closed_ladder(L, pre.initial)
     # a state away from the probe point, off the constraint set where the
     # description allows it
-    y = make(L, ladder, OPTS).drop(ladder.probe)
+    y = make(L, ladder).drop(ladder.probe)
     y[1:] += 1e-3 * np.linspace(1.0, 2.0, len(y) - 1)
     # every description evaluates by replaying reads (the ladder's, or on
     # the momentum side the momentum constraints' at each Newton iterate)
     work = []
     _counting_replays(monkeypatch, work)
     _counting_taylor_on(monkeypatch, work)
-    fld = make(L, ladder, OPTS)
+    fld = make(L, ladder)
     evaluation = fld.eval(y)
     assert work
     work.clear()
@@ -426,7 +426,7 @@ def test_constraint_channel_reads_the_field_evaluations(name, make):
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
-    fld = make(L, ladder, OPTS)
+    fld = make(L, ladder)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05)
     traj = integrate(fld, fld.drop(ladder.probe), cfg)
     want = residual_channels(L, traj.times, traj.lifted, ladder)["constraint"]
@@ -443,7 +443,7 @@ def test_integrated_channels_match_recomputation(name, make, method):
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
-    fld = make(L, ladder, OPTS)
+    fld = make(L, ladder)
     cfg = IntegratorConfig(method=method, step=1e-2, t_end=0.065, abs_tol=1e-12, rel_tol=1e-12)
     traj = integrate(fld, fld.drop(ladder.probe), cfg)
     assert len(traj) >= 5
@@ -502,7 +502,7 @@ def test_residual_pass_in_integrate_expands_nothing(name, make, monkeypatch):
 
     monkeypatch.setattr(cocontact.dynamics, "residual_channels", watched)
     _counting_taylor_on(monkeypatch, orders, active=lambda: bool(inside))
-    fld = make(L, ladder, OPTS)
+    fld = make(L, ladder)
     traj = integrate(fld, fld.drop(ladder.probe), IntegratorConfig(step=1e-2, t_end=0.05))
     assert len(traj) == 6
     assert orders == []
@@ -516,12 +516,12 @@ def test_velocity_eval_expands_L_once_on_the_mixed_space(name, monkeypatch):
     pre = preset_by_name(name)
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
-    x = lagrangian_field(L, ladder, OPTS).drop(ladder.probe)  # records
+    x = lagrangian_field(L, ladder).drop(ladder.probe)  # records
     x[1:] += 1e-3 * np.linspace(1.0, 2.0, len(x) - 1)
     orders, points = [], []
     _counting_taylor_on(monkeypatch, orders)
     _counting_replays(monkeypatch, points)
-    deriv, lifted, raw = lagrangian_field(L, ladder, OPTS).eval(x)
+    deriv, lifted, raw = lagrangian_field(L, ladder).eval(x)
     monkeypatch.undo()
     assert orders == [] and len(points) == 1 and np.array_equal(points[0], x)
     # the lifted momenta are the fibre derivative at x
@@ -540,7 +540,7 @@ def test_no_velocity_side_expansion_in_integrate(name, make, reproject, monkeypa
     ladder = closed_ladder(L, pre.initial)
     orders = []
     _counting_taylor_on(monkeypatch, orders)
-    fld = make(L, ladder, OPTS)
+    fld = make(L, ladder)
     y0 = fld.drop(ladder.probe)
     fld.reproject(y0)
     cfg = IntegratorConfig(step=1e-2, t_end=0.03, reproject=reproject)
@@ -573,7 +573,7 @@ def test_a_reprojected_state_is_evaluated_once(name, kind, monkeypatch):
     for reproject in (True, False):
         evaluated.clear()
         points.clear()
-        fld = make(L, ladder, OPTS)
+        fld = make(L, ladder)
         traj = integrate(fld, fld.drop(ladder.probe),
                          IntegratorConfig(step=1e-2, t_end=0.1, reproject=reproject))
         assert len(evaluated) == 41 and len(traj) == 11
@@ -610,7 +610,7 @@ def test_a_state_is_read_twice_only_right_after_a_projection(name, kind, monkeyp
     monkeypatch.setattr(_ClosedReads, "point", property(counting_point))
     for reproject in (True, False):
         calls.clear()
-        fld = cocontact.dynamics.FIELDS[kind](L, ladder, OPTS)
+        fld = cocontact.dynamics.FIELDS[kind](L, ladder)
         integrate(fld, fld.drop(ladder.probe),
                   IntegratorConfig(step=1e-2, t_end=0.1, reproject=reproject))
         assert len(calls) >= 41
@@ -632,7 +632,7 @@ def test_the_evaluation_at_a_projected_state_is_a_fresh_one(name, kind, monkeypa
     make = cocontact.dynamics.FIELDS[kind]
     points = []
     _counting_replays(monkeypatch, points)
-    fld = make(L, ladder, OPTS)
+    fld = make(L, ladder)
     n = L.n
     state = fld.drop(ladder.probe).copy()
     state[2 * n] += 1e-4  # the last velocity
@@ -642,7 +642,7 @@ def test_the_evaluation_at_a_projected_state_is_a_fresh_one(name, kind, monkeypa
     points.clear()
     got = fld.eval(out)
     assert len(points) == 1 or kind == "hamiltonian"
-    fresh = make(L, ladder, OPTS).eval(out)
+    fresh = make(L, ladder).eval(out)
     for a, b in zip(got, fresh):
         assert np.array_equal(a, b)
 
@@ -670,11 +670,11 @@ def test_momentum_eval_expands_once_per_newton_iterate(monkeypatch):
     ]
     for L, w0, iterates in cases:
         ladder = closed_ladder(L, w0)
-        hamiltonian_field(L, ladder, OPTS)  # records
+        hamiltonian_field(L, ladder)  # records
         orders, points = [], []
         _counting_taylor_on(monkeypatch, orders)
         _counting_replays(monkeypatch, points)
-        hamiltonian_field(L, ladder, OPTS).eval(y)
+        hamiltonian_field(L, ladder).eval(y)
         monkeypatch.undo()
         assert len(points) == iterates and orders == []
 
@@ -709,7 +709,7 @@ def test_batched_fd_weights_match_scalar_recursion():
     pre = preset_by_name("duffing")
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
-    adaptive = integrate(unified_field(L, ladder, OPTS), ladder.probe,
+    adaptive = integrate(unified_field(L, ladder), ladder.probe,
                          IntegratorConfig(method="rk45", step=1e-2, t_end=0.5))
     assert np.ptp(np.diff(adaptive.times)) > 0  # a non-uniform grid
     rng = np.random.default_rng(11)
@@ -735,7 +735,7 @@ def test_channels_flag_injected_faults():
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.3)
-    traj = integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
+    traj = integrate(unified_field(L, ladder), ladder.probe, cfg)
 
     # momentum bump shows up in the constraint channel at the bumped sample
     bad = traj.lifted.copy()
@@ -767,7 +767,7 @@ def test_channels_shrink_at_fourth_order():
     maxima = {}
     for h in (1e-2, 5e-3):
         cfg = IntegratorConfig(method="rk4", step=h, t_end=2.5)
-        traj = integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
+        traj = integrate(unified_field(L, ladder), ladder.probe, cfg)
         maxima[h] = {k: traj.channel_max(k) for k in traj.residuals}
     for name in ("holonomy", "sdot", "herglotz", "constraint"):
         ratio = maxima[1e-2][name] / maxima[5e-3][name]
@@ -779,7 +779,7 @@ def test_residual_report_structure():
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.2)
-    traj = integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
+    traj = integrate(unified_field(L, ladder), ladder.probe, cfg)
     rep = residual_report(L, traj)
     assert set(rep) == {"holonomy", "sdot", "herglotz", "constraint"}
     for d in rep.values():
@@ -795,7 +795,7 @@ def test_monitor_mode_raises_when_ladder_lost():
     ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=0.25, t_end=6.0)
     with pytest.raises(LadderLost):
-        integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
+        integrate(unified_field(L, ladder), ladder.probe, cfg)
 
 
 def test_reprojection_keeps_the_same_coarse_run_alive():
@@ -803,7 +803,7 @@ def test_reprojection_keeps_the_same_coarse_run_alive():
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=0.25, t_end=6.0, reproject=True)
-    traj = integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
+    traj = integrate(unified_field(L, ladder), ladder.probe, cfg)
     assert traj.channel_max("constraint") < 1e-9
 
 
@@ -818,7 +818,7 @@ def test_reprojection_failure_names_its_time():
     ladder = closed_ladder(L, STALLING_START)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.7, reproject=True)
     with pytest.raises(InfeasiblePoint) as exc:
-        integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
+        integrate(unified_field(L, ladder), ladder.probe, cfg)
     message = str(exc.value)
     assert message.startswith("reprojection failed at t = 0.6")
     assert "projection stalled at |" in message
@@ -844,10 +844,10 @@ def test_a_velocity_projection_reads_nothing_before_the_momenta():
     with pytest.raises(NumericalBreakdown):
         assemble_Z(L, at_zero_p, ladder)
     # both sides start where project_onto does, from p = dL/dv
-    fld = lagrangian_field(L, ladder, OPTS)
+    fld = lagrangian_field(L, ladder)
     want = project_onto(L, at_zero_p, ladder.active())
     assert np.array_equal(fld.reproject(x), lagrangian_part(want, L.n))
-    assert np.array_equal(unified_field(L, ladder, OPTS).reproject(at_zero_p), want)
+    assert np.array_equal(unified_field(L, ladder).reproject(at_zero_p), want)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05, reproject=True)
     traj = integrate(fld, x, cfg)
     assert len(traj) == 6 and traj.channel_max("constraint") < 1e-9
@@ -861,16 +861,16 @@ def test_adaptive_step_failure_at_finite_time_blowup():
     cfg = IntegratorConfig(method="rk45", step=1e-2, t_end=1.5,
                            abs_tol=1e-6, rel_tol=1e-6, reproject=True)
     with pytest.raises(StepFailure):
-        integrate(unified_field(blow, ladder, OPTS), ladder.probe, cfg)
+        integrate(unified_field(blow, ladder), ladder.probe, cfg)
 
 
 def test_adaptive_run_matches_fixed_step():
     pre = preset_by_name("duffing")
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
-    fixed = integrate(unified_field(L, ladder, OPTS), ladder.probe,
+    fixed = integrate(unified_field(L, ladder), ladder.probe,
                       IntegratorConfig(method="rk4", step=1e-3, t_end=2.0))
-    adaptive = integrate(unified_field(L, ladder, OPTS), ladder.probe,
+    adaptive = integrate(unified_field(L, ladder), ladder.probe,
                          IntegratorConfig(method="rk45", step=1e-2, t_end=2.0,
                                           abs_tol=1e-10, rel_tol=1e-10))
     assert len(adaptive) < len(fixed)
@@ -922,7 +922,7 @@ def test_csv_round_trip(tmp_path):
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.2)
-    traj = integrate(unified_field(L, ladder, OPTS), ladder.probe, cfg)
+    traj = integrate(unified_field(L, ladder), ladder.probe, cfg)
     path = tmp_path / "run.csv"
     trajectory_to_csv(traj, path)
     text = path.read_text().strip().split("\n")
@@ -941,7 +941,7 @@ def test_json_export(tmp_path):
     L = pre.system
     ladder = closed_ladder(L, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.1)
-    traj = integrate(lagrangian_field(L, ladder, OPTS), lagrangian_part(ladder.probe, 1), cfg)
+    traj = integrate(lagrangian_field(L, ladder), lagrangian_part(ladder.probe, 1), cfg)
     path = tmp_path / "run.json"
     doc = trajectory_to_json(traj, path)
     loaded = json.loads(path.read_text())

@@ -24,11 +24,10 @@ from cocontact import dsl
 from cocontact.dynamics import FIELDS, IntegratorConfig, integrate
 from cocontact.jets import Taylor, exp, jet_from_taylor, sin
 from cocontact.mechanics import LagrangianSystem
-from cocontact.pontryagin import AlgorithmOptions, assemble_Z, run_constraint_algorithm
+from cocontact.pontryagin import assemble_Z, run_constraint_algorithm
 from cocontact.systems import PRESET_NAMES, preset_by_name
 from field_reference import hessian_block, implicit_C, reference_field, reference_Z
 
-OPTS = AlgorithmOptions()
 KINDS = {
     "duffing": ("unified", "lagrangian", "hamiltonian"),
     "variable_mass_drag": ("unified", "lagrangian", "hamiltonian"),
@@ -57,8 +56,8 @@ def assert_same_Z(got, want):
 
 def run(name, kind, method, reproject, make=None):
     pre = preset_by_name(name)
-    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
-    fld = (make or FIELDS[kind])(pre.system, ladder, OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
+    fld = (make or FIELDS[kind])(pre.system, ladder)
     cfg = IntegratorConfig(method=method, step=1e-2, t_end=0.05, reproject=reproject)
     return pre.system, ladder, integrate(fld, fld.drop(ladder.probe), cfg)
 
@@ -84,14 +83,14 @@ def test_every_sample_equals_the_reference(name, kind, method, reproject):
         # the states moves them by a few 1e-15
         assert_close(traj.residuals[channel], values, 1e-13)
     # at the package's own samples: C moves at rounding level
-    ref = reference_field(kind)(L, ladder, OPTS)
+    ref = reference_field(kind)(L, ladder)
     for state, w, coeffs in zip(traj.states, traj.lifted, traj.coeffs):
         if kind == "hamiltonian":
             ref._last_v = w[1 + L.n : 1 + 2 * L.n]  # a lift that has converged
         assert np.array_equal(ref.lift(state), w)
-        want = reference_Z(L, w, ladder, OPTS)
+        want = reference_Z(L, w, ladder)
         assert_same_coeffs(coeffs, want.coeffs)
-        assert_same_Z(assemble_Z(L, w, ladder, OPTS), want)
+        assert_same_Z(assemble_Z(L, w, ladder), want)
 
 
 @pytest.mark.parametrize("name", [*PRESET_NAMES, "stalling"])
@@ -101,11 +100,11 @@ def test_discovery_field_equals_the_reference_at_the_probe(name):
     else:
         pre = preset_by_name(name)
         L, start = pre.system, pre.initial
-    ladder, Z = run_constraint_algorithm(L, start, OPTS)
+    ladder, Z = run_constraint_algorithm(L, start)
     assert ladder.status == "Closed"
-    assert_same_Z(Z, reference_Z(L, ladder.probe, ladder, OPTS))
+    assert_same_Z(Z, reference_Z(L, ladder.probe, ladder))
     # discovery's closing pass solves as the tape does
-    taped = assemble_Z(L, ladder.probe, ladder, OPTS)
+    taped = assemble_Z(L, ladder.probe, ladder)
     for name in ("coeffs", "undetermined", "constraint_values", "L_data"):
         assert np.array_equal(getattr(taped, name), getattr(Z, name)), name
 
@@ -116,13 +115,13 @@ def test_batched_assemble_equals_the_reference(name, seed):
     # the stack check_ladder assembles, one row of reads per point
     pre = preset_by_name(name)
     L = pre.system
-    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     rng = np.random.default_rng(seed)
     W = np.array([pre.sample_feasible(rng) for _ in range(80)])
-    batch = assemble_Z(L, W, ladder, OPTS)
+    batch = assemble_Z(L, W, ladder)
     assert len(batch) == len(W)
     for w, Z in zip(W, batch):
-        assert_same_Z(Z, reference_Z(L, w, ladder, OPTS))
+        assert_same_Z(Z, reference_Z(L, w, ladder))
 
 
 @pytest.mark.parametrize("reproject", [False, True])

@@ -14,10 +14,9 @@ import pytest
 
 import integrator_reference
 from cocontact.dynamics import FIELDS, MAX_STEPS, IntegratorConfig, integrate
-from cocontact.pontryagin import AlgorithmOptions, run_constraint_algorithm
+from cocontact.pontryagin import run_constraint_algorithm
 from cocontact.systems import preset_by_name
 
-OPTS = AlgorithmOptions()
 KINDS = {
     "duffing": ("unified", "lagrangian", "hamiltonian"),
     "variable_mass_drag": ("unified", "lagrangian", "hamiltonian"),
@@ -28,10 +27,10 @@ CASES = [(name, kind) for name, kinds in KINDS.items() for kind in kinds]
 
 def _runs(name, kind, cfg):
     pre = preset_by_name(name)
-    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     out = []
     for run in (integrate, integrator_reference.integrate):
-        fld = FIELDS[kind](pre.system, ladder, OPTS)
+        fld = FIELDS[kind](pre.system, ladder)
         out.append(run(fld, fld.drop(ladder.probe), cfg))
     return out
 
@@ -77,7 +76,7 @@ def test_every_description_has_its_own_eval_and_drift():
 def test_a_monitored_rk4_run_calls_eval_and_drift_as_the_tracer_counts(name, kind, monkeypatch):
     # 4 evaluations per step plus 1 per run, and 1 drift check per step
     pre = preset_by_name(name)
-    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     cls = FIELDS[kind]
     calls = {"eval": 0, "drift": 0}
     for entry in calls:
@@ -88,7 +87,7 @@ def test_a_monitored_rk4_run_calls_eval_and_drift_as_the_tracer_counts(name, kin
             return original(self, arg)
 
         monkeypatch.setattr(cls, entry, counting)
-    fld = cls(pre.system, ladder, OPTS)
+    fld = cls(pre.system, ladder)
     traj = integrate(fld, fld.drop(ladder.probe), IntegratorConfig(step=1e-2, t_end=0.07))
     k = len(traj) - 1
     assert k == 7
@@ -101,14 +100,14 @@ def test_a_monitored_rk4_run_calls_eval_and_drift_as_the_tracer_counts(name, kin
 @pytest.mark.parametrize("step, t_end", [(1e-300, 1.0), (1.0 / MAX_STEPS, 1.5)])
 def test_a_run_over_the_step_cap_raises_before_any_evaluation(step, t_end, monkeypatch):
     pre = preset_by_name("duffing")
-    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     cls = FIELDS["unified"]
 
     def refuse(self, state):
         raise AssertionError("the field was evaluated")
 
     monkeypatch.setattr(cls, "eval", refuse)
-    fld = cls(pre.system, ladder, OPTS)
+    fld = cls(pre.system, ladder)
     with pytest.raises(ValueError, match=f"more than MAX_STEPS = {MAX_STEPS}"):
         integrate(fld, ladder.probe, IntegratorConfig(step=step, t_end=t_end))
 

@@ -5,6 +5,7 @@ Oracles: the presets' closed-form coefficient and closure functions
 differences on the discovered constraint functions.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -13,16 +14,20 @@ import numpy as np
 import pytest
 
 from cocontact import dsl, pontryagin
-from cocontact.dynamics import IntegratorConfig, LagrangianField, UnifiedField, integrate
+from cocontact.dynamics import (IntegratorConfig, LagrangianField, UnifiedField, integrate,
+                                unified_field)
 from cocontact.jets import ORDER_CAP, Taylor
-from cocontact.mechanics import DEFAULT_RANK_TOL, LagrangianSystem
+from cocontact.mechanics import LagrangianSystem
 from cocontact.pontryagin import (
+    MAX_GENERATIONS,
+    RANK_TOL,
     AlgorithmOptions,
     InfeasiblePoint,
     LadderNotClosed,
     NumericalBreakdown,
     ZCoefficients,
     _ClosedReads,
+    _PrimaryConstraint,
     _layout,
     _pivots,
     _solve_frozen,
@@ -31,7 +36,6 @@ from cocontact.pontryagin import (
     assemble_Z,
     constraint_values,
     lagrangian_part,
-    primary_constraints,
     project_onto,
     run_constraint_algorithm,
 )
@@ -52,6 +56,11 @@ from lagrangian_reference import order2_reference
 # its reprojection stall
 STALLING_L = "0.5*cos(q2)*v1^2 + v2^2/2 + q3*(q1 - t)"
 STALLING_START = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def primary_constraints(L, w):
+    """Values of the momentum constraints p_j - dL/dv_j at a point."""
+    return constraint_values(L, w, [_PrimaryConstraint(L, j) for j in range(L.n)])
 
 
 def coulomb_hess(x):
@@ -105,12 +114,14 @@ def test_duffing_closes_in_one_generation():
 
 
 def test_regular_closure_at_random_feasible_points():
+    # a feasible start is where discovery's projections leave it, bit for
+    # bit, so the closed forms are checked at that exact point
     rng = np.random.default_rng(1)
     for pre in (duffing(), variable_mass_drag()):
-        opts = AlgorithmOptions(project=False)
         for _ in range(30):
             w = pre.sample_feasible(rng)
-            ladder, Z = run_constraint_algorithm(pre.system, w, opts)
+            ladder, Z = run_constraint_algorithm(pre.system, w)
+            assert ladder.probe.tobytes() == w.tobytes()
             assert ladder.status == "Closed" and ladder.n_generations == 1
             np.testing.assert_allclose(Z.C, pre.expected_C(w), rtol=0, atol=1e-10)
             np.testing.assert_allclose(Z.D, pre.expected_D(w), rtol=0, atol=1e-10)
@@ -162,10 +173,10 @@ def test_charged_ladder_from_reference_start():
 def test_charged_ladder_at_generic_feasible_points():
     pre = charged_particle()
     rng = np.random.default_rng(4)
-    opts = AlgorithmOptions(project=False)
     for _ in range(15):
         w = pre.sample_feasible(rng)
-        ladder, Z = run_constraint_algorithm(pre.system, w, opts)
+        ladder, Z = run_constraint_algorithm(pre.system, w)
+        assert ladder.probe.tobytes() == w.tobytes()
         assert ladder.status == "Closed"
         assert ladder.n_generations == 5
         np.testing.assert_allclose(Z.C, pre.expected_C(w), rtol=0, atol=1e-10)
@@ -237,7 +248,7 @@ def test_field_C_matches_the_row_by_row_least_squares_solve(name):
             grad = c.jet(w, 1).grad
             M.append(grad[1 + n : 1 + 2 * n])
             g.append(sum(float(a * b) for a, b in zip(grad, known)))
-        C, *_ = np.linalg.lstsq(np.array(M), -np.array(g), rcond=AlgorithmOptions().rank_tol)
+        C, *_ = np.linalg.lstsq(np.array(M), -np.array(g), rcond=RANK_TOL)
         np.testing.assert_allclose(Z.C, C, rtol=1e-12, atol=1e-12)
 
 
@@ -278,8 +289,8 @@ def test_a_nan_pivot_margin_fails_wherever_it_is_listed(squared):
     # min() keeps its first argument against a NaN: a NaN after the first
     # margin once passed the test
     with pytest.raises(NumericalBreakdown, match=r"C-system pivot margin nan at or below"):
-        _test_margins(squared, 1e-9, NumericalBreakdown, "C-system", "lost")
-    _test_margins([4.0, 1.0], 1e-9, NumericalBreakdown, "C-system", "lost")
+        _test_margins(squared, NumericalBreakdown, "C-system", "lost")
+    _test_margins([4.0, 1.0], NumericalBreakdown, "C-system", "lost")
 
 
 def test_a_rank_drop_raises_where_it_was_silent():
@@ -326,13 +337,15 @@ def test_discovery_closes_with_full_rank_wherever_the_svd_keeps_it(q1):
     assert np.max(np.abs(Z.C - C)) <= cond * 1e-15 * np.max(np.abs(C))
 
 
-def test_the_pivot_margin_is_tested_against_the_callers_rank_tol():
+def test_the_pivot_margin_is_tested_against_rank_tol():
+    # the second margin is (1 - q1^2) / (1 + q1^2), about 1 - q1 near q1 = 1
     L, ladder, _ = _near_singular(0.3)
     w = ladder.probe.copy()
-    w[1] = 1.0 - 1e-6
+    w[1] = 1.0 - 2e-9
     assert np.all(np.isfinite(assemble_Z(L, w, ladder).coeffs))
-    with pytest.raises(NumericalBreakdown, match=r"margin 1\.000e-06 at or below rank_tol 1\.0e-05"):
-        assemble_Z(L, w, ladder, AlgorithmOptions(rank_tol=1e-5))
+    w[1] = 1.0 - 2.5e-10
+    with pytest.raises(NumericalBreakdown, match=r"margin 2\.500e-10 at or below rank_tol 1\.0e-09"):
+        assemble_Z(L, w, ladder)
     w[1] = 1.0
     with pytest.raises(NumericalBreakdown, match=r"margin \S+ at or below rank_tol 1\.0e-09"):
         assemble_Z(L, w, ladder)
@@ -506,12 +519,12 @@ def test_pivots_stop_at_the_rank():
     # rank 1: after the largest column the others leave rounding, at or
     # below tol times the largest column norm
     A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
-    assert _pivots(A, DEFAULT_RANK_TOL) == ([2], [0, 1])
+    assert _pivots(A, RANK_TOL) == ([2], [0, 1])
     assert _pivots(np.zeros((2, 3))) == ([], [0, 1, 2])
-    assert _pivots(np.zeros((2, 3)), DEFAULT_RANK_TOL) == ([], [0, 1, 2])
+    assert _pivots(np.zeros((2, 3)), RANK_TOL) == ([], [0, 1, 2])
     assert _pivots(np.zeros((0, 3))) == ([], [0, 1, 2])
     # the charged particle's d2L/dv dv: the multiplier's column is left
-    assert _pivots(np.diag([2.0, 2.0, 2.0, 0.0]), DEFAULT_RANK_TOL) == ([0, 1, 2], [3])
+    assert _pivots(np.diag([2.0, 2.0, 2.0, 0.0]), RANK_TOL) == ([0, 1, 2], [3])
 
 
 def test_pivots_break_a_tie_towards_the_lowest_index():
@@ -577,7 +590,7 @@ def test_pivots_make_the_choices_the_svds_made(name, monkeypatch):
     monkeypatch.undo()
     n = L.n
     (H, tol, (_, rest)), *picks = calls
-    assert tol == DEFAULT_RANK_TOL and rest == kernel_q_indices(H)
+    assert tol == RANK_TOL and rest == kernel_q_indices(H)
     assert ladder.directions == [1 + j for j in rest] + list(range(1 + n, 1 + 3 * n))
     vs = slice(1 + n, 1 + 2 * n)
     at_probe = L.jet(lagrangian_part(ladder.probe, n), 2).hess[vs, vs]
@@ -726,26 +739,33 @@ def test_incompatible_system_detected():
         assemble_Z(L, ladder.probe, ladder)
 
 
-def test_max_iterations_status():
+def test_an_options_argument_is_ignored_and_settings_are_refused():
+    # bench/workloads.py still passes AlgorithmOptions() to these two calls;
+    # it has no fields, so a caller's old setting fails loudly
+    assert dataclasses.fields(AlgorithmOptions) == ()
+    with pytest.raises(TypeError):
+        AlgorithmOptions(rank_tol=1e-5)
     pre = charged_particle()
-    opts = AlgorithmOptions(max_generations=2)
-    ladder, Z = run_constraint_algorithm(pre.system, pre.initial, opts)
-    assert ladder.status == "MaxIterations"
-    assert Z is None
+    cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05)
+    runs = []
+    for extra in ((), (AlgorithmOptions(),)):
+        ladder, _ = run_constraint_algorithm(pre.system, pre.initial, *extra)
+        traj = integrate(unified_field(pre.system, ladder, *extra), ladder.probe, cfg)
+        runs.append((json.dumps(ladder.report()), traj.states.tobytes(), traj.coeffs.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def _multiplier_chain(t, q, v, s, par):
     return q[3] * (v[0] - q[1]) + q[4] * (v[1] - q[2]) + 0.5 * v[2] * v[2] + q[5] * q[0]
 
 
-@pytest.mark.parametrize("opts", [AlgorithmOptions(), AlgorithmOptions(max_generations=20)])
-def test_generation_cap_stops_before_the_order_cap(opts):
+def test_generation_cap_stops_before_the_order_cap():
     # q4, q5 and q6 carry no velocity, and this chain's ladder is still open
     # after ORDER_CAP - 2 passes; pass k expands L to order k + 2, so one
     # more pass would exceed the jet layer's order cap
-    assert AlgorithmOptions().max_generations == ORDER_CAP - 2
+    assert MAX_GENERATIONS == ORDER_CAP - 2
     L = LagrangianSystem(6, _multiplier_chain, label="chain")
-    ladder, Z = run_constraint_algorithm(L, np.zeros(3 * 6 + 2), opts)
+    ladder, Z = run_constraint_algorithm(L, np.zeros(3 * 6 + 2))
     assert ladder.status == "MaxIterations"
     assert Z is None
     assert ladder.n_generations == 1 + (ORDER_CAP - 2)
@@ -761,32 +781,9 @@ def test_infeasible_start_off_the_surface():
         run_constraint_algorithm(pre.system, w)
 
 
-def test_projectless_run_rejects_raw_momenta():
-    pre = charged_particle()
-    with pytest.raises(InfeasiblePoint):
-        run_constraint_algorithm(
-            pre.system, pre.initial, AlgorithmOptions(project=False)
-        )
-
-
 def test_projection_solves_momenta_exactly():
     pre = duffing()
     w = np.array([0.4, 1.3, -0.6, 9.9, 0.2])
     out = project_onto(pre.system, w, [])
     assert out[3] == out[2]  # p := dL/dv = v, bit-exact
     np.testing.assert_array_equal(out[[0, 1, 2, 4]], w[[0, 1, 2, 4]])
-
-
-def test_condition_cap_raises():
-    # nearly parallel momentum rows: sigma ratio ~ 8e12 exceeds the cap
-    # once rank_tol is tightened enough to keep both rows active
-    L = LagrangianSystem(
-        2,
-        lambda t, q, v, s, par: 0.5 * (v[0] + v[1]) ** 2 + 0.25e-12 * v[1] ** 2,
-        {},
-        label="illconditioned",
-    )
-    w = np.zeros(8)
-    opts = AlgorithmOptions(rank_tol=1e-15, cond_cap=1e10)
-    with pytest.raises(NumericalBreakdown):
-        run_constraint_algorithm(L, w, opts)

@@ -37,7 +37,7 @@ import pytest
 
 from cocontact.checks import run_all_checks
 from cocontact.dynamics import FIELDS, IntegratorConfig, NonInvertibleLegendre, integrate
-from cocontact.pontryagin import AlgorithmOptions, run_constraint_algorithm
+from cocontact.pontryagin import run_constraint_algorithm
 from cocontact.systems import PRESET_NAMES, preset_by_name
 
 GOLDEN = Path(__file__).resolve().parent / "regression_golden.json"
@@ -79,8 +79,7 @@ _LADDERS: dict = {}
 def ladder_of(name):
     if name not in _LADDERS:
         _LADDERS[name] = run_constraint_algorithm(preset_by_name(name).system,
-                                                  preset_by_name(name).initial,
-                                                  AlgorithmOptions())
+                                                  preset_by_name(name).initial)
     return _LADDERS[name]
 
 
@@ -89,7 +88,7 @@ def run_record(name, space, method, reproject) -> dict:
     ladder, _ = ladder_of(name)
     step, t_end = SPANS[name]
     cfg = IntegratorConfig(method=method, step=step, t_end=t_end, reproject=reproject, **TOLS)
-    field = FIELDS[space](pre.system, ladder, AlgorithmOptions())
+    field = FIELDS[space](pre.system, ladder)
     traj = integrate(field, field.drop(ladder.probe), cfg)
     N = len(traj)
     picks = sorted({0, N // 2, N - 1})
@@ -183,7 +182,7 @@ def test_run_matches_golden(golden, key):
 def test_charged_momentum_description_is_refused():
     pre = preset_by_name("charged_particle")
     ladder, _ = ladder_of("charged_particle")
-    field = FIELDS["hamiltonian"](pre.system, ladder, AlgorithmOptions())
+    field = FIELDS["hamiltonian"](pre.system, ladder)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05)
     with pytest.raises(NonInvertibleLegendre):
         integrate(field, field.drop(ladder.probe), cfg)

@@ -30,7 +30,6 @@ from cocontact.jets import (
 )
 from cocontact.mechanics import LagrangianSystem
 from cocontact.pontryagin import (
-    AlgorithmOptions,
     NumericalBreakdown,
     _field,
     _ladder_reads,
@@ -51,7 +50,6 @@ from cocontact.systems import (
 )
 from field_reference import reference_field
 
-OPTS = AlgorithmOptions()
 DESCRIPTIONS = {
     "duffing": ("unified", "lagrangian", "hamiltonian"),
     "variable_mass_drag": ("unified", "lagrangian", "hamiltonian"),
@@ -85,7 +83,7 @@ def live_reads(L, w, ladder):
 
 
 def live_Z(L, w, ladder):
-    return _field(live_reads(L, w, ladder), len(ladder.active()), L.n, OPTS)[0]
+    return _field(live_reads(L, w, ladder), len(ladder.active()), L.n)[0]
 
 
 def assert_same_taylor(got, want):
@@ -101,7 +99,7 @@ def assert_same_Z(got, want):
 
 def stalling_system():
     L = LagrangianSystem.from_expr(dsl.parse(STALLING_L, 3))
-    ladder, _ = run_constraint_algorithm(L, STALLING_START, OPTS)
+    ladder, _ = run_constraint_algorithm(L, STALLING_START)
     assert ladder.status == "Closed"
     return L, ladder
 
@@ -113,14 +111,14 @@ def stalling_system():
 def test_taped_evaluation_equals_live_at_every_sample(name, monkeypatch):
     pre = preset_by_name(name)
     L = pre.system
-    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     tapes = _counting_records(monkeypatch)
     n = L.n
     deepest = max(c.generation for c in ladder.active())
     unified = CoordinateSpace.unified(n)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.1)
     for kind in DESCRIPTIONS[name]:
-        fld = FIELDS[kind](L, ladder, OPTS)
+        fld = FIELDS[kind](L, ladder)
         W = integrate(fld, fld.drop(ladder.probe), cfg).lifted
         X = np.concatenate((W[:, : 1 + 2 * n], W[:, -1:]), axis=1)
         for w, x in zip(W, X):
@@ -139,8 +137,8 @@ def test_taped_evaluation_equals_live_at_every_sample(name, monkeypatch):
 def _runs(name, kind):
     pre = preset_by_name(name)
     L = pre.system
-    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
-    fld = FIELDS[kind](L, ladder, OPTS)
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
+    fld = FIELDS[kind](L, ladder)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.1, reproject=kind == "unified")
     return integrate(fld, fld.drop(ladder.probe), cfg)
 
@@ -175,11 +173,11 @@ def _used_layouts(pre, monkeypatch):
     monkeypatch.setattr(LagrangianSystem, "taylor_on", spy)
     check_ad_vs_fd(pre, points=2)
     check_ladder(pre, points=2)
-    ladder, _ = run_constraint_algorithm(pre.system, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(pre.system, pre.initial)
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.05)
     lifted = []
     for kind in DESCRIPTIONS[pre.label]:
-        fld = FIELDS[kind](pre.system, ladder, OPTS)
+        fld = FIELDS[kind](pre.system, ladder)
         lifted.extend(integrate(fld, fld.drop(ladder.probe), cfg).lifted)
     monkeypatch.setattr(LagrangianSystem, "taylor_on", taylor_on)
     return seen, ladder, np.array(lifted)
@@ -224,7 +222,7 @@ def test_a_stack_equals_its_points_wherever_the_pipeline_expands(name, monkeypat
 def test_a_stack_of_one_is_the_single_point(name):
     pre = preset_by_name(name)
     L = pre.system
-    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     w = ladder.probe
     order = 1 + max(c.generation for c in ladder.active())
     unified = CoordinateSpace.unified(L.n)
@@ -250,7 +248,7 @@ def test_radius_guard_fires_on_replay():
     # the ladder's tape expands L itself, so it holds L's guards
     pre = charged_particle()
     L = pre.system
-    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     w = pre.sample_feasible(np.random.default_rng(1))
     assemble_Z(L, w, ladder)  # records
     assert not ladder._reads[False].tape.live
@@ -262,7 +260,7 @@ def test_radius_guard_fires_on_replay():
 
 def test_mass_guard_fires_on_replay():
     L = variable_mass_drag(m_expr="1 - t").system
-    ladder, _ = run_constraint_algorithm(L, np.array([0.5, 0.1, 0.2, 0.0, 0.0]), OPTS)
+    ladder, _ = run_constraint_algorithm(L, np.array([0.5, 0.1, 0.2, 0.0, 0.0]))
     assemble_Z(L, ladder.probe, ladder)  # records at m = 0.5
     assert not ladder._reads[False].tape.live
     w = np.array([2.0, 0.1, 0.2, 0.0, 0.0])
@@ -286,7 +284,7 @@ def test_pivot_guard_fires_on_replay():
 def _drift_failure():
     L, ladder = stalling_system()
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=1.2)
-    return _raised(lambda: integrate(FIELDS["unified"](L, ladder, OPTS), ladder.probe, cfg))
+    return _raised(lambda: integrate(FIELDS["unified"](L, ladder), ladder.probe, cfg))
 
 
 def test_drift_failure_is_the_live_one(monkeypatch):
@@ -320,7 +318,7 @@ def test_a_stack_with_a_point_below_the_radius_guard():
     got = _stack_raises_as_the_point(lambda w: L.taylor_on(space, w, 3), W, W[2])
     assert got == (JetDomainError, "radius below guard 1e-06")
     # the ladder's tape expands L itself, so it holds the same guard
-    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     got = _stack_raises_as_the_point(lambda w: assemble_Z(L, w, ladder), W, W[2])
     assert got == _raised(lambda: live_Z(L, W[2], ladder))
     assert got == (JetDomainError, "radius below guard 1e-06")
@@ -385,9 +383,9 @@ def test_a_run_records_one_tape(name, kind, reproject, monkeypatch):
     # mixed-space tape would be recorded only once Gauss-Newton moves
     pre = preset_by_name(name)
     L = pre.system
-    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     calls = _counting_records(monkeypatch)
-    fld = FIELDS[kind](L, ladder, OPTS)
+    fld = FIELDS[kind](L, ladder)
     integrate(fld, fld.drop(ladder.probe), IntegratorConfig(step=1e-2, t_end=0.05, reproject=reproject))
     assert [tape._width for tape in calls] == [(2 if kind == "lagrangian" else 3) * L.n + 2]
 
@@ -409,7 +407,7 @@ def test_an_fn_that_branches_on_a_value_is_refused_once(monkeypatch):
     assert len(calls) == 1 and calls[0].live
     # the refused fn still drives a field: the ladder's recording, which
     # runs fn too, is refused as well, once, and its reads run live
-    ladder, _ = run_constraint_algorithm(L, np.array([0.0, 0.5, 0.3, 0.0, 0.0]), OPTS)
+    ladder, _ = run_constraint_algorithm(L, np.array([0.0, 0.5, 0.3, 0.0, 0.0]))
     for q in (0.5, -0.5):
         w = np.array([0.0, q, 0.3, 0.3, 0.0])
         assert_same_Z(assemble_Z(L, w, ladder), live_Z(L, w, ladder))
@@ -428,11 +426,11 @@ def _frozen_stiffness(t, q, v, s, par):
 @pytest.mark.parametrize("kind", ["unified", "lagrangian", "hamiltonian"])
 def test_an_fn_that_calls_float_runs_live_in_every_description(kind):
     L = LagrangianSystem(1, _frozen_stiffness)
-    ladder, _ = run_constraint_algorithm(L, np.array([0.0, 0.5, 0.3, 0.0, 0.0]), OPTS)
+    ladder, _ = run_constraint_algorithm(L, np.array([0.0, 0.5, 0.3, 0.0, 0.0]))
     cfg = IntegratorConfig(method="rk4", step=1e-2, t_end=0.1)
     runs = []
     for make in (FIELDS[kind], reference_field(kind)):
-        fld = make(L, ladder, OPTS)
+        fld = make(L, ladder)
         runs.append(integrate(fld, fld.drop(ladder.probe), cfg))
     got, want = runs
     for field in ("times", "states", "lifted", "coeffs"):
@@ -454,9 +452,9 @@ def test_the_velocity_lift_momenta_are_the_deep_expansions(name):
     pre = preset_by_name(name)
     L = pre.system
     n = L.n
-    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     deepest = max(c.generation for c in ladder.active())
-    fld = FIELDS["lagrangian"](L, ladder, OPTS)
+    fld = FIELDS["lagrangian"](L, ladder)
     unified = CoordinateSpace.unified(n)
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -513,7 +511,7 @@ def test_only_the_momentum_constraints_tape_carries_newtons_step(name, statement
     monkeypatch.setattr(jets, "compile", spy, raising=False)
     pre = preset_by_name(name)
     L = pre.system
-    ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+    ladder, _ = run_constraint_algorithm(L, pre.initial)
     n = L.n
     counts = {}
     for lift in (False, True):
@@ -636,7 +634,7 @@ def test_two_charged_ladders_share_one_code_object(monkeypatch):
     for k in (2e-4, 5e-4):
         pre = charged_particle(k=k)
         L = pre.system
-        ladder, _ = run_constraint_algorithm(L, pre.initial, OPTS)
+        ladder, _ = run_constraint_algorithm(L, pre.initial)
         reads = _ladder_reads(L, ladder)
         w = pre.sample_feasible(np.random.default_rng(4))
         assert np.array_equal(reads(w), live_reads(L, w, ladder))
